@@ -20,7 +20,11 @@
 //! The two tiers consume identical drive values and step the noise
 //! generator and detector in the same order, so their duty cycles (and
 //! everything downstream — counts, headings) agree **bit for bit**; the
-//! determinism suite enforces this.
+//! determinism suite enforces this. On a noise-free channel the fast
+//! path stops stepping once the detector state repeats from one
+//! excitation period to the next and replays the repeating period
+//! instead (see [`FrontEnd::measure_into`]) — the same bits, fewer
+//! steps.
 //!
 //! The closed-form expectation, derived in the [`detector`](crate::detector)
 //! docs, is `duty = 1/2 − H_ext/(2·H_peak)`; the simulation reproduces it
@@ -204,6 +208,65 @@ pub struct FrontEnd {
     table: ExcitationTable,
 }
 
+/// Output toggles one scanned period may record for folding; a period
+/// with more falls back to the plain scan. The paper design toggles
+/// twice per period.
+const FOLD_TOGGLES: usize = 16;
+
+/// The detector output toggles of one excitation period: the sample
+/// index within the period and the new level, in time order.
+#[derive(Debug)]
+struct Toggles<const CAP: usize> {
+    at: [(usize, bool); CAP],
+    len: usize,
+}
+
+impl<const CAP: usize> Default for Toggles<CAP> {
+    fn default() -> Self {
+        Self {
+            at: [(0, false); CAP],
+            len: 0,
+        }
+    }
+}
+
+impl<const CAP: usize> Toggles<CAP> {
+    fn clear(&mut self) {
+        self.len = 0;
+    }
+
+    /// Records a toggle; past `CAP` only the count grows, so `len` is
+    /// always the period's toggle count.
+    #[inline(always)]
+    fn push(&mut self, sample: usize, level: bool) {
+        if let Some(slot) = self.at.get_mut(self.len) {
+            *slot = (sample, level);
+        }
+        self.len += 1;
+    }
+
+    fn overflowed(&self) -> bool {
+        self.len > CAP
+    }
+
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Replays one period of `samples` outputs starting at `level`,
+    /// passing each to `emit` in time order. Only meaningful when the
+    /// buffer has not overflowed.
+    fn replay(&self, mut level: bool, samples: usize, mut emit: impl FnMut(bool)) {
+        let mut from = 0;
+        for &(at, next) in &self.at[..self.len] {
+            (from..at).for_each(|_| emit(level));
+            level = next;
+            from = at;
+        }
+        (from..samples).for_each(|_| emit(level));
+    }
+}
+
 impl FrontEnd {
     /// Builds the channel, precomputing one period of the excitation
     /// drive chain (shared by every subsequent run and measurement).
@@ -370,7 +433,28 @@ impl FrontEnd {
     /// intermediate buffer: the compass feeds each sample straight into
     /// the up/down counter via its precomputed clock schedule. Indices
     /// run `0..measure_periods·samples_per_period` in time order.
+    ///
+    /// A noise-free channel is **period-folded**: the drive is periodic
+    /// and the sensor stateless, so once the detector's full state at a
+    /// period boundary equals its state at the previous boundary, every
+    /// later period repeats the last one sample for sample. From there
+    /// the period's recorded output toggles are replayed instead of
+    /// stepping the sensor and detector — same `on_sample` stream, same
+    /// tallies, bit for bit. A noisy channel, a period with more than 16
+    /// toggles, or a state that never repeats keeps the plain scan.
     pub fn measure_into(
+        &self,
+        h_ext: AmperePerMeter,
+        noise_seed: u64,
+        detector: &mut PulsePositionDetector,
+        on_sample: impl FnMut(usize, bool),
+    ) -> MeasureResult {
+        self.measure_folded::<FOLD_TOGGLES>(h_ext, noise_seed, detector, on_sample)
+    }
+
+    /// [`measure_into`](Self::measure_into) with a toggle buffer of `CAP`
+    /// entries per period.
+    fn measure_folded<const CAP: usize>(
         &self,
         h_ext: AmperePerMeter,
         noise_seed: u64,
@@ -386,33 +470,44 @@ impl FrontEnd {
         );
         detector.reset();
         let mut noise = GaussianNoise::new(cfg.pickup_noise_rms, noise_seed);
+        let fold = cfg.pickup_noise_rms == 0.0;
+        let total_periods = cfg.settle_periods + cfg.measure_periods;
         let mut pulse_edges = 0u64;
-        let mut prev_out = false;
-
-        for _ in 0..cfg.settle_periods {
-            for drive in self.table.samples() {
-                let h = drive.h_drive + h_ext;
-                let mut v_pickup = self.sensor.pickup_emf(h, drive.dh_dt);
-                v_pickup += Volt::new(noise.sample());
-                let out = detector.step(v_pickup);
-                pulse_edges += u64::from(out != prev_out);
-                prev_out = out;
-            }
-        }
-
         let mut high_samples = 0u64;
         let mut index = 0usize;
-        for _ in 0..cfg.measure_periods {
-            for drive in self.table.samples() {
-                let h = drive.h_drive + h_ext;
-                let mut v_pickup = self.sensor.pickup_emf(h, drive.dh_dt);
-                v_pickup += Volt::new(noise.sample());
-                let out = detector.step(v_pickup);
-                pulse_edges += u64::from(out != prev_out);
-                prev_out = out;
-                high_samples += u64::from(out);
-                on_sample(index, out);
-                index += 1;
+        let mut emit = |out: bool| {
+            high_samples += u64::from(out);
+            on_sample(index, out);
+            index += 1;
+        };
+
+        // Scan period by period, keeping the detector state at the last
+        // boundary and the toggles of the period just scanned.
+        let mut toggles = Toggles::<CAP>::default();
+        let mut boundary = detector.clone();
+        let mut stepped = 0;
+        while stepped < total_periods {
+            toggles.clear();
+            if stepped < cfg.settle_periods {
+                self.scan_period(h_ext, &mut noise, detector, &mut toggles, |_| {});
+            } else {
+                self.scan_period(h_ext, &mut noise, detector, &mut toggles, &mut emit);
+            }
+            pulse_edges += toggles.len() as u64;
+            stepped += 1;
+            if fold && !toggles.overflowed() && *detector == boundary {
+                break;
+            }
+            boundary.clone_from(detector);
+        }
+
+        // Folded: every remaining period repeats the one just scanned,
+        // starting (and ending) at the detector's current output.
+        let level = detector.output();
+        for period in stepped..total_periods {
+            pulse_edges += toggles.len() as u64;
+            if period >= cfg.settle_periods {
+                toggles.replay(level, cfg.samples_per_period, &mut emit);
             }
         }
 
@@ -421,8 +516,10 @@ impl FrontEnd {
         // path: high/total as f64 — bit-identical by construction.
         let duty = high_samples as f64 / measure_samples as f64;
         let clipped = self.table.any_clips();
-        let total = (cfg.settle_periods + cfg.measure_periods) * cfg.samples_per_period;
-        fluxcomp_obs::counter_add("msim.analog_steps", total as u64);
+        fluxcomp_obs::counter_add(
+            "msim.analog_steps",
+            (stepped * cfg.samples_per_period) as u64,
+        );
         fluxcomp_obs::counter_add("afe.measures", 1);
         fluxcomp_obs::counter_add("afe.pulse_edges", pulse_edges);
         fluxcomp_obs::counter_add("afe.clipped_runs", u64::from(clipped));
@@ -433,6 +530,31 @@ impl FrontEnd {
             pulse_edges,
             high_samples,
             measure_samples,
+        }
+    }
+
+    /// Steps the sensor and detector through one excitation period,
+    /// passing each output to `emit` and recording its toggles.
+    #[inline(always)]
+    fn scan_period<const CAP: usize>(
+        &self,
+        h_ext: AmperePerMeter,
+        noise: &mut GaussianNoise,
+        detector: &mut PulsePositionDetector,
+        toggles: &mut Toggles<CAP>,
+        mut emit: impl FnMut(bool),
+    ) {
+        let mut prev_out = detector.output();
+        for (j, drive) in self.table.samples().iter().enumerate() {
+            let h = drive.h_drive + h_ext;
+            let mut v_pickup = self.sensor.pickup_emf(h, drive.dh_dt);
+            v_pickup += Volt::new(noise.sample());
+            let out = detector.step(v_pickup);
+            if out != prev_out {
+                toggles.push(j, out);
+            }
+            prev_out = out;
+            emit(out);
         }
     }
 
@@ -752,6 +874,154 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The noise-free configurations period folding applies to.
+    fn noise_free_configs() -> [(&'static str, FrontEndConfig); 4] {
+        let clipping = {
+            let mut cfg = FrontEndConfig::paper_design();
+            cfg.sensor.r_excitation = fluxcomp_units::Ohm::new(2_000.0);
+            cfg
+        };
+        let hysteretic = {
+            let mut cfg = FrontEndConfig::paper_design();
+            cfg.sensor = FluxgateParams::adapted_hysteretic(0.1);
+            cfg
+        };
+        let offset = {
+            let mut cfg = FrontEndConfig::paper_design();
+            cfg.detector.offset = fluxcomp_units::Volt::new(3e-3);
+            cfg
+        };
+        [
+            ("paper", FrontEndConfig::paper_design()),
+            ("clipping", clipping),
+            ("hysteretic", hysteretic),
+            ("offset", offset),
+        ]
+    }
+
+    /// Detector output toggles over the whole traced run.
+    fn traced_edges(traced: &FrontEndResult) -> u64 {
+        let detector = traced.traces.by_name("detector").expect("detector trace");
+        let mut prev = 0.0;
+        let mut edges = 0;
+        for &(_, v) in detector.samples() {
+            edges += u64::from(v != prev);
+            prev = v;
+        }
+        edges
+    }
+
+    /// Runs `measure` with the paper's analogue steps counted in a
+    /// thread-scoped recorder; returns the result, the `on_sample`
+    /// stream and the steps taken.
+    fn counted(
+        measure: impl FnOnce(&mut dyn FnMut(usize, bool)) -> MeasureResult,
+    ) -> (MeasureResult, Vec<bool>, u64) {
+        let session = fluxcomp_obs::init_scoped_for_test();
+        let mut seen = Vec::new();
+        let result = measure(&mut |index, out| {
+            assert_eq!(index, seen.len(), "on_sample out of order");
+            seen.push(out);
+        });
+        let steps = session
+            .profile()
+            .and_then(|p| p.counter("msim.analog_steps"))
+            .unwrap_or(0);
+        (result, seen, steps)
+    }
+
+    /// The fold's contract: for every noise-free configuration, several
+    /// settle/measure splits and 360 fields up to ±1.2·H_peak, the
+    /// folded measurement reproduces the traced reference bit for bit —
+    /// sample stream, duty, high samples and pulse edges.
+    #[test]
+    fn folded_measure_matches_run_bitwise() {
+        let splits = [(1, 8), (0, 1), (0, 3), (2, 2)];
+        std::thread::scope(|s| {
+            for (name, base) in noise_free_configs() {
+                s.spawn(move || {
+                    for (settle, measure) in splits {
+                        let mut cfg = base.clone();
+                        cfg.settle_periods = settle;
+                        cfg.measure_periods = measure;
+                        let fe = FrontEnd::new(cfg).expect("valid config");
+                        let h_peak = fe.peak_excitation_field();
+                        let mut detector = PulsePositionDetector::new(fe.config().detector);
+                        let mut folded = 0;
+                        for k in 0..360 {
+                            let h = h_peak * (1.2 * (k as f64).to_radians().sin());
+                            let traced = fe.run_with_seed(h, 7);
+                            let (fast, seen, steps) = counted(|on_sample| {
+                                fe.measure_into(h, 7, &mut detector, on_sample)
+                            });
+                            let at = format!("{name} {settle}+{measure} at field {k}");
+                            assert_eq!(seen, traced.detector_samples, "{at}");
+                            assert_eq!(fast.duty.to_bits(), traced.duty.to_bits(), "{at}");
+                            let high = traced.detector_samples.iter().filter(|&&s| s).count();
+                            assert_eq!(fast.high_samples, high as u64, "{at}");
+                            assert_eq!(fast.pulse_edges, traced_edges(&traced), "{at}");
+                            let full = ((settle + measure) * 4096) as u64;
+                            assert!(steps <= full, "{at}: {steps} steps");
+                            folded += u64::from(steps < full);
+                        }
+                        if settle + measure > 2 {
+                            assert!(folded > 0, "{name} {settle}+{measure} never folded");
+                        }
+                    }
+                });
+            }
+        });
+    }
+
+    #[test]
+    fn paper_design_folds_after_two_periods() {
+        let mut cfg = FrontEndConfig::paper_design();
+        cfg.measure_periods = 8;
+        let fe = FrontEnd::new(cfg).expect("valid config");
+        let mut detector = PulsePositionDetector::new(fe.config().detector);
+        for ut in [-40.0, 0.0, 15.0] {
+            let (_, _, steps) = counted(|on_sample| {
+                fe.measure_into(h_from_microtesla(ut), 1, &mut detector, on_sample)
+            });
+            assert_eq!(steps, 2 * 4096, "{ut} µT");
+        }
+    }
+
+    #[test]
+    fn toggle_overflow_falls_back_to_the_scan() {
+        // The paper design toggles twice per period: a one-entry buffer
+        // overflows every period, so nothing folds — and the scan still
+        // matches the reference.
+        let mut cfg = FrontEndConfig::paper_design();
+        cfg.measure_periods = 8;
+        let fe = FrontEnd::new(cfg).expect("valid config");
+        let mut detector = PulsePositionDetector::new(fe.config().detector);
+        let h = h_from_microtesla(15.0);
+        let (scanned, seen, steps) =
+            counted(|on_sample| fe.measure_folded::<1>(h, 1, &mut detector, on_sample));
+        assert_eq!(steps, 9 * 4096);
+        let traced = fe.run_with_seed(h, 1);
+        assert_eq!(seen, traced.detector_samples);
+        assert_eq!(scanned.pulse_edges, traced_edges(&traced));
+        assert_eq!(scanned, fe.measure_with_seed(h, 1));
+    }
+
+    #[test]
+    fn noise_disables_folding() {
+        let mut cfg = FrontEndConfig::paper_design();
+        cfg.pickup_noise_rms = 1e-12;
+        cfg.measure_periods = 8;
+        let fe = FrontEnd::new(cfg).expect("valid config");
+        let mut detector = PulsePositionDetector::new(fe.config().detector);
+        let h = h_from_microtesla(15.0);
+        let (noisy, seen, steps) =
+            counted(|on_sample| fe.measure_into(h, 3, &mut detector, on_sample));
+        assert_eq!(steps, 9 * 4096, "a noisy channel must scan every period");
+        let traced = fe.run_with_seed(h, 3);
+        assert_eq!(seen, traced.detector_samples);
+        assert_eq!(noisy.pulse_edges, traced_edges(&traced));
     }
 
     #[test]

@@ -12,8 +12,10 @@ use fluxcomp_bench::{banner, write_bench_json};
 use fluxcomp_compass::evaluate::{sweep_headings, sweep_headings_traced};
 use fluxcomp_compass::{CompassConfig, CompassDesign, MeasureScratch};
 use fluxcomp_exec::ExecPolicy;
+use fluxcomp_obs::{AggregatingRecorder, Recorder};
 use fluxcomp_units::Degrees;
 use std::hint::black_box;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Serial fixes per second of `fix`, timed over `n` calls.
@@ -64,7 +66,8 @@ fn print_experiment() -> std::io::Result<()> {
     // `cargo bench` turnaround sane.
     let seed = design.config().frontend.noise_seed;
     let mut scratch = MeasureScratch::for_design(&design);
-    let fps_fast = fixes_per_second(96, |k| {
+    let fast_fixes = 96;
+    let fps_fast = fixes_per_second(fast_fixes, |k| {
         let truth = Degrees::new(k as f64 * 3.75);
         black_box(design.measure_heading_scratch(truth, seed, &mut scratch));
     });
@@ -74,16 +77,29 @@ fn print_experiment() -> std::io::Result<()> {
     });
     let speedup = fps_fast / fps_traced;
 
-    // Analogue-grid samples per fix: two axes, settle + measure periods.
+    // Analogue samples the fast path actually steps per fix, counted by
+    // the program's own `msim.analog_steps` over an untimed rerun of the
+    // same fixes: a noise-free design folds after two of its nine
+    // periods per axis, so this is below the grid's sample count.
     let fe = &design.config().frontend;
-    let samples_per_fix =
-        (2 * (fe.settle_periods + fe.measure_periods) * fe.samples_per_period) as f64;
+    let grid_per_fix = 2 * (fe.settle_periods + fe.measure_periods) * fe.samples_per_period;
+    let counted = Arc::new(AggregatingRecorder::new());
+    {
+        let _scope = fluxcomp_obs::scope(counted.clone());
+        for k in 0..fast_fixes {
+            let truth = Degrees::new(k as f64 * 3.75);
+            black_box(design.measure_heading_scratch(truth, seed, &mut scratch));
+        }
+    }
+    let steps = counted.snapshot().counter("msim.analog_steps").unwrap_or(0);
+    let samples_per_fix = steps as f64 / fast_fixes as f64;
 
     eprintln!("  serial throughput (one fix = X + Y axis):");
     eprintln!("    traced tier : {fps_traced:>9.1} fixes/s");
     eprintln!("    fast path   : {fps_fast:>9.1} fixes/s  ({speedup:.2}x)");
     eprintln!(
-        "    fast path   : {:.2e} analogue samples/s",
+        "    fast path   : {samples_per_fix:.0} of {grid_per_fix} grid samples stepped per fix, \
+         {:.2e} stepped samples/s",
         fps_fast * samples_per_fix
     );
 

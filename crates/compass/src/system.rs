@@ -238,6 +238,17 @@ impl CompassDesign {
         let h_ext = self
             .pair
             .axial_field(axis, &self.config.field, true_heading);
+        self.measure_axis_field_traced(axis, h_ext, noise_seed)
+    }
+
+    /// [`measure_axis_traced`](Self::measure_axis_traced) from an
+    /// explicit axial field.
+    fn measure_axis_field_traced(
+        &self,
+        axis: Axis,
+        h_ext: AmperePerMeter,
+        noise_seed: u64,
+    ) -> AxisMeasurement {
         let excitation = fluxcomp_obs::span("compass.stage.excitation");
         let result: FrontEndResult = self.frontend.run_with_seed(h_ext, noise_seed);
         drop(excitation);
@@ -658,6 +669,75 @@ mod tests {
                 assert_eq!(f.clipped, t.clipped, "clipped at {deg}");
             }
         }
+    }
+
+    /// The folded front-end under the fused counter: for the noise-free
+    /// configurations, every fast fix over 360 headings at the paper's
+    /// 1+8 period split, and over field vectors up to 1.2·H_peak and
+    /// other splits every 10°, equals the traced tier bit for bit. (The
+    /// `afe` fold test covers the sample stream itself on the full grid.)
+    #[test]
+    fn folded_fixes_match_traced_fixes_bitwise() {
+        fn assert_same(fast: &Reading, traced: &Reading, at: &str) {
+            assert_eq!(
+                fast.heading.value().to_bits(),
+                traced.heading.value().to_bits(),
+                "heading {at}"
+            );
+            for (f, t) in [(&fast.x, &traced.x), (&fast.y, &traced.y)] {
+                assert_eq!(f.count, t.count, "count {at}");
+                assert_eq!(f.duty.to_bits(), t.duty.to_bits(), "duty {at}");
+                assert_eq!(f.clipped, t.clipped, "clipped {at}");
+            }
+        }
+        let paper = CompassConfig::paper_design();
+        let mut clipping = paper.clone();
+        clipping.pair.element.r_excitation = fluxcomp_units::Ohm::new(2_000.0);
+        let mut hysteretic = paper.clone();
+        hysteretic.pair.element =
+            fluxcomp_fluxgate::transducer::FluxgateParams::adapted_hysteretic(0.1);
+        let mut offset = paper.clone();
+        offset.frontend.detector.offset = fluxcomp_units::Volt::new(3e-3);
+        let configs = [
+            ("paper", paper),
+            ("clipping", clipping),
+            ("hysteretic", hysteretic),
+            ("offset", offset),
+        ];
+        std::thread::scope(|s| {
+            for (name, base) in configs {
+                s.spawn(move || {
+                    for (settle, measure) in [(1, 8), (0, 2), (2, 3)] {
+                        let mut cfg = base.clone();
+                        cfg.frontend.settle_periods = settle;
+                        cfg.frontend.measure_periods = measure;
+                        let design = CompassDesign::new(cfg).unwrap();
+                        let mut scratch = MeasureScratch::for_design(&design);
+                        let reach = design.peak_excitation_field() * 1.2;
+                        for k in 0..360 {
+                            let at = format!("{name} {settle}+{measure} at {k}");
+                            if settle == 1 || k % 10 == 0 {
+                                let truth = Degrees::new(k as f64);
+                                let fast = design.measure_heading_scratch(truth, 5, &mut scratch);
+                                let traced = design.measure_heading_traced(truth, 5);
+                                assert_same(&fast, &traced, &at);
+                            }
+                            if k % 10 != 0 {
+                                continue;
+                            }
+                            let angle = (k as f64).to_radians();
+                            let (hx, hy) = (reach * angle.cos(), reach * angle.sin());
+                            let fast = design.measure_field_scratch(hx, hy, 5, &mut scratch);
+                            let traced = design.fold_heading(
+                                design.measure_axis_field_traced(Axis::X, hx, 5),
+                                design.measure_axis_field_traced(Axis::Y, hy, 5),
+                            );
+                            assert_same(&fast, &traced, &format!("field {at}"));
+                        }
+                    }
+                });
+            }
+        });
     }
 
     #[test]

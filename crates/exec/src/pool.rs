@@ -183,10 +183,13 @@ where
     let cursor = AtomicUsize::new(0);
     let chunk = policy.chunk();
     let buckets: Mutex<Vec<(usize, Bucket<U>)>> = Mutex::new(Vec::with_capacity(workers));
+    // Workers record into the caller's obs scope, if it has one.
+    let obs_scope = fluxcomp_obs::current_scope();
 
     std::thread::scope(|scope| {
         for _ in 0..workers {
             scope.spawn(|| {
+                let _obs = obs_scope.clone().map(fluxcomp_obs::scope);
                 let busy = fluxcomp_obs::span("exec.worker_busy");
                 let mut scratch: Option<S> = None;
                 let mut local: Vec<(usize, U)> = Vec::new();
@@ -419,10 +422,9 @@ mod tests {
 
     #[test]
     fn pool_reports_work_to_the_recorder() {
-        let session = fluxcomp_obs::init_for_test();
+        let session = fluxcomp_obs::init_scoped_for_test();
         let _ = par_map_range(&ExecPolicy::with_threads(4).with_chunk(8), 64, |k| k);
         let profile = session.profile().expect("recorder installed");
-        fluxcomp_obs::uninstall();
         assert_eq!(profile.counter("exec.tasks"), Some(64));
         assert_eq!(profile.counter("exec.par_maps"), Some(1));
         // 64 tasks in chunks of 8 → exactly 8 claims, however the

@@ -62,22 +62,42 @@ pub use recorder::{
     AggregatingRecorder, HistogramSummary, NoopRecorder, Profile, Recorder, SpanSummary,
 };
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::cell::RefCell;
+use std::marker::PhantomData;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, RwLock};
 use std::time::Instant;
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
+/// Live sinks: 1 for the global recorder when installed, plus 1 per
+/// open [`Scope`] on any thread. Non-zero means recording is on.
+static ENABLED: AtomicUsize = AtomicUsize::new(0);
 static RECORDER: RwLock<Option<Arc<dyn Recorder>>> = RwLock::new(None);
 
-/// `true` when a recorder is installed. The one-load fast path every
-/// instrumentation site checks first.
+thread_local! {
+    /// This thread's scoped recorder, which takes precedence over the
+    /// global one.
+    static SCOPED: RefCell<Option<Arc<dyn Recorder>>> = const { RefCell::new(None) };
+}
+
+/// `true` when a recorder is installed globally or scoped on any
+/// thread. The one-load fast path every instrumentation site checks
+/// first.
 #[inline(always)]
 pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+    ENABLED.load(Ordering::Relaxed) != 0
+}
+
+/// Runs `f` on this thread's scoped recorder, else on the global one.
+#[inline]
+fn with_recorder(f: impl FnOnce(&dyn Recorder)) {
+    match SCOPED.try_with(|scoped| scoped.borrow().clone()) {
+        Ok(Some(scoped)) => f(&*scoped),
+        _ => with_global(f),
+    }
 }
 
 #[inline]
-fn with_recorder(f: impl FnOnce(&dyn Recorder)) {
+fn with_global(f: impl FnOnce(&dyn Recorder)) {
     if let Ok(guard) = RECORDER.read() {
         if let Some(r) = guard.as_deref() {
             f(r);
@@ -89,16 +109,65 @@ fn with_recorder(f: impl FnOnce(&dyn Recorder)) {
 /// Replaces any previously installed recorder.
 pub fn install(recorder: Arc<dyn Recorder>) {
     if let Ok(mut guard) = RECORDER.write() {
-        *guard = Some(recorder);
-        ENABLED.store(true, Ordering::SeqCst);
+        if guard.replace(recorder).is_none() {
+            ENABLED.fetch_add(1, Ordering::SeqCst);
+        }
     }
 }
 
-/// Disables recording and drops the global recorder.
+/// Drops the global recorder; recording stays on only for open scopes.
 pub fn uninstall() {
-    ENABLED.store(false, Ordering::SeqCst);
     if let Ok(mut guard) = RECORDER.write() {
-        *guard = None;
+        if guard.take().is_some() {
+            ENABLED.fetch_sub(1, Ordering::SeqCst);
+        }
+    }
+}
+
+/// Routes everything this thread records to `recorder` until the
+/// returned guard drops, shadowing the global recorder (and any outer
+/// scope) on this thread only. Other threads are unaffected, so tests
+/// and in-process benches that scope their own recorder cannot see each
+/// other's metrics. Worker pools carry a caller's scope onto their
+/// threads with [`current_scope`].
+#[must_use = "the scope ends when the guard is dropped"]
+pub fn scope(recorder: Arc<dyn Recorder>) -> Scope {
+    let outer = SCOPED.with(|scoped| scoped.replace(Some(recorder)));
+    ENABLED.fetch_add(1, Ordering::SeqCst);
+    Scope {
+        outer,
+        _thread: PhantomData,
+    }
+}
+
+/// This thread's scoped recorder, if a [`scope`] is open.
+pub fn current_scope() -> Option<Arc<dyn Recorder>> {
+    if !enabled() {
+        return None;
+    }
+    SCOPED.with(|scoped| scoped.borrow().clone())
+}
+
+/// The guard of one [`scope`]; dropping it restores the outer scope.
+/// Bound to the thread that opened it.
+pub struct Scope {
+    outer: Option<Arc<dyn Recorder>>,
+    _thread: PhantomData<*const ()>,
+}
+
+impl std::fmt::Debug for Scope {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Scope")
+            .field("nested", &self.outer.is_some())
+            .finish()
+    }
+}
+
+impl Drop for Scope {
+    fn drop(&mut self) {
+        let outer = self.outer.take();
+        let _ = SCOPED.try_with(|scoped| scoped.replace(outer));
+        ENABLED.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
@@ -130,11 +199,11 @@ pub fn histogram_record(name: &'static str, value: f64) {
     with_recorder(|r| r.histogram_record(name, value));
 }
 
-/// Snapshot of the currently installed recorder, if any.
+/// Snapshot of the global recorder, if one is installed.
 pub fn snapshot() -> Option<Profile> {
     let mut out = None;
     if enabled() {
-        with_recorder(|r| out = Some(r.snapshot()));
+        with_global(|r| out = Some(r.snapshot()));
     }
     out
 }
@@ -283,6 +352,35 @@ pub fn init_for_test() -> ObsSession {
     }
 }
 
+/// A fresh [`AggregatingRecorder`] scoped to the calling thread (and
+/// the pool workers it starts); see [`scope`]. Read it back with
+/// [`ScopedSession::profile`]. Intended for tests that must not share a
+/// recorder with tests running beside them.
+pub fn init_scoped_for_test() -> ScopedSession {
+    let recorder = Arc::new(AggregatingRecorder::new());
+    let scope = scope(recorder.clone());
+    ScopedSession {
+        recorder,
+        _scope: scope,
+    }
+}
+
+/// The session [`init_scoped_for_test`] returns; the scope ends when it
+/// drops.
+#[derive(Debug)]
+#[must_use = "dropping the session immediately ends the scope"]
+pub struct ScopedSession {
+    recorder: Arc<AggregatingRecorder>,
+    _scope: Scope,
+}
+
+impl ScopedSession {
+    /// Snapshot of everything recorded in the scope so far.
+    pub fn profile(&self) -> Option<Profile> {
+        Some(self.recorder.snapshot())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -357,6 +455,51 @@ mod tests {
         }
         std::env::remove_var("FLUXCOMP_OBS");
         assert_eq!(mode_from_env(), ObsMode::Off);
+    }
+
+    #[test]
+    fn scope_shadows_the_global_recorder_on_its_thread_only() {
+        let _guard = GLOBAL_LOCK.lock().unwrap();
+        let global = init_for_test();
+        let scoped = init_scoped_for_test();
+        counter_add("c", 1);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                assert!(current_scope().is_none());
+                counter_add("c", 10);
+            });
+        });
+        assert_eq!(scoped.profile().unwrap().counter("c"), Some(1));
+        assert_eq!(snapshot().unwrap().counter("c"), Some(10));
+        drop(scoped);
+        counter_add("c", 100);
+        assert_eq!(global.profile().unwrap().counter("c"), Some(110));
+        uninstall();
+        assert!(!enabled());
+    }
+
+    #[test]
+    fn nested_scopes_restore_the_outer_one() {
+        let _guard = GLOBAL_LOCK.lock().unwrap();
+        let outer = init_scoped_for_test();
+        {
+            let inner = init_scoped_for_test();
+            counter_add("n", 2);
+            assert_eq!(inner.profile().unwrap().counter("n"), Some(2));
+        }
+        counter_add("n", 3);
+        assert_eq!(outer.profile().unwrap().counter("n"), Some(3));
+        let carried = current_scope().expect("scope open");
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let _scope = scope(carried);
+                counter_add("n", 4);
+            });
+        });
+        assert_eq!(outer.profile().unwrap().counter("n"), Some(7));
+        drop(outer);
+        assert!(!enabled());
+        assert!(current_scope().is_none());
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! The [`Recorder`] trait and its two stock implementations.
 //!
 //! A recorder is the sink every instrumentation site writes into. The
-//! workspace installs at most one, globally (see [`crate::install`]);
+//! workspace installs at most one globally (see [`crate::install`]),
+//! and a thread may shadow it with a scoped one (see [`crate::scope`]);
 //! libraries never talk to a recorder directly — they go through the
 //! free functions in the crate root, which compile down to a single
 //! relaxed atomic load when nothing is installed.

@@ -5,8 +5,12 @@
 //!
 //! ```text
 //! acceptor ──spawns──▶ reader (1 per connection)
-//!                        │ decode, try_push ──▶ BatchQueue (bounded)
-//!                        │   Full → Overloaded response, immediately
+//!                        │ decode every buffered frame
+//!                        │   cache hit → reply appended to a batch
+//!                        │   miss → try_push ──▶ BatchQueue (bounded)
+//!                        │     Full → Overloaded reply, appended
+//!                        │ batch written in one write_all before a read
+//!                        │ can block
 //!                        ▼
 //!                      worker pool (N fix workers)
 //!                        │ pop_batch(≤ batch_max)
@@ -14,6 +18,11 @@
 //!                        ▼
 //!                      response written under the connection's write lock
 //! ```
+//!
+//! Answering hits on the reader keeps hot requests out of the queue: a
+//! stalled worker cannot make a cached fix shed as `Overloaded`. The
+//! worker still looks the cache up, which catches a fix computed while
+//! its job waited.
 //!
 //! Each worker owns one [`MeasureScratch`] for the whole server
 //! lifetime, so the steady-state fix path performs **zero allocations**:
@@ -66,7 +75,7 @@ use fluxcomp_faults::{AxisSel, FaultKind, FaultPlan, FaultSpec};
 use fluxcomp_obs as obs;
 use fluxcomp_units::angle::Degrees;
 use fluxcomp_units::magnetics::AmperePerMeter;
-use std::io;
+use std::io::{self, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -239,8 +248,8 @@ impl ServeConfig {
     }
 }
 
-/// One connection's write half, shared between its reader (error
-/// responses) and every worker holding one of its jobs.
+/// One connection's write half, shared between its reader (the replies
+/// it answers itself) and every worker holding one of its jobs.
 #[derive(Debug)]
 struct Conn {
     writer: Mutex<TcpStream>,
@@ -258,6 +267,44 @@ impl Conn {
         } else {
             obs::counter_add("serve.responses", 1);
         }
+    }
+
+    /// Writes every pending reply with one `write_all` under the write
+    /// lock and empties `replies`.
+    fn flush(&self, replies: &mut Replies) {
+        if replies.count == 0 {
+            return;
+        }
+        let written = self
+            .writer
+            .lock()
+            .expect("no writer panics while holding the lock")
+            .write_all(&replies.frames);
+        obs::counter_add(
+            if written.is_ok() {
+                "serve.responses"
+            } else {
+                "serve.write_errors"
+            },
+            replies.count,
+        );
+        replies.frames.clear();
+        replies.count = 0;
+    }
+}
+
+/// Encoded response frames waiting for one write.
+#[derive(Debug, Default)]
+struct Replies {
+    frames: Vec<u8>,
+    count: u64,
+}
+
+impl Replies {
+    fn push(&mut self, response: &FixResponse, version: u8) {
+        write_response_versioned(&mut self.frames, response, version)
+            .expect("a response frame fits in memory");
+        self.count += 1;
     }
 }
 
@@ -418,54 +465,87 @@ fn spawn_reader(shared: &Arc<Shared>, stream: TcpStream) -> io::Result<()> {
     Ok(())
 }
 
-fn reader_loop(shared: &Shared, conn: &Arc<Conn>, mut stream: TcpStream) {
+fn reader_loop(shared: &Shared, conn: &Arc<Conn>, stream: TcpStream) {
     let _span = obs::span("serve.connection");
+    let mut stream = BufReader::new(stream);
     let mut buf = Vec::new();
+    let mut replies = Replies::default();
     let stop = || shared.shutting_down.load(Ordering::SeqCst);
-    loop {
-        match read_frame_poll(&mut stream, &mut buf, &stop) {
+    let malformed = loop {
+        // Answer everything already buffered before the next read can
+        // block: pending replies go out in one write.
+        if !frame_buffered(stream.buffer()) {
+            conn.flush(&mut replies);
+        }
+        let (request, version) = match read_frame_poll(&mut stream, &mut buf, &stop) {
             Ok(PollRead::Frame(len)) => match FixRequest::decode_versioned(&buf[..len]) {
-                Ok((request, version)) => {
-                    obs::counter_add("serve.requests", 1);
-                    let job = Job {
-                        conn: Arc::clone(conn),
-                        request,
-                        version,
-                        enqueued: Instant::now(),
-                    };
-                    match shared.queue.try_push(job) {
-                        Ok(()) => obs::gauge_set("serve.queue_depth", shared.queue.len() as f64),
-                        Err(PushError::Full) => {
-                            obs::counter_add("serve.overloaded", 1);
-                            conn.send(
-                                &FixResponse::failure(request.id, Status::Overloaded),
-                                version,
-                            );
-                        }
-                        Err(PushError::Closed) => {
-                            conn.send(
-                                &FixResponse::failure(request.id, Status::ShuttingDown),
-                                version,
-                            );
-                        }
-                    }
-                }
-                Err(_) => {
-                    // Malformed payload: answer and hang up — framing
-                    // may be unreliable from here on.
-                    obs::counter_add("serve.bad_requests", 1);
-                    conn.send(&FixResponse::failure(0, Status::BadRequest), WIRE_VERSION);
-                    return;
-                }
+                Ok(decoded) => decoded,
+                Err(_) => break true,
             },
-            Ok(PollRead::Eof) | Ok(PollRead::Stopped) => return,
-            Err(_) => {
-                obs::counter_add("serve.bad_requests", 1);
-                conn.send(&FixResponse::failure(0, Status::BadRequest), WIRE_VERSION);
-                return;
+            Ok(PollRead::Eof) | Ok(PollRead::Stopped) => break false,
+            Err(_) => break true,
+        };
+        obs::counter_add("serve.requests", 1);
+        let received = Instant::now();
+        if let Some(hit) = cached(shared, &request) {
+            replies.push(&response_for(request.id, &hit, true), version);
+            record_latency(received, FixQuality::Good);
+            continue;
+        }
+        let job = Job {
+            conn: Arc::clone(conn),
+            request,
+            version,
+            enqueued: received,
+        };
+        match shared.queue.try_push(job) {
+            Ok(()) => obs::gauge_set("serve.queue_depth", shared.queue.len() as f64),
+            Err(PushError::Full) => {
+                obs::counter_add("serve.overloaded", 1);
+                replies.push(
+                    &FixResponse::failure(request.id, Status::Overloaded),
+                    version,
+                );
+            }
+            Err(PushError::Closed) => {
+                replies.push(
+                    &FixResponse::failure(request.id, Status::ShuttingDown),
+                    version,
+                );
             }
         }
+    };
+    if malformed {
+        // Answer and hang up — framing may be unreliable from here on.
+        obs::counter_add("serve.bad_requests", 1);
+        replies.push(&FixResponse::failure(0, Status::BadRequest), WIRE_VERSION);
     }
+    conn.flush(&mut replies);
+}
+
+/// `true` when `buffered` holds at least one complete frame, so reading
+/// it cannot block.
+fn frame_buffered(buffered: &[u8]) -> bool {
+    match buffered.get(..4) {
+        Some(prefix) => {
+            let len = u32::from_le_bytes(prefix.try_into().expect("4-byte prefix")) as usize;
+            buffered.len() - 4 >= len
+        }
+        None => false,
+    }
+}
+
+/// The cached fix answering `request`, if it may be served from the
+/// cache and is there. The reader answers these itself; everything else
+/// goes to the workers, whose own lookup still catches fixes computed
+/// while a job waited.
+fn cached(shared: &Shared, request: &FixRequest) -> Option<CachedFix> {
+    if request.no_cache {
+        return None;
+    }
+    let hit = shared.cache.get(&FixKey::for_request(request)?)?;
+    obs::counter_add("serve.cache_hits", 1);
+    Some(hit)
 }
 
 /// Per-worker mutable state: the reusable scratch, the degraded-mode
@@ -555,7 +635,7 @@ fn handle_job(shared: &Shared, state: &mut WorkerState, job: &Job) {
             // Only Good fixes are ever inserted, so a hit is Good.
             job.conn
                 .send(&response_for(request.id, &hit, true), job.version);
-            record_latency(job, FixQuality::Good);
+            record_latency(job.enqueued, FixQuality::Good);
             span.finish();
             return;
         }
@@ -588,7 +668,7 @@ fn handle_job(shared: &Shared, state: &mut WorkerState, job: &Job) {
     }
     job.conn
         .send(&checked_response(request.id, &checked), job.version);
-    record_latency(job, quality);
+    record_latency(job.enqueued, quality);
     span.finish();
     if shared.quarantine_after > 0 && state.consecutive_bad >= shared.quarantine_after {
         quarantine(shared, state);
@@ -734,8 +814,11 @@ fn checked_response(id: u64, checked: &CheckedReading) -> FixResponse {
     }
 }
 
-fn record_latency(job: &Job, quality: FixQuality) {
-    let us = job.enqueued.elapsed().as_secs_f64() * 1e6;
+fn record_latency(received: Instant, quality: FixQuality) {
+    if !obs::enabled() {
+        return;
+    }
+    let us = received.elapsed().as_secs_f64() * 1e6;
     obs::histogram_record("serve.latency_us", us);
     obs::histogram_record(
         match quality {

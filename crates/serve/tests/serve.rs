@@ -167,6 +167,49 @@ fn full_queue_sheds_with_typed_overloaded() {
 }
 
 #[test]
+fn cache_hit_is_answered_while_the_queue_is_full() {
+    let mut server = FixServer::start(
+        design(),
+        ServeConfig {
+            workers: 1,
+            queue_capacity: 1,
+            batch_max: 1,
+            fix_delay: Duration::from_millis(300),
+            ..ServeConfig::default()
+        },
+    )
+    .unwrap();
+    let mut stream = connect(&server);
+    let request = |id: u64, truth: f64| FixRequest {
+        id,
+        seed: 3,
+        deadline_ms: 0,
+        no_cache: false,
+        field: FieldSpec::HeadingTruth(truth),
+    };
+    // Warm the cache with one fix.
+    let warm = round_trip(&mut stream, &request(0, 10.0));
+    assert_eq!((warm.status, warm.cache_hit), (Status::Ok, false));
+    // Park a miss in the worker, then fill the one-slot queue. (The
+    // pause only lets the worker pick the first miss up; the hit below is
+    // answered whatever the queue holds.)
+    write_request(&mut stream, &request(1, 20.0)).unwrap();
+    std::thread::sleep(Duration::from_millis(100));
+    write_request(&mut stream, &request(2, 30.0)).unwrap();
+    write_request(&mut stream, &request(3, 10.0)).unwrap();
+    let mut replies: Vec<FixResponse> = (0..3).map(|_| read_one(&mut stream)).collect();
+    replies.sort_by_key(|r| r.id);
+    let hit = replies[2];
+    assert_eq!(hit.status, Status::Ok);
+    assert!(hit.cache_hit);
+    assert_eq!(hit.heading.to_bits(), warm.heading.to_bits());
+    for miss in &replies[..2] {
+        assert!(matches!(miss.status, Status::Ok | Status::Overloaded));
+    }
+    server.shutdown();
+}
+
+#[test]
 fn expired_deadline_yields_deadline_exceeded_not_a_stale_fix() {
     let mut server = FixServer::start(
         design(),

@@ -213,11 +213,10 @@ fn recording_does_not_perturb_results() {
     let quiet_serial = sweep_headings(&design, 24, &ExecPolicy::serial());
     let quiet_par = sweep_headings(&design, 24, &ExecPolicy::with_threads(4));
 
-    let session = fluxcomp::obs::init_for_test();
+    let session = fluxcomp::obs::init_scoped_for_test();
     let loud_serial = sweep_headings(&design, 24, &ExecPolicy::serial());
     let loud_par = sweep_headings(&design, 24, &ExecPolicy::with_threads(4));
     let profile = session.profile().expect("recorder installed");
-    fluxcomp::obs::uninstall();
 
     assert_stats_bitwise(&loud_serial, &quiet_serial, "recorded serial sweep");
     assert_stats_bitwise(&loud_par, &quiet_par, "recorded parallel sweep");
