@@ -32,7 +32,7 @@
 //! clipping, hysteretic cores).
 
 use crate::detector::{duty_cycle, DetectorConfig, PulsePositionDetector};
-use crate::excitation::ExcitationTable;
+use crate::excitation::{DriveSample, ExcitationTable};
 use crate::oscillator::TriangleWave;
 use crate::vi_converter::ViConverter;
 use fluxcomp_fluxgate::noise::GaussianNoise;
@@ -213,24 +213,27 @@ pub struct FrontEnd {
 /// twice per period.
 const FOLD_TOGGLES: usize = 16;
 
-/// The detector output toggles of one excitation period: the sample
-/// index within the period and the new level, in time order.
+/// The detector output of one excitation period: its toggles (the
+/// sample index within the period and the new level, in time order)
+/// and the level the period ends at, which the next period starts from.
 #[derive(Debug)]
 struct Toggles<const CAP: usize> {
     at: [(usize, bool); CAP],
     len: usize,
-}
-
-impl<const CAP: usize> Default for Toggles<CAP> {
-    fn default() -> Self {
-        Self {
-            at: [(0, false); CAP],
-            len: 0,
-        }
-    }
+    level: bool,
 }
 
 impl<const CAP: usize> Toggles<CAP> {
+    /// No toggles yet, at the output level of a fresh detector.
+    fn new(level: bool) -> Self {
+        Self {
+            at: [(0, false); CAP],
+            len: 0,
+            level,
+        }
+    }
+
+    /// Forgets the toggles, keeping the level.
     fn clear(&mut self) {
         self.len = 0;
     }
@@ -253,10 +256,11 @@ impl<const CAP: usize> Toggles<CAP> {
         self.len
     }
 
-    /// Replays one period of `samples` outputs starting at `level`,
-    /// passing each to `emit` in time order. Only meaningful when the
-    /// buffer has not overflowed.
-    fn replay(&self, mut level: bool, samples: usize, mut emit: impl FnMut(bool)) {
+    /// Replays one period of `samples` outputs of a period that starts
+    /// at the level it ends at, passing each to `emit` in time order.
+    /// Only meaningful when the buffer has not overflowed.
+    fn replay(&self, samples: usize, mut emit: impl FnMut(bool)) {
+        let mut level = self.level;
         let mut from = 0;
         for &(at, next) in &self.at[..self.len] {
             (from..at).for_each(|_| emit(level));
@@ -425,9 +429,11 @@ impl FrontEnd {
     }
 
     /// The core of the fast path: measures into a caller-provided
-    /// detector (reset on entry, so a scratch detector can be reused
-    /// across any number of measurements) and reports every measurement-
-    /// window sample to `on_sample(index, output)` as it happens.
+    /// detector (re-initialised from this channel's detector
+    /// configuration on entry, so a scratch detector can be reused
+    /// across any number of measurements, even one built for another
+    /// channel) and reports every measurement-window sample to
+    /// `on_sample(index, output)` as it happens.
     ///
     /// `on_sample` is how the digital side rides along without an
     /// intermediate buffer: the compass feeds each sample straight into
@@ -449,28 +455,51 @@ impl FrontEnd {
         detector: &mut PulsePositionDetector,
         on_sample: impl FnMut(usize, bool),
     ) -> MeasureResult {
-        self.measure_folded::<FOLD_TOGGLES>(h_ext, noise_seed, detector, on_sample)
+        let _run = fluxcomp_obs::span("afe.measure");
+        let fold = self.config.pickup_noise_rms == 0.0;
+        let mut noise = GaussianNoise::new(self.config.pickup_noise_rms, noise_seed);
+        let pickup = self.clean_pickup(h_ext, &mut noise);
+        self.measure_folded::<FOLD_TOGGLES>(detector, pickup, None, fold, on_sample)
     }
 
-    /// [`measure_into`](Self::measure_into) with a toggle buffer of `CAP`
-    /// entries per period.
+    /// The pickup EMF of each sample in external field `h_ext`, with the
+    /// channel noise drawn from `noise`.
+    ///
+    /// The generator is borrowed, not owned by the closure: its address
+    /// escapes into every `sample` call, and a closure holding it could
+    /// not keep `self` and `h_ext` in registers, so the sensor constants
+    /// would be reloaded and recomputed on every sample.
+    fn clean_pickup<'a>(
+        &'a self,
+        h_ext: AmperePerMeter,
+        noise: &'a mut GaussianNoise,
+    ) -> impl FnMut(usize, &DriveSample) -> Volt + 'a {
+        move |_, drive| {
+            let mut v_pickup = self.sensor.pickup_emf(drive.h_drive + h_ext, drive.dh_dt);
+            v_pickup += Volt::new(noise.sample());
+            v_pickup
+        }
+    }
+
+    /// The one measurement kernel, with a toggle buffer of `CAP` entries
+    /// per period.
+    ///
+    /// `pickup(run_sample, drive)` forms one sample's EMF, noise
+    /// included; `run_sample` counts from the first settle sample.
+    /// `stuck`, when set, overrides the detector output (the detector is
+    /// still stepped). `fold` allows period folding and must only be set
+    /// when every period sees the same inputs.
     fn measure_folded<const CAP: usize>(
         &self,
-        h_ext: AmperePerMeter,
-        noise_seed: u64,
         detector: &mut PulsePositionDetector,
+        mut pickup: impl FnMut(usize, &DriveSample) -> Volt,
+        stuck: Option<bool>,
+        fold: bool,
         mut on_sample: impl FnMut(usize, bool),
     ) -> MeasureResult {
-        let _run = fluxcomp_obs::span("afe.measure");
         let cfg = &self.config;
-        debug_assert_eq!(
-            detector.config(),
-            &cfg.detector,
-            "scratch detector configured for a different channel"
-        );
-        detector.reset();
-        let mut noise = GaussianNoise::new(cfg.pickup_noise_rms, noise_seed);
-        let fold = cfg.pickup_noise_rms == 0.0;
+        *detector = PulsePositionDetector::new(cfg.detector);
+        let n = cfg.samples_per_period;
         let total_periods = cfg.settle_periods + cfg.measure_periods;
         let mut pulse_edges = 0u64;
         let mut high_samples = 0u64;
@@ -483,15 +512,16 @@ impl FrontEnd {
 
         // Scan period by period, keeping the detector state at the last
         // boundary and the toggles of the period just scanned.
-        let mut toggles = Toggles::<CAP>::default();
+        let mut toggles = Toggles::<CAP>::new(detector.output());
         let mut boundary = detector.clone();
         let mut stepped = 0;
         while stepped < total_periods {
             toggles.clear();
+            let first = stepped * n;
             if stepped < cfg.settle_periods {
-                self.scan_period(h_ext, &mut noise, detector, &mut toggles, |_| {});
+                self.scan_period(first, &mut pickup, stuck, detector, &mut toggles, |_| {});
             } else {
-                self.scan_period(h_ext, &mut noise, detector, &mut toggles, &mut emit);
+                self.scan_period(first, &mut pickup, stuck, detector, &mut toggles, &mut emit);
             }
             pulse_edges += toggles.len() as u64;
             stepped += 1;
@@ -502,12 +532,11 @@ impl FrontEnd {
         }
 
         // Folded: every remaining period repeats the one just scanned,
-        // starting (and ending) at the detector's current output.
-        let level = detector.output();
+        // starting (and ending) at the level that period ended on.
         for period in stepped..total_periods {
             pulse_edges += toggles.len() as u64;
             if period >= cfg.settle_periods {
-                toggles.replay(level, cfg.samples_per_period, &mut emit);
+                toggles.replay(n, &mut emit);
             }
         }
 
@@ -516,10 +545,7 @@ impl FrontEnd {
         // path: high/total as f64 — bit-identical by construction.
         let duty = high_samples as f64 / measure_samples as f64;
         let clipped = self.table.any_clips();
-        fluxcomp_obs::counter_add(
-            "msim.analog_steps",
-            (stepped * cfg.samples_per_period) as u64,
-        );
+        fluxcomp_obs::counter_add("msim.analog_steps", (stepped * n) as u64);
         fluxcomp_obs::counter_add("afe.measures", 1);
         fluxcomp_obs::counter_add("afe.pulse_edges", pulse_edges);
         fluxcomp_obs::counter_add("afe.clipped_runs", u64::from(clipped));
@@ -533,29 +559,32 @@ impl FrontEnd {
         }
     }
 
-    /// Steps the sensor and detector through one excitation period,
-    /// passing each output to `emit` and recording its toggles.
+    /// Steps the sensor and detector through the excitation period
+    /// starting at run sample `first`, passing each output to `emit` and
+    /// recording its toggles.
     #[inline(always)]
     fn scan_period<const CAP: usize>(
         &self,
-        h_ext: AmperePerMeter,
-        noise: &mut GaussianNoise,
+        first: usize,
+        pickup: &mut impl FnMut(usize, &DriveSample) -> Volt,
+        stuck: Option<bool>,
         detector: &mut PulsePositionDetector,
         toggles: &mut Toggles<CAP>,
         mut emit: impl FnMut(bool),
     ) {
-        let mut prev_out = detector.output();
+        let mut level = toggles.level;
         for (j, drive) in self.table.samples().iter().enumerate() {
-            let h = drive.h_drive + h_ext;
-            let mut v_pickup = self.sensor.pickup_emf(h, drive.dh_dt);
-            v_pickup += Volt::new(noise.sample());
-            let out = detector.step(v_pickup);
-            if out != prev_out {
-                toggles.push(j, out);
+            let mut out = detector.step(pickup(first + j, drive));
+            if let Some(stuck) = stuck {
+                out = stuck;
             }
-            prev_out = out;
+            if out != level {
+                toggles.push(j, out);
+                level = out;
+            }
             emit(out);
         }
+        toggles.level = level;
     }
 
     /// [`measure_into`](Self::measure_into) under injected faults.
@@ -563,8 +592,9 @@ impl FrontEnd {
     /// When `faults` [is none](fluxcomp_faults::FixFaults::is_none) this
     /// **delegates** to the plain fast path — the no-fault bitstream is
     /// untouched by construction, not by tolerance. When faults are
-    /// active, the same sample loop runs with the fault effects applied
-    /// in physical order:
+    /// active, the same kernel runs with folding off (a fault window or
+    /// drift ramp makes every period different) and the fault effects
+    /// applied in physical order:
     ///
     /// 1. excitation dropout zeroes the drive field over its window;
     /// 2. the H_K drift ramp adds a linearly growing field offset;
@@ -585,84 +615,50 @@ impl FrontEnd {
         noise_seed: u64,
         detector: &mut PulsePositionDetector,
         faults: &fluxcomp_faults::FixFaults,
-        mut on_sample: impl FnMut(usize, bool),
+        on_sample: impl FnMut(usize, bool),
     ) -> MeasureResult {
         if faults.is_none() {
             return self.measure_into(h_ext, noise_seed, detector, on_sample);
         }
         let _run = fluxcomp_obs::span("faults.measure");
         let cfg = &self.config;
-        debug_assert_eq!(
-            detector.config(),
-            &cfg.detector,
-            "scratch detector configured for a different channel"
-        );
-        detector.reset();
         let mut noise = GaussianNoise::new(cfg.pickup_noise_rms, noise_seed);
-        let mut burst_noise = faults.burst.map(|b| GaussianNoise::new(b.rms, b.seed));
+        let mut burst = faults.burst.map(|b| (b, GaussianNoise::new(b.rms, b.seed)));
         let total_samples =
             ((cfg.settle_periods + cfg.measure_periods) * cfg.samples_per_period) as f64;
         let inv_total = 1.0 / total_samples;
-        let mut pulse_edges = 0u64;
-        let mut prev_out = false;
-        let mut high_samples = 0u64;
-        let mut index = 0usize;
-        let mut global = 0usize;
-
-        for period in 0..cfg.settle_periods + cfg.measure_periods {
-            let measuring = period >= cfg.settle_periods;
-            for drive in self.table.samples() {
-                let frac = global as f64 * inv_total;
-                global += 1;
-                let dropped = faults
-                    .dropout
-                    .is_some_and(|(from, until)| frac >= from && frac < until);
-                let (h_drive, dh_dt) = if dropped {
-                    (AmperePerMeter::ZERO, 0.0)
-                } else {
-                    (drive.h_drive, drive.dh_dt)
-                };
-                let h = h_drive + h_ext + AmperePerMeter::new(faults.hk_ramp * frac);
-                let mut v_pickup = self.sensor.pickup_emf(h, dh_dt);
-                if faults.pickup_gain != 1.0 {
-                    v_pickup = Volt::new(v_pickup.value() * faults.pickup_gain);
-                }
-                v_pickup += Volt::new(noise.sample());
-                if let (Some(burst), Some(stream)) = (faults.burst, burst_noise.as_mut()) {
-                    if frac >= burst.from && frac < burst.until {
-                        v_pickup += Volt::new(stream.sample());
-                    }
-                }
-                let mut out = detector.step(v_pickup);
-                if let Some(stuck) = faults.stuck_output {
-                    out = stuck;
-                }
-                pulse_edges += u64::from(out != prev_out);
-                prev_out = out;
-                if measuring {
-                    high_samples += u64::from(out);
-                    on_sample(index, out);
-                    index += 1;
+        let pickup = |run_sample: usize, drive: &DriveSample| {
+            let frac = run_sample as f64 * inv_total;
+            let dropped = faults
+                .dropout
+                .is_some_and(|(from, until)| frac >= from && frac < until);
+            let (h_drive, dh_dt) = if dropped {
+                (AmperePerMeter::ZERO, 0.0)
+            } else {
+                (drive.h_drive, drive.dh_dt)
+            };
+            let h = h_drive + h_ext + AmperePerMeter::new(faults.hk_ramp * frac);
+            let mut v_pickup = self.sensor.pickup_emf(h, dh_dt);
+            if faults.pickup_gain != 1.0 {
+                v_pickup = Volt::new(v_pickup.value() * faults.pickup_gain);
+            }
+            v_pickup += Volt::new(noise.sample());
+            if let Some((window, stream)) = burst.as_mut() {
+                if frac >= window.from && frac < window.until {
+                    v_pickup += Volt::new(stream.sample());
                 }
             }
-        }
-
-        let measure_samples = index as u64;
-        let duty = high_samples as f64 / measure_samples as f64;
-        let clipped = self.table.any_clips();
-        fluxcomp_obs::counter_add("msim.analog_steps", global as u64);
-        fluxcomp_obs::counter_add("afe.measures", 1);
+            v_pickup
+        };
+        let result = self.measure_folded::<FOLD_TOGGLES>(
+            detector,
+            pickup,
+            faults.stuck_output,
+            false,
+            on_sample,
+        );
         fluxcomp_obs::counter_add("faults.faulted_measures", 1);
-        fluxcomp_obs::counter_add("afe.pulse_edges", pulse_edges);
-        fluxcomp_obs::counter_add("afe.clipped_runs", u64::from(clipped));
-        fluxcomp_obs::histogram_record("afe.duty", duty);
-        MeasureResult {
-            duty,
-            clipped,
-            pulse_edges,
-            high_samples,
-            measure_samples,
-        }
+        result
     }
 }
 
@@ -999,8 +995,16 @@ mod tests {
         let fe = FrontEnd::new(cfg).expect("valid config");
         let mut detector = PulsePositionDetector::new(fe.config().detector);
         let h = h_from_microtesla(15.0);
-        let (scanned, seen, steps) =
-            counted(|on_sample| fe.measure_folded::<1>(h, 1, &mut detector, on_sample));
+        let (scanned, seen, steps) = counted(|on_sample| {
+            let mut noise = GaussianNoise::new(0.0, 1);
+            fe.measure_folded::<1>(
+                &mut detector,
+                fe.clean_pickup(h, &mut noise),
+                None,
+                true,
+                on_sample,
+            )
+        });
         assert_eq!(steps, 9 * 4096);
         let traced = fe.run_with_seed(h, 1);
         assert_eq!(seen, traced.detector_samples);
@@ -1105,6 +1109,133 @@ mod tests {
         assert!(a.pulse_edges <= 1, "edges {}", a.pulse_edges);
         let b = fe.measure_into_faulted(h, 9, &mut detector, &faults, |_, _| {});
         assert_eq!(a, b, "faulted measurement must be reproducible");
+    }
+
+    /// Extends an FNV-1a digest by the eight bytes of `word`.
+    fn chain(digest: u64, word: u64) -> u64 {
+        word.to_le_bytes().iter().fold(digest, |h, b| {
+            (h ^ u64::from(*b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    /// Pins the faulted path bit for bit. For the paper design at 1+8
+    /// periods, noise-free and at 2 mV, each fault kind alone and a
+    /// mixed plan digest 72 headings × 2 axes to fixed values: duty
+    /// bits, high samples, pulse edges, measurement samples and the
+    /// whole `on_sample` stream. A struck run never folds: it steps all
+    /// 9 × 4096 samples even without noise.
+    #[test]
+    fn faulted_measure_matches_golden_digests() {
+        use fluxcomp_faults::{AxisSel, FaultKind, FaultPlan, FaultSpec};
+        let single = |kind| {
+            FaultPlan::new(0xE13F).with(FaultSpec {
+                kind,
+                axis: AxisSel::Both,
+                rate: 1.0,
+            })
+        };
+        let burst = FaultKind::NoiseBurst {
+            rms: 0.05,
+            from: 0.2,
+            until: 0.6,
+        };
+        let mixed = FaultPlan::new(0xDE7E12)
+            .with(FaultSpec {
+                kind: FaultKind::OpenPickup,
+                axis: AxisSel::X,
+                rate: 0.3,
+            })
+            .with(FaultSpec {
+                kind: burst,
+                axis: AxisSel::Both,
+                rate: 0.5,
+            });
+        let plans = [
+            ("open_pickup", single(FaultKind::OpenPickup)),
+            (
+                "stuck_high",
+                single(FaultKind::StuckComparator { output: true }),
+            ),
+            (
+                "stuck_low",
+                single(FaultKind::StuckComparator { output: false }),
+            ),
+            ("hk_ramp", single(FaultKind::HkDriftRamp { h_end: 8.0 })),
+            (
+                "dropout",
+                single(FaultKind::ExcitationDropout {
+                    from: 0.2,
+                    until: 0.6,
+                }),
+            ),
+            ("burst", single(burst)),
+            ("mixed", mixed),
+        ];
+        let expected: [(&str, [u64; 2]); 7] = [
+            ("open_pickup", [0xb080a385d29a2325, 0xb080a385d29a2325]),
+            ("stuck_high", [0x4df788a216b99b25, 0x4df788a216b99b25]),
+            ("stuck_low", [0xb080a385d29a2325, 0xb080a385d29a2325]),
+            ("hk_ramp", [0xd0e5b0a9f194c515, 0x5b368df71dc3458c]),
+            ("dropout", [0x9299944dc8f698fd, 0x9bcd17d0361a83e8]),
+            ("burst", [0xc76981a09373c45a, 0x73ffa295c788bc9f]),
+            ("mixed", [0x8ecbbf387d7c8d72, 0xf3b7b4a06e976240]),
+        ];
+        let full = 9 * 4096;
+        let got: Vec<(&str, [u64; 2])> = std::thread::scope(|s| {
+            let runs: Vec<_> = plans
+                .iter()
+                .map(|(name, plan)| {
+                    s.spawn(move || {
+                        let digests = [0.0, 2e-3].map(|noise| {
+                            let mut cfg = FrontEndConfig::paper_design();
+                            cfg.pickup_noise_rms = noise;
+                            cfg.measure_periods = 8;
+                            let fe = FrontEnd::new(cfg).expect("valid config");
+                            let mut detector = PulsePositionDetector::new(fe.config().detector);
+                            let mut digest = 0xcbf2_9ce4_8422_2325;
+                            for k in 0..72u64 {
+                                let angle = (k as f64 * 5.0).to_radians();
+                                let seed = 1000 + k;
+                                for (axis, ut) in [(0, angle.cos()), (1, angle.sin())] {
+                                    let faults = plan.compile(axis, seed);
+                                    let h = h_from_microtesla(15.0 * ut);
+                                    let (r, seen, steps) = counted(|on_sample| {
+                                        fe.measure_into_faulted(
+                                            h,
+                                            seed,
+                                            &mut detector,
+                                            &faults,
+                                            on_sample,
+                                        )
+                                    });
+                                    if !faults.is_none() {
+                                        assert_eq!(steps, full, "{name}: a faulted run folded");
+                                    }
+                                    let words = seen.chunks(64).map(|c| {
+                                        c.iter().fold(0u64, |w, &b| w << 1 | u64::from(b))
+                                    });
+                                    digest = [
+                                        r.duty.to_bits(),
+                                        r.high_samples,
+                                        r.pulse_edges,
+                                        r.measure_samples,
+                                    ]
+                                    .into_iter()
+                                    .chain(words)
+                                    .fold(digest, chain);
+                                }
+                            }
+                            digest
+                        });
+                        (*name, digests)
+                    })
+                })
+                .collect();
+            runs.into_iter()
+                .map(|run| run.join().expect("no panic"))
+                .collect()
+        });
+        assert_eq!(got, expected);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 use criterion::{criterion_group, Criterion};
 use fluxcomp_bench::{banner, write_bench_json};
 use fluxcomp_compass::evaluate::{sweep_headings, sweep_headings_traced};
-use fluxcomp_compass::{CompassConfig, CompassDesign, MeasureScratch};
+use fluxcomp_compass::{CompassConfig, CompassDesign, FixInput, MeasureScratch};
 use fluxcomp_exec::ExecPolicy;
 use fluxcomp_obs::{AggregatingRecorder, Recorder};
 use fluxcomp_units::Degrees;
@@ -73,7 +73,7 @@ fn print_experiment() -> std::io::Result<()> {
     });
     let fps_traced = fixes_per_second(32, |k| {
         let truth = Degrees::new(k as f64 * 11.25);
-        black_box(design.measure_heading_traced(truth, seed));
+        black_box(design.measure_traced(&FixInput::heading(truth, seed)));
     });
     let speedup = fps_fast / fps_traced;
 
@@ -129,10 +129,16 @@ fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("e11_fast_path");
     group.sample_size(20);
     group.bench_function("fix_traced", |b| {
-        b.iter(|| black_box(design.measure_heading_traced(black_box(truth), seed)))
+        b.iter(|| black_box(design.measure_traced(&FixInput::heading(black_box(truth), seed))))
     });
     group.bench_function("fix_fast_fresh", |b| {
-        b.iter(|| black_box(design.measure_heading_seeded(black_box(truth), seed)))
+        b.iter(|| {
+            black_box(design.measure(
+                &FixInput::heading(black_box(truth), seed),
+                None,
+                &mut MeasureScratch::for_design(&design),
+            ))
+        })
     });
     let mut scratch = MeasureScratch::for_design(&design);
     group.bench_function("fix_fast_scratch", |b| {

@@ -18,7 +18,9 @@
 
 use criterion::{criterion_group, Criterion};
 use fluxcomp_bench::{banner, write_bench_json};
-use fluxcomp_compass::{CompassConfig, CompassDesign, DegradedTracker, FixQuality, MeasureScratch};
+use fluxcomp_compass::{
+    CompassConfig, CompassDesign, DegradedTracker, FixInput, FixQuality, MeasureScratch,
+};
 use fluxcomp_exec::derive_seed;
 use fluxcomp_faults::{AxisSel, FaultKind, FaultPlan, FaultSpec};
 use fluxcomp_serve::{loadgen, FixServer, LoadGenConfig, ServeConfig};
@@ -45,8 +47,11 @@ fn gate_zero_plan_transparent(design: &CompassDesign) -> bool {
         let truth = Degrees::new(k as f64 * 15.0);
         let seed = derive_seed(0xE13, k);
         let clean = design.measure_heading_scratch(truth, seed, &mut clean_scratch);
-        let faulted =
-            design.measure_heading_scratch_faulted(truth, seed, &mut fault_scratch, &plan);
+        let faulted = design.measure(
+            &FixInput::heading(truth, seed),
+            Some(&plan),
+            &mut fault_scratch,
+        );
         clean.heading.value().to_bits() == faulted.heading.value().to_bits()
             && clean.x.count == faulted.x.count
             && clean.y.count == faulted.y.count
@@ -63,11 +68,10 @@ fn gate_faulted_deterministic(design: &CompassDesign, plan: &FaultPlan) -> bool 
     let mut forward_scratch = MeasureScratch::for_design(design);
     let forward: Vec<_> = (0..fixes)
         .map(|k| {
-            design.measure_heading_scratch_faulted(
-                truth_of(k),
-                seed_of(k),
+            design.measure(
+                &FixInput::heading(truth_of(k), seed_of(k)),
+                Some(plan),
                 &mut forward_scratch,
-                plan,
             )
         })
         .collect();
@@ -75,11 +79,10 @@ fn gate_faulted_deterministic(design: &CompassDesign, plan: &FaultPlan) -> bool 
     let mut reverse: Vec<_> = (0..fixes)
         .rev()
         .map(|k| {
-            design.measure_heading_scratch_faulted(
-                truth_of(k),
-                seed_of(k),
+            design.measure(
+                &FixInput::heading(truth_of(k), seed_of(k)),
+                Some(plan),
                 &mut reverse_scratch,
-                plan,
             )
         })
         .collect();
@@ -279,11 +282,10 @@ fn bench(c: &mut Criterion) {
     group.bench_function("measure_faulted_open_pickup", |b| {
         b.iter(|| {
             seed += 1;
-            black_box(design.measure_heading_scratch_faulted(
-                black_box(Degrees::new(123.0)),
-                seed,
+            black_box(design.measure(
+                &FixInput::heading(black_box(Degrees::new(123.0)), seed),
+                Some(&plan),
                 &mut scratch,
-                &plan,
             ))
         })
     });

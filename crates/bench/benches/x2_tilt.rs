@@ -12,7 +12,7 @@ use fluxcomp_compass::filter::{circular_std, HeadingSmoother};
 use fluxcomp_compass::tilt::{
     body_field, tilt_compensated_heading, two_axis_heading, worst_tilt_error, Attitude,
 };
-use fluxcomp_compass::{CompassConfig, CompassDesign};
+use fluxcomp_compass::{CompassConfig, CompassDesign, FixInput, MeasureScratch};
 use fluxcomp_exec::{derive_seed, ExecPolicy};
 use fluxcomp_fluxgate::earth::{EarthField, Location};
 use fluxcomp_units::angle::Degrees;
@@ -60,7 +60,11 @@ fn print_experiment() {
     for k in 0..60u64 {
         // A fresh noise realisation per fix, deterministically derived.
         let fix = design
-            .measure_heading_seeded(truth, derive_seed(base_seed, k))
+            .measure(
+                &FixInput::heading(truth, derive_seed(base_seed, k)),
+                None,
+                &mut MeasureScratch::for_design(&design),
+            )
             .heading;
         raw_fixes.push(fix);
         let s = smoother.update(fix);

@@ -12,7 +12,7 @@
 //! `ExecPolicy::Parallel { .. }` are the same computation at different
 //! speeds.
 
-use crate::system::{CompassDesign, MeasureScratch};
+use crate::system::{CompassDesign, FixInput, MeasureScratch};
 use fluxcomp_exec::{derive_seed, par_map_range, par_map_range_scratch, ExecPolicy, StreamStats};
 use fluxcomp_units::angle::Degrees;
 
@@ -111,7 +111,7 @@ pub fn sweep_headings_traced(
     let errors = par_map_range(policy, n, |k| {
         let truth = Degrees::new(k as f64 * 360.0 / n as f64);
         design
-            .measure_heading_traced(truth, seed)
+            .measure_traced(&FixInput::heading(truth, seed))
             .heading
             .signed_error_from(truth)
             .value()

@@ -74,5 +74,7 @@ pub use gate_level::{GateLevelCompass, GateLevelReading};
 pub use mission::{square_route, walk_route, Leg, MissionResult, Position};
 pub use production::{production_test, production_test_batch, ProductionResult, RejectReason};
 pub use selftest::{run_self_test, SelfTestReport};
-pub use system::{AxisMeasurement, Compass, CompassDesign, MeasureScratch, Reading};
+pub use system::{
+    AxisMeasurement, Compass, CompassDesign, FixField, FixInput, MeasureScratch, Reading,
+};
 pub use tilt::{tilt_compensated_heading, two_axis_heading, worst_tilt_error, Attitude};

@@ -65,6 +65,52 @@ pub struct Reading {
     pub cordic_cycles: u32,
 }
 
+/// What a fix measures.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum FixField {
+    /// A true platform heading in the design's configured earth field,
+    /// projected onto the sensor pair.
+    Heading(Degrees),
+    /// Explicit axial field components `(hx, hy)` in A/m: what a client
+    /// that already knows the field at its own sensor sends.
+    Vector(AmperePerMeter, AmperePerMeter),
+}
+
+/// The inputs of one fix — the field and the seed — as
+/// [`CompassDesign::measure`] and [`CompassDesign::measure_traced`]
+/// take them.
+///
+/// The seed drives the front-end noise of both axes and, under a fault
+/// plan, which faults strike. A fix is a pure function of the design,
+/// the input and the plan. A [`FixInput::vector`] carrying
+/// [`CompassDesign::axial_fields`] of a heading gives the same bits as
+/// the [`FixInput::heading`] fix.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct FixInput {
+    /// What the fix measures.
+    pub field: FixField,
+    /// The noise (and fault-activation) seed.
+    pub seed: u64,
+}
+
+impl FixInput {
+    /// A fix with the platform at `true_heading`.
+    pub fn heading(true_heading: Degrees, seed: u64) -> Self {
+        Self {
+            field: FixField::Heading(true_heading),
+            seed,
+        }
+    }
+
+    /// A fix of the explicit axial field vector `(hx, hy)`.
+    pub fn vector(hx: AmperePerMeter, hy: AmperePerMeter, seed: u64) -> Self {
+        Self {
+            field: FixField::Vector(hx, hy),
+            seed,
+        }
+    }
+}
+
 /// The immutable measurement core: configuration plus the derived
 /// analogue/digital blocks, with no per-fix state.
 ///
@@ -87,10 +133,11 @@ pub struct CompassDesign {
 /// and one up/down counter, both fully reset at the start of every fix.
 ///
 /// Build one per worker with [`MeasureScratch::for_design`] and pass it
-/// to [`CompassDesign::measure_axis_scratch`] /
-/// [`CompassDesign::measure_heading_scratch`]; results are bit-identical
-/// to the fresh-state entry points, so the sweep engine can keep a
-/// scratch alive across thousands of fixes without allocating.
+/// to [`CompassDesign::measure`]; results are bit-identical to a fresh
+/// scratch's, so the sweep engine can keep a scratch alive across
+/// thousands of fixes without allocating. A scratch built for another
+/// design gives this design's bits too: the detector is rebuilt from
+/// the design's configuration at the start of every axis.
 #[derive(Debug, Clone)]
 pub struct MeasureScratch {
     detector: PulsePositionDetector,
@@ -149,71 +196,167 @@ impl CompassDesign {
         self.frontend.peak_excitation_field()
     }
 
-    /// Measures a single axis with the platform at `true_heading` on the
-    /// duty-only fast path. Noise (if configured) is seeded from the
-    /// configuration's `noise_seed`.
-    pub fn measure_axis(&self, axis: Axis, true_heading: Degrees) -> AxisMeasurement {
-        self.measure_axis_seeded(axis, true_heading, self.config.frontend.noise_seed)
-    }
-
-    /// Like [`measure_axis`](Self::measure_axis) with an explicit noise
-    /// seed — the entry point for repeat studies that need a different
-    /// noise realisation per fix while staying deterministic.
-    pub fn measure_axis_seeded(
-        &self,
-        axis: Axis,
-        true_heading: Degrees,
-        noise_seed: u64,
-    ) -> AxisMeasurement {
-        let mut scratch = MeasureScratch::for_design(self);
-        self.measure_axis_scratch(axis, true_heading, noise_seed, &mut scratch)
-    }
-
-    /// The allocation-free fast path: duty-only front-end measurement
-    /// fused with counter integration through a caller-owned
-    /// [`MeasureScratch`].
+    /// One fix: both axes measured through a caller-owned scratch on the
+    /// fast path (under `plan`, if any), then the CORDIC fold.
     ///
-    /// The detector output is fed straight into the up/down counter via
-    /// the precomputed [`ClockSchedule`] — no waveform traces, no
-    /// detector-sample buffer, no clock-domain resampling pass. Output is
-    /// bit-identical to [`measure_axis_traced`](Self::measure_axis_traced).
-    pub fn measure_axis_scratch(
+    /// This is the one fix entry point; every other `measure_*` method
+    /// forwards to it. The detector output of each axis is fed straight
+    /// into the up/down counter via the precomputed [`ClockSchedule`] —
+    /// no waveform traces, no detector-sample buffer, no clock-domain
+    /// resampling pass — and the output is bit-identical to
+    /// [`measure_traced`](Self::measure_traced). Which faults strike is a
+    /// pure function of `(plan, axis, input.seed)` (see the
+    /// `fluxcomp-faults` determinism contract); when nothing strikes, the
+    /// axis takes the plain fast path, so a zero plan leaves the
+    /// bitstream untouched by construction.
+    ///
+    /// The duty-cycle equation is `duty = 1/2 − H/(2·H_peak)`, so the
+    /// counter output is **−count ∝ H**; the CORDIC fold flips the sign —
+    /// the "and vice versa" wiring the paper mentions for the detector
+    /// polarity.
+    ///
+    /// The entry points this one replaced, and the call that gives the
+    /// same bits (`d` a design, `s` a seed, `t` a true heading, `h` one
+    /// axis's field in its `hx` or `hy` slot, `scratch` any
+    /// [`MeasureScratch`]; a single axis is the `.x` or `.y` of the fix):
+    ///
+    /// | removed | call instead |
+    /// |---|---|
+    /// | `d.measure_axis(axis, t)` | `d.measure_heading(t).x` / `.y` |
+    /// | `d.measure_axis_seeded(axis, t, s)` | `d.measure(&FixInput::heading(t, s), None, &mut MeasureScratch::for_design(&d)).x` |
+    /// | `d.measure_axis_scratch(axis, t, s, scratch)` | `d.measure(&FixInput::heading(t, s), None, scratch).x` |
+    /// | `d.measure_axis_field_scratch(axis, h, s, scratch)` | `d.measure(&FixInput::vector(hx, hy, s), None, scratch).x` |
+    /// | `d.measure_axis_traced(axis, t, s)` | `d.measure_traced(&FixInput::heading(t, s)).x` |
+    /// | `d.measure_heading_seeded(t, s)` | `d.measure(&FixInput::heading(t, s), None, &mut MeasureScratch::for_design(&d))` |
+    /// | `d.measure_heading_traced(t, s)` | `d.measure_traced(&FixInput::heading(t, s))` |
+    /// | `d.measure_axis_field_scratch_faulted(axis, h, s, scratch, plan)` | `d.measure(&FixInput::vector(hx, hy, s), Some(plan), scratch).x` |
+    /// | `d.measure_heading_scratch_faulted(t, s, scratch, plan)` | `d.measure(&FixInput::heading(t, s), Some(plan), scratch)` |
+    /// | `d.measure_field_scratch_faulted(hx, hy, s, scratch, plan)` | `d.measure(&FixInput::vector(hx, hy, s), Some(plan), scratch)` |
+    /// | `Compass::measure_axis(axis, t)` | `compass.design().measure_heading(t).x` |
+    pub fn measure(
         &self,
-        axis: Axis,
+        input: &FixInput,
+        plan: Option<&fluxcomp_faults::FaultPlan>,
+        scratch: &mut MeasureScratch,
+    ) -> Reading {
+        let (hx, hy) = self.fields(input.field);
+        let x = self.measure_axis(Axis::X, hx, input.seed, plan, scratch);
+        let y = self.measure_axis(Axis::Y, hy, input.seed, plan, scratch);
+        self.fold_heading(x, y)
+    }
+
+    /// One fix on the diagnostic tier: full transient front-end run (all
+    /// waveform traces recorded) + clock-domain resampling + counter
+    /// integration for each axis, then the CORDIC fold.
+    ///
+    /// Bit-identical duty/count/clipped to [`measure`](Self::measure)
+    /// with no fault plan — enforced by the workspace determinism suite —
+    /// but allocates the complete `i_exc`/`v_exc`/`v_pickup`/`detector`
+    /// trace set per axis. Use it when the waveforms matter (Fig. 3 /
+    /// Fig. 4 regeneration, debug).
+    pub fn measure_traced(&self, input: &FixInput) -> Reading {
+        let (hx, hy) = self.fields(input.field);
+        let x = self.measure_axis_traced(Axis::X, hx, input.seed);
+        let y = self.measure_axis_traced(Axis::Y, hy, input.seed);
+        self.fold_heading(x, y)
+    }
+
+    /// Runs one full fix with the platform at `true_heading`, noise (if
+    /// configured) seeded from the configuration's `noise_seed`.
+    pub fn measure_heading(&self, true_heading: Degrees) -> Reading {
+        let input = FixInput::heading(true_heading, self.config.frontend.noise_seed);
+        self.measure(&input, None, &mut MeasureScratch::for_design(self))
+    }
+
+    /// [`measure`](Self::measure) of a true heading with no fault plan —
+    /// the sweep engine's per-worker entry point.
+    pub fn measure_heading_scratch(
+        &self,
         true_heading: Degrees,
         noise_seed: u64,
         scratch: &mut MeasureScratch,
-    ) -> AxisMeasurement {
-        let h_ext = self
-            .pair
-            .axial_field(axis, &self.config.field, true_heading);
-        self.measure_axis_field_scratch(axis, h_ext, noise_seed, scratch)
+    ) -> Reading {
+        self.measure(&FixInput::heading(true_heading, noise_seed), None, scratch)
     }
 
-    /// The fast path from an **explicit axial field** instead of a true
-    /// heading: what a networked client that already knows the field at
-    /// its own sensor sends to the fix service. Identical fusion of
-    /// excitation→detector→counter as
-    /// [`measure_axis_scratch`](Self::measure_axis_scratch), which is a
-    /// thin wrapper projecting the configured earth field first.
-    pub fn measure_axis_field_scratch(
+    /// [`measure`](Self::measure) of an explicit field vector `(hx, hy)`
+    /// — the two axial field components in A/m — with no fault plan.
+    pub fn measure_field_scratch(
+        &self,
+        hx: AmperePerMeter,
+        hy: AmperePerMeter,
+        noise_seed: u64,
+        scratch: &mut MeasureScratch,
+    ) -> Reading {
+        self.measure(&FixInput::vector(hx, hy, noise_seed), None, scratch)
+    }
+
+    /// One health-checked fix from a true heading: measure (under
+    /// `plan`, if any), score both axes, and fold the result into a
+    /// [`CheckedReading`](crate::degraded::CheckedReading) with a typed
+    /// [`FixQuality`](crate::degraded::FixQuality) — `Good` when both
+    /// axes pass, `Degraded` (single-axis fallback) when one fails,
+    /// `Invalid` (hold last good heading) when both fail.
+    pub fn measure_heading_checked(
+        &self,
+        true_heading: Degrees,
+        noise_seed: u64,
+        scratch: &mut MeasureScratch,
+        plan: Option<&fluxcomp_faults::FaultPlan>,
+        tracker: &mut crate::degraded::DegradedTracker,
+    ) -> crate::degraded::CheckedReading {
+        tracker.assess(self.measure(&FixInput::heading(true_heading, noise_seed), plan, scratch))
+    }
+
+    /// One health-checked fix from an explicit field vector. See
+    /// [`measure_heading_checked`](Self::measure_heading_checked).
+    pub fn measure_field_checked(
+        &self,
+        hx: AmperePerMeter,
+        hy: AmperePerMeter,
+        noise_seed: u64,
+        scratch: &mut MeasureScratch,
+        plan: Option<&fluxcomp_faults::FaultPlan>,
+        tracker: &mut crate::degraded::DegradedTracker,
+    ) -> crate::degraded::CheckedReading {
+        tracker.assess(self.measure(&FixInput::vector(hx, hy, noise_seed), plan, scratch))
+    }
+
+    /// The axial field components a fix measures.
+    fn fields(&self, field: FixField) -> (AmperePerMeter, AmperePerMeter) {
+        match field {
+            FixField::Heading(true_heading) => self.axial_fields(true_heading),
+            FixField::Vector(hx, hy) => (hx, hy),
+        }
+    }
+
+    /// One axis on the fast path: the front-end measurement (under the
+    /// faults `plan` compiles for this axis and seed) fused with counter
+    /// integration through `scratch`.
+    fn measure_axis(
         &self,
         axis: Axis,
         h_ext: AmperePerMeter,
         noise_seed: u64,
+        plan: Option<&fluxcomp_faults::FaultPlan>,
         scratch: &mut MeasureScratch,
     ) -> AxisMeasurement {
+        let faults = plan.map_or_else(fluxcomp_faults::FixFaults::none, |plan| {
+            plan.compile(fault_axis_index(axis), noise_seed)
+        });
         // One span covers the fused excitation→detector→counter pass;
         // the traced tier keeps the three per-stage spans.
         let _excitation = fluxcomp_obs::span("compass.stage.excitation");
         let MeasureScratch { detector, counter } = scratch;
         counter.reset();
         let schedule = &self.schedule;
-        let outcome = self
-            .frontend
-            .measure_into(h_ext, noise_seed, detector, |index, up| {
-                counter.clock_n(up, schedule.edges_at(index));
-            });
+        let outcome = self.frontend.measure_into_faulted(
+            h_ext,
+            noise_seed,
+            detector,
+            &faults,
+            |index, up| counter.clock_n(up, schedule.edges_at(index)),
+        );
         AxisMeasurement {
             axis,
             duty: outcome.duty,
@@ -222,28 +365,8 @@ impl CompassDesign {
         }
     }
 
-    /// The diagnostic tier: full transient front-end run (all waveform
-    /// traces recorded) + clock-domain resampling + counter integration.
-    ///
-    /// Bit-identical duty/count/clipped to the fast path — enforced by
-    /// the workspace determinism suite — but allocates the complete
-    /// `i_exc`/`v_exc`/`v_pickup`/`detector` trace set per fix. Use it
-    /// when the waveforms matter (Fig. 3 / Fig. 4 regeneration, debug).
-    pub fn measure_axis_traced(
-        &self,
-        axis: Axis,
-        true_heading: Degrees,
-        noise_seed: u64,
-    ) -> AxisMeasurement {
-        let h_ext = self
-            .pair
-            .axial_field(axis, &self.config.field, true_heading);
-        self.measure_axis_field_traced(axis, h_ext, noise_seed)
-    }
-
-    /// [`measure_axis_traced`](Self::measure_axis_traced) from an
-    /// explicit axial field.
-    fn measure_axis_field_traced(
+    /// One axis on the traced tier.
+    fn measure_axis_traced(
         &self,
         axis: Axis,
         h_ext: AmperePerMeter,
@@ -268,65 +391,6 @@ impl CompassDesign {
         }
     }
 
-    /// Runs one full fix with the platform at `true_heading`.
-    ///
-    /// The duty-cycle equation is `duty = 1/2 − H/(2·H_peak)`, so the
-    /// counter output is **−count ∝ H**; the sign flip below is the
-    /// "and vice versa" wiring the paper mentions for the detector
-    /// polarity.
-    pub fn measure_heading(&self, true_heading: Degrees) -> Reading {
-        self.measure_heading_seeded(true_heading, self.config.frontend.noise_seed)
-    }
-
-    /// Like [`measure_heading`](Self::measure_heading) with an explicit
-    /// noise seed applied to both axis measurements.
-    pub fn measure_heading_seeded(&self, true_heading: Degrees, noise_seed: u64) -> Reading {
-        let mut scratch = MeasureScratch::for_design(self);
-        self.measure_heading_scratch(true_heading, noise_seed, &mut scratch)
-    }
-
-    /// One full fix on the fast path through a caller-owned scratch —
-    /// the sweep engine's per-worker entry point. Bit-identical to
-    /// [`measure_heading_seeded`](Self::measure_heading_seeded).
-    pub fn measure_heading_scratch(
-        &self,
-        true_heading: Degrees,
-        noise_seed: u64,
-        scratch: &mut MeasureScratch,
-    ) -> Reading {
-        let x = self.measure_axis_scratch(Axis::X, true_heading, noise_seed, scratch);
-        let y = self.measure_axis_scratch(Axis::Y, true_heading, noise_seed, scratch);
-        self.fold_heading(x, y)
-    }
-
-    /// One full fix from an explicit field vector `(hx, hy)` — the two
-    /// axial field components in A/m — through a caller-owned scratch.
-    ///
-    /// This is the serve layer's field-vector request path: the client
-    /// ships the field its platform sees and the design measures both
-    /// axes plus the CORDIC fold exactly as
-    /// [`measure_heading_scratch`](Self::measure_heading_scratch) would
-    /// for a heading whose projection equals that vector.
-    pub fn measure_field_scratch(
-        &self,
-        hx: AmperePerMeter,
-        hy: AmperePerMeter,
-        noise_seed: u64,
-        scratch: &mut MeasureScratch,
-    ) -> Reading {
-        let x = self.measure_axis_field_scratch(Axis::X, hx, noise_seed, scratch);
-        let y = self.measure_axis_field_scratch(Axis::Y, hy, noise_seed, scratch);
-        self.fold_heading(x, y)
-    }
-
-    /// One full fix on the diagnostic (traced) tier — both axes via
-    /// [`measure_axis_traced`](Self::measure_axis_traced).
-    pub fn measure_heading_traced(&self, true_heading: Degrees, noise_seed: u64) -> Reading {
-        let x = self.measure_axis_traced(Axis::X, true_heading, noise_seed);
-        let y = self.measure_axis_traced(Axis::Y, true_heading, noise_seed);
-        self.fold_heading(x, y)
-    }
-
     /// CORDIC + polarity fold shared by every fix entry point, so the
     /// fast, traced and watch-level paths cannot drift apart.
     fn fold_heading(&self, x: AxisMeasurement, y: AxisMeasurement) -> Reading {
@@ -348,10 +412,8 @@ impl CompassDesign {
 
     /// The axial field components `(hx, hy)` the sensor pair sees with
     /// the platform at `true_heading` in the configured earth field —
-    /// the field vector a [`measure_field_scratch`](Self::measure_field_scratch)
-    /// call must receive to reproduce
-    /// [`measure_heading_scratch`](Self::measure_heading_scratch) bit
-    /// for bit.
+    /// the field vector a [`FixInput::vector`] must carry to reproduce
+    /// the [`FixInput::heading`] fix bit for bit.
     pub fn axial_fields(&self, true_heading: Degrees) -> (AmperePerMeter, AmperePerMeter) {
         self.pair.axial_fields(&self.config.field, true_heading)
     }
@@ -371,123 +433,6 @@ impl CompassDesign {
     /// count against its duty.
     pub fn counter_full_scale(&self) -> i64 {
         self.schedule.total_edges() as i64
-    }
-
-    /// [`measure_axis_field_scratch`](Self::measure_axis_field_scratch)
-    /// under a [`FaultPlan`](fluxcomp_faults::FaultPlan).
-    ///
-    /// Which faults strike is a pure function of `(plan, axis,
-    /// noise_seed)` — see the `fluxcomp-faults` determinism contract —
-    /// and when nothing strikes this delegates to the plain fast path,
-    /// so a zero plan leaves the bitstream untouched by construction.
-    pub fn measure_axis_field_scratch_faulted(
-        &self,
-        axis: Axis,
-        h_ext: AmperePerMeter,
-        noise_seed: u64,
-        scratch: &mut MeasureScratch,
-        plan: &fluxcomp_faults::FaultPlan,
-    ) -> AxisMeasurement {
-        let faults = plan.compile(fault_axis_index(axis), noise_seed);
-        if faults.is_none() {
-            return self.measure_axis_field_scratch(axis, h_ext, noise_seed, scratch);
-        }
-        let _excitation = fluxcomp_obs::span("compass.stage.excitation");
-        let MeasureScratch { detector, counter } = scratch;
-        counter.reset();
-        let schedule = &self.schedule;
-        let outcome = self.frontend.measure_into_faulted(
-            h_ext,
-            noise_seed,
-            detector,
-            &faults,
-            |index, up| {
-                counter.clock_n(up, schedule.edges_at(index));
-            },
-        );
-        AxisMeasurement {
-            axis,
-            duty: outcome.duty,
-            count: counter.value(),
-            clipped: outcome.clipped,
-        }
-    }
-
-    /// [`measure_heading_scratch`](Self::measure_heading_scratch) under
-    /// a fault plan: both axes measured through
-    /// [`measure_axis_field_scratch_faulted`](Self::measure_axis_field_scratch_faulted),
-    /// then the shared CORDIC fold.
-    pub fn measure_heading_scratch_faulted(
-        &self,
-        true_heading: Degrees,
-        noise_seed: u64,
-        scratch: &mut MeasureScratch,
-        plan: &fluxcomp_faults::FaultPlan,
-    ) -> Reading {
-        let h_x = self
-            .pair
-            .axial_field(Axis::X, &self.config.field, true_heading);
-        let h_y = self
-            .pair
-            .axial_field(Axis::Y, &self.config.field, true_heading);
-        let x = self.measure_axis_field_scratch_faulted(Axis::X, h_x, noise_seed, scratch, plan);
-        let y = self.measure_axis_field_scratch_faulted(Axis::Y, h_y, noise_seed, scratch, plan);
-        self.fold_heading(x, y)
-    }
-
-    /// [`measure_field_scratch`](Self::measure_field_scratch) under a
-    /// fault plan.
-    pub fn measure_field_scratch_faulted(
-        &self,
-        hx: AmperePerMeter,
-        hy: AmperePerMeter,
-        noise_seed: u64,
-        scratch: &mut MeasureScratch,
-        plan: &fluxcomp_faults::FaultPlan,
-    ) -> Reading {
-        let x = self.measure_axis_field_scratch_faulted(Axis::X, hx, noise_seed, scratch, plan);
-        let y = self.measure_axis_field_scratch_faulted(Axis::Y, hy, noise_seed, scratch, plan);
-        self.fold_heading(x, y)
-    }
-
-    /// One health-checked fix from a true heading: measure (under
-    /// `plan`, if any), score both axes, and fold the result into a
-    /// [`CheckedReading`](crate::degraded::CheckedReading) with a typed
-    /// [`FixQuality`](crate::degraded::FixQuality) — `Good` when both
-    /// axes pass, `Degraded` (single-axis fallback) when one fails,
-    /// `Invalid` (hold last good heading) when both fail.
-    pub fn measure_heading_checked(
-        &self,
-        true_heading: Degrees,
-        noise_seed: u64,
-        scratch: &mut MeasureScratch,
-        plan: Option<&fluxcomp_faults::FaultPlan>,
-        tracker: &mut crate::degraded::DegradedTracker,
-    ) -> crate::degraded::CheckedReading {
-        let reading = match plan {
-            Some(p) => self.measure_heading_scratch_faulted(true_heading, noise_seed, scratch, p),
-            None => self.measure_heading_scratch(true_heading, noise_seed, scratch),
-        };
-        tracker.assess(reading)
-    }
-
-    /// One health-checked fix from an explicit field vector — the serve
-    /// layer's entry point. See
-    /// [`measure_heading_checked`](Self::measure_heading_checked).
-    pub fn measure_field_checked(
-        &self,
-        hx: AmperePerMeter,
-        hy: AmperePerMeter,
-        noise_seed: u64,
-        scratch: &mut MeasureScratch,
-        plan: Option<&fluxcomp_faults::FaultPlan>,
-        tracker: &mut crate::degraded::DegradedTracker,
-    ) -> crate::degraded::CheckedReading {
-        let reading = match plan {
-            Some(p) => self.measure_field_scratch_faulted(hx, hy, noise_seed, scratch, p),
-            None => self.measure_field_scratch(hx, hy, noise_seed, scratch),
-        };
-        tracker.assess(reading)
     }
 }
 
@@ -562,21 +507,22 @@ impl Compass {
         self.design.peak_excitation_field()
     }
 
-    /// Measures a single axis with the platform at `true_heading`:
-    /// transient front-end run + counter integration.
-    pub fn measure_axis(&mut self, axis: Axis, true_heading: Degrees) -> AxisMeasurement {
-        self.design.measure_axis(axis, true_heading)
-    }
-
     /// Runs one full multiplexed fix with the platform at `true_heading`
     /// and latches the result onto the display.
     pub fn measure_heading(&mut self, true_heading: Degrees) -> Reading {
+        let (hx, hy) = self.design.axial_fields(true_heading);
+        let seed = self.design.config.frontend.noise_seed;
+        let mut scratch = MeasureScratch::for_design(&self.design);
         self.sequencer.start_fix();
-        let x = self.design.measure_axis(Axis::X, true_heading);
+        let x = self
+            .design
+            .measure_axis(Axis::X, hx, seed, None, &mut scratch);
         for _ in 0..self.sequencer.periods_per_axis() {
             self.sequencer.advance();
         }
-        let y = self.design.measure_axis(Axis::Y, true_heading);
+        let y = self
+            .design
+            .measure_axis(Axis::Y, hy, seed, None, &mut scratch);
         for _ in 0..self.sequencer.periods_per_axis() {
             self.sequencer.advance();
         }
@@ -656,8 +602,12 @@ mod tests {
         let seed = design.config().frontend.noise_seed;
         for deg in [0.0, 45.0, 123.0, 287.25, 359.0] {
             let truth = Degrees::new(deg);
-            let fast = design.measure_heading_seeded(truth, seed);
-            let traced = design.measure_heading_traced(truth, seed);
+            let fast = design.measure(
+                &FixInput::heading(truth, seed),
+                None,
+                &mut MeasureScratch::for_design(&design),
+            );
+            let traced = design.measure_traced(&FixInput::heading(truth, seed));
             assert_eq!(
                 fast.heading.value().to_bits(),
                 traced.heading.value().to_bits(),
@@ -719,7 +669,7 @@ mod tests {
                             if settle == 1 || k % 10 == 0 {
                                 let truth = Degrees::new(k as f64);
                                 let fast = design.measure_heading_scratch(truth, 5, &mut scratch);
-                                let traced = design.measure_heading_traced(truth, 5);
+                                let traced = design.measure_traced(&FixInput::heading(truth, 5));
                                 assert_same(&fast, &traced, &at);
                             }
                             if k % 10 != 0 {
@@ -728,10 +678,7 @@ mod tests {
                             let angle = (k as f64).to_radians();
                             let (hx, hy) = (reach * angle.cos(), reach * angle.sin());
                             let fast = design.measure_field_scratch(hx, hy, 5, &mut scratch);
-                            let traced = design.fold_heading(
-                                design.measure_axis_field_traced(Axis::X, hx, 5),
-                                design.measure_axis_field_traced(Axis::Y, hy, 5),
-                            );
+                            let traced = design.measure_traced(&FixInput::vector(hx, hy, 5));
                             assert_same(&fast, &traced, &format!("field {at}"));
                         }
                     }
@@ -748,7 +695,11 @@ mod tests {
         for deg in [10.0, 200.0, 355.5, 10.0] {
             let truth = Degrees::new(deg);
             let reused = design.measure_heading_scratch(truth, seed, &mut scratch);
-            let fresh = design.measure_heading_seeded(truth, seed);
+            let fresh = design.measure(
+                &FixInput::heading(truth, seed),
+                None,
+                &mut MeasureScratch::for_design(&design),
+            );
             assert_eq!(
                 reused.heading.value().to_bits(),
                 fresh.heading.value().to_bits(),
@@ -762,27 +713,79 @@ mod tests {
     #[test]
     fn field_vector_fix_matches_heading_fix_bitwise() {
         // A fix from the explicit field vector the pair would project is
-        // the same computation as a fix from the heading itself.
+        // the same computation as a fix from the heading itself, with or
+        // without a fault plan.
+        use fluxcomp_faults::{AxisSel, FaultKind, FaultPlan, FaultSpec};
         let design = CompassDesign::new(CompassConfig::paper_design()).unwrap();
         let seed = design.config().frontend.noise_seed;
         let mut scratch = MeasureScratch::for_design(&design);
-        for deg in [0.0, 33.0, 123.0, 287.25, 359.0] {
-            let truth = Degrees::new(deg);
-            let (hx, hy) = design.axial_fields(truth);
-            let from_field = design.measure_field_scratch(hx, hy, seed, &mut scratch);
-            let from_heading = design.measure_heading_scratch(truth, seed, &mut scratch);
+        let mixed = FaultPlan::new(0xDE7E12)
+            .with(FaultSpec {
+                kind: FaultKind::OpenPickup,
+                axis: AxisSel::X,
+                rate: 0.3,
+            })
+            .with(FaultSpec {
+                kind: FaultKind::NoiseBurst {
+                    rms: 0.05,
+                    from: 0.2,
+                    until: 0.6,
+                },
+                axis: AxisSel::Both,
+                rate: 0.5,
+            });
+        assert!(
+            (0..2).any(|axis| !mixed.compile(axis, seed).is_none()),
+            "the plan must strike this fix"
+        );
+        for plan in [None, Some(&mixed)] {
+            for deg in [0.0, 33.0, 123.0, 287.25, 359.0] {
+                let truth = Degrees::new(deg);
+                let (hx, hy) = design.axial_fields(truth);
+                let from_field =
+                    design.measure(&FixInput::vector(hx, hy, seed), plan, &mut scratch);
+                let from_heading =
+                    design.measure(&FixInput::heading(truth, seed), plan, &mut scratch);
+                assert_eq!(
+                    from_field.heading.value().to_bits(),
+                    from_heading.heading.value().to_bits(),
+                    "at {deg}"
+                );
+                assert_eq!(from_field.x.count, from_heading.x.count);
+                assert_eq!(from_field.y.count, from_heading.y.count);
+                assert_eq!(
+                    from_field.x.duty.to_bits(),
+                    from_heading.x.duty.to_bits(),
+                    "at {deg}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn foreign_scratch_gives_the_designs_own_bits() {
+        // A scratch built for a design with another detector must not
+        // leak that detector into this design's fixes.
+        let design = CompassDesign::new(CompassConfig::paper_design()).unwrap();
+        let mut other = CompassConfig::paper_design();
+        other.frontend.detector.hysteresis = fluxcomp_units::Volt::new(0.016);
+        let other = CompassDesign::new(other).unwrap();
+        let seed = design.config().frontend.noise_seed;
+        let mut own = MeasureScratch::for_design(&design);
+        let mut foreign = MeasureScratch::for_design(&other);
+        for k in 0..36 {
+            let truth = Degrees::new(k as f64 * 10.0);
+            let expected = design.measure_heading_scratch(truth, seed, &mut own);
+            let got = design.measure_heading_scratch(truth, seed, &mut foreign);
             assert_eq!(
-                from_field.heading.value().to_bits(),
-                from_heading.heading.value().to_bits(),
-                "at {deg}"
+                got.heading.value().to_bits(),
+                expected.heading.value().to_bits(),
+                "heading at {k}"
             );
-            assert_eq!(from_field.x.count, from_heading.x.count);
-            assert_eq!(from_field.y.count, from_heading.y.count);
-            assert_eq!(
-                from_field.x.duty.to_bits(),
-                from_heading.x.duty.to_bits(),
-                "at {deg}"
-            );
+            for (g, e) in [(&got.x, &expected.x), (&got.y, &expected.y)] {
+                assert_eq!(g.count, e.count, "count at {k}");
+                assert_eq!(g.duty.to_bits(), e.duty.to_bits(), "duty at {k}");
+            }
         }
     }
 

@@ -68,7 +68,7 @@ use crate::protocol::{
 };
 use crate::queue::{BatchQueue, PushError};
 use fluxcomp_compass::{
-    CheckedReading, CompassDesign, DegradedTracker, FixQuality, MeasureScratch,
+    CheckedReading, CompassDesign, DegradedTracker, FixInput, FixQuality, MeasureScratch,
 };
 use fluxcomp_exec::{derive_seed, ExecPolicy};
 use fluxcomp_faults::{AxisSel, FaultKind, FaultPlan, FaultSpec};
@@ -688,23 +688,15 @@ fn measure_checked(
         ..
     } = state;
     let plan = active_plan(shared, forced, *computed);
-    match request.field {
-        FieldSpec::HeadingTruth(deg) => shared.design.measure_heading_checked(
-            Degrees::new(deg),
-            request.seed,
-            scratch,
-            plan,
-            tracker,
-        ),
-        FieldSpec::FieldVector { hx, hy } => shared.design.measure_field_checked(
+    let input = match request.field {
+        FieldSpec::HeadingTruth(deg) => FixInput::heading(Degrees::new(deg), request.seed),
+        FieldSpec::FieldVector { hx, hy } => FixInput::vector(
             AmperePerMeter::new(hx),
             AmperePerMeter::new(hy),
             request.seed,
-            scratch,
-            plan,
-            tracker,
         ),
-    }
+    };
+    tracker.assess(shared.design.measure(&input, plan, scratch))
 }
 
 /// Pause-and-probe quarantine: rebuild the scratch, reset the tracker,

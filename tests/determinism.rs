@@ -12,7 +12,7 @@
 
 use fluxcomp::compass::evaluate::{repeat_heading, sweep_headings, sweep_headings_traced};
 use fluxcomp::compass::tilt::{worst_tilt_error, Attitude};
-use fluxcomp::compass::{AccuracyStats, CompassConfig, CompassDesign, MeasureScratch};
+use fluxcomp::compass::{AccuracyStats, CompassConfig, CompassDesign, FixInput, MeasureScratch};
 use fluxcomp::exec::ExecPolicy;
 use fluxcomp::fluxgate::earth::{EarthField, Location};
 use fluxcomp::msim::montecarlo::{run_monte_carlo, Tolerance};
@@ -175,7 +175,11 @@ fn reused_scratch_is_bit_identical_across_100_fixes() {
         let truth = Degrees::new(k as f64 * 3.6);
         let seed = fluxcomp::exec::derive_seed(base, k);
         let reused = design.measure_heading_scratch(truth, seed, &mut scratch);
-        let fresh = design.measure_heading_seeded(truth, seed);
+        let fresh = design.measure(
+            &FixInput::heading(truth, seed),
+            None,
+            &mut MeasureScratch::for_design(&design),
+        );
         assert_eq!(
             reused.heading.value().to_bits(),
             fresh.heading.value().to_bits(),
@@ -240,8 +244,11 @@ fn zero_fault_plan_is_bit_identical_to_the_clean_path() {
         let truth = Degrees::new(k as f64 * 15.0);
         let seed = fluxcomp::exec::derive_seed(0xFA17, k);
         let clean = design.measure_heading_scratch(truth, seed, &mut clean_scratch);
-        let faulted =
-            design.measure_heading_scratch_faulted(truth, seed, &mut fault_scratch, &plan);
+        let faulted = design.measure(
+            &FixInput::heading(truth, seed),
+            Some(&plan),
+            &mut fault_scratch,
+        );
         assert_eq!(
             clean.heading.value().to_bits(),
             faulted.heading.value().to_bits(),
@@ -294,11 +301,10 @@ fn faulted_fixes_are_a_pure_function_of_the_fix_seed() {
     let mut forward_scratch = MeasureScratch::for_design(&design);
     let forward: Vec<_> = (0..fixes)
         .map(|k| {
-            design.measure_heading_scratch_faulted(
-                truth_of(k),
-                seed_of(k),
+            design.measure(
+                &FixInput::heading(truth_of(k), seed_of(k)),
+                Some(&plan),
                 &mut forward_scratch,
-                &plan,
             )
         })
         .collect();
@@ -308,11 +314,10 @@ fn faulted_fixes_are_a_pure_function_of_the_fix_seed() {
     let mut reverse: Vec<_> = (0..fixes)
         .rev()
         .map(|k| {
-            design.measure_heading_scratch_faulted(
-                truth_of(k),
-                seed_of(k),
+            design.measure(
+                &FixInput::heading(truth_of(k), seed_of(k)),
+                Some(&plan),
                 &mut reverse_scratch,
-                &plan,
             )
         })
         .collect();
