@@ -198,7 +198,6 @@ fn print_experiment() -> std::io::Result<()> {
         ServeConfig {
             cache_capacity: 0,
             fault_plan: Some(open_x),
-            quarantine_after: 0,
             ..ServeConfig::default()
         },
     )

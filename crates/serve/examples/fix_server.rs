@@ -16,14 +16,11 @@
 //! `FLUXCOMP_SERVE_CACHE_SHARDS`, and `FLUXCOMP_THREADS` for the auto
 //! worker count). Fault injection and degraded mode:
 //! `FLUXCOMP_FAULT_PLAN` (e.g. `seed=7;open_pickup@x:0.2`) injects
-//! seeded sensor faults into every computed fix,
-//! `FLUXCOMP_SERVE_QUARANTINE_AFTER` / `..._QUARANTINE_BACKOFF_MS` tune
-//! worker quarantine, and `FLUXCOMP_SERVE_WORKER_FAULT="W:K"` forces a
-//! stuck comparator on worker `W`'s first `K` fixes (quarantine smoke
-//! tests). `FLUXCOMP_SERVE_RUN_MS` bounds the lifetime: after
-//! that many milliseconds the server shuts down gracefully and the
-//! process exits 0 — the CI smoke test uses this. Unset, the server
-//! runs until killed. Set `FLUXCOMP_OBS=text` (or `json`) to get the
+//! seeded sensor faults into every computed fix, and each fix is graded
+//! `Good`, `Degraded` or `Invalid` on the wire. `FLUXCOMP_SERVE_RUN_MS`
+//! bounds the lifetime: after that many milliseconds the server shuts
+//! down gracefully and the process exits 0 — the CI smoke test uses
+//! this. Unset, the server runs until killed. Set `FLUXCOMP_OBS=text` (or `json`) to get the
 //! `serve.*` counter/histogram profile on shutdown.
 
 use fluxcomp_compass::{CompassConfig, CompassDesign};
@@ -55,12 +52,6 @@ fn main() {
             "fix_server: fault plan active (seed {:#x}, {} spec(s))",
             plan.seed(),
             plan.specs().len()
-        );
-    }
-    if let Some(wf) = config.worker_fault {
-        eprintln!(
-            "fix_server: forced fault on worker {} for its first {} fixes",
-            wf.worker, wf.fixes
         );
     }
     let mut server = match FixServer::start(design, config) {

@@ -25,11 +25,10 @@
 //! path: `FLUXCOMP_FAULT_PLAN` (see `fluxcomp_faults::FaultPlan`)
 //! injects seeded deterministic sensor faults, per-axis health scoring
 //! grades each fix `Good`/`Degraded`/`Invalid`, and the wire protocol
-//! carries the quality in the response flags (protocol v2; v1 clients
-//! still interoperate). `Invalid` fixes are answered as
-//! [`Status::Unmeasurable`] with the held last-good heading. Workers
-//! that keep producing non-`Good` fixes quarantine themselves and probe
-//! for recovery — see [`server`] for the state machine.
+//! carries the quality in the response flags. `Invalid` fixes are
+//! answered as [`Status::Unmeasurable`] with the held last-good heading.
+//! The wire speaks exactly one protocol version; a frame tagged with
+//! any other is a typed `BadRequest`.
 //!
 //! Everything is `std` — threads, `TcpListener`, `Mutex`/`Condvar` —
 //! with no async runtime, matching the workspace's no-external-deps
@@ -77,4 +76,4 @@ pub use cache::{CachedFix, FixCache, FixKey};
 pub use loadgen::{LoadGenConfig, LoadReport};
 pub use protocol::{FieldSpec, FixRequest, FixResponse, ProtocolError, Status};
 pub use queue::{BatchQueue, PushError};
-pub use server::{FixServer, ServeConfig, WorkerFault};
+pub use server::{FixServer, ServeConfig};

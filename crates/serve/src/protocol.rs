@@ -11,7 +11,7 @@
 //! | offset | size | field |
 //! |-------:|-----:|-------|
 //! | 0      | 1    | tag (`0x01`) |
-//! | 1      | 1    | protocol version (`1` or `2`) |
+//! | 1      | 1    | protocol version ([`WIRE_VERSION`]) |
 //! | 2      | 2    | flags (`u16` LE): bit 0 = field-vector, bit 1 = no-cache |
 //! | 4      | 8    | request id (`u64` LE, echoed in the response) |
 //! | 12     | 8    | noise seed (`u64` LE) |
@@ -19,17 +19,19 @@
 //! | 24     | 8/16 | heading truth (`f64` LE) **or** `h_x`,`h_y` (`f64` LE ×2) |
 //!
 //! Unknown flag bits (reserved for future versions) are rejected with a
-//! typed [`ProtocolError::BadFlags`] — a v3 client talking to a v2
-//! server gets a clean `BadRequest`, never a silently misread request.
+//! typed [`ProtocolError::BadFlags`], and any version byte other than
+//! [`WIRE_VERSION`] with a typed [`ProtocolError::BadVersion`] — a client
+//! speaking another version gets a clean `BadRequest`, never a silently
+//! misread request.
 //!
 //! ## Response payload (`tag = 0x02`)
 //!
 //! | offset | size | field |
 //! |-------:|-----:|-------|
 //! | 0      | 1    | tag (`0x02`) |
-//! | 1      | 1    | protocol version (echoes the request's) |
+//! | 1      | 1    | protocol version ([`WIRE_VERSION`]) |
 //! | 2      | 1    | status (`u8`, see [`Status`]) |
-//! | 3      | 1    | flags: bit 0 = cache hit, bit 1 = V-I clipped, bits 2–3 = fix quality (v2+) |
+//! | 3      | 1    | flags: bit 0 = cache hit, bit 1 = V-I clipped, bits 2–3 = fix quality |
 //! | 4      | 8    | request id (`u64` LE) |
 //! | 12     | 8    | heading (`f64` LE, degrees in `[0, 360)`) |
 //! | 20     | 8    | X duty cycle (`f64` LE) |
@@ -38,31 +40,18 @@
 //! | 44     | 8    | Y counter output (`i64` LE) |
 //!
 //! Failure responses ([`Status::Overloaded`] and friends) carry zeros in
-//! the measurement fields. [`Status::Unmeasurable`] (v2) is the one
+//! the measurement fields. [`Status::Unmeasurable`] is the one
 //! exception: the fix ran but failed its health checks, and the heading
 //! field carries the worker's held last-good heading (duties/counts
 //! zero, quality [`FixQuality::Invalid`]).
-//!
-//! ## Version gating
-//!
-//! Version 2 added the fix-quality flag bits and `Unmeasurable`. A v1
-//! request gets a v1 response: quality bits stay zero and decoders
-//! infer `Good`/`Invalid` from the status alone. Status bytes are *not*
-//! gated — a v1 client confronted with an `Unmeasurable` fix receives
-//! the unknown status byte and fails with a typed
-//! [`ProtocolError::BadStatus`] instead of trusting a held heading it
-//! cannot know is held.
 
 use fluxcomp_compass::{BuildError, FixQuality};
 use std::error::Error;
 use std::fmt;
 use std::io::{self, Read, Write};
 
-/// Newest protocol version spoken by this crate.
+/// The one protocol version spoken and accepted by this crate.
 pub const WIRE_VERSION: u8 = 2;
-
-/// Oldest protocol version still accepted.
-pub const MIN_WIRE_VERSION: u8 = 1;
 
 /// Request payload tag byte.
 pub const REQUEST_TAG: u8 = 0x01;
@@ -88,10 +77,10 @@ pub const RESP_FLAG_CACHE_HIT: u8 = 1 << 0;
 /// Response flag: the V-I converter clipped on at least one axis.
 pub const RESP_FLAG_CLIPPED: u8 = 1 << 1;
 
-/// Bit offset of the fix-quality field in the response flags (v2+).
+/// Bit offset of the fix-quality field in the response flags.
 pub const RESP_QUALITY_SHIFT: u8 = 2;
 
-/// Mask of the fix-quality field in the response flags (v2+):
+/// Mask of the fix-quality field in the response flags:
 /// `0` = Good, `1` = Degraded, `2` = Invalid.
 pub const RESP_QUALITY_MASK: u8 = 0b11 << RESP_QUALITY_SHIFT;
 
@@ -157,9 +146,9 @@ pub enum Status {
     ShuttingDown = 4,
     /// The server's compass configuration was rejected.
     InvalidConfig = 5,
-    /// The fix was computed but failed its health checks on both axes
-    /// (v2): the heading field carries the worker's held last-good
-    /// heading with zero confidence. Never cached, never `Ok`-flagged.
+    /// The fix was computed but failed its health checks on both axes:
+    /// the heading field carries the worker's held last-good heading
+    /// with zero confidence. Never cached, never `Ok`-flagged.
     Unmeasurable = 6,
 }
 
@@ -212,8 +201,7 @@ pub struct FixResponse {
     pub cache_hit: bool,
     /// The V-I converter clipped on at least one axis.
     pub clipped: bool,
-    /// Health verdict of the fix (v2 wire field; inferred from the
-    /// status when decoding a v1 response).
+    /// Health verdict of the fix.
     pub quality: FixQuality,
     /// Heading in degrees, `[0, 360)`.
     pub heading: f64,
@@ -255,7 +243,7 @@ fn quality_bits(quality: FixQuality) -> u8 {
     value << RESP_QUALITY_SHIFT
 }
 
-/// Decodes the two quality bits of a v2 response flags byte.
+/// Decodes the two quality bits of a response flags byte.
 fn quality_from_bits(flags: u8) -> Result<FixQuality, ProtocolError> {
     match (flags & RESP_QUALITY_MASK) >> RESP_QUALITY_SHIFT {
         0 => Ok(FixQuality::Good),
@@ -363,22 +351,14 @@ impl FixRequest {
     /// Non-finite heading/field components are rejected here so they can
     /// never reach the measurement core.
     pub fn decode_payload(payload: &[u8]) -> Result<Self, ProtocolError> {
-        Self::decode_versioned(payload).map(|(request, _)| request)
-    }
-
-    /// [`decode_payload`](Self::decode_payload), additionally returning
-    /// the protocol version the client spoke — the server answers each
-    /// request at the version it arrived in.
-    pub fn decode_versioned(payload: &[u8]) -> Result<(Self, u8), ProtocolError> {
         if payload.len() < REQUEST_HEAD {
             return Err(ProtocolError::BadLength { got: payload.len() });
         }
         if payload[0] != REQUEST_TAG {
             return Err(ProtocolError::BadTag { got: payload[0] });
         }
-        let version = payload[1];
-        if !(MIN_WIRE_VERSION..=WIRE_VERSION).contains(&version) {
-            return Err(ProtocolError::BadVersion { got: version });
+        if payload[1] != WIRE_VERSION {
+            return Err(ProtocolError::BadVersion { got: payload[1] });
         }
         let flags = u16::from_le_bytes(payload[2..4].try_into().unwrap());
         if flags & !REQUEST_FLAGS_KNOWN != 0 {
@@ -408,44 +388,29 @@ impl FixRequest {
         if !finite {
             return Err(ProtocolError::NonFiniteField);
         }
-        Ok((
-            Self {
-                id,
-                seed,
-                deadline_ms,
-                no_cache: flags & FLAG_NO_CACHE != 0,
-                field,
-            },
-            version,
-        ))
+        Ok(Self {
+            id,
+            seed,
+            deadline_ms,
+            no_cache: flags & FLAG_NO_CACHE != 0,
+            field,
+        })
     }
 }
 
 impl FixResponse {
-    /// Encodes the payload at the newest version into `buf`, returning
-    /// the payload length. `buf` must hold at least [`RESPONSE_LEN`]
-    /// bytes.
+    /// Encodes the payload into `buf`, returning the payload length.
+    /// `buf` must hold at least [`RESPONSE_LEN`] bytes.
     pub fn encode_payload(&self, buf: &mut [u8]) -> usize {
-        self.encode_payload_versioned(WIRE_VERSION, buf)
-    }
-
-    /// Encodes the payload at `version` (the version the request
-    /// arrived in). Version 1 zeroes the quality bits — v1 decoders
-    /// treat the flags byte as two booleans and must not see stray
-    /// bits.
-    pub fn encode_payload_versioned(&self, version: u8, buf: &mut [u8]) -> usize {
-        let mut flags: u8 = 0;
+        let mut flags = quality_bits(self.quality);
         if self.cache_hit {
             flags |= RESP_FLAG_CACHE_HIT;
         }
         if self.clipped {
             flags |= RESP_FLAG_CLIPPED;
         }
-        if version >= 2 {
-            flags |= quality_bits(self.quality);
-        }
         buf[0] = RESPONSE_TAG;
-        buf[1] = version;
+        buf[1] = WIRE_VERSION;
         buf[2] = self.status as u8;
         buf[3] = flags;
         buf[4..12].copy_from_slice(&self.id.to_le_bytes());
@@ -458,10 +423,6 @@ impl FixResponse {
     }
 
     /// Decodes a response payload (without the length prefix).
-    ///
-    /// Accepts any version in `MIN_WIRE_VERSION..=WIRE_VERSION`. A v1
-    /// payload has no quality bits; the quality is inferred from the
-    /// status (`Ok` ⇒ `Good`, anything else ⇒ `Invalid`).
     pub fn decode_payload(payload: &[u8]) -> Result<Self, ProtocolError> {
         if payload.len() != RESPONSE_LEN {
             return Err(ProtocolError::BadLength { got: payload.len() });
@@ -469,37 +430,22 @@ impl FixResponse {
         if payload[0] != RESPONSE_TAG {
             return Err(ProtocolError::BadTag { got: payload[0] });
         }
-        let version = payload[1];
-        if !(MIN_WIRE_VERSION..=WIRE_VERSION).contains(&version) {
-            return Err(ProtocolError::BadVersion { got: version });
+        if payload[1] != WIRE_VERSION {
+            return Err(ProtocolError::BadVersion { got: payload[1] });
         }
         let status = Status::from_wire(payload[2])?;
         let flags = payload[3];
-        let quality = if version >= 2 {
-            if flags & !(RESP_FLAG_CACHE_HIT | RESP_FLAG_CLIPPED | RESP_QUALITY_MASK) != 0 {
-                return Err(ProtocolError::BadFlags {
-                    got: u16::from(flags),
-                });
-            }
-            quality_from_bits(flags)?
-        } else {
-            if flags & !(RESP_FLAG_CACHE_HIT | RESP_FLAG_CLIPPED) != 0 {
-                return Err(ProtocolError::BadFlags {
-                    got: u16::from(flags),
-                });
-            }
-            if status == Status::Ok {
-                FixQuality::Good
-            } else {
-                FixQuality::Invalid
-            }
-        };
+        if flags & !(RESP_FLAG_CACHE_HIT | RESP_FLAG_CLIPPED | RESP_QUALITY_MASK) != 0 {
+            return Err(ProtocolError::BadFlags {
+                got: u16::from(flags),
+            });
+        }
         Ok(Self {
             id: u64::from_le_bytes(payload[4..12].try_into().unwrap()),
             status,
             cache_hit: flags & RESP_FLAG_CACHE_HIT != 0,
             clipped: flags & RESP_FLAG_CLIPPED != 0,
-            quality,
+            quality: quality_from_bits(flags)?,
             heading: f64::from_le_bytes(payload[12..20].try_into().unwrap()),
             duty_x: f64::from_le_bytes(payload[20..28].try_into().unwrap()),
             duty_y: f64::from_le_bytes(payload[28..36].try_into().unwrap()),
@@ -537,19 +483,10 @@ pub fn write_request<W: Write>(w: &mut W, request: &FixRequest) -> io::Result<()
     write_frame(w, &buf[..len])
 }
 
-/// Writes a response as one frame (at the newest version).
+/// Writes a response as one frame.
 pub fn write_response<W: Write>(w: &mut W, response: &FixResponse) -> io::Result<()> {
-    write_response_versioned(w, response, WIRE_VERSION)
-}
-
-/// Writes a response as one frame at `version`.
-pub fn write_response_versioned<W: Write>(
-    w: &mut W,
-    response: &FixResponse,
-    version: u8,
-) -> io::Result<()> {
     let mut buf = [0u8; RESPONSE_LEN];
-    let len = response.encode_payload_versioned(version, &mut buf);
+    let len = response.encode_payload(&mut buf);
     write_frame(w, &buf[..len])
 }
 
@@ -728,55 +665,6 @@ mod tests {
             let len = resp.encode_payload(&mut buf);
             assert_eq!(FixResponse::decode_payload(&buf[..len]), Ok(resp));
         }
-    }
-
-    #[test]
-    fn v1_response_encoding_zeroes_quality_bits_and_infers_on_decode() {
-        let mut resp = FixResponse::failure(4, Status::Overloaded);
-        resp.quality = FixQuality::Degraded; // deliberately inconsistent
-        let mut buf = [0u8; RESPONSE_LEN];
-        let len = resp.encode_payload_versioned(1, &mut buf);
-        assert_eq!(buf[1], 1);
-        assert_eq!(
-            buf[3] & RESP_QUALITY_MASK,
-            0,
-            "v1 must not leak quality bits"
-        );
-        let back = FixResponse::decode_payload(&buf[..len]).unwrap();
-        // v1 has no quality on the wire: non-Ok status decodes Invalid.
-        assert_eq!(back.quality, FixQuality::Invalid);
-        assert_eq!(back.status, Status::Overloaded);
-        // And an Ok v1 response decodes Good.
-        let ok = FixResponse {
-            quality: FixQuality::Good,
-            status: Status::Ok,
-            ..FixResponse::failure(5, Status::Ok)
-        };
-        let len = ok.encode_payload_versioned(1, &mut buf);
-        assert_eq!(
-            FixResponse::decode_payload(&buf[..len]).unwrap().quality,
-            FixQuality::Good
-        );
-    }
-
-    #[test]
-    fn request_version_1_is_still_accepted_and_reported() {
-        let req = FixRequest {
-            id: 8,
-            seed: 9,
-            deadline_ms: 0,
-            no_cache: false,
-            field: FieldSpec::HeadingTruth(42.0),
-        };
-        let mut buf = [0u8; REQUEST_LEN_VECTOR];
-        let len = req.encode_payload(&mut buf);
-        assert_eq!(buf[1], WIRE_VERSION);
-        buf[1] = 1; // downgrade to a v1 client
-        assert_eq!(
-            FixRequest::decode_versioned(&buf[..len]),
-            Ok((req, 1)),
-            "v1 requests must decode with their version reported"
-        );
     }
 
     #[test]

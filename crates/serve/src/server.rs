@@ -34,7 +34,7 @@
 //! so a served fix is bit-identical to a direct
 //! [`CompassDesign::measure_heading_scratch`] call with the same seed.
 //!
-//! ## Faults, fix quality, and quarantine
+//! ## Faults and fix quality
 //!
 //! Every computed fix runs through the health-checked compass path:
 //! an optional [`FaultPlan`] (from `FLUXCOMP_FAULT_PLAN`) injects
@@ -44,14 +44,6 @@
 //! answered as [`Status::Unmeasurable`]). Only `Good` fixes enter the
 //! cache — a degraded heading depends on the worker's hold-last state
 //! and must not be replayed to other clients as a pure fix.
-//!
-//! A worker that produces `quarantine_after` consecutive non-`Good`
-//! computed fixes quarantines itself: it rebuilds its scratch, resets
-//! its tracker, and probes the reference heading off-queue with an
-//! exponential backoff until a probe comes back `Good` (recovery) or
-//! the probe budget runs out (provisional re-entry, so a globally
-//! faulty plant cannot starve the queue). `serve.worker_quarantines` /
-//! `serve.worker_recoveries` count the transitions.
 //!
 //! ## Shutdown
 //!
@@ -63,15 +55,14 @@
 
 use crate::cache::{CachedFix, FixCache, FixKey};
 use crate::protocol::{
-    read_frame_poll, write_response_versioned, FieldSpec, FixRequest, FixResponse, PollRead,
-    Status, WIRE_VERSION,
+    read_frame_poll, write_response, FieldSpec, FixRequest, FixResponse, PollRead, Status,
 };
 use crate::queue::{BatchQueue, PushError};
 use fluxcomp_compass::{
     CheckedReading, CompassDesign, DegradedTracker, FixInput, FixQuality, MeasureScratch,
 };
-use fluxcomp_exec::{derive_seed, ExecPolicy};
-use fluxcomp_faults::{AxisSel, FaultKind, FaultPlan, FaultSpec};
+use fluxcomp_exec::ExecPolicy;
+use fluxcomp_faults::FaultPlan;
 use fluxcomp_obs as obs;
 use fluxcomp_units::angle::Degrees;
 use fluxcomp_units::magnetics::AmperePerMeter;
@@ -85,41 +76,6 @@ use std::time::{Duration, Instant};
 /// How often blocked reads and the acceptor re-check the shutdown flag.
 const POLL_INTERVAL: Duration = Duration::from_millis(50);
 const ACCEPT_IDLE: Duration = Duration::from_millis(5);
-/// Probe attempts per quarantine entry before provisional re-entry.
-const QUARANTINE_PROBES: u32 = 5;
-/// Seed domain for quarantine probe fixes.
-const PROBE_SEED: u64 = 0x5052_4F42;
-
-/// A forced per-worker fault for quarantine/recovery testing: worker
-/// `worker` serves its first `fixes` computed fixes with a stuck-low
-/// X-axis comparator (rate 1.0), then becomes healthy — so a quarantined
-/// worker's probe succeeds and recovery is observable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WorkerFault {
-    /// Index of the afflicted worker.
-    pub worker: usize,
-    /// Number of initial computed fixes (probes included) that fault.
-    pub fixes: u64,
-}
-
-impl WorkerFault {
-    /// Parses the `FLUXCOMP_SERVE_WORKER_FAULT` grammar `"W:K"`.
-    pub fn parse(text: &str) -> Option<Self> {
-        let (w, k) = text.trim().split_once(':')?;
-        Some(Self {
-            worker: w.trim().parse().ok()?,
-            fixes: k.trim().parse().ok()?,
-        })
-    }
-
-    fn plan(&self) -> FaultPlan {
-        FaultPlan::new(0x57_464C54).with(FaultSpec {
-            kind: FaultKind::StuckComparator { output: false },
-            axis: AxisSel::X,
-            rate: 1.0,
-        })
-    }
-}
 
 /// Server tuning knobs. [`ServeConfig::default`] is sized for the
 /// integration tests and single-host benches; [`ServeConfig::from_env`]
@@ -147,13 +103,6 @@ pub struct ServeConfig {
     /// Seeded fault plan injected into every computed fix; `None` (the
     /// default) serves the clean, bit-exact measurement path.
     pub fault_plan: Option<FaultPlan>,
-    /// Consecutive non-`Good` computed fixes before a worker
-    /// quarantines itself; `0` disables quarantine.
-    pub quarantine_after: usize,
-    /// Initial quarantine probe backoff (doubles per failed probe).
-    pub quarantine_backoff: Duration,
-    /// Forced per-worker fault for quarantine/recovery testing.
-    pub worker_fault: Option<WorkerFault>,
 }
 
 impl Default for ServeConfig {
@@ -167,9 +116,6 @@ impl Default for ServeConfig {
             cache_shards: 8,
             fix_delay: Duration::ZERO,
             fault_plan: None,
-            quarantine_after: 8,
-            quarantine_backoff: Duration::from_millis(10),
-            worker_fault: None,
         }
     }
 }
@@ -186,15 +132,12 @@ impl ServeConfig {
     /// | `FLUXCOMP_SERVE_CACHE` | `cache_capacity` (0 disables) |
     /// | `FLUXCOMP_SERVE_CACHE_SHARDS` | `cache_shards` |
     /// | `FLUXCOMP_FAULT_PLAN` | `fault_plan` (fault grammar) |
-    /// | `FLUXCOMP_SERVE_QUARANTINE_AFTER` | `quarantine_after` (0 disables) |
-    /// | `FLUXCOMP_SERVE_QUARANTINE_BACKOFF_MS` | `quarantine_backoff` |
-    /// | `FLUXCOMP_SERVE_WORKER_FAULT` | `worker_fault` (`"W:K"`) |
     ///
     /// Unset or unparsable variables keep the default (a malformed
-    /// fault plan or worker fault is reported on stderr and ignored —
-    /// the server must not start silently faulty). The worker count
-    /// additionally honours `FLUXCOMP_THREADS` when `workers` resolves
-    /// to 0, via [`ExecPolicy::auto`].
+    /// fault plan is reported on stderr and ignored — the server must
+    /// not start silently faulty). The worker count additionally honours
+    /// `FLUXCOMP_THREADS` when `workers` resolves to 0, via
+    /// [`ExecPolicy::auto`].
     pub fn from_env() -> Self {
         fn num(name: &str, default: usize) -> usize {
             std::env::var(name)
@@ -210,18 +153,6 @@ impl ServeConfig {
                 None
             }
         };
-        let worker_fault = std::env::var("FLUXCOMP_SERVE_WORKER_FAULT")
-            .ok()
-            .and_then(|v| {
-                let parsed = WorkerFault::parse(&v);
-                if parsed.is_none() {
-                    eprintln!(
-                        "fluxcomp-serve: ignoring FLUXCOMP_SERVE_WORKER_FAULT={v:?} \
-                         (expected \"W:K\")"
-                    );
-                }
-                parsed
-            });
         Self {
             addr: std::env::var("FLUXCOMP_SERVE_ADDR").unwrap_or(d.addr),
             workers: num("FLUXCOMP_SERVE_WORKERS", d.workers),
@@ -231,12 +162,6 @@ impl ServeConfig {
             cache_shards: num("FLUXCOMP_SERVE_CACHE_SHARDS", d.cache_shards),
             fix_delay: d.fix_delay,
             fault_plan,
-            quarantine_after: num("FLUXCOMP_SERVE_QUARANTINE_AFTER", d.quarantine_after),
-            quarantine_backoff: Duration::from_millis(num(
-                "FLUXCOMP_SERVE_QUARANTINE_BACKOFF_MS",
-                d.quarantine_backoff.as_millis() as usize,
-            ) as u64),
-            worker_fault,
         }
     }
 
@@ -257,12 +182,11 @@ struct Conn {
 
 impl Conn {
     /// Serialises the response under the write lock so interleaved
-    /// workers never corrupt the frame stream, answering at the
-    /// request's wire version. A peer that hung up is counted, not
-    /// propagated — the job is complete either way.
-    fn send(&self, response: &FixResponse, version: u8) {
+    /// workers never corrupt the frame stream. A peer that hung up is
+    /// counted, not propagated — the job is complete either way.
+    fn send(&self, response: &FixResponse) {
         let mut writer = self.writer.lock().unwrap();
-        if write_response_versioned(&mut *writer, response, version).is_err() {
+        if write_response(&mut *writer, response).is_err() {
             obs::counter_add("serve.write_errors", 1);
         } else {
             obs::counter_add("serve.responses", 1);
@@ -301,9 +225,8 @@ struct Replies {
 }
 
 impl Replies {
-    fn push(&mut self, response: &FixResponse, version: u8) {
-        write_response_versioned(&mut self.frames, response, version)
-            .expect("a response frame fits in memory");
+    fn push(&mut self, response: &FixResponse) {
+        write_response(&mut self.frames, response).expect("a response frame fits in memory");
         self.count += 1;
     }
 }
@@ -313,8 +236,6 @@ impl Replies {
 struct Job {
     conn: Arc<Conn>,
     request: FixRequest,
-    /// Wire version the request arrived at; the response answers at it.
-    version: u8,
     enqueued: Instant,
 }
 
@@ -327,9 +248,6 @@ struct Shared {
     batch_max: usize,
     fix_delay: Duration,
     fault_plan: Option<FaultPlan>,
-    quarantine_after: usize,
-    quarantine_backoff: Duration,
-    worker_fault: Option<WorkerFault>,
     readers: Mutex<Vec<JoinHandle<()>>>,
 }
 
@@ -357,9 +275,6 @@ impl FixServer {
             batch_max: config.batch_max,
             fix_delay: config.fix_delay,
             fault_plan: config.fault_plan.clone(),
-            quarantine_after: config.quarantine_after,
-            quarantine_backoff: config.quarantine_backoff,
-            worker_fault: config.worker_fault,
             readers: Mutex::new(Vec::new()),
             design,
         });
@@ -368,7 +283,7 @@ impl FixServer {
                 let shared = Arc::clone(&shared);
                 thread::Builder::new()
                     .name(format!("fix-worker-{i}"))
-                    .spawn(move || worker_loop(&shared, i))
+                    .spawn(move || worker_loop(&shared))
             })
             .collect::<io::Result<Vec<_>>>()?;
         let acceptor = {
@@ -477,9 +392,9 @@ fn reader_loop(shared: &Shared, conn: &Arc<Conn>, stream: TcpStream) {
         if !frame_buffered(stream.buffer()) {
             conn.flush(&mut replies);
         }
-        let (request, version) = match read_frame_poll(&mut stream, &mut buf, &stop) {
-            Ok(PollRead::Frame(len)) => match FixRequest::decode_versioned(&buf[..len]) {
-                Ok(decoded) => decoded,
+        let request = match read_frame_poll(&mut stream, &mut buf, &stop) {
+            Ok(PollRead::Frame(len)) => match FixRequest::decode_payload(&buf[..len]) {
+                Ok(request) => request,
                 Err(_) => break true,
             },
             Ok(PollRead::Eof) | Ok(PollRead::Stopped) => break false,
@@ -488,37 +403,30 @@ fn reader_loop(shared: &Shared, conn: &Arc<Conn>, stream: TcpStream) {
         obs::counter_add("serve.requests", 1);
         let received = Instant::now();
         if let Some(hit) = cached(shared, &request) {
-            replies.push(&response_for(request.id, &hit, true), version);
+            replies.push(&response_for(request.id, &hit, true));
             record_latency(received, FixQuality::Good);
             continue;
         }
         let job = Job {
             conn: Arc::clone(conn),
             request,
-            version,
             enqueued: received,
         };
         match shared.queue.try_push(job) {
             Ok(()) => obs::gauge_set("serve.queue_depth", shared.queue.len() as f64),
             Err(PushError::Full) => {
                 obs::counter_add("serve.overloaded", 1);
-                replies.push(
-                    &FixResponse::failure(request.id, Status::Overloaded),
-                    version,
-                );
+                replies.push(&FixResponse::failure(request.id, Status::Overloaded));
             }
             Err(PushError::Closed) => {
-                replies.push(
-                    &FixResponse::failure(request.id, Status::ShuttingDown),
-                    version,
-                );
+                replies.push(&FixResponse::failure(request.id, Status::ShuttingDown));
             }
         }
     };
     if malformed {
         // Answer and hang up — framing may be unreliable from here on.
         obs::counter_add("serve.bad_requests", 1);
-        replies.push(&FixResponse::failure(0, Status::BadRequest), WIRE_VERSION);
+        replies.push(&FixResponse::failure(0, Status::BadRequest));
     }
     conn.flush(&mut replies);
 }
@@ -548,73 +456,34 @@ fn cached(shared: &Shared, request: &FixRequest) -> Option<CachedFix> {
     Some(hit)
 }
 
-/// Per-worker mutable state: the reusable scratch, the degraded-mode
-/// tracker (hold-last heading, health policy), the computed-fix count
-/// driving the forced worker fault, and the quarantine trip counter.
-struct WorkerState {
-    index: usize,
-    scratch: MeasureScratch,
-    tracker: DegradedTracker,
-    /// Fixes actually measured by this worker (cache hits excluded,
-    /// quarantine probes included — the forced fault counts them too).
-    computed: u64,
-    consecutive_bad: usize,
-    forced: Option<(FaultPlan, u64)>,
-}
-
-impl WorkerState {
-    fn new(shared: &Shared, index: usize) -> Self {
-        Self {
-            index,
-            scratch: MeasureScratch::for_design(&shared.design),
-            tracker: DegradedTracker::for_design(&shared.design),
-            computed: 0,
-            consecutive_bad: 0,
-            forced: shared
-                .worker_fault
-                .filter(|wf| wf.worker == index)
-                .map(|wf| (wf.plan(), wf.fixes)),
-        }
-    }
-}
-
-/// The fault plan for the worker's next computed fix: the forced worker
-/// fault while it lasts, else the server-wide plan. A free function
-/// over the split-out fields so the caller can hold `&mut` borrows of
-/// the worker's scratch and tracker at the same time.
-fn active_plan<'a>(
-    shared: &'a Shared,
-    forced: &'a Option<(FaultPlan, u64)>,
-    computed: u64,
-) -> Option<&'a FaultPlan> {
-    match forced {
-        Some((plan, fixes)) if computed < *fixes => Some(plan),
-        _ => shared.fault_plan.as_ref(),
-    }
-}
-
-fn worker_loop(shared: &Shared, index: usize) {
-    let mut state = WorkerState::new(shared, index);
+fn worker_loop(shared: &Shared) {
+    // Per-worker mutable state: the reusable scratch and the
+    // degraded-mode tracker (hold-last heading, health policy).
+    let mut scratch = MeasureScratch::for_design(&shared.design);
+    let mut tracker = DegradedTracker::for_design(&shared.design);
     let mut batch: Vec<Job> = Vec::with_capacity(shared.batch_max);
     while shared.queue.pop_batch(shared.batch_max, &mut batch) {
         obs::counter_add("serve.batches", 1);
         obs::histogram_record("serve.batch_size", batch.len() as f64);
         for job in batch.drain(..) {
-            handle_job(shared, &mut state, &job);
+            handle_job(shared, &mut scratch, &mut tracker, &job);
         }
     }
 }
 
-fn handle_job(shared: &Shared, state: &mut WorkerState, job: &Job) {
+fn handle_job(
+    shared: &Shared,
+    scratch: &mut MeasureScratch,
+    tracker: &mut DegradedTracker,
+    job: &Job,
+) {
     let span = obs::span("serve.fix");
     let request = &job.request;
     let deadline = Duration::from_millis(u64::from(request.deadline_ms));
     if request.deadline_ms > 0 && job.enqueued.elapsed() >= deadline {
         obs::counter_add("serve.deadline_exceeded", 1);
-        job.conn.send(
-            &FixResponse::failure(request.id, Status::DeadlineExceeded),
-            job.version,
-        );
+        job.conn
+            .send(&FixResponse::failure(request.id, Status::DeadlineExceeded));
         span.finish();
         return;
     }
@@ -622,10 +491,8 @@ fn handle_job(shared: &Shared, state: &mut WorkerState, job: &Job) {
     // reject it before it reaches the physics (or the cache).
     let Some(key) = FixKey::for_request(request) else {
         obs::counter_add("serve.bad_fields", 1);
-        job.conn.send(
-            &FixResponse::failure(request.id, Status::BadRequest),
-            job.version,
-        );
+        job.conn
+            .send(&FixResponse::failure(request.id, Status::BadRequest));
         span.finish();
         return;
     };
@@ -633,8 +500,7 @@ fn handle_job(shared: &Shared, state: &mut WorkerState, job: &Job) {
         if let Some(hit) = shared.cache.get(&key) {
             obs::counter_add("serve.cache_hits", 1);
             // Only Good fixes are ever inserted, so a hit is Good.
-            job.conn
-                .send(&response_for(request.id, &hit, true), job.version);
+            job.conn.send(&response_for(request.id, &hit, true));
             record_latency(job.enqueued, FixQuality::Good);
             span.finish();
             return;
@@ -644,50 +510,31 @@ fn handle_job(shared: &Shared, state: &mut WorkerState, job: &Job) {
     if !shared.fix_delay.is_zero() {
         thread::sleep(shared.fix_delay);
     }
-    let checked = measure_checked(shared, state, request);
-    state.computed += 1;
+    let checked = measure_checked(shared, scratch, tracker, request);
     let quality = checked.quality;
     match quality {
         FixQuality::Good => {
             obs::counter_add("serve.fix_good", 1);
-            state.consecutive_bad = 0;
             if !request.no_cache {
                 // Degraded/Invalid headings depend on this worker's
                 // hold-last state; only pure Good fixes are shareable.
                 shared.cache.insert(key, cached_fix(&checked));
             }
         }
-        FixQuality::Degraded => {
-            obs::counter_add("serve.fix_degraded", 1);
-            state.consecutive_bad += 1;
-        }
-        FixQuality::Invalid => {
-            obs::counter_add("serve.fix_invalid", 1);
-            state.consecutive_bad += 1;
-        }
+        FixQuality::Degraded => obs::counter_add("serve.fix_degraded", 1),
+        FixQuality::Invalid => obs::counter_add("serve.fix_invalid", 1),
     }
-    job.conn
-        .send(&checked_response(request.id, &checked), job.version);
+    job.conn.send(&checked_response(request.id, &checked));
     record_latency(job.enqueued, quality);
     span.finish();
-    if shared.quarantine_after > 0 && state.consecutive_bad >= shared.quarantine_after {
-        quarantine(shared, state);
-    }
 }
 
 fn measure_checked(
     shared: &Shared,
-    state: &mut WorkerState,
+    scratch: &mut MeasureScratch,
+    tracker: &mut DegradedTracker,
     request: &FixRequest,
 ) -> CheckedReading {
-    let WorkerState {
-        scratch,
-        tracker,
-        computed,
-        forced,
-        ..
-    } = state;
-    let plan = active_plan(shared, forced, *computed);
     let input = match request.field {
         FieldSpec::HeadingTruth(deg) => FixInput::heading(Degrees::new(deg), request.seed),
         FieldSpec::FieldVector { hx, hy } => FixInput::vector(
@@ -696,64 +543,11 @@ fn measure_checked(
             request.seed,
         ),
     };
-    tracker.assess(shared.design.measure(&input, plan, scratch))
-}
-
-/// Pause-and-probe quarantine: rebuild the scratch, reset the tracker,
-/// then probe the reference fix off-queue with exponential backoff. A
-/// `Good` probe is a recovery; exhausting the probe budget re-enters
-/// service provisionally so a plant-wide fault cannot starve the queue.
-fn quarantine(shared: &Shared, state: &mut WorkerState) {
-    let span = obs::span("serve.quarantine");
-    obs::counter_add("serve.worker_quarantines", 1);
-    eprintln!(
-        "fluxcomp-serve: worker {} quarantined after {} consecutive non-good fixes",
-        state.index, state.consecutive_bad
-    );
-    state.scratch = MeasureScratch::for_design(&shared.design);
-    state.tracker.reset();
-    let mut backoff = shared.quarantine_backoff.max(Duration::from_millis(1));
-    for attempt in 0..QUARANTINE_PROBES {
-        if shared.shutting_down.load(Ordering::SeqCst) {
-            break;
-        }
-        thread::sleep(backoff);
-        backoff = (backoff * 2).min(shared.quarantine_backoff.max(Duration::from_millis(1)) * 8);
-        let seed = derive_seed(PROBE_SEED, state.computed.wrapping_add(u64::from(attempt)));
-        let WorkerState {
-            scratch,
-            tracker,
-            computed,
-            forced,
-            ..
-        } = &mut *state;
-        let plan = active_plan(shared, forced, *computed);
-        let probe =
-            shared
-                .design
-                .measure_heading_checked(Degrees::ZERO, seed, scratch, plan, tracker);
-        state.computed += 1;
-        if probe.quality == FixQuality::Good {
-            obs::counter_add("serve.worker_recoveries", 1);
-            eprintln!(
-                "fluxcomp-serve: worker {} recovered after {} probe(s)",
-                state.index,
-                attempt + 1
-            );
-            state.consecutive_bad = 0;
-            span.finish();
-            return;
-        }
-        // A failed probe leaves held state in the tracker; start the
-        // next probe (and any provisional service) clean.
-        state.tracker.reset();
-    }
-    eprintln!(
-        "fluxcomp-serve: worker {} probe budget exhausted, re-entering service provisionally",
-        state.index
-    );
-    state.consecutive_bad = 0;
-    span.finish();
+    tracker.assess(
+        shared
+            .design
+            .measure(&input, shared.fault_plan.as_ref(), scratch),
+    )
 }
 
 fn cached_fix(checked: &CheckedReading) -> CachedFix {

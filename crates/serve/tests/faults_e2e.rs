@@ -1,15 +1,15 @@
 //! End-to-end fault-injection tests over real localhost sockets: fix
 //! quality on the wire, single-axis degraded fixes with bounded
-//! heading error, `Unmeasurable` held headings, worker quarantine and
-//! recovery, negative-zero cache aliasing, non-finite field rejection,
-//! and `Overloaded` retry in the load generator.
+//! heading error, `Unmeasurable` held headings, negative-zero cache
+//! aliasing, non-finite field rejection, and `Overloaded` retry in the
+//! load generator.
 
 use fluxcomp_compass::{CompassConfig, CompassDesign, FixQuality};
 use fluxcomp_faults::{AxisSel, FaultKind, FaultPlan, FaultSpec};
 use fluxcomp_serve::protocol::{
     read_frame, write_request, FieldSpec, FixRequest, FixResponse, ReadFrame, Status,
 };
-use fluxcomp_serve::{loadgen, FixServer, LoadGenConfig, ServeConfig, WorkerFault};
+use fluxcomp_serve::{loadgen, FixServer, LoadGenConfig, ServeConfig};
 use std::net::TcpStream;
 use std::time::Duration;
 
@@ -47,58 +47,64 @@ fn heading_request(id: u64, truth: f64, seed: u64) -> FixRequest {
 #[test]
 fn open_pickup_yields_degraded_fixes_with_bounded_error_never_good_garbage() {
     // A stationary platform (fixed truth) polled repeatedly while the X
-    // pickup goes open 40% of the time: Good fixes stay within the 1°
-    // spec, Degraded fixes fall back to the Y axis anchored at the last
-    // good heading and stay bounded, and a large-error fix is never
-    // flagged Good.
-    let truth = 77.0;
-    let plan = FaultPlan::new(0xE2E1).with(FaultSpec {
-        kind: FaultKind::OpenPickup,
-        axis: AxisSel::X,
-        rate: 0.4,
-    });
-    let mut server = FixServer::start(
-        design(),
-        ServeConfig {
-            workers: 1,
-            cache_capacity: 0,
-            fault_plan: Some(plan),
-            quarantine_after: 0,
-            ..ServeConfig::default()
-        },
-    )
-    .unwrap();
-    let mut stream = connect(&server);
-    let mut degraded = 0;
-    let mut good = 0;
-    for k in 0..40u64 {
-        let response = round_trip(&mut stream, &heading_request(k, truth, 9000 + k));
-        let error = {
-            let d = (response.heading - truth).abs() % 360.0;
-            d.min(360.0 - d)
-        };
-        match response.quality {
-            FixQuality::Good => {
-                assert_eq!(response.status, Status::Ok);
-                assert!(error <= 1.0, "fix {k}: Good fix with {error:.2}° error");
-                good += 1;
-            }
-            FixQuality::Degraded => {
-                assert_eq!(response.status, Status::Ok);
-                assert!(
-                    error <= 5.0,
-                    "fix {k}: Degraded fix error {error:.2}° is unbounded"
-                );
-                degraded += 1;
-            }
-            FixQuality::Invalid => {
-                assert_eq!(response.status, Status::Unmeasurable);
+    // pickup goes open on a share of fixes: Good fixes stay within the
+    // 1° spec, Degraded fixes fall back to the Y axis anchored at the
+    // last good heading and stay bounded, and a large-error fix is never
+    // flagged Good. At 40% every fix is bounded; at 90% the fixes before
+    // the first Good one have no anchor yet, so the bound starts there.
+    for (truth, rate, fixes, bounded_from_start) in
+        [(77.0, 0.4, 40u64, true), (150.0, 0.9, 80, false)]
+    {
+        let plan = FaultPlan::new(0xE2E1).with(FaultSpec {
+            kind: FaultKind::OpenPickup,
+            axis: AxisSel::X,
+            rate,
+        });
+        let mut server = FixServer::start(
+            design(),
+            ServeConfig {
+                workers: 1,
+                cache_capacity: 0,
+                fault_plan: Some(plan),
+                ..ServeConfig::default()
+            },
+        )
+        .unwrap();
+        let mut stream = connect(&server);
+        let mut degraded = 0;
+        let mut good = 0;
+        for k in 0..fixes {
+            let response = round_trip(&mut stream, &heading_request(k, truth, 9000 + k));
+            let error = {
+                let d = (response.heading - truth).abs() % 360.0;
+                d.min(360.0 - d)
+            };
+            match response.quality {
+                FixQuality::Good => {
+                    assert_eq!(response.status, Status::Ok);
+                    assert!(
+                        error <= 1.0,
+                        "{truth}° fix {k}: Good fix with {error:.2}° error"
+                    );
+                    good += 1;
+                }
+                FixQuality::Degraded => {
+                    assert_eq!(response.status, Status::Ok);
+                    assert!(
+                        error <= 5.0 || !(bounded_from_start || good > 0),
+                        "{truth}° fix {k}: Degraded fix error {error:.2}° is unbounded"
+                    );
+                    degraded += 1;
+                }
+                FixQuality::Invalid => {
+                    assert_eq!(response.status, Status::Unmeasurable);
+                }
             }
         }
+        assert!(good >= 1, "rate {rate}: some fixes must stay Good");
+        assert!(degraded >= 1, "rate {rate}: some fixes must degrade");
+        server.shutdown();
     }
-    assert!(good >= 1, "a 40% fault rate must leave some Good fixes");
-    assert!(degraded >= 1, "a 40% fault rate must degrade some fixes");
-    server.shutdown();
 }
 
 #[test]
@@ -116,7 +122,6 @@ fn dual_axis_fault_answers_unmeasurable_with_held_heading() {
         ServeConfig {
             workers: 1,
             fault_plan: Some(plan),
-            quarantine_after: 0,
             ..ServeConfig::default()
         },
     )
@@ -138,60 +143,6 @@ fn dual_axis_fault_answers_unmeasurable_with_held_heading() {
         );
     }
     server.shutdown();
-}
-
-#[test]
-fn faulty_worker_quarantines_probes_and_recovers() {
-    // Worker 0 serves its first 8 computed fixes with a stuck-low X
-    // comparator. After 4 consecutive non-Good fixes it quarantines,
-    // rebuilds its scratch and probes; the probes burn through the
-    // remaining forced-fault fixes, so recovery happens inside the
-    // first quarantine and all later fixes are Good.
-    let session = fluxcomp_obs::init_for_test();
-    let mut server = FixServer::start(
-        design(),
-        ServeConfig {
-            workers: 1,
-            cache_capacity: 0,
-            quarantine_after: 4,
-            quarantine_backoff: Duration::from_millis(1),
-            worker_fault: Some(WorkerFault {
-                worker: 0,
-                fixes: 8,
-            }),
-            ..ServeConfig::default()
-        },
-    )
-    .unwrap();
-    let mut stream = connect(&server);
-    let mut qualities = Vec::new();
-    for k in 0..12u64 {
-        let response = round_trip(&mut stream, &heading_request(k, 200.0, 500 + k));
-        qualities.push(response.quality);
-    }
-    server.shutdown();
-    let profile = session.profile().expect("recorder installed");
-    fluxcomp_obs::uninstall();
-    for (k, quality) in qualities.iter().take(4).enumerate() {
-        assert_ne!(
-            *quality,
-            FixQuality::Good,
-            "fix {k} was served by the forced-faulty worker"
-        );
-    }
-    assert_eq!(
-        qualities.last(),
-        Some(&FixQuality::Good),
-        "the recovered worker must serve Good fixes again"
-    );
-    assert!(
-        profile.counter("serve.worker_quarantines") >= Some(1),
-        "quarantine must have been entered"
-    );
-    assert!(
-        profile.counter("serve.worker_recoveries") >= Some(1),
-        "the probe must have recovered the worker"
-    );
 }
 
 #[test]

@@ -1,12 +1,12 @@
 //! Property tests driving hostile inputs through the wire protocol:
-//! random bytes, truncated frames, oversized length prefixes, future
+//! random bytes, truncated frames, oversized length prefixes, unsupported
 //! version bytes, and reserved flag bits. The invariant throughout is
 //! **no panic, typed error** — a byte stream can make the decoder
 //! refuse, never crash or mis-parse.
 
 use fluxcomp_serve::protocol::{
-    read_frame, write_frame, FieldSpec, FixRequest, FixResponse, ProtocolError, ReadFrame,
-    MAX_FRAME, MIN_WIRE_VERSION, REQUEST_LEN_VECTOR, REQUEST_TAG, WIRE_VERSION,
+    read_frame, write_frame, FieldSpec, FixRequest, FixResponse, ProtocolError, ReadFrame, Status,
+    MAX_FRAME, REQUEST_LEN_VECTOR, REQUEST_TAG, RESPONSE_LEN, WIRE_VERSION,
 };
 use proptest::prelude::*;
 use std::io::Cursor;
@@ -48,14 +48,10 @@ proptest! {
     fn payload_decoders_never_panic_and_accepted_requests_round_trip(
         bytes in prop::collection::vec(any::<u8>(), 0..64)
     ) {
-        if let Ok((request, version)) = FixRequest::decode_versioned(&bytes) {
+        if let Ok(request) = FixRequest::decode_payload(&bytes) {
             let mut buf = [0u8; REQUEST_LEN_VECTOR];
             let len = request.encode_payload(&mut buf);
-            // Re-encoding writes the current version; splice the
-            // original's version byte back before comparing.
-            let mut reencoded = buf[..len].to_vec();
-            reencoded[1] = version;
-            prop_assert_eq!(&reencoded[..], &bytes[..len]);
+            prop_assert_eq!(&buf[..len], &bytes[..len]);
         }
         let _ = FixResponse::decode_payload(&bytes);
     }
@@ -94,27 +90,36 @@ proptest! {
         prop_assert_eq!(*proto, ProtocolError::FrameTooLarge { got: len as usize });
     }
 
-    /// Future protocol versions are a typed BadVersion, not a guess at
-    /// the layout.
+    /// Every version byte other than WIRE_VERSION — older and newer
+    /// alike — is a typed BadVersion from both payload decoders, not a
+    /// guess at the layout.
     #[test]
-    fn future_versions_are_rejected_typed(version in (WIRE_VERSION + 1)..=u8::MAX) {
+    fn unsupported_versions_are_rejected_typed(version in any::<u8>()) {
+        prop_assume!(version != WIRE_VERSION);
         let payload = valid_request_payload(123.0, version);
         prop_assert_eq!(
-            FixRequest::decode_versioned(&payload),
+            FixRequest::decode_payload(&payload),
+            Err(ProtocolError::BadVersion { got: version })
+        );
+        let mut response = [0u8; RESPONSE_LEN];
+        FixResponse::failure(77, Status::Overloaded).encode_payload(&mut response);
+        response[1] = version;
+        prop_assert_eq!(
+            FixResponse::decode_payload(&response),
             Err(ProtocolError::BadVersion { got: version })
         );
     }
 
     /// Reserved request flag bits (anything beyond FIELD_VECTOR and
-    /// NO_CACHE) are a typed BadFlags at every supported version.
+    /// NO_CACHE) are a typed BadFlags.
     #[test]
-    fn reserved_flag_bits_are_rejected_typed(bit in 2u32..16, version in MIN_WIRE_VERSION..=WIRE_VERSION) {
-        let mut payload = valid_request_payload(45.0, version);
+    fn reserved_flag_bits_are_rejected_typed(bit in 2u32..16) {
+        let mut payload = valid_request_payload(45.0, WIRE_VERSION);
         let mut flags = u16::from_le_bytes([payload[2], payload[3]]);
         flags |= 1 << bit;
         payload[2..4].copy_from_slice(&flags.to_le_bytes());
         prop_assert_eq!(
-            FixRequest::decode_versioned(&payload),
+            FixRequest::decode_payload(&payload),
             Err(ProtocolError::BadFlags { got: flags })
         );
     }
@@ -127,7 +132,7 @@ proptest! {
         let mut payload = valid_request_payload(heading, WIRE_VERSION);
         payload[0] = tag;
         prop_assert_eq!(
-            FixRequest::decode_versioned(&payload),
+            FixRequest::decode_payload(&payload),
             Err(ProtocolError::BadTag { got: tag })
         );
     }

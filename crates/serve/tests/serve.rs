@@ -6,6 +6,7 @@
 use fluxcomp_compass::{CompassConfig, CompassDesign, MeasureScratch};
 use fluxcomp_serve::protocol::{
     read_frame, write_request, FieldSpec, FixRequest, FixResponse, ReadFrame, Status,
+    REQUEST_LEN_VECTOR,
 };
 use fluxcomp_serve::{loadgen, FixServer, LoadGenConfig, ServeConfig};
 use fluxcomp_units::angle::Degrees;
@@ -250,21 +251,34 @@ fn expired_deadline_yields_deadline_exceeded_not_a_stale_fix() {
 #[test]
 fn malformed_frame_gets_bad_request_then_close() {
     let mut server = FixServer::start(design(), test_config()).unwrap();
-    let mut stream = connect(&server);
-    // Valid length prefix, garbage payload.
-    let garbage = [0xffu8; 24];
-    stream
-        .write_all(&(garbage.len() as u32).to_le_bytes())
-        .unwrap();
-    stream.write_all(&garbage).unwrap();
-    let response = read_one(&mut stream);
-    assert_eq!(response.status, Status::BadRequest);
-    // The server hangs up after a protocol violation.
-    let mut buf = Vec::new();
-    assert!(matches!(
-        read_frame(&mut stream, &mut buf),
-        Ok(ReadFrame::Eof) | Err(_)
-    ));
+    // A well-formed request tagged with protocol version 1, which this
+    // server does not speak.
+    let mut v1 = [0u8; REQUEST_LEN_VECTOR];
+    let len = FixRequest {
+        id: 3,
+        seed: 4,
+        deadline_ms: 0,
+        no_cache: false,
+        field: FieldSpec::HeadingTruth(42.0),
+    }
+    .encode_payload(&mut v1);
+    v1[1] = 1;
+    // Valid length prefix, garbage payload; then the v1 frame.
+    for payload in [&[0xffu8; 24][..], &v1[..len]] {
+        let mut stream = connect(&server);
+        stream
+            .write_all(&(payload.len() as u32).to_le_bytes())
+            .unwrap();
+        stream.write_all(payload).unwrap();
+        let response = read_one(&mut stream);
+        assert_eq!(response.status, Status::BadRequest);
+        // The server hangs up after a protocol violation.
+        let mut buf = Vec::new();
+        assert!(matches!(
+            read_frame(&mut stream, &mut buf),
+            Ok(ReadFrame::Eof) | Err(_)
+        ));
+    }
     server.shutdown();
 }
 
