@@ -75,10 +75,10 @@ fn bench(c: &mut Criterion) {
     });
 
     // The accuracy scan on the sweep engine: 1440 microsecond-scale
-    // CORDIC tasks per scan, so chunked self-scheduling (not task
-    // granularity) decides whether the pool pays off.
+    // CORDIC tasks per scan, so the pool's grab size (not task
+    // granularity) decides whether it pays off.
     let serial = ExecPolicy::serial();
-    let auto = ExecPolicy::auto().with_chunk(64);
+    let auto = ExecPolicy::auto();
     group.bench_function("accuracy_scan_1440_serial", |b| {
         b.iter(|| black_box(worst_error_par(black_box(8), 2096.0, &serial)))
     });

@@ -109,7 +109,7 @@ fn bench(c: &mut Criterion) {
 
     // The 360-point tilt scan on the sweep engine, serial vs pooled.
     let serial = ExecPolicy::serial();
-    let auto = ExecPolicy::auto().with_chunk(16);
+    let auto = ExecPolicy::auto();
     group.bench_function("tilt_scan_360_serial", |b| {
         b.iter(|| black_box(worst_tilt_error(&field, att, 360, &serial)))
     });

@@ -234,7 +234,8 @@ impl DegradedTracker {
         self.held_fixes
     }
 
-    /// Clears the anchor (e.g. after a worker scratch rebuild).
+    /// Clears the anchor and the held-fix count, so the next fix is
+    /// scored as the first of a fresh run (e.g. a new sweep pass).
     pub fn reset(&mut self) {
         self.last_good = None;
         self.held_fixes = 0;

@@ -8,8 +8,8 @@
 //! [`ExecPolicy`] argument selects and folds the ordered per-heading
 //! errors into [`AccuracyStats`] on the calling thread. The fold order
 //! never depends on scheduling, which makes the statistics bit-identical
-//! at any thread count — `ExecPolicy::Serial` and
-//! `ExecPolicy::Parallel { .. }` are the same computation at different
+//! at any thread count — `ExecPolicy::serial()` and
+//! `ExecPolicy::parallel(n)` are the same computation at different
 //! speeds.
 
 use crate::system::{CompassDesign, FixInput, MeasureScratch};
@@ -175,7 +175,7 @@ mod tests {
         let design = CompassDesign::new(CompassConfig::paper_design()).unwrap();
         let serial = sweep_headings(&design, 24, &ExecPolicy::serial());
         for threads in [2, 4, 8] {
-            let par = sweep_headings(&design, 24, &ExecPolicy::with_threads(threads));
+            let par = sweep_headings(&design, 24, &ExecPolicy::parallel(threads));
             assert_eq!(serial, par, "at {threads} threads");
             assert_eq!(
                 serial.rms_error.value().to_bits(),
@@ -187,7 +187,7 @@ mod tests {
     #[test]
     fn traced_sweep_matches_fast_sweep_bitwise() {
         let design = CompassDesign::new(CompassConfig::paper_design()).unwrap();
-        for policy in [ExecPolicy::serial(), ExecPolicy::with_threads(2)] {
+        for policy in [ExecPolicy::serial(), ExecPolicy::parallel(2)] {
             let fast = sweep_headings(&design, 16, &policy);
             let traced = sweep_headings_traced(&design, 16, &policy);
             assert_eq!(fast.samples, traced.samples);
@@ -239,7 +239,7 @@ mod tests {
         // ... yet the whole study is reproducible, serial or parallel.
         let again = repeat_heading(&design, Degrees::new(30.0), 8, &policy);
         assert_eq!(errs, again);
-        let par = repeat_heading(&design, Degrees::new(30.0), 8, &ExecPolicy::with_threads(4));
+        let par = repeat_heading(&design, Degrees::new(30.0), 8, &ExecPolicy::parallel(4));
         assert_eq!(errs, par);
     }
 

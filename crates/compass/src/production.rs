@@ -16,7 +16,7 @@
 use crate::config::CompassConfig;
 use crate::selftest::{run_self_test, SelfTestReport};
 use crate::system::CompassDesign;
-use fluxcomp_exec::{par_map, ExecPolicy};
+use fluxcomp_exec::{par_map_range, ExecPolicy};
 use fluxcomp_mcm::diagnosis::diagnose_module;
 use fluxcomp_mcm::interconnect_test::InterconnectTester;
 use fluxcomp_mcm::substrate::{Fault, McmAssembly};
@@ -127,8 +127,8 @@ pub fn production_test_batch(
     modules: &[(McmAssembly, CompassConfig)],
     policy: &ExecPolicy,
 ) -> Vec<ProductionResult> {
-    par_map(policy, modules, |_, (assembly, config)| {
-        production_test(assembly, config)
+    par_map_range(policy, modules.len(), |k| {
+        production_test(&modules[k].0, &modules[k].1)
     })
 }
 
@@ -206,7 +206,7 @@ mod tests {
         let serial: Vec<ProductionResult> =
             batch.iter().map(|(a, c)| production_test(a, c)).collect();
         for threads in [1, 4] {
-            let par = production_test_batch(&batch, &ExecPolicy::with_threads(threads));
+            let par = production_test_batch(&batch, &ExecPolicy::parallel(threads));
             assert_eq!(serial, par, "at {threads} threads");
         }
         assert!(serial[0].shipped());

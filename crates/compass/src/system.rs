@@ -199,9 +199,11 @@ impl CompassDesign {
     /// One fix: both axes measured through a caller-owned scratch on the
     /// fast path (under `plan`, if any), then the CORDIC fold.
     ///
-    /// This is the one fix entry point; every other `measure_*` method
-    /// forwards to it. The detector output of each axis is fed straight
-    /// into the up/down counter via the precomputed [`ClockSchedule`] —
+    /// This is the one fast-path fix entry point; every other
+    /// `measure_*` method but the diagnostic
+    /// [`measure_traced`](Self::measure_traced) forwards to it. The
+    /// detector output of each axis is fed straight into the up/down
+    /// counter via the precomputed [`ClockSchedule`] —
     /// no waveform traces, no detector-sample buffer, no clock-domain
     /// resampling pass — and the output is bit-identical to
     /// [`measure_traced`](Self::measure_traced). Which faults strike is a
@@ -214,25 +216,6 @@ impl CompassDesign {
     /// counter output is **−count ∝ H**; the CORDIC fold flips the sign —
     /// the "and vice versa" wiring the paper mentions for the detector
     /// polarity.
-    ///
-    /// The entry points this one replaced, and the call that gives the
-    /// same bits (`d` a design, `s` a seed, `t` a true heading, `h` one
-    /// axis's field in its `hx` or `hy` slot, `scratch` any
-    /// [`MeasureScratch`]; a single axis is the `.x` or `.y` of the fix):
-    ///
-    /// | removed | call instead |
-    /// |---|---|
-    /// | `d.measure_axis(axis, t)` | `d.measure_heading(t).x` / `.y` |
-    /// | `d.measure_axis_seeded(axis, t, s)` | `d.measure(&FixInput::heading(t, s), None, &mut MeasureScratch::for_design(&d)).x` |
-    /// | `d.measure_axis_scratch(axis, t, s, scratch)` | `d.measure(&FixInput::heading(t, s), None, scratch).x` |
-    /// | `d.measure_axis_field_scratch(axis, h, s, scratch)` | `d.measure(&FixInput::vector(hx, hy, s), None, scratch).x` |
-    /// | `d.measure_axis_traced(axis, t, s)` | `d.measure_traced(&FixInput::heading(t, s)).x` |
-    /// | `d.measure_heading_seeded(t, s)` | `d.measure(&FixInput::heading(t, s), None, &mut MeasureScratch::for_design(&d))` |
-    /// | `d.measure_heading_traced(t, s)` | `d.measure_traced(&FixInput::heading(t, s))` |
-    /// | `d.measure_axis_field_scratch_faulted(axis, h, s, scratch, plan)` | `d.measure(&FixInput::vector(hx, hy, s), Some(plan), scratch).x` |
-    /// | `d.measure_heading_scratch_faulted(t, s, scratch, plan)` | `d.measure(&FixInput::heading(t, s), Some(plan), scratch)` |
-    /// | `d.measure_field_scratch_faulted(hx, hy, s, scratch, plan)` | `d.measure(&FixInput::vector(hx, hy, s), Some(plan), scratch)` |
-    /// | `Compass::measure_axis(axis, t)` | `compass.design().measure_heading(t).x` |
     pub fn measure(
         &self,
         input: &FixInput,

@@ -235,7 +235,7 @@ mod tests {
                 &enschede(),
                 tilt,
                 360,
-                &fluxcomp_exec::ExecPolicy::with_threads(threads),
+                &fluxcomp_exec::ExecPolicy::parallel(threads),
             );
             assert_eq!(serial.value().to_bits(), par.value().to_bits());
         }

@@ -7,11 +7,12 @@
 //! *independent* scenarios of the same immutable design. This crate
 //! turns that shape into throughput without giving up reproducibility:
 //!
-//! * [`par_map`] / [`par_map_range`] fan tasks out over a scoped
-//!   `std::thread` worker pool (no dependencies, no global state) and
-//!   collect results **in task order**, so any pure task function
-//!   produces output bit-for-bit identical to a serial loop at every
-//!   worker count;
+//! * [`par_map_range`] / [`par_map_range_scratch`] fan the tasks `0..n`
+//!   out over a scoped `std::thread` worker pool (no dependencies, no
+//!   global state) and collect results **in task order**, so any pure
+//!   task function produces output bit-for-bit identical to a serial
+//!   loop at every worker count; [`ExecPolicy`] is just that worker
+//!   count;
 //! * [`seed::derive_seed`] gives each task its own statistically
 //!   independent RNG seed from a base seed and the task index, so even
 //!   randomised workloads (Monte-Carlo, noise studies) stay bit-exact
@@ -23,10 +24,10 @@
 //!
 //! ## The determinism contract
 //!
-//! For any `f` that is a pure function of `(index, item)`:
+//! For any `f` that is a pure function of the task index `k`:
 //!
 //! ```text
-//! par_map(policy, items, f) == items.iter().enumerate().map(f)   for every policy
+//! par_map_range(policy, n, f) == (0..n).map(f)   for every policy
 //! ```
 //!
 //! Randomised tasks keep the contract by seeding from
@@ -39,6 +40,6 @@ pub mod pool;
 pub mod seed;
 pub mod stats;
 
-pub use pool::{par_map, par_map_range, par_map_range_scratch, par_map_scratch, ExecPolicy};
+pub use pool::{par_map_range, par_map_range_scratch, ExecPolicy};
 pub use seed::{derive_seed, unit_f64};
 pub use stats::{SortedSamples, StreamStats};

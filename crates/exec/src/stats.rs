@@ -9,7 +9,7 @@
 //! sort once, answer many.
 //!
 //! Determinism note: `push` is always driven in task-index order over
-//! the ordered output of `exec::par_map`, so the floating-point
+//! the ordered output of `exec::par_map_range`, so the floating-point
 //! accumulation order — and every rounded bit of the derived statistics
 //! — is identical to a serial loop.
 

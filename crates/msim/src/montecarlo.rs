@@ -187,7 +187,7 @@ mod tests {
                 &tol,
                 500,
                 0xC0FFEE,
-                &ExecPolicy::with_threads(threads),
+                &ExecPolicy::parallel(threads),
                 eval,
                 |m| m > 1.0,
             );

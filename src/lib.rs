@@ -14,8 +14,10 @@
 //! * [`units`] — physical quantities, angles, fixed-point formats
 //! * [`obs`] — the observability layer (spans, counters, gauges,
 //!   histograms; zero-cost no-op unless a recorder is installed)
-//! * [`exec`] — the deterministic parallel sweep engine (scoped worker
-//!   pool, per-task seed derivation, streaming statistics)
+//! * [`exec`] — the deterministic parallel sweep engine (one ordered
+//!   map over `0..n` on a scoped worker pool, an
+//!   [`ExecPolicy`](exec::ExecPolicy) that is just a thread count,
+//!   per-task seed derivation, streaming statistics)
 //! * [`msim`] — the mixed-signal (analogue + event-driven digital)
 //!   simulation kernel standing in for Anacad ELDO
 //! * [`fluxgate`] — sensor physics (saturable core, pickup EMF, earth field)

@@ -1,6 +1,7 @@
 //! The determinism contract of the sweep engine: every unified entry
 //! point must produce results that are **bit-for-bit identical** under
-//! `ExecPolicy::Serial` and `ExecPolicy::Parallel` at any worker count.
+//! `ExecPolicy::serial()` and `ExecPolicy::parallel(n)` at any worker
+//! count.
 //! This is what makes regression artefacts diffable across machines and
 //! CI runners.
 //!
@@ -21,9 +22,9 @@ use fluxcomp::units::Degrees;
 fn policies() -> Vec<ExecPolicy> {
     vec![
         ExecPolicy::serial(),
-        ExecPolicy::with_threads(1),
-        ExecPolicy::with_threads(2),
-        ExecPolicy::with_threads(3).with_chunk(1),
+        ExecPolicy::parallel(1),
+        ExecPolicy::parallel(2),
+        ExecPolicy::parallel(3),
         ExecPolicy::auto(),
     ]
 }
@@ -151,7 +152,7 @@ fn fast_path_matches_traced_path_bitwise() {
     // for bit, serial and parallel.
     let design = CompassDesign::new(CompassConfig::paper_design()).expect("valid design");
     let reference = sweep_headings_traced(&design, 24, &ExecPolicy::serial());
-    for policy in [ExecPolicy::serial(), ExecPolicy::with_threads(2)] {
+    for policy in [ExecPolicy::serial(), ExecPolicy::parallel(2)] {
         let fast = sweep_headings(&design, 24, &policy);
         assert_stats_bitwise(
             &fast,
@@ -203,7 +204,7 @@ fn env_thread_override_does_not_change_results() {
     let design = CompassDesign::new(CompassConfig::paper_design()).expect("valid design");
     let reference = sweep_headings(&design, 24, &ExecPolicy::serial());
     for threads in [1, 2, 4, 7, 16] {
-        let got = sweep_headings(&design, 24, &ExecPolicy::with_threads(threads));
+        let got = sweep_headings(&design, 24, &ExecPolicy::parallel(threads));
         assert_stats_bitwise(&got, &reference, &format!("{threads} explicit threads"));
     }
 }
@@ -215,11 +216,11 @@ fn recording_does_not_perturb_results() {
     // and the recorder must actually have seen the work.
     let design = CompassDesign::new(CompassConfig::paper_design()).expect("valid design");
     let quiet_serial = sweep_headings(&design, 24, &ExecPolicy::serial());
-    let quiet_par = sweep_headings(&design, 24, &ExecPolicy::with_threads(4));
+    let quiet_par = sweep_headings(&design, 24, &ExecPolicy::parallel(4));
 
     let session = fluxcomp::obs::init_scoped_for_test();
     let loud_serial = sweep_headings(&design, 24, &ExecPolicy::serial());
-    let loud_par = sweep_headings(&design, 24, &ExecPolicy::with_threads(4));
+    let loud_par = sweep_headings(&design, 24, &ExecPolicy::parallel(4));
     let profile = session.profile().expect("recorder installed");
 
     assert_stats_bitwise(&loud_serial, &quiet_serial, "recorded serial sweep");
