@@ -1,15 +1,15 @@
-//! Validates benchmark artefacts (`BENCH_sweep.json`, `BENCH_serve.json`)
-//! against the flat schema `write_bench_json` promises: one JSON object,
-//! an `experiment` string, and otherwise only finite numeric fields.
+//! Validates benchmark artefacts (`BENCH_faults.json`) against the flat
+//! schema `write_bench_json` promises: one JSON object, an `experiment`
+//! string, and otherwise only finite numeric fields.
 //!
 //! ```text
 //! cargo run -p fluxcomp-bench --example validate_bench_json -- \
-//!     BENCH_sweep.json BENCH_serve.json
+//!     BENCH_faults.json
 //! ```
 //!
 //! Exits nonzero on the first violation, naming the file and field. An
 //! optional `expect=NAME` argument after a file path pins the expected
-//! experiment id (`BENCH_serve.json expect=e12_serve`).
+//! experiment id (`BENCH_faults.json expect=e13_faults`).
 
 use fluxcomp_obs::json::{parse, Value};
 use std::process::ExitCode;

@@ -1,7 +1,8 @@
 //! # fluxcomp-bench
 //!
 //! Shared helpers for the benchmark harness. Each bench target under
-//! `benches/` regenerates one experiment from `DESIGN.md` (E1..E10):
+//! `benches/` regenerates one experiment from `DESIGN.md` (E1..E10,
+//! E13, X1..X3):
 //! it first **prints the table/series the paper's figure or claim
 //! corresponds to** (so `cargo bench` output doubles as the experiment
 //! log recorded in `EXPERIMENTS.md`) and then times the computational

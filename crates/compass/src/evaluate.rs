@@ -94,8 +94,8 @@ pub fn sweep_headings(design: &CompassDesign, n: usize, policy: &ExecPolicy) -> 
 
 /// [`sweep_headings`] on the diagnostic tier: every fix records the full
 /// waveform set before integrating the counter. Same statistics, bit for
-/// bit — this is the cross-check the determinism suite and the `e11`
-/// benchmark run against the fast path.
+/// bit — this is the cross-check the determinism suite runs against
+/// the fast path.
 ///
 /// # Panics
 ///

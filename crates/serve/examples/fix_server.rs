@@ -38,7 +38,7 @@ fn main() {
             // typed cause for the operator.
             eprintln!(
                 "fix_server: config rejected (wire status: {}): {error}",
-                Status::for_build_error(&error)
+                Status::InvalidConfig
             );
             std::process::exit(2);
         }

@@ -41,11 +41,12 @@
 //!
 //! Failure responses ([`Status::Overloaded`] and friends) carry zeros in
 //! the measurement fields. [`Status::Unmeasurable`] is the one
-//! exception: the fix ran but failed its health checks, and the heading
-//! field carries the worker's held last-good heading (duties/counts
-//! zero, quality [`FixQuality::Invalid`]).
+//! exception: the fix ran but failed its health checks, so the heading
+//! field carries the worker's held last-good heading, the duty and
+//! count fields carry the fix's raw evidence, and the quality is
+//! [`FixQuality::Invalid`].
 
-use fluxcomp_compass::{BuildError, FixQuality};
+use fluxcomp_compass::FixQuality;
 use std::error::Error;
 use std::fmt;
 use std::io::{self, Read, Write};
@@ -148,7 +149,8 @@ pub enum Status {
     InvalidConfig = 5,
     /// The fix was computed but failed its health checks on both axes:
     /// the heading field carries the worker's held last-good heading
-    /// with zero confidence. Never cached, never `Ok`-flagged.
+    /// with zero confidence, the duty and count fields the fix's raw
+    /// evidence. Never cached, never `Ok`-flagged.
     Unmeasurable = 6,
 }
 
@@ -165,13 +167,6 @@ impl Status {
             6 => Status::Unmeasurable,
             other => return Err(ProtocolError::BadStatus { got: other }),
         })
-    }
-
-    /// The wire status a server should report when its compass
-    /// configuration fails to build. Every [`BuildError`] maps to
-    /// [`Status::InvalidConfig`]; the typed cause stays server-side.
-    pub fn for_build_error(_error: &BuildError) -> Self {
-        Status::InvalidConfig
     }
 }
 
@@ -195,7 +190,9 @@ impl fmt::Display for Status {
 pub struct FixResponse {
     /// The request id this answers.
     pub id: u64,
-    /// Outcome; measurement fields are zero unless [`Status::Ok`].
+    /// Outcome. Measurement fields are zero unless [`Status::Ok`] or
+    /// [`Status::Unmeasurable`] (held heading plus raw duty/count
+    /// evidence).
     pub status: Status,
     /// Served from the fix cache.
     pub cache_hit: bool,

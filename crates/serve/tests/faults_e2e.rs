@@ -4,12 +4,13 @@
 //! aliasing, non-finite field rejection, and `Overloaded` retry in the
 //! load generator.
 
-use fluxcomp_compass::{CompassConfig, CompassDesign, FixQuality};
+use fluxcomp_compass::{CompassConfig, CompassDesign, FixInput, FixQuality, MeasureScratch};
 use fluxcomp_faults::{AxisSel, FaultKind, FaultPlan, FaultSpec};
 use fluxcomp_serve::protocol::{
     read_frame, write_request, FieldSpec, FixRequest, FixResponse, ReadFrame, Status,
 };
 use fluxcomp_serve::{loadgen, FixServer, LoadGenConfig, ServeConfig};
+use fluxcomp_units::angle::Degrees;
 use std::net::TcpStream;
 use std::time::Duration;
 
@@ -117,11 +118,13 @@ fn dual_axis_fault_answers_unmeasurable_with_held_heading() {
         axis: AxisSel::Both,
         rate: 1.0,
     });
+    let design = design();
+    let mut scratch = MeasureScratch::for_design(&design);
     let mut server = FixServer::start(
-        design(),
+        design.clone(),
         ServeConfig {
             workers: 1,
-            fault_plan: Some(plan),
+            fault_plan: Some(plan.clone()),
             ..ServeConfig::default()
         },
     )
@@ -133,6 +136,25 @@ fn dual_axis_fault_answers_unmeasurable_with_held_heading() {
             ..heading_request(k, 120.0, 100 + k)
         };
         let response = round_trip(&mut stream, &request);
+        // The heading is held, but the duty and count fields carry the
+        // failed fix's raw evidence, bit for bit.
+        let direct = design.measure(
+            &FixInput::heading(Degrees::new(120.0), 100 + k),
+            Some(&plan),
+            &mut scratch,
+        );
+        assert_eq!(
+            response.duty_x.to_bits(),
+            direct.x.duty.to_bits(),
+            "fix {k}"
+        );
+        assert_eq!(
+            response.duty_y.to_bits(),
+            direct.y.duty.to_bits(),
+            "fix {k}"
+        );
+        assert_eq!(response.count_x, direct.x.count, "fix {k}");
+        assert_eq!(response.count_y, direct.y.count, "fix {k}");
         assert_eq!(response.status, Status::Unmeasurable, "fix {k}");
         assert_eq!(response.quality, FixQuality::Invalid, "fix {k}");
         assert!(!response.cache_hit, "fix {k}: Invalid fixes must not cache");

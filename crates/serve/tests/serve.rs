@@ -52,8 +52,18 @@ fn served_heading_fix_is_bit_identical_to_direct_measurement() {
     let mut scratch = MeasureScratch::for_design(&design);
     let mut server = FixServer::start(design.clone(), test_config()).unwrap();
     let mut stream = connect(&server);
-    for (i, truth) in [0.0, 33.0, 123.0, 287.25, 359.0].into_iter().enumerate() {
-        let seed = 1000 + i as u64;
+    for (i, (truth, seed)) in [
+        (0.0, 1000),
+        (33.0, 1001),
+        (77.5, 0xE13),
+        (123.0, 1002),
+        (251.25, 0xE15),
+        (287.25, 1003),
+        (359.0, 1004),
+    ]
+    .into_iter()
+    .enumerate()
+    {
         let request = FixRequest {
             id: i as u64,
             seed,
@@ -86,38 +96,42 @@ fn served_field_vector_fix_matches_direct_and_no_cache_recomputes() {
     let mut scratch = MeasureScratch::for_design(&design);
     let mut server = FixServer::start(design.clone(), test_config()).unwrap();
     let mut stream = connect(&server);
-    let (hx, hy) = design.axial_fields(Degrees::new(123.0));
-    let direct = design.measure_field_scratch(hx, hy, 7, &mut scratch);
-    let request = FixRequest {
-        id: 40,
-        seed: 7,
-        deadline_ms: 0,
-        no_cache: true,
-        field: FieldSpec::FieldVector {
-            hx: hx.value(),
-            hy: hy.value(),
-        },
-    };
-    for _ in 0..2 {
-        let response = round_trip(&mut stream, &request);
-        assert_eq!(response.status, Status::Ok);
-        // no_cache never reports a hit and never populates the cache.
-        assert!(!response.cache_hit);
-        assert_eq!(response.heading.to_bits(), direct.heading.value().to_bits());
-        assert_eq!(response.count_x, direct.x.count);
-        assert_eq!(response.count_y, direct.y.count);
+    for (i, truth) in [0.0, 77.5, 123.0, 251.25, 359.0].into_iter().enumerate() {
+        let seed = 0xE12 + i as u64;
+        let (hx, hy) = design.axial_fields(Degrees::new(truth));
+        let direct = design.measure_field_scratch(hx, hy, seed, &mut scratch);
+        let request = FixRequest {
+            id: 40 + i as u64,
+            seed,
+            deadline_ms: 0,
+            no_cache: true,
+            field: FieldSpec::FieldVector {
+                hx: hx.value(),
+                hy: hy.value(),
+            },
+        };
+        for _ in 0..2 {
+            let response = round_trip(&mut stream, &request);
+            assert_eq!(response.status, Status::Ok);
+            // no_cache never reports a hit and never populates the cache.
+            assert!(!response.cache_hit, "truth {truth}");
+            assert_eq!(response.heading.to_bits(), direct.heading.value().to_bits());
+            assert_eq!(response.count_x, direct.x.count);
+            assert_eq!(response.count_y, direct.y.count);
+        }
+        // The same fix *with* caching also agrees (field-vector path and
+        // heading-truth path share the measurement core).
+        let cached = round_trip(
+            &mut stream,
+            &FixRequest {
+                no_cache: false,
+                ..request
+            },
+        );
+        assert_eq!(cached.status, Status::Ok);
+        assert!(!cached.cache_hit, "truth {truth}: no_cache left no entry");
+        assert_eq!(cached.heading.to_bits(), direct.heading.value().to_bits());
     }
-    // The same fix *with* caching also agrees (field-vector path and
-    // heading-truth path share the measurement core).
-    let cached = round_trip(
-        &mut stream,
-        &FixRequest {
-            no_cache: false,
-            ..request
-        },
-    );
-    assert_eq!(cached.status, Status::Ok);
-    assert_eq!(cached.heading.to_bits(), direct.heading.value().to_bits());
     server.shutdown();
 }
 

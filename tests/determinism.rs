@@ -149,11 +149,13 @@ fn monte_carlo_is_bit_identical_at_any_worker_count() {
 fn fast_path_matches_traced_path_bitwise() {
     // The duty-only fast path and the full-waveform diagnostic tier are
     // the same computation: every statistic of a sweep must agree bit
-    // for bit, serial and parallel.
+    // for bit over the full 360-heading grid, serial and parallel. The
+    // traced reference runs under the `FLUXCOMP_THREADS` policy; the
+    // traced sweep itself is pinned serial == parallel in `evaluate.rs`.
     let design = CompassDesign::new(CompassConfig::paper_design()).expect("valid design");
-    let reference = sweep_headings_traced(&design, 24, &ExecPolicy::serial());
+    let reference = sweep_headings_traced(&design, 360, &ExecPolicy::auto());
     for policy in [ExecPolicy::serial(), ExecPolicy::parallel(2)] {
-        let fast = sweep_headings(&design, 24, &policy);
+        let fast = sweep_headings(&design, 360, &policy);
         assert_stats_bitwise(
             &fast,
             &reference,
