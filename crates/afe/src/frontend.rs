@@ -396,9 +396,8 @@ impl FrontEnd {
         // The drive is periodic, so "clipped anywhere in the run" is
         // exactly "clipped anywhere in the table's single period".
         let clipped = self.table.any_clips();
-        // The front-end drives its own analogue grid (it does not go
-        // through the msim engine), so it contributes its steps to the
-        // kernel-wide analogue step counter itself.
+        // The front-end's sample loop is the analogue transient, so it
+        // is what counts the analogue steps.
         fluxcomp_obs::counter_add("msim.analog_steps", total_samples as u64);
         fluxcomp_obs::counter_add("afe.runs", 1);
         fluxcomp_obs::counter_add("afe.pulse_edges", pulse_edges);

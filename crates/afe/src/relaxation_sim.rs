@@ -10,7 +10,7 @@
 //! *slow* by).
 
 use crate::oscillator::RelaxationOscillator;
-use fluxcomp_msim::solver::{Method, OdeSolver};
+use fluxcomp_msim::solver::OdeSolver;
 use fluxcomp_msim::time::SimTime;
 use fluxcomp_msim::trace::{Trace, TraceSet};
 use fluxcomp_units::si::{Hertz, Seconds};
@@ -45,7 +45,7 @@ pub fn simulate_relaxation(
     let v_high = osc.v_high.value();
     let delay_steps = (comparator_delay.value() / dt.value()).round() as u64;
 
-    let mut solver = OdeSolver::new(Method::Rk4, 1);
+    let mut solver = OdeSolver::new(1);
     // Start at the lower threshold, charging.
     let mut v = [v_low];
     let mut charging = true;

@@ -10,23 +10,19 @@
 //! implementation is the specification.
 
 use crate::config::{BuildError, CompassConfig};
-use crate::system::Compass;
-use fluxcomp_afe::frontend::FrontEnd;
-use fluxcomp_fluxgate::pair::{Axis, SensorPair};
+use crate::system::CompassDesign;
 use fluxcomp_rtl::atan_rom::{AtanRom, ANGLE_SCALE};
 use fluxcomp_rtl::cordic_netlist::{cordic_kernel_netlist, CordicKernelNets};
-use fluxcomp_rtl::counter::sample_at_clock;
 use fluxcomp_rtl::netsim::GateSim;
 use fluxcomp_rtl::synth::updown_counter;
 use fluxcomp_rtl::NetId;
 use fluxcomp_units::angle::Degrees;
+use fluxcomp_units::magnetics::AmperePerMeter;
 
 /// A compass whose digital section runs at gate level.
 #[derive(Debug, Clone)]
 pub struct GateLevelCompass {
-    config: CompassConfig,
-    frontend: FrontEnd,
-    pair: SensorPair,
+    design: CompassDesign,
     counter_sim: GateSim,
     counter_up: NetId,
     counter_bus: Vec<NetId>,
@@ -49,46 +45,37 @@ pub struct GateLevelReading {
 
 impl GateLevelCompass {
     /// Builds the gate-level system from the same configuration as the
-    /// behavioural [`Compass`].
+    /// behavioural [`Compass`](crate::Compass).
     ///
     /// # Errors
     ///
-    /// Same validation as [`Compass::new`]. The CORDIC iteration count
-    /// is fixed at the paper's 8 (the kernel netlist is built for it).
+    /// Same validation as [`CompassDesign::new`]. The CORDIC iteration
+    /// count is fixed at the paper's 8 (the kernel netlist is built for
+    /// it).
     pub fn new(config: CompassConfig) -> Result<Self, BuildError> {
         if config.cordic_iterations != 8 {
             return Err(BuildError::BadCordicIterations {
                 got: config.cordic_iterations,
             });
         }
-        // Reuse the behavioural constructor's validation.
-        let _ = Compass::new(config.clone())?;
-        let mut fe_config = config.frontend.clone();
-        fe_config.sensor = config.pair.element;
+        let design = CompassDesign::new(config)?;
         let (counter_nl, up, bus) = updown_counter(16);
         let cordic_nets = cordic_kernel_netlist(24, 18, 8);
         Ok(Self {
-            // The config was validated by the behavioural constructor above.
-            frontend: FrontEnd::new(fe_config).expect("validated"),
-            pair: SensorPair::new(config.pair),
+            design,
             counter_sim: GateSim::new(counter_nl),
             counter_up: up,
             counter_bus: bus,
             cordic_sim: GateSim::new(cordic_nets.netlist.clone()),
             cordic_nets,
-            config,
         })
     }
 
-    /// Runs one axis through the front-end and the gate-level counter.
-    fn measure_axis_gate_level(&mut self, axis: Axis, true_heading: Degrees) -> i64 {
-        let h_ext = self
-            .pair
-            .axial_field(axis, &self.config.field, true_heading);
-        let result = self.frontend.run(h_ext);
-        let window = self.config.frontend.measure_periods as f64
-            / self.config.frontend.excitation.frequency().value();
-        let stream = sample_at_clock(&result.detector_samples, window, self.config.clock.master());
+    /// Runs one axis's field through the front-end and the gate-level
+    /// counter.
+    fn measure_axis_gate_level(&mut self, h_ext: AmperePerMeter) -> i64 {
+        let noise_seed = self.design.config().frontend.noise_seed;
+        let (_, stream) = self.design.clock_domain_stream(h_ext, noise_seed);
         // Reset the counter netlist by loading zero through… there is no
         // reset pin (matching the paper-era minimal counter): rebuild the
         // simulator, which powers up at zero like silicon after POR.
@@ -107,9 +94,10 @@ impl GateLevelCompass {
     /// One full fix through the gate-level digital section.
     pub fn measure_heading(&mut self, true_heading: Degrees) -> GateLevelReading {
         let events_before = self.counter_sim.events() + self.cordic_sim.events();
-        let x = -self.measure_axis_gate_level(Axis::X, true_heading);
+        let (hx, hy) = self.design.axial_fields(true_heading);
+        let x = -self.measure_axis_gate_level(hx);
         let ev_x = self.counter_sim.events();
-        let y = -self.measure_axis_gate_level(Axis::Y, true_heading);
+        let y = -self.measure_axis_gate_level(hy);
         let ev_y = self.counter_sim.events();
 
         // Quadrant fold in "hardware-trivial" logic (sign decode), then
@@ -144,6 +132,7 @@ impl GateLevelCompass {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::system::Compass;
 
     #[test]
     fn gate_level_fix_is_bit_identical_to_behavioral() {

@@ -19,10 +19,8 @@
 //! the functional field check.
 
 use crate::config::CompassConfig;
-use fluxcomp_afe::detector::PulsePositionDetector;
-use fluxcomp_afe::frontend::{FrontEnd, FrontEndConfig};
+use crate::system::{CompassDesign, FixInput, MeasureScratch};
 use fluxcomp_fluxgate::transducer::Fluxgate;
-use fluxcomp_rtl::counter::{ClockSchedule, UpDownCounter};
 use fluxcomp_units::magnetics::AmperePerMeter;
 use fluxcomp_units::si::Ampere;
 
@@ -51,49 +49,32 @@ pub const GAIN_TOLERANCE: f64 = 0.10;
 /// paper's offset-correction DAC run open-loop); 0.5 mA is a good
 /// stimulus: ≈20 A/m of equivalent field, well inside the linear range.
 pub fn run_self_test(config: &CompassConfig, test_offset: Ampere) -> SelfTestReport {
-    let mut fe_config: FrontEndConfig = config.frontend.clone();
-    fe_config.sensor = config.pair.element;
-    let sensor = Fluxgate::new(fe_config.sensor);
-
-    let window = fe_config.measure_periods as f64 / fe_config.excitation.frequency().value();
-    // Both runs share the measurement grid, so one precomputed clock
-    // schedule serves baseline and stimulated counts alike.
-    let schedule = ClockSchedule::new(
-        fe_config.measure_periods * fe_config.samples_per_period,
-        window,
-        config.clock.master(),
-    );
-    let count_of = |cfg: FrontEndConfig| {
-        let fe = FrontEnd::new(cfg).expect("self-test front-end config is valid");
-        let mut detector = PulsePositionDetector::new(fe.config().detector);
-        let mut counter = UpDownCounter::paper_design();
-        let seed = fe.config().noise_seed;
-        fe.measure_into(AmperePerMeter::ZERO, seed, &mut detector, |index, up| {
-            counter.clock_n(up, schedule.edges_at(index));
-        });
-        counter.value()
+    // The X count of one zero-field fix, seeded from the configuration.
+    let count_of = |cfg: CompassConfig| {
+        let design = CompassDesign::new(cfg).expect("self-test config is valid");
+        let input = FixInput::vector(
+            AmperePerMeter::ZERO,
+            AmperePerMeter::ZERO,
+            design.config().frontend.noise_seed,
+        );
+        let mut scratch = MeasureScratch::for_design(&design);
+        design.measure(&input, None, &mut scratch).x.count
     };
 
-    let baseline_count = count_of(fe_config.clone());
-    let mut stimulated = fe_config.clone();
-    stimulated.excitation = stimulated.excitation.with_dc_offset(test_offset);
+    let baseline_count = count_of(config.clone());
+    let mut stimulated = config.clone();
+    stimulated.frontend.excitation = stimulated.frontend.excitation.with_dc_offset(test_offset);
     let stimulated_count = count_of(stimulated);
 
     // Expected: the offset looks like H = N·I/l; counts = −f_clk·T·H/H_peak.
     // The expectation is the *factory-programmed* constant, computed from
     // the design point — NOT from the unit under test, or a unit with a
     // drifted drive would happily validate itself.
-    let design = CompassConfig::paper_design();
-    let design_sensor = Fluxgate::new(design.pair.element);
-    let h_equiv = design_sensor.h_from_current(test_offset);
-    let h_peak = {
-        let mut design_fe = design.frontend.clone();
-        design_fe.sensor = design.pair.element;
-        FrontEnd::new(design_fe)
-            .expect("paper design is valid")
-            .peak_excitation_field()
-    };
-    let _ = sensor;
+    let design = CompassDesign::new(CompassConfig::paper_design()).expect("paper design is valid");
+    let h_equiv = Fluxgate::new(design.config().pair.element).h_from_current(test_offset);
+    let h_peak = design.peak_excitation_field();
+    let window =
+        config.frontend.measure_periods as f64 / config.frontend.excitation.frequency().value();
     let expected_delta = -config.clock.master().value() * window * h_equiv.value() / h_peak.value();
     let measured_delta = (stimulated_count - baseline_count) as f64;
     let gain_error = if expected_delta.abs() < 1.0 {
@@ -120,12 +101,9 @@ mod tests {
         let report = run_self_test(&CompassConfig::paper_design(), Ampere::new(0.5e-3));
         assert!(report.passed, "gain error {}", report.gain_error);
         assert_eq!(report.baseline_count, 0, "quiet environment, no field");
-        // 0.5 mA → 20 A/m → −4194·20/240 ≈ −350 counts.
-        assert!(
-            (report.stimulated_count + 350).abs() < 25,
-            "stimulated {}",
-            report.stimulated_count
-        );
+        // 0.5 mA → 20 A/m → −4194·20/240 ≈ −350 counts; the exact count
+        // pins the bits of the measure path.
+        assert_eq!(report.stimulated_count, -348);
     }
 
     #[test]

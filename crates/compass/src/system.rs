@@ -355,14 +355,7 @@ impl CompassDesign {
         h_ext: AmperePerMeter,
         noise_seed: u64,
     ) -> AxisMeasurement {
-        let excitation = fluxcomp_obs::span("compass.stage.excitation");
-        let result: FrontEndResult = self.frontend.run_with_seed(h_ext, noise_seed);
-        drop(excitation);
-        let window = self.config.frontend.measure_periods as f64
-            / self.config.frontend.excitation.frequency().value();
-        let detector = fluxcomp_obs::span("compass.stage.detector");
-        let stream = sample_at_clock(&result.detector_samples, window, self.config.clock.master());
-        drop(detector);
+        let (result, stream) = self.clock_domain_stream(h_ext, noise_seed);
         let _counter_stage = fluxcomp_obs::span("compass.stage.counter");
         let mut counter = UpDownCounter::paper_design();
         let count = counter.run(stream);
@@ -372,6 +365,25 @@ impl CompassDesign {
             count,
             clipped: result.clipped,
         }
+    }
+
+    /// The traced front-end run of one axis and its detector output
+    /// resampled onto master-clock edges: the bit stream the up/down
+    /// counter integrates, for the traced tier and the gate-level
+    /// compass alike.
+    pub(crate) fn clock_domain_stream(
+        &self,
+        h_ext: AmperePerMeter,
+        noise_seed: u64,
+    ) -> (FrontEndResult, Vec<bool>) {
+        let excitation = fluxcomp_obs::span("compass.stage.excitation");
+        let result = self.frontend.run_with_seed(h_ext, noise_seed);
+        drop(excitation);
+        let window = self.config.frontend.measure_periods as f64
+            / self.config.frontend.excitation.frequency().value();
+        let _detector = fluxcomp_obs::span("compass.stage.detector");
+        let stream = sample_at_clock(&result.detector_samples, window, self.config.clock.master());
+        (result, stream)
     }
 
     /// CORDIC + polarity fold shared by every fix entry point, so the

@@ -1,38 +1,28 @@
 //! # fluxcomp-msim
 //!
-//! A small deterministic **mixed-signal simulation kernel** — the
-//! workspace's stand-in for the Anacad **ELDO** simulator the paper used
-//! for its analogue and mixed-signal verification, and for the Compass
-//! Design Automation digital simulator used on the VHDL back-end.
-//!
-//! The kernel provides four orthogonal pieces:
+//! The simulation support the reproduction runs — the workspace's
+//! stand-in for what the paper used the Anacad **ELDO** simulator for.
+//! The front-end transient itself is `fluxcomp_afe::FrontEnd`'s own
+//! sample loop; this crate supplies the pieces around it:
 //!
 //! * [`time`] — an integer simulation time base (picoseconds) so that
-//!   analogue steps and digital clock edges order deterministically;
-//! * [`solver`] — explicit ODE integrators (Euler, Heun, RK4) for the
-//!   continuous states of the sensor core and the front-end;
-//! * [`scheduler`] — a generic event queue with stable FIFO ordering for
-//!   simultaneous events, the heart of the event-driven digital kernel;
+//!   analogue samples and digital clock edges order deterministically;
+//! * [`solver`] — the RK4 integrator behind the relaxation-oscillator
+//!   check (`fluxcomp_afe::relaxation_sim`);
 //! * [`trace`] — waveform recording with CSV, VCD and ASCII-art output
 //!   (the Fig. 3 / Fig. 4 scope shots are regenerated from these traces);
-//! * [`ac`] — small-signal phasor analysis (impedance sweeps, corner
-//!   frequencies) for the frequency-domain view of the sensor coil;
 //! * [`montecarlo`] — deterministic tolerance sampling and yield
 //!   analysis (the ELDO Monte-Carlo mode; experiment X3);
 //! * [`spectrum`] — Goertzel bins and harmonic profiles (the
 //!   even-harmonic physics behind second-harmonic readout).
 //!
-//! [`engine::MixedSignalSim`] ties them together with the classic
-//! lock-step co-simulation scheme: the analogue solver advances on a fixed
-//! grid while digital events fire in between at exact integer times.
-//!
 //! ## Example: RC discharge
 //!
 //! ```
-//! use fluxcomp_msim::solver::{OdeSolver, Method};
+//! use fluxcomp_msim::solver::OdeSolver;
 //!
 //! // dv/dt = -v / RC with RC = 1 ms.
-//! let mut solver = OdeSolver::new(Method::Rk4, 1);
+//! let mut solver = OdeSolver::new(1);
 //! let mut v = [5.0_f64];
 //! let rc = 1e-3;
 //! let dt = 1e-6;
@@ -43,20 +33,14 @@
 //! assert!((v[0] - 5.0 / std::f64::consts::E).abs() < 1e-3);
 //! ```
 
-pub mod ac;
-pub mod engine;
 pub mod montecarlo;
-pub mod scheduler;
 pub mod solver;
 pub mod spectrum;
 pub mod time;
 pub mod trace;
 
-pub use ac::Complex;
-pub use engine::MixedSignalSim;
 pub use montecarlo::{run_monte_carlo, MonteCarloResult, Tolerance};
-pub use scheduler::EventQueue;
-pub use solver::{Method, OdeSolver};
+pub use solver::OdeSolver;
 pub use spectrum::{bin_magnitude, even_odd_ratio, goertzel, harmonic_profile};
 pub use time::SimTime;
 pub use trace::{Trace, TraceSet};

@@ -1,60 +1,24 @@
-//! ODE integrators for the analogue states.
+//! The RK4 integrator for the analogue states.
 //!
-//! The continuous states in this reproduction (core magnetisation, coil
-//! currents, oscillator capacitor voltage, offset-correction integrator)
-//! are small and non-stiff at the step sizes we use (default: 1/1024 of an
-//! excitation period ≈ 122 ns), so the classic explicit methods carry the
-//! workload; three are provided so convergence order can be demonstrated
-//! and the E1/E2 waveform experiments can show solver independence. An
-//! A-stable implicit trapezoidal method (Newton + dense elimination) is
-//! included for stiff corner cases such as a fast sensor L/R pole.
+//! The one continuous state simulated through time in this reproduction
+//! is the relaxation oscillator's capacitor voltage
+//! (`fluxcomp_afe::relaxation_sim`). It is non-stiff at the step sizes
+//! used, so the classic explicit fourth-order Runge-Kutta method is the
+//! only integrator provided.
 
-/// The integration method.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum Method {
-    /// First-order forward Euler. Cheapest, used only in tests.
-    Euler,
-    /// Second-order Heun (explicit trapezoidal).
-    Heun,
-    /// Classic fourth-order Runge-Kutta. The default.
-    #[default]
-    Rk4,
-    /// Implicit (A-stable) trapezoidal rule, solved by a damped Newton
-    /// iteration with a numerical Jacobian. Use for stiff states — e.g.
-    /// a fast sensor L/R pole co-simulated with the slow excitation.
-    Trapezoidal,
-}
-
-impl Method {
-    /// The formal order of accuracy of the method.
-    pub const fn order(self) -> u32 {
-        match self {
-            Method::Euler => 1,
-            Method::Heun | Method::Trapezoidal => 2,
-            Method::Rk4 => 4,
-        }
-    }
-
-    /// `true` for methods that are A-stable (usable on stiff systems
-    /// with steps far beyond the explicit stability limit).
-    pub const fn is_a_stable(self) -> bool {
-        matches!(self, Method::Trapezoidal)
-    }
-}
-
-/// A reusable ODE stepper for systems `dy/dt = f(t, y)`.
+/// A reusable RK4 stepper for systems `dy/dt = f(t, y)`.
 ///
 /// The solver owns its scratch buffers so the per-step path is
-/// allocation-free — the waveform experiments integrate millions of steps.
+/// allocation-free.
 ///
 /// # Example
 ///
 /// ```
-/// use fluxcomp_msim::solver::{OdeSolver, Method};
+/// use fluxcomp_msim::solver::OdeSolver;
 ///
 /// // Harmonic oscillator: y'' = -ω² y, as a 2-state system.
 /// let omega = 2.0 * std::f64::consts::PI * 1000.0;
-/// let mut s = OdeSolver::new(Method::Rk4, 2);
+/// let mut s = OdeSolver::new(2);
 /// let mut y = [1.0, 0.0];
 /// let dt = 1e-7;
 /// let mut t = 0.0;
@@ -70,19 +34,16 @@ impl Method {
 /// ```
 #[derive(Debug, Clone)]
 pub struct OdeSolver {
-    method: Method,
     dim: usize,
     k1: Vec<f64>,
     k2: Vec<f64>,
     k3: Vec<f64>,
     k4: Vec<f64>,
     tmp: Vec<f64>,
-    // Work tallies, kept as plain fields because `step` is far too hot
-    // to touch the observability layer; [`OdeSolver::publish_obs`]
-    // records them in one call at the end of a run.
+    // Kept as a plain field because `step` is far too hot to touch the
+    // observability layer; [`OdeSolver::publish_obs`] records it in one
+    // call at the end of a run.
     steps: u64,
-    newton_iterations: u64,
-    newton_nonconverged: u64,
 }
 
 impl OdeSolver {
@@ -91,10 +52,9 @@ impl OdeSolver {
     /// # Panics
     ///
     /// Panics if `dim == 0`.
-    pub fn new(method: Method, dim: usize) -> Self {
+    pub fn new(dim: usize) -> Self {
         assert!(dim > 0, "state dimension must be nonzero");
         Self {
-            method,
             dim,
             k1: vec![0.0; dim],
             k2: vec![0.0; dim],
@@ -102,55 +62,15 @@ impl OdeSolver {
             k4: vec![0.0; dim],
             tmp: vec![0.0; dim],
             steps: 0,
-            newton_iterations: 0,
-            newton_nonconverged: 0,
         }
     }
 
-    /// The configured method.
-    pub fn method(&self) -> Method {
-        self.method
-    }
-
-    /// The state dimension.
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
-    /// Steps taken since construction (or the last [`publish_obs`]).
-    ///
-    /// [`publish_obs`]: OdeSolver::publish_obs
-    pub fn steps_taken(&self) -> u64 {
-        self.steps
-    }
-
-    /// Newton iterations spent by the implicit method since construction
-    /// (or the last [`publish_obs`]); always 0 for explicit methods.
-    ///
-    /// [`publish_obs`]: OdeSolver::publish_obs
-    pub fn newton_iterations(&self) -> u64 {
-        self.newton_iterations
-    }
-
-    /// Implicit steps whose Newton iteration hit its cap without meeting
-    /// the residual tolerance — the step's last iterate is still
-    /// accepted, but a nonzero count flags a step size that should
-    /// shrink.
-    pub fn newton_nonconverged(&self) -> u64 {
-        self.newton_nonconverged
-    }
-
-    /// Records the accumulated work tallies into the observability layer
-    /// (`msim.solver_steps`, `msim.newton_iterations`,
-    /// `msim.newton_nonconverged`) and resets them. Call once per
-    /// simulation run, never per step.
+    /// Records the accumulated step count into the observability layer
+    /// (`msim.solver_steps`) and resets it. Call once per simulation run,
+    /// never per step.
     pub fn publish_obs(&mut self) {
         fluxcomp_obs::counter_add("msim.solver_steps", self.steps);
-        fluxcomp_obs::counter_add("msim.newton_iterations", self.newton_iterations);
-        fluxcomp_obs::counter_add("msim.newton_nonconverged", self.newton_nonconverged);
         self.steps = 0;
-        self.newton_iterations = 0;
-        self.newton_nonconverged = 0;
     }
 
     /// Advances `y` in place from `t` to `t + dt`.
@@ -167,159 +87,32 @@ impl OdeSolver {
     {
         assert_eq!(y.len(), self.dim, "state size mismatch");
         self.steps += 1;
-        match self.method {
-            Method::Euler => {
-                f(t, y, &mut self.k1);
-                for (yi, k1) in y.iter_mut().zip(&self.k1) {
-                    *yi += dt * k1;
-                }
-            }
-            Method::Heun => {
-                f(t, y, &mut self.k1);
-                for (tmp, (yi, k1)) in self.tmp.iter_mut().zip(y.iter().zip(&self.k1)) {
-                    *tmp = yi + dt * k1;
-                }
-                f(t + dt, &self.tmp, &mut self.k2);
-                for (yi, (k1, k2)) in y.iter_mut().zip(self.k1.iter().zip(&self.k2)) {
-                    *yi += dt * 0.5 * (k1 + k2);
-                }
-            }
-            Method::Rk4 => {
-                f(t, y, &mut self.k1);
-                for (tmp, (yi, k1)) in self.tmp.iter_mut().zip(y.iter().zip(&self.k1)) {
-                    *tmp = yi + 0.5 * dt * k1;
-                }
-                f(t + 0.5 * dt, &self.tmp, &mut self.k2);
-                for (tmp, (yi, k2)) in self.tmp.iter_mut().zip(y.iter().zip(&self.k2)) {
-                    *tmp = yi + 0.5 * dt * k2;
-                }
-                f(t + 0.5 * dt, &self.tmp, &mut self.k3);
-                for (tmp, (yi, k3)) in self.tmp.iter_mut().zip(y.iter().zip(&self.k3)) {
-                    *tmp = yi + dt * k3;
-                }
-                f(t + dt, &self.tmp, &mut self.k4);
-                for (i, yi) in y.iter_mut().enumerate() {
-                    *yi +=
-                        dt / 6.0 * (self.k1[i] + 2.0 * self.k2[i] + 2.0 * self.k3[i] + self.k4[i]);
-                }
-            }
-            Method::Trapezoidal => self.step_trapezoidal(t, dt, y, &mut f),
+        f(t, y, &mut self.k1);
+        for (tmp, (yi, k1)) in self.tmp.iter_mut().zip(y.iter().zip(&self.k1)) {
+            *tmp = yi + 0.5 * dt * k1;
+        }
+        f(t + 0.5 * dt, &self.tmp, &mut self.k2);
+        for (tmp, (yi, k2)) in self.tmp.iter_mut().zip(y.iter().zip(&self.k2)) {
+            *tmp = yi + 0.5 * dt * k2;
+        }
+        f(t + 0.5 * dt, &self.tmp, &mut self.k3);
+        for (tmp, (yi, k3)) in self.tmp.iter_mut().zip(y.iter().zip(&self.k3)) {
+            *tmp = yi + dt * k3;
+        }
+        f(t + dt, &self.tmp, &mut self.k4);
+        for (i, yi) in y.iter_mut().enumerate() {
+            *yi += dt / 6.0 * (self.k1[i] + 2.0 * self.k2[i] + 2.0 * self.k3[i] + self.k4[i]);
         }
     }
-
-    /// Implicit trapezoidal step: solve
-    /// `g(z) = z − y − dt/2·(f(t,y) + f(t+dt,z)) = 0` by Newton with a
-    /// forward-difference Jacobian and dense Gaussian elimination (the
-    /// state dimensions in this workspace are tiny).
-    fn step_trapezoidal<F>(&mut self, t: f64, dt: f64, y: &mut [f64], f: &mut F)
-    where
-        F: FnMut(f64, &[f64], &mut [f64]),
-    {
-        let n = self.dim;
-        f(t, y, &mut self.k1); // f(t, y_n), fixed over the iteration
-                               // Initial guess: explicit Euler.
-        let mut z: Vec<f64> = (0..n).map(|i| y[i] + dt * self.k1[i]).collect();
-        let mut residual = vec![0.0; n];
-        let mut jac = vec![0.0; n * n];
-        let mut converged = false;
-        for _newton in 0..20 {
-            f(t + dt, &z, &mut self.k2);
-            let mut worst = 0.0f64;
-            for i in 0..n {
-                residual[i] = z[i] - y[i] - 0.5 * dt * (self.k1[i] + self.k2[i]);
-                worst = worst.max(residual[i].abs());
-            }
-            let scale = z.iter().fold(1.0f64, |a, v| a.max(v.abs()));
-            if worst < 1e-12 * scale {
-                converged = true;
-                break;
-            }
-            self.newton_iterations += 1;
-            // Jacobian of g: I − dt/2 · ∂f/∂z (forward differences).
-            for j in 0..n {
-                let h = 1e-7 * z[j].abs().max(1e-7);
-                let saved = z[j];
-                z[j] = saved + h;
-                f(t + dt, &z, &mut self.k3);
-                z[j] = saved;
-                for i in 0..n {
-                    let dfdz = (self.k3[i] - self.k2[i]) / h;
-                    jac[i * n + j] = if i == j { 1.0 } else { 0.0 } - 0.5 * dt * dfdz;
-                }
-            }
-            // Solve jac · delta = residual (Gaussian elimination with
-            // partial pivoting), then z -= delta.
-            let mut a = jac.clone();
-            let mut b = residual.clone();
-            for col in 0..n {
-                let mut pivot = col;
-                for row in col + 1..n {
-                    if a[row * n + col].abs() > a[pivot * n + col].abs() {
-                        pivot = row;
-                    }
-                }
-                if a[pivot * n + col].abs() < 1e-300 {
-                    break; // singular: accept current iterate
-                }
-                if pivot != col {
-                    for k in 0..n {
-                        a.swap(col * n + k, pivot * n + k);
-                    }
-                    b.swap(col, pivot);
-                }
-                for row in col + 1..n {
-                    let factor = a[row * n + col] / a[col * n + col];
-                    for k in col..n {
-                        a[row * n + k] -= factor * a[col * n + k];
-                    }
-                    b[row] -= factor * b[col];
-                }
-            }
-            for col in (0..n).rev() {
-                let mut sum = b[col];
-                for k in col + 1..n {
-                    sum -= a[col * n + k] * b[k];
-                }
-                b[col] = sum / a[col * n + col];
-            }
-            for i in 0..n {
-                z[i] -= b[i];
-            }
-        }
-        if !converged {
-            self.newton_nonconverged += 1;
-        }
-        y.copy_from_slice(&z);
-    }
-}
-
-/// Numerically differentiates a sampled signal with central differences —
-/// used to turn a flux trace Φ(t) into a pickup EMF `-N·dΦ/dt` when
-/// post-processing traces.
-///
-/// The end points use one-sided differences. Returns an empty vector for
-/// inputs shorter than 2 samples.
-pub fn differentiate(samples: &[f64], dt: f64) -> Vec<f64> {
-    let n = samples.len();
-    if n < 2 {
-        return Vec::new();
-    }
-    let mut out = vec![0.0; n];
-    out[0] = (samples[1] - samples[0]) / dt;
-    out[n - 1] = (samples[n - 1] - samples[n - 2]) / dt;
-    for i in 1..n - 1 {
-        out[i] = (samples[i + 1] - samples[i - 1]) / (2.0 * dt);
-    }
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn decay_error(method: Method, steps: usize) -> f64 {
+    fn decay_error(steps: usize) -> f64 {
         // dy/dt = -y, y(0)=1, exact y(1) = 1/e.
-        let mut s = OdeSolver::new(method, 1);
+        let mut s = OdeSolver::new(1);
         let mut y = [1.0];
         let dt = 1.0 / steps as f64;
         let mut t = 0.0;
@@ -331,120 +124,17 @@ mod tests {
     }
 
     #[test]
-    fn euler_converges_first_order() {
-        let e1 = decay_error(Method::Euler, 100);
-        let e2 = decay_error(Method::Euler, 200);
-        let ratio = e1 / e2;
-        assert!((1.8..2.2).contains(&ratio), "ratio {ratio}");
-    }
-
-    #[test]
-    fn heun_converges_second_order() {
-        let e1 = decay_error(Method::Heun, 100);
-        let e2 = decay_error(Method::Heun, 200);
-        let ratio = e1 / e2;
-        assert!((3.6..4.4).contains(&ratio), "ratio {ratio}");
-    }
-
-    #[test]
     fn rk4_converges_fourth_order() {
-        let e1 = decay_error(Method::Rk4, 50);
-        let e2 = decay_error(Method::Rk4, 100);
+        let e1 = decay_error(50);
+        let e2 = decay_error(100);
         let ratio = e1 / e2;
         assert!((14.0..18.5).contains(&ratio), "ratio {ratio}");
     }
 
     #[test]
-    fn rk4_is_most_accurate() {
-        assert!(decay_error(Method::Rk4, 100) < decay_error(Method::Heun, 100));
-        assert!(decay_error(Method::Heun, 100) < decay_error(Method::Euler, 100));
-    }
-
-    #[test]
-    fn orders_reported() {
-        assert_eq!(Method::Euler.order(), 1);
-        assert_eq!(Method::Heun.order(), 2);
-        assert_eq!(Method::Rk4.order(), 4);
-        assert_eq!(Method::Trapezoidal.order(), 2);
-        assert_eq!(Method::default(), Method::Rk4);
-        assert!(Method::Trapezoidal.is_a_stable());
-        assert!(!Method::Rk4.is_a_stable());
-    }
-
-    #[test]
-    fn trapezoidal_converges_second_order() {
-        let e1 = decay_error(Method::Trapezoidal, 100);
-        let e2 = decay_error(Method::Trapezoidal, 200);
-        let ratio = e1 / e2;
-        assert!((3.6..4.4).contains(&ratio), "ratio {ratio}");
-    }
-
-    #[test]
-    fn trapezoidal_survives_stiffness_where_euler_explodes() {
-        // dy/dt = -1000·(y - cos(t)): fast pole, slow forcing. At
-        // dt = 0.01 (λ·dt = 10) explicit Euler is violently unstable;
-        // the A-stable trapezoidal rule tracks the slow solution.
-        let run = |method: Method| {
-            let mut s = OdeSolver::new(method, 1);
-            let mut y = [0.0f64];
-            let dt = 0.01;
-            let mut t = 0.0;
-            for _ in 0..500 {
-                s.step(t, dt, &mut y, |t, y, dy| {
-                    dy[0] = -1000.0 * (y[0] - t.cos());
-                });
-                t += dt;
-                if !y[0].is_finite() || y[0].abs() > 1e6 {
-                    return f64::INFINITY;
-                }
-            }
-            // The exact slow manifold is ≈ cos(t).
-            (y[0] - (5.0f64).cos()).abs()
-        };
-        assert!(run(Method::Euler).is_infinite(), "Euler must explode");
-        let trap = run(Method::Trapezoidal);
-        assert!(trap < 0.02, "trapezoidal error {trap}");
-    }
-
-    #[test]
-    fn trapezoidal_handles_coupled_nonlinear_system() {
-        // Van der Pol-ish: mildly nonlinear, 2-state; check against a
-        // fine-step RK4 reference.
-        let rhs = |_t: f64, y: &[f64], dy: &mut [f64]| {
-            dy[0] = y[1];
-            dy[1] = (1.0 - y[0] * y[0]) * y[1] - y[0];
-        };
-        let mut reference = [2.0, 0.0];
-        {
-            let mut s = OdeSolver::new(Method::Rk4, 2);
-            let dt = 1e-4;
-            let mut t = 0.0;
-            for _ in 0..50_000 {
-                s.step(t, dt, &mut reference, rhs);
-                t += dt;
-            }
-        }
-        let mut trap = [2.0, 0.0];
-        {
-            let mut s = OdeSolver::new(Method::Trapezoidal, 2);
-            let dt = 1e-2;
-            let mut t = 0.0;
-            for _ in 0..500 {
-                s.step(t, dt, &mut trap, rhs);
-                t += dt;
-            }
-        }
-        assert!(
-            (trap[0] - reference[0]).abs() < 0.01,
-            "{trap:?} vs {reference:?}"
-        );
-        assert!((trap[1] - reference[1]).abs() < 0.01);
-    }
-
-    #[test]
     fn multidimensional_coupled_system() {
         // Rotation: x' = -y, y' = x. After 2π, back to start.
-        let mut s = OdeSolver::new(Method::Rk4, 2);
+        let mut s = OdeSolver::new(2);
         let mut y = [1.0, 0.0];
         let dt = std::f64::consts::TAU / 10_000.0;
         let mut t = 0.0;
@@ -462,7 +152,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "state size mismatch")]
     fn dimension_mismatch_panics() {
-        let mut s = OdeSolver::new(Method::Euler, 2);
+        let mut s = OdeSolver::new(2);
         let mut y = [0.0];
         s.step(0.0, 0.1, &mut y, |_t, _y, _dy| {});
     }
@@ -470,37 +160,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "nonzero")]
     fn zero_dim_panics() {
-        let _ = OdeSolver::new(Method::Rk4, 0);
-    }
-
-    #[test]
-    fn differentiate_recovers_slope() {
-        let dt = 1e-3;
-        let ramp: Vec<f64> = (0..100).map(|i| 3.0 * i as f64 * dt).collect();
-        let d = differentiate(&ramp, dt);
-        for v in &d {
-            assert!((v - 3.0).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn differentiate_sine() {
-        let dt = 1e-4;
-        let w = 2.0 * std::f64::consts::PI * 50.0;
-        let sine: Vec<f64> = (0..1000).map(|i| (w * i as f64 * dt).sin()).collect();
-        let d = differentiate(&sine, dt);
-        // Interior points: derivative ≈ w·cos(wt).
-        for (i, &di) in d.iter().enumerate().take(999).skip(1) {
-            let expect = w * (w * i as f64 * dt).cos();
-            assert!((di - expect).abs() < 0.02 * w, "at {i}");
-        }
-    }
-
-    #[test]
-    fn differentiate_degenerate_inputs() {
-        assert!(differentiate(&[], 1.0).is_empty());
-        assert!(differentiate(&[1.0], 1.0).is_empty());
-        let d = differentiate(&[0.0, 1.0], 0.5);
-        assert_eq!(d, vec![2.0, 2.0]);
+        let _ = OdeSolver::new(0);
     }
 }

@@ -1,11 +1,12 @@
 //! Integer simulation time.
 //!
-//! Mixed-signal co-simulation needs a time base in which a 4.194304 MHz
-//! clock edge and an analogue solver step either coincide exactly or order
-//! unambiguously. Floating-point seconds cannot guarantee that, so
-//! [`SimTime`] counts integer **picoseconds**: fine enough to place the
-//! paper's 238.4 ns clock period to better than 1 ppm, coarse enough that
-//! an `i64` covers more than 100 days of simulated time.
+//! Traces of analogue samples and digital clock edges need a time base
+//! in which a 4.194304 MHz clock edge and an analogue sample either
+//! coincide exactly or order unambiguously. Floating-point seconds
+//! cannot guarantee that, so [`SimTime`] counts integer **picoseconds**:
+//! fine enough to place the paper's 238.4 ns clock period to better than
+//! 1 ppm, coarse enough that an `i64` covers more than 100 days of
+//! simulated time.
 
 use fluxcomp_units::si::Seconds;
 use std::fmt;

@@ -42,11 +42,6 @@ impl Trace {
         }
     }
 
-    /// Reserves room for at least `additional` more samples.
-    pub fn reserve(&mut self, additional: usize) {
-        self.samples.reserve(additional);
-    }
-
     /// The signal name.
     pub fn name(&self) -> &str {
         &self.name
@@ -162,15 +157,6 @@ impl TraceSet {
     pub fn add_with_capacity(&mut self, name: impl Into<String>, capacity: usize) -> usize {
         self.traces.push(Trace::with_capacity(name, capacity));
         self.traces.len() - 1
-    }
-
-    /// Reserves room for `additional` more samples on every trace —
-    /// called by fixed-step engines that know how many grid points a run
-    /// will record.
-    pub fn reserve_all(&mut self, additional: usize) {
-        for tr in &mut self.traces {
-            tr.reserve(additional);
-        }
     }
 
     /// Records a sample on the trace at `index`.

@@ -1,12 +1,8 @@
 //! Property tests for the simulation kernel.
 
-use fluxcomp_msim::ac::{
-    log_sweep, parallel, series, z_capacitor, z_inductor, z_resistor, Complex,
-};
-use fluxcomp_msim::solver::{differentiate, Method, OdeSolver};
+use fluxcomp_msim::solver::OdeSolver;
 use fluxcomp_msim::time::SimTime;
 use fluxcomp_msim::trace::Trace;
-use fluxcomp_units::si::{Farad, Henry, Hertz, Ohm};
 use proptest::prelude::*;
 
 proptest! {
@@ -60,81 +56,17 @@ proptest! {
     }
 
     /// The RK4 solver reproduces exponential decay to high accuracy for
-    /// random rates — and more accurately than Euler.
+    /// random rates: at `rate·dt ≤ 0.005` its global error is O(dt⁴),
+    /// far under the bound.
     #[test]
-    fn rk4_beats_euler_on_decay(rate in 0.1f64..5.0) {
-        let run = |method: Method| {
-            let mut s = OdeSolver::new(method, 1);
-            let mut y = [1.0];
-            let dt = 1e-3;
-            for k in 0..1000 {
-                s.step(k as f64 * dt, dt, &mut y, |_t, y, dy| dy[0] = -rate * y[0]);
-            }
-            (y[0] - (-rate).exp()).abs()
-        };
-        prop_assert!(run(Method::Rk4) <= run(Method::Euler) + 1e-15);
-    }
-
-    /// Differentiation of any quadratic recovers its exact derivative at
-    /// interior points (central differences are 2nd-order exact there).
-    #[test]
-    fn differentiate_quadratics(a in -3.0f64..3.0, b in -3.0f64..3.0, c in -3.0f64..3.0) {
-        let dt = 0.01;
-        let samples: Vec<f64> = (0..50)
-            .map(|k| {
-                let t = k as f64 * dt;
-                a * t * t + b * t + c
-            })
-            .collect();
-        let d = differentiate(&samples, dt);
-        for (k, &dk) in d.iter().enumerate().take(49).skip(1) {
-            let t = k as f64 * dt;
-            let expect = 2.0 * a * t + b;
-            prop_assert!((dk - expect).abs() < 1e-9, "at {k}");
+    fn rk4_tracks_exact_decay(rate in 0.1f64..5.0) {
+        let mut s = OdeSolver::new(1);
+        let mut y = [1.0];
+        let dt = 1e-3;
+        for k in 0..1000 {
+            s.step(k as f64 * dt, dt, &mut y, |_t, y, dy| dy[0] = -rate * y[0]);
         }
-    }
-
-    /// Complex arithmetic: division inverts multiplication.
-    #[test]
-    fn complex_division_inverts(ar in -10.0f64..10.0, ai in -10.0f64..10.0,
-                                br in 0.1f64..10.0, bi in 0.1f64..10.0) {
-        let a = Complex::new(ar, ai);
-        let b = Complex::new(br, bi);
-        let q = (a * b) / b;
-        prop_assert!((q.re - a.re).abs() < 1e-9 && (q.im - a.im).abs() < 1e-9);
-    }
-
-    /// Parallel impedance is always smaller in magnitude than either
-    /// branch for same-phase branches (two resistors).
-    #[test]
-    fn parallel_resistors_smaller(r1 in 0.1f64..1e6, r2 in 0.1f64..1e6) {
-        let p = parallel(z_resistor(Ohm::new(r1)), z_resistor(Ohm::new(r2)));
-        prop_assert!(p.abs() <= r1.min(r2) + 1e-9);
-        // And equals the product-over-sum formula.
-        prop_assert!((p.re - r1 * r2 / (r1 + r2)).abs() < 1e-6 * (r1 + r2));
-    }
-
-    /// An L-C series branch resonates: |Z| has a minimum at
-    /// 1/(2π√(LC)) where the reactances cancel.
-    #[test]
-    fn lc_series_resonance(l_uh in 1.0f64..1000.0, c_nf in 1.0f64..1000.0) {
-        let l = Henry::new(l_uh * 1e-6);
-        let c = Farad::new(c_nf * 1e-9);
-        let f_res = 1.0 / (std::f64::consts::TAU * (l.value() * c.value()).sqrt());
-        let z_at = |f: f64| series(z_inductor(l, Hertz::new(f)), z_capacitor(c, Hertz::new(f))).abs();
-        prop_assert!(z_at(f_res) < 1.0, "|Z| at resonance: {}", z_at(f_res));
-        prop_assert!(z_at(f_res * 2.0) > z_at(f_res));
-        prop_assert!(z_at(f_res / 2.0) > z_at(f_res));
-    }
-
-    /// Log sweeps are monotone in frequency and hit both endpoints.
-    #[test]
-    fn sweep_monotone(start_exp in 0.0f64..3.0, decades in 0.5f64..4.0) {
-        let f0 = 10f64.powf(start_exp);
-        let f1 = f0 * 10f64.powf(decades);
-        let sweep = log_sweep(Hertz::new(f0), Hertz::new(f1), 7, |_| Complex::ONE);
-        prop_assert!(sweep.windows(2).all(|w| w[1].frequency > w[0].frequency));
-        prop_assert!((sweep[0].frequency.value() - f0).abs() < 1e-6 * f0);
-        prop_assert!((sweep.last().unwrap().frequency.value() - f1).abs() < 1e-6 * f1);
+        let err = (y[0] - (-rate).exp()).abs();
+        prop_assert!(err < 1e-12, "rate {rate}: error {err}");
     }
 }

@@ -8,9 +8,9 @@
 //! display — and the reproduction's performance work needs to see where
 //! time and solver effort go *per stage*, the same high-rate counting
 //! discipline as a TDC readout chip. Every hot layer of the workspace
-//! (the `msim` kernel, the `afe` front-end, the `rtl` netsim, the
-//! `compass` pipeline, the `exec` pool) records into this crate through
-//! the free functions below.
+//! (the `msim` solver and Monte-Carlo harness, the `afe` front-end, the
+//! `rtl` netsim, the `compass` pipeline, the `exec` pool) records into
+//! this crate through the free functions below.
 //!
 //! ## Zero cost when off
 //!

@@ -22,13 +22,11 @@
 //! all connections — a saturated server sees at most `budget` extra
 //! requests, never a retry storm.
 
-use crate::protocol::{
-    read_frame, write_request, FieldSpec, FixRequest, FixResponse, ReadFrame, Status,
-};
+use crate::protocol::{buffered_frame, write_request, FieldSpec, FixRequest, FixResponse, Status};
 use fluxcomp_compass::FixQuality;
 use fluxcomp_exec::{derive_seed, unit_f64, SortedSamples};
 use std::collections::HashMap;
-use std::io;
+use std::io::{self, Read};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -336,10 +334,79 @@ struct PendingRetry {
     attempt: u32,
 }
 
+/// Outcome of one [`ResponseReader::next`] call.
+#[derive(Debug)]
+enum Received {
+    /// One complete response frame, decoded.
+    Response(FixResponse),
+    /// The read timed out with no complete frame buffered.
+    Idle,
+    /// The server closed the stream on a frame boundary.
+    Eof,
+}
+
+/// Reads response frames off a stream with a read timeout.
+///
+/// A timeout can fire in the middle of a frame. The bytes read before it
+/// stay in `inbox` and the next read appends to them, so the framing
+/// survives any split.
+struct ResponseReader<R> {
+    stream: R,
+    inbox: Vec<u8>,
+    /// Offset of the first byte in `inbox` not yet decoded.
+    start: usize,
+}
+
+impl<R: Read> ResponseReader<R> {
+    fn new(stream: R) -> Self {
+        Self {
+            stream,
+            inbox: Vec::new(),
+            start: 0,
+        }
+    }
+
+    fn next(&mut self) -> io::Result<Received> {
+        loop {
+            if let Some(frame) = buffered_frame(&self.inbox[self.start..]) {
+                let invalid = |e| io::Error::new(io::ErrorKind::InvalidData, e);
+                let payload = frame.map_err(invalid)?;
+                let response = FixResponse::decode_payload(payload).map_err(invalid)?;
+                self.start += 4 + payload.len();
+                return Ok(Received::Response(response));
+            }
+            self.inbox.drain(..self.start);
+            self.start = 0;
+            let mut chunk = [0u8; 4096];
+            match self.stream.read(&mut chunk) {
+                Ok(0) if self.inbox.is_empty() => return Ok(Received::Eof),
+                Ok(0) => {
+                    return Err(io::Error::new(
+                        io::ErrorKind::UnexpectedEof,
+                        "eof inside frame",
+                    ))
+                }
+                Ok(n) => self.inbox.extend_from_slice(&chunk[..n]),
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        io::ErrorKind::WouldBlock
+                            | io::ErrorKind::TimedOut
+                            | io::ErrorKind::Interrupted
+                    ) =>
+                {
+                    return Ok(Received::Idle)
+                }
+                Err(e) => return Err(e),
+            }
+        }
+    }
+}
+
 #[allow(clippy::too_many_arguments)]
 fn receive_loop(
     config: &LoadGenConfig,
-    mut stream: TcpStream,
+    stream: TcpStream,
     pending: &Mutex<HashMap<u64, Instant>>,
     sent: &AtomicUsize,
     sender_done: &AtomicBool,
@@ -347,7 +414,7 @@ fn receive_loop(
     budget: &AtomicU64,
 ) -> ConnTally {
     let mut tally = ConnTally::default();
-    let mut buf = Vec::new();
+    let mut reader = ResponseReader::new(stream);
     let mut drain_start: Option<Instant> = None;
     // Attempts already made per request id (first send = attempt 1).
     let mut attempts: HashMap<u64, u32> = HashMap::new();
@@ -384,61 +451,50 @@ fn receive_loop(
                 break;
             }
         }
-        match read_frame(&mut stream, &mut buf) {
-            Ok(ReadFrame::Frame(len)) => match FixResponse::decode_payload(&buf[..len]) {
-                Ok(response) => {
-                    tally.completed += 1;
-                    drain_start = None;
-                    let sent_at = pending.lock().unwrap().remove(&response.id);
-                    match (response.status, sent_at) {
-                        (Status::Ok, Some(at)) => {
-                            tally.ok += 1;
-                            if response.cache_hit {
-                                tally.cache_hits += 1;
-                            }
-                            match response.quality {
-                                FixQuality::Good => tally.quality_good += 1,
-                                FixQuality::Degraded => tally.quality_degraded += 1,
-                                FixQuality::Invalid => {}
-                            }
-                            tally.latencies_ms.push(at.elapsed().as_secs_f64() * 1e3);
+        match reader.next() {
+            Ok(Received::Response(response)) => {
+                tally.completed += 1;
+                drain_start = None;
+                let sent_at = pending.lock().unwrap().remove(&response.id);
+                match (response.status, sent_at) {
+                    (Status::Ok, Some(at)) => {
+                        tally.ok += 1;
+                        if response.cache_hit {
+                            tally.cache_hits += 1;
                         }
-                        (Status::Ok, None) => tally.protocol_errors += 1,
-                        (Status::Unmeasurable, _) => tally.unmeasurable += 1,
-                        (Status::Overloaded, _) => {
-                            tally.overloaded += 1;
-                            let attempt = *attempts.entry(response.id).or_insert(1);
-                            if attempt <= config.max_retries
-                                && budget
-                                    .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |b| {
-                                        b.checked_sub(1)
-                                    })
-                                    .is_ok()
-                            {
-                                retries.push(PendingRetry {
-                                    due: Instant::now() + retry_delay(config, response.id, attempt),
-                                    id: response.id,
-                                    attempt,
-                                });
-                            }
+                        match response.quality {
+                            FixQuality::Good => tally.quality_good += 1,
+                            FixQuality::Degraded => tally.quality_degraded += 1,
+                            FixQuality::Invalid => {}
                         }
-                        (Status::DeadlineExceeded, _) => tally.deadline_exceeded += 1,
-                        (Status::ShuttingDown, _) => tally.shutting_down += 1,
-                        (_, _) => tally.protocol_errors += 1,
+                        tally.latencies_ms.push(at.elapsed().as_secs_f64() * 1e3);
                     }
+                    (Status::Ok, None) => tally.protocol_errors += 1,
+                    (Status::Unmeasurable, _) => tally.unmeasurable += 1,
+                    (Status::Overloaded, _) => {
+                        tally.overloaded += 1;
+                        let attempt = *attempts.entry(response.id).or_insert(1);
+                        if attempt <= config.max_retries
+                            && budget
+                                .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |b| {
+                                    b.checked_sub(1)
+                                })
+                                .is_ok()
+                        {
+                            retries.push(PendingRetry {
+                                due: Instant::now() + retry_delay(config, response.id, attempt),
+                                id: response.id,
+                                attempt,
+                            });
+                        }
+                    }
+                    (Status::DeadlineExceeded, _) => tally.deadline_exceeded += 1,
+                    (Status::ShuttingDown, _) => tally.shutting_down += 1,
+                    (_, _) => tally.protocol_errors += 1,
                 }
-                Err(_) => {
-                    tally.protocol_errors += 1;
-                    break;
-                }
-            },
-            Ok(ReadFrame::Eof) => break,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) => {}
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            }
+            Ok(Received::Idle) => {}
+            Ok(Received::Eof) => break,
             Err(_) => {
                 tally.protocol_errors += 1;
                 break;
@@ -451,6 +507,77 @@ fn receive_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::write_response;
+    use std::collections::VecDeque;
+
+    /// A stream that replays scripted reads: byte chunks (handed out
+    /// over as many reads as the caller's buffer needs) and errors.
+    struct Scripted(VecDeque<io::Result<Vec<u8>>>);
+
+    impl Read for Scripted {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            match self.0.pop_front() {
+                None => Ok(0),
+                Some(Err(e)) => Err(e),
+                Some(Ok(mut bytes)) => {
+                    let n = bytes.len().min(buf.len());
+                    buf[..n].copy_from_slice(&bytes[..n]);
+                    if n < bytes.len() {
+                        self.0.push_front(Ok(bytes.split_off(n)));
+                    }
+                    Ok(n)
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn frames_split_by_read_timeouts_all_decode() {
+        let responses: Vec<FixResponse> = (1..=3)
+            .map(|id| FixResponse {
+                heading: 10.0 * id as f64,
+                count_x: id as i64,
+                ..FixResponse::failure(id, Status::Ok)
+            })
+            .collect();
+        let mut wire = Vec::new();
+        for response in &responses {
+            write_response(&mut wire, response).unwrap();
+        }
+        let frame = wire.len() / responses.len();
+        // One cut inside the second frame's payload, one inside the
+        // third frame's length prefix; a timeout fires at each.
+        let cuts = [frame + 10, 2 * frame + 2];
+        let timeout = || Err(io::Error::new(io::ErrorKind::TimedOut, "read timeout"));
+        let mut reader = ResponseReader::new(Scripted(VecDeque::from([
+            Ok(wire[..cuts[0]].to_vec()),
+            timeout(),
+            Ok(wire[cuts[0]..cuts[1]].to_vec()),
+            timeout(),
+            Ok(wire[cuts[1]..].to_vec()),
+        ])));
+        let mut decoded = Vec::new();
+        let mut idles = 0;
+        loop {
+            match reader.next().unwrap() {
+                Received::Response(response) => decoded.push(response),
+                Received::Idle => idles += 1,
+                Received::Eof => break,
+            }
+        }
+        assert_eq!(decoded, responses);
+        assert_eq!(idles, 2, "each timeout must surface so retries can fire");
+    }
+
+    #[test]
+    fn eof_inside_a_frame_is_an_error() {
+        let mut wire = Vec::new();
+        write_response(&mut wire, &FixResponse::failure(1, Status::Ok)).unwrap();
+        wire.pop();
+        let mut reader = ResponseReader::new(Scripted(VecDeque::from([Ok(wire)])));
+        let err = reader.next().unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+    }
 
     #[test]
     fn request_mix_cycles_unique_fixes() {

@@ -487,47 +487,18 @@ pub fn write_response<W: Write>(w: &mut W, response: &FixResponse) -> io::Result
     write_frame(w, &buf[..len])
 }
 
-/// Outcome of reading one frame from a blocking stream.
-#[derive(Debug)]
-pub enum ReadFrame {
-    /// A complete payload of the given length is in the buffer.
-    Frame(usize),
-    /// The peer closed the stream cleanly (EOF on a frame boundary).
-    Eof,
-}
-
-/// Reads one length-prefixed frame into `buf`, growing it if needed.
+/// The payload of the first frame in `buffered`, if all of it is there.
 ///
-/// EOF exactly on a frame boundary yields [`ReadFrame::Eof`]; EOF in the
-/// middle of a frame is [`io::ErrorKind::UnexpectedEof`]. A length
-/// prefix above [`MAX_FRAME`] is [`io::ErrorKind::InvalidData`].
-pub fn read_frame<R: Read>(r: &mut R, buf: &mut Vec<u8>) -> io::Result<ReadFrame> {
-    let mut len_bytes = [0u8; 4];
-    let mut got = 0;
-    while got < 4 {
-        match r.read(&mut len_bytes[got..])? {
-            0 if got == 0 => return Ok(ReadFrame::Eof),
-            0 => {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "eof inside frame length prefix",
-                ))
-            }
-            n => got += n,
-        }
-    }
-    let len = u32::from_le_bytes(len_bytes) as usize;
+/// `None` means the frame is not complete yet: reading more cannot be
+/// avoided. A length prefix above [`MAX_FRAME`] is
+/// [`ProtocolError::FrameTooLarge`] as soon as the prefix is in.
+pub(crate) fn buffered_frame(buffered: &[u8]) -> Option<Result<&[u8], ProtocolError>> {
+    let prefix = buffered.get(..4)?;
+    let len = u32::from_le_bytes(prefix.try_into().expect("4-byte prefix")) as usize;
     if len > MAX_FRAME {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            ProtocolError::FrameTooLarge { got: len },
-        ));
+        return Some(Err(ProtocolError::FrameTooLarge { got: len }));
     }
-    if buf.len() < len {
-        buf.resize(len, 0);
-    }
-    r.read_exact(&mut buf[..len])?;
-    Ok(ReadFrame::Frame(len))
+    buffered.get(4..4 + len).map(Ok)
 }
 
 /// Outcome of a poll-aware frame read (see [`read_frame_poll`]).
@@ -582,11 +553,17 @@ fn read_full<R: Read>(
     Ok(Fill::Done)
 }
 
-/// [`read_frame`] for a stream with a read timeout: each time the read
-/// blocks past the timeout, `stop` is consulted — returning `true`
-/// abandons the read (and any partial frame) with [`PollRead::Stopped`].
-/// This is how server connection readers stay responsive to shutdown
-/// while parked on an idle socket.
+/// Reads one length-prefixed frame into `buf`, growing it if needed.
+///
+/// EOF exactly on a frame boundary yields [`PollRead::Eof`]; EOF in the
+/// middle of a frame is [`io::ErrorKind::UnexpectedEof`]. A length
+/// prefix above [`MAX_FRAME`] is [`io::ErrorKind::InvalidData`].
+///
+/// On a stream with a read timeout, each time the read blocks past the
+/// timeout `stop` is consulted — returning `true` abandons the read (and
+/// any partial frame) with [`PollRead::Stopped`]. This is how server
+/// connection readers stay responsive to shutdown while parked on an
+/// idle socket. On a blocking stream pass `&|| false`.
 pub fn read_frame_poll<R: Read>(
     r: &mut R,
     buf: &mut Vec<u8>,
@@ -777,15 +754,15 @@ mod tests {
         write_request(&mut wire, &req).unwrap();
         let mut cursor = &wire[..];
         let mut buf = Vec::new();
-        match read_frame(&mut cursor, &mut buf).unwrap() {
-            ReadFrame::Frame(len) => {
+        match read_frame_poll(&mut cursor, &mut buf, &|| false).unwrap() {
+            PollRead::Frame(len) => {
                 assert_eq!(FixRequest::decode_payload(&buf[..len]), Ok(req));
             }
-            ReadFrame::Eof => panic!("expected a frame"),
+            other => panic!("expected a frame, got {other:?}"),
         }
         assert!(matches!(
-            read_frame(&mut cursor, &mut buf).unwrap(),
-            ReadFrame::Eof
+            read_frame_poll(&mut cursor, &mut buf, &|| false).unwrap(),
+            PollRead::Eof
         ));
     }
 
@@ -796,8 +773,12 @@ mod tests {
         wire.extend_from_slice(&[0u8; 8]);
         let mut cursor = &wire[..];
         let mut buf = Vec::new();
-        let err = read_frame(&mut cursor, &mut buf).unwrap_err();
+        let err = read_frame_poll(&mut cursor, &mut buf, &|| false).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(
+            buffered_frame(&wire),
+            Some(Err(ProtocolError::FrameTooLarge { got: MAX_FRAME + 1 }))
+        );
     }
 
     proptest! {

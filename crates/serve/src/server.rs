@@ -55,7 +55,8 @@
 
 use crate::cache::{CachedFix, FixCache, FixKey};
 use crate::protocol::{
-    read_frame_poll, write_response, FieldSpec, FixRequest, FixResponse, PollRead, Status,
+    buffered_frame, read_frame_poll, write_response, FieldSpec, FixRequest, FixResponse, PollRead,
+    Status,
 };
 use crate::queue::{BatchQueue, PushError};
 use fluxcomp_compass::{
@@ -389,7 +390,7 @@ fn reader_loop(shared: &Shared, conn: &Arc<Conn>, stream: TcpStream) {
     let malformed = loop {
         // Answer everything already buffered before the next read can
         // block: pending replies go out in one write.
-        if !frame_buffered(stream.buffer()) {
+        if buffered_frame(stream.buffer()).is_none() {
             conn.flush(&mut replies);
         }
         let request = match read_frame_poll(&mut stream, &mut buf, &stop) {
@@ -429,18 +430,6 @@ fn reader_loop(shared: &Shared, conn: &Arc<Conn>, stream: TcpStream) {
         replies.push(&FixResponse::failure(0, Status::BadRequest));
     }
     conn.flush(&mut replies);
-}
-
-/// `true` when `buffered` holds at least one complete frame, so reading
-/// it cannot block.
-fn frame_buffered(buffered: &[u8]) -> bool {
-    match buffered.get(..4) {
-        Some(prefix) => {
-            let len = u32::from_le_bytes(prefix.try_into().expect("4-byte prefix")) as usize;
-            buffered.len() - 4 >= len
-        }
-        None => false,
-    }
 }
 
 /// The cached fix answering `request`, if it may be served from the

@@ -7,7 +7,7 @@
 use fluxcomp_compass::{CompassConfig, CompassDesign, FixInput, FixQuality, MeasureScratch};
 use fluxcomp_faults::{AxisSel, FaultKind, FaultPlan, FaultSpec};
 use fluxcomp_serve::protocol::{
-    read_frame, write_request, FieldSpec, FixRequest, FixResponse, ReadFrame, Status,
+    read_frame_poll, write_request, FieldSpec, FixRequest, FixResponse, PollRead, Status,
 };
 use fluxcomp_serve::{loadgen, FixServer, LoadGenConfig, ServeConfig};
 use fluxcomp_units::angle::Degrees;
@@ -26,12 +26,19 @@ fn connect(server: &FixServer) -> TcpStream {
     stream
 }
 
+/// Stops a read at the socket's first read timeout, so a lost response
+/// fails the test instead of hanging it.
+fn give_up() -> bool {
+    true
+}
+
 fn round_trip(stream: &mut TcpStream, request: &FixRequest) -> FixResponse {
     write_request(stream, request).unwrap();
     let mut buf = Vec::new();
-    match read_frame(stream, &mut buf).unwrap() {
-        ReadFrame::Frame(len) => FixResponse::decode_payload(&buf[..len]).unwrap(),
-        ReadFrame::Eof => panic!("server closed the connection without a response"),
+    match read_frame_poll(stream, &mut buf, &give_up).unwrap() {
+        PollRead::Frame(len) => FixResponse::decode_payload(&buf[..len]).unwrap(),
+        PollRead::Eof => panic!("server closed the connection without a response"),
+        PollRead::Stopped => panic!("no response within the read timeout"),
     }
 }
 
@@ -232,8 +239,8 @@ fn non_finite_fields_are_rejected_with_bad_request() {
         assert_eq!(response.quality, FixQuality::Invalid);
         let mut buf = Vec::new();
         assert!(matches!(
-            read_frame(&mut stream, &mut buf),
-            Ok(ReadFrame::Eof) | Err(_)
+            read_frame_poll(&mut stream, &mut buf, &give_up),
+            Ok(PollRead::Eof) | Err(_)
         ));
     }
     // A fresh connection with a clean request still gets its fix.

@@ -5,8 +5,8 @@
 //! refuse, never crash or mis-parse.
 
 use fluxcomp_serve::protocol::{
-    read_frame, write_frame, FieldSpec, FixRequest, FixResponse, ProtocolError, ReadFrame, Status,
-    MAX_FRAME, REQUEST_LEN_VECTOR, REQUEST_TAG, RESPONSE_LEN, WIRE_VERSION,
+    read_frame_poll, write_frame, FieldSpec, FixRequest, FixResponse, PollRead, ProtocolError,
+    Status, MAX_FRAME, REQUEST_LEN_VECTOR, REQUEST_TAG, RESPONSE_LEN, WIRE_VERSION,
 };
 use proptest::prelude::*;
 use std::io::Cursor;
@@ -35,9 +35,10 @@ proptest! {
     fn frame_reader_never_panics_on_random_bytes(bytes in prop::collection::vec(any::<u8>(), 0..64)) {
         let mut cursor = Cursor::new(bytes);
         let mut buf = Vec::new();
-        match read_frame(&mut cursor, &mut buf) {
-            Ok(ReadFrame::Frame(len)) => prop_assert!(len <= MAX_FRAME),
-            Ok(ReadFrame::Eof) => {}
+        match read_frame_poll(&mut cursor, &mut buf, &|| false) {
+            Ok(PollRead::Frame(len)) => prop_assert!(len <= MAX_FRAME),
+            Ok(PollRead::Eof) => {}
+            Ok(PollRead::Stopped) => prop_assert!(false, "a cursor never times out"),
             Err(_) => {}
         }
     }
@@ -67,9 +68,10 @@ proptest! {
         prop_assume!(cut < framed.len());
         let mut cursor = Cursor::new(&framed[..cut]);
         let mut buf = Vec::new();
-        match read_frame(&mut cursor, &mut buf) {
-            Ok(ReadFrame::Eof) => prop_assert_eq!(cut, 0),
-            Ok(ReadFrame::Frame(_)) => prop_assert!(false, "truncated frame accepted"),
+        match read_frame_poll(&mut cursor, &mut buf, &|| false) {
+            Ok(PollRead::Eof) => prop_assert_eq!(cut, 0),
+            Ok(PollRead::Frame(_)) => prop_assert!(false, "truncated frame accepted"),
+            Ok(PollRead::Stopped) => prop_assert!(false, "a cursor never times out"),
             Err(e) => prop_assert_eq!(e.kind(), std::io::ErrorKind::UnexpectedEof),
         }
     }
@@ -83,7 +85,8 @@ proptest! {
         bytes.extend_from_slice(&[0u8; 16]);
         let mut cursor = Cursor::new(bytes);
         let mut buf = Vec::new();
-        let err = read_frame(&mut cursor, &mut buf).expect_err("oversized frame accepted");
+        let err = read_frame_poll(&mut cursor, &mut buf, &|| false)
+            .expect_err("oversized frame accepted");
         prop_assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
         let inner = err.into_inner().expect("typed inner error");
         let proto = inner.downcast::<ProtocolError>().expect("ProtocolError");

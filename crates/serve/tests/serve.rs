@@ -5,7 +5,7 @@
 
 use fluxcomp_compass::{CompassConfig, CompassDesign, MeasureScratch};
 use fluxcomp_serve::protocol::{
-    read_frame, write_request, FieldSpec, FixRequest, FixResponse, ReadFrame, Status,
+    read_frame_poll, write_request, FieldSpec, FixRequest, FixResponse, PollRead, Status,
     REQUEST_LEN_VECTOR,
 };
 use fluxcomp_serve::{loadgen, FixServer, LoadGenConfig, ServeConfig};
@@ -38,11 +38,18 @@ fn round_trip(stream: &mut TcpStream, request: &FixRequest) -> FixResponse {
     read_one(stream)
 }
 
+/// Stops a read at the socket's first read timeout, so a lost response
+/// fails the test instead of hanging it.
+fn give_up() -> bool {
+    true
+}
+
 fn read_one(stream: &mut TcpStream) -> FixResponse {
     let mut buf = Vec::new();
-    match read_frame(stream, &mut buf).unwrap() {
-        ReadFrame::Frame(len) => FixResponse::decode_payload(&buf[..len]).unwrap(),
-        ReadFrame::Eof => panic!("server closed the connection without a response"),
+    match read_frame_poll(stream, &mut buf, &give_up).unwrap() {
+        PollRead::Frame(len) => FixResponse::decode_payload(&buf[..len]).unwrap(),
+        PollRead::Eof => panic!("server closed the connection without a response"),
+        PollRead::Stopped => panic!("no response within the read timeout"),
     }
 }
 
@@ -289,8 +296,8 @@ fn malformed_frame_gets_bad_request_then_close() {
         // The server hangs up after a protocol violation.
         let mut buf = Vec::new();
         assert!(matches!(
-            read_frame(&mut stream, &mut buf),
-            Ok(ReadFrame::Eof) | Err(_)
+            read_frame_poll(&mut stream, &mut buf, &give_up),
+            Ok(PollRead::Eof) | Err(_)
         ));
     }
     server.shutdown();

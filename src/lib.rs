@@ -18,8 +18,9 @@
 //!   map over `0..n` on a scoped worker pool, an
 //!   [`ExecPolicy`](exec::ExecPolicy) that is just a thread count,
 //!   per-task seed derivation, streaming statistics)
-//! * [`msim`] — the mixed-signal (analogue + event-driven digital)
-//!   simulation kernel standing in for Anacad ELDO
+//! * [`msim`] — simulation support standing in for Anacad ELDO
+//!   (picosecond time base, waveform traces, an RK4 integrator,
+//!   Goertzel spectra, Monte-Carlo sampling)
 //! * [`fluxgate`] — sensor physics (saturable core, pickup EMF, earth field)
 //! * [`afe`] — analogue front-end (oscillator, V-I converters, detector,
 //!   second-harmonic baseline)

@@ -3,8 +3,6 @@
 
 use fluxcomp::mcm::substrate::{Fault, McmAssembly};
 use fluxcomp::mcm::{BoundaryScanChain, InterconnectTester};
-use fluxcomp::msim::scheduler::EventQueue;
-use fluxcomp::msim::time::SimTime;
 use fluxcomp::rtl::adc::SarAdc;
 use fluxcomp::rtl::cordic::CordicArctan;
 use fluxcomp::rtl::counter::UpDownCounter;
@@ -50,25 +48,6 @@ proptest! {
         prop_assert!((d1 - d2).abs() < 1e-9);
         prop_assert!((0.0..=180.0).contains(&d1));
         prop_assert!(da.angular_distance(da).value() < 1e-12);
-    }
-
-    /// The event queue pops in nondecreasing time order, FIFO at ties.
-    #[test]
-    fn event_queue_ordering(times in prop::collection::vec(0i64..1_000, 1..200)) {
-        let mut q = EventQueue::new();
-        for (seq, &t) in times.iter().enumerate() {
-            q.push(SimTime::from_nanos(t), seq);
-        }
-        let mut last: Option<(SimTime, usize)> = None;
-        while let Some((t, seq)) = q.pop() {
-            if let Some((lt, lseq)) = last {
-                prop_assert!(t >= lt);
-                if t == lt {
-                    prop_assert!(seq > lseq, "FIFO violated at equal times");
-                }
-            }
-            last = Some((t, seq));
-        }
     }
 
     /// The 8-iteration CORDIC is always within its analytic error bound
