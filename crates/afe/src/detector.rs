@@ -131,6 +131,14 @@ impl PulsePositionDetector {
         self.prev_negative = neg;
         self.output
     }
+
+    /// Whether a step to `a` and a step to `b` leave the detector in the
+    /// same state, whatever state it is in: each comparator gives both
+    /// inputs the same [`verdict`](Comparator::verdict).
+    pub(crate) fn steps_alike(&self, a: Volt, b: Volt) -> bool {
+        self.positive.verdict(a) == self.positive.verdict(b)
+            && self.negative.verdict(-a) == self.negative.verdict(-b)
+    }
 }
 
 /// Measures the high fraction of a sampled digital signal — the quantity

@@ -61,28 +61,30 @@ impl ExcitationTable {
         let dt = period / samples as f64;
         let load = sensor.params().r_excitation;
         let mut any_clips = false;
-        let samples = (0..samples)
-            .map(|k| {
-                let t = k as f64 * dt;
-                let demanded = excitation.value(t);
-                let i = vi.drive(demanded, load);
-                let clips = vi.clips(demanded, load);
-                any_clips |= clips;
-                let di_dt = if i == demanded {
-                    excitation.slope(t)
-                } else {
-                    0.0
-                };
-                DriveSample {
-                    i,
-                    di_dt,
-                    h_drive: sensor.h_from_current(i),
-                    dh_dt: sensor.dh_dt_from_current(di_dt),
-                    clips,
-                }
-            })
-            .collect();
-        Self { samples, any_clips }
+        let mut table = Vec::with_capacity(samples);
+        for k in 0..samples {
+            let t = k as f64 * dt;
+            let demanded = excitation.value(t);
+            let i = vi.drive(demanded, load);
+            let clips = vi.clips(demanded, load);
+            any_clips |= clips;
+            let di_dt = if i == demanded {
+                excitation.slope(t)
+            } else {
+                0.0
+            };
+            table.push(DriveSample {
+                i,
+                di_dt,
+                h_drive: sensor.h_from_current(i),
+                dh_dt: sensor.dh_dt_from_current(di_dt),
+                clips,
+            });
+        }
+        Self {
+            samples: table,
+            any_clips,
+        }
     }
 
     /// The drive samples of one period, in grid order.

@@ -20,11 +20,19 @@
 //! The two tiers consume identical drive values and step the noise
 //! generator and detector in the same order, so their duty cycles (and
 //! everything downstream — counts, headings) agree **bit for bit**; the
-//! determinism suite enforces this. On a noise-free channel the fast
-//! path stops stepping once the detector state repeats from one
-//! excitation period to the next and replays the repeating period
-//! instead (see [`FrontEnd::measure_into`]) — the same bits, fewer
-//! steps.
+//! determinism suite enforces this.
+//!
+//! The fast path computes only what can change an output bit. The
+//! drive repeats every period and the sensor is stateless, so it
+//! evaluates the clean pickup EMF once per table sample, as one row
+//! that serves every period. On a noise-free channel it stops stepping
+//! once the detector state repeats from one excitation period to the
+//! next and replays the repeating period instead. On a noisy channel it
+//! draws every noise sample in the traced tier's order but evaluates
+//! the Gaussian value only when the draw could move a comparator
+//! across a trip point; otherwise it steps the detector with the clean
+//! value, which leaves the same state (see [`FrontEnd::measure_into`]).
+//! The same bits, less work.
 //!
 //! The closed-form expectation, derived in the [`detector`](crate::detector)
 //! docs, is `duty = 1/2 − H_ext/(2·H_peak)`; the simulation reproduces it
@@ -32,7 +40,7 @@
 //! clipping, hysteretic cores).
 
 use crate::detector::{duty_cycle, DetectorConfig, PulsePositionDetector};
-use crate::excitation::{DriveSample, ExcitationTable};
+use crate::excitation::ExcitationTable;
 use crate::oscillator::TriangleWave;
 use crate::vi_converter::ViConverter;
 use fluxcomp_fluxgate::noise::GaussianNoise;
@@ -43,6 +51,7 @@ use fluxcomp_units::magnetics::AmperePerMeter;
 use fluxcomp_units::si::{Seconds, Volt};
 use std::error::Error;
 use std::fmt;
+use std::ops::Range;
 
 /// Why a front-end channel configuration was rejected.
 ///
@@ -447,6 +456,15 @@ impl FrontEnd {
     /// stepping the sensor and detector — same `on_sample` stream, same
     /// tallies, bit for bit. A noisy channel, a period with more than 16
     /// toggles, or a state that never repeats keeps the plain scan.
+    ///
+    /// A noisy channel steps every sample, but most of its noise is not
+    /// evaluated. Each sample draws its uniforms as the traced tier does.
+    /// A draw whose first uniform shows that the noise is smaller than
+    /// the clean value's distance to the nearest comparator trip point
+    /// cannot change the detector's step, so the detector is stepped with
+    /// the clean value instead; only the rest pay for `ln`, `sqrt` and
+    /// `sin`/`cos`. On the paper design at 2 mV that is about 4 % of the
+    /// samples (the `afe.noise_evals` and `afe.noise_draws` counters).
     pub fn measure_into(
         &self,
         h_ext: AmperePerMeter,
@@ -455,43 +473,112 @@ impl FrontEnd {
         on_sample: impl FnMut(usize, bool),
     ) -> MeasureResult {
         let _run = fluxcomp_obs::span("afe.measure");
-        let fold = self.config.pickup_noise_rms == 0.0;
-        let mut noise = GaussianNoise::new(self.config.pickup_noise_rms, noise_seed);
-        let pickup = self.clean_pickup(h_ext, &mut noise);
-        self.measure_folded::<FOLD_TOGGLES>(detector, pickup, None, fold, on_sample)
+        let none = fluxcomp_faults::FixFaults::none();
+        self.measure_row(h_ext, noise_seed, detector, &none, true, on_sample)
     }
 
-    /// The pickup EMF of each sample in external field `h_ext`, with the
-    /// channel noise drawn from `noise`.
+    /// The kernel run over the clean row of `h_ext` under `faults`,
+    /// which must change no drive field: no dropout and no H_K ramp.
     ///
-    /// The generator is borrowed, not owned by the closure: its address
-    /// escapes into every `sample` call, and a closure holding it could
-    /// not keep `self` and `h_ext` in registers, so the sensor constants
-    /// would be reloaded and recomputed on every sample.
-    fn clean_pickup<'a>(
-        &'a self,
+    /// The noise-free row is folded when `fold` allows it. Otherwise each
+    /// sample draws its nominal noise and evaluates it only when the
+    /// draw could move a comparator across a trip point (see
+    /// [`skip_bound`]); inside a burst window both streams are always
+    /// evaluated.
+    fn measure_row(
+        &self,
         h_ext: AmperePerMeter,
-        noise: &'a mut GaussianNoise,
-    ) -> impl FnMut(usize, &DriveSample) -> Volt + 'a {
-        move |_, drive| {
-            let mut v_pickup = self.sensor.pickup_emf(drive.h_drive + h_ext, drive.dh_dt);
-            v_pickup += Volt::new(noise.sample());
-            v_pickup
+        noise_seed: u64,
+        detector: &mut PulsePositionDetector,
+        faults: &fluxcomp_faults::FixFaults,
+        fold: bool,
+        on_sample: impl FnMut(usize, bool),
+    ) -> MeasureResult {
+        let cfg = &self.config;
+        let row = self.clean_row(h_ext, faults.pickup_gain);
+        let stuck = faults.stuck_output;
+        if cfg.pickup_noise_rms == 0.0 && faults.burst.is_none() {
+            return self.measure_folded::<FOLD_TOGGLES>(
+                detector,
+                |_, j| row[j],
+                stuck,
+                fold,
+                on_sample,
+            );
         }
+        let mut noise = GaussianNoise::new(cfg.pickup_noise_rms, noise_seed);
+        let floors = self.skip_floors(&row, &noise);
+        let total = self.run_samples();
+        let (burst, mut stream) = faults.burst.map_or_else(
+            || (0..0, GaussianNoise::silent()),
+            |b| {
+                (
+                    window(total, b.from, b.until),
+                    GaussianNoise::new(b.rms, b.seed),
+                )
+            },
+        );
+        let mut evals = 0;
+        let pickup = |run_sample: usize, j: usize| {
+            if burst.contains(&run_sample) {
+                add_noise(row[j], f64::INFINITY, &mut noise, &mut evals)
+                    + Volt::new(stream.sample())
+            } else {
+                add_noise(row[j], floors[j], &mut noise, &mut evals)
+            }
+        };
+        let result = self.measure_folded::<FOLD_TOGGLES>(detector, pickup, stuck, false, on_sample);
+        count_noise(&noise, total, evals);
+        result
+    }
+
+    /// Settle plus measurement samples in one run.
+    fn run_samples(&self) -> usize {
+        (self.config.settle_periods + self.config.measure_periods) * self.config.samples_per_period
+    }
+
+    /// The noise-free pickup EMF of each excitation-table sample in
+    /// external field `h_ext`, scaled by `gain` unless it is 1 (an open
+    /// pickup). The drive repeats every period and the sensor is
+    /// stateless, so this one row holds the clean EMF of every period.
+    fn clean_row(&self, h_ext: AmperePerMeter, gain: f64) -> Vec<Volt> {
+        let mut row = Vec::with_capacity(self.table.len());
+        for drive in self.table.samples() {
+            let mut v_pickup = self.sensor.pickup_emf(drive.h_drive + h_ext, drive.dh_dt);
+            if gain != 1.0 {
+                v_pickup = Volt::new(v_pickup.value() * gain);
+            }
+            row.push(v_pickup);
+        }
+        row
+    }
+
+    /// For each clean row value, the least first uniform of a `noise`
+    /// draw at which the detector may be stepped with the clean value:
+    /// the draw is then within the value's [`skip_bound`].
+    fn skip_floors(&self, row: &[Volt], noise: &GaussianNoise) -> Vec<f64> {
+        let detector = PulsePositionDetector::new(self.config.detector);
+        let trips = trip_points(&self.config.detector);
+        let mut floors = Vec::with_capacity(row.len());
+        for &v in row {
+            floors.push(noise.floor_within(skip_bound(&detector, &trips, v)));
+        }
+        floors
     }
 
     /// The one measurement kernel, with a toggle buffer of `CAP` entries
     /// per period.
     ///
-    /// `pickup(run_sample, drive)` forms one sample's EMF, noise
-    /// included; `run_sample` counts from the first settle sample.
+    /// `pickup(run_sample, j)` forms the EMF of table sample `j` at run
+    /// sample `run_sample`, noise included; `run_sample` counts from the
+    /// first settle sample.
     /// `stuck`, when set, overrides the detector output (the detector is
     /// still stepped). `fold` allows period folding and must only be set
     /// when every period sees the same inputs.
     fn measure_folded<const CAP: usize>(
         &self,
         detector: &mut PulsePositionDetector,
-        mut pickup: impl FnMut(usize, &DriveSample) -> Volt,
+        mut pickup: impl FnMut(usize, usize) -> Volt,
         stuck: Option<bool>,
         fold: bool,
         mut on_sample: impl FnMut(usize, bool),
@@ -565,15 +652,15 @@ impl FrontEnd {
     fn scan_period<const CAP: usize>(
         &self,
         first: usize,
-        pickup: &mut impl FnMut(usize, &DriveSample) -> Volt,
+        pickup: &mut impl FnMut(usize, usize) -> Volt,
         stuck: Option<bool>,
         detector: &mut PulsePositionDetector,
         toggles: &mut Toggles<CAP>,
         mut emit: impl FnMut(bool),
     ) {
         let mut level = toggles.level;
-        for (j, drive) in self.table.samples().iter().enumerate() {
-            let mut out = detector.step(pickup(first + j, drive));
+        for j in 0..self.table.len() {
+            let mut out = detector.step(pickup(first + j, j));
             if let Some(stuck) = stuck {
                 out = stuck;
             }
@@ -593,7 +680,10 @@ impl FrontEnd {
     /// untouched by construction, not by tolerance. When faults are
     /// active, the same kernel runs with folding off (a fault window or
     /// drift ramp makes every period different) and the fault effects
-    /// applied in physical order:
+    /// applied in physical order. Without a dropout or a drift ramp the
+    /// field is unchanged, so the clean row and the lazy noise of
+    /// [`measure_into`](Self::measure_into) still apply outside a burst
+    /// window:
     ///
     /// 1. excitation dropout zeroes the drive field over its window;
     /// 2. the H_K drift ramp adds a linearly growing field offset;
@@ -620,22 +710,45 @@ impl FrontEnd {
             return self.measure_into(h_ext, noise_seed, detector, on_sample);
         }
         let _run = fluxcomp_obs::span("faults.measure");
-        let cfg = &self.config;
-        let mut noise = GaussianNoise::new(cfg.pickup_noise_rms, noise_seed);
-        let mut burst = faults.burst.map(|b| (b, GaussianNoise::new(b.rms, b.seed)));
-        let total_samples =
-            ((cfg.settle_periods + cfg.measure_periods) * cfg.samples_per_period) as f64;
-        let inv_total = 1.0 / total_samples;
-        let pickup = |run_sample: usize, drive: &DriveSample| {
-            let frac = run_sample as f64 * inv_total;
-            let dropped = faults
-                .dropout
-                .is_some_and(|(from, until)| frac >= from && frac < until);
-            let (h_drive, dh_dt) = if dropped {
+        let result = if faults.dropout.is_none() && faults.hk_ramp == 0.0 {
+            self.measure_row(h_ext, noise_seed, detector, faults, false, on_sample)
+        } else {
+            self.measure_drifting(h_ext, noise_seed, detector, faults, on_sample)
+        };
+        fluxcomp_obs::counter_add("faults.faulted_measures", 1);
+        result
+    }
+
+    /// The faulted kernel when a dropout or an H_K ramp changes the
+    /// field: the EMF and the noise of every sample are evaluated.
+    fn measure_drifting(
+        &self,
+        h_ext: AmperePerMeter,
+        noise_seed: u64,
+        detector: &mut PulsePositionDetector,
+        faults: &fluxcomp_faults::FixFaults,
+        on_sample: impl FnMut(usize, bool),
+    ) -> MeasureResult {
+        let mut noise = GaussianNoise::new(self.config.pickup_noise_rms, noise_seed);
+        let total = self.run_samples();
+        let inv_total = 1.0 / total as f64;
+        let dropout = faults
+            .dropout
+            .map_or(0..0, |(from, until)| window(total, from, until));
+        let mut burst = faults.burst.map(|b| {
+            (
+                window(total, b.from, b.until),
+                GaussianNoise::new(b.rms, b.seed),
+            )
+        });
+        let table = self.table.samples();
+        let pickup = |run_sample: usize, j: usize| {
+            let (h_drive, dh_dt) = if dropout.contains(&run_sample) {
                 (AmperePerMeter::ZERO, 0.0)
             } else {
-                (drive.h_drive, drive.dh_dt)
+                (table[j].h_drive, table[j].dh_dt)
             };
+            let frac = run_sample as f64 * inv_total;
             let h = h_drive + h_ext + AmperePerMeter::new(faults.hk_ramp * frac);
             let mut v_pickup = self.sensor.pickup_emf(h, dh_dt);
             if faults.pickup_gain != 1.0 {
@@ -643,7 +756,7 @@ impl FrontEnd {
             }
             v_pickup += Volt::new(noise.sample());
             if let Some((window, stream)) = burst.as_mut() {
-                if frac >= window.from && frac < window.until {
+                if window.contains(&run_sample) {
                     v_pickup += Volt::new(stream.sample());
                 }
             }
@@ -656,9 +769,93 @@ impl FrontEnd {
             false,
             on_sample,
         );
-        fluxcomp_obs::counter_add("faults.faulted_measures", 1);
+        count_noise(&noise, total, total as u64);
         result
     }
+}
+
+/// `v` plus the next draw of `noise`, evaluated only when the draw's
+/// first uniform is below `floor`. At or above it, the draw cannot
+/// change the detector's step, so `v` stands in for the sum.
+#[inline(always)]
+fn add_noise(v: Volt, floor: f64, noise: &mut GaussianNoise, evals: &mut u64) -> Volt {
+    if noise.draw() >= floor {
+        return v;
+    }
+    *evals += 1;
+    v + Volt::new(noise.value())
+}
+
+/// Counts one measurement's nominal noise draws and how many of them
+/// were evaluated; a silent source draws nothing.
+fn count_noise(noise: &GaussianNoise, draws: usize, evals: u64) {
+    if noise.std_dev() != 0.0 {
+        fluxcomp_obs::counter_add("afe.noise_draws", draws as u64);
+        fluxcomp_obs::counter_add("afe.noise_evals", evals);
+    }
+}
+
+/// The pickup voltages at which one of the detector's comparators
+/// trips: the release and set points `threshold ∓ hysteresis/2` less
+/// the offset for the positive comparator, and their mirror images for
+/// the negative one, which sees the inverted pickup.
+fn trip_points(config: &DetectorConfig) -> [f64; 4] {
+    let half = config.hysteresis.value() / 2.0;
+    let (threshold, offset) = (config.threshold.value(), config.offset.value());
+    [
+        threshold - half - offset,
+        threshold + half - offset,
+        offset - threshold + half,
+        offset - threshold - half,
+    ]
+}
+
+/// The largest noise magnitude `b` for which stepping `detector` with
+/// the clean pickup `v` leaves the same state as stepping it with
+/// `v + x` for every `|x| ≤ b`, whatever state it is in.
+///
+/// The bound is the distance from `v` to the nearest of the `trips`,
+/// shrunk by a relative 1e-9 and checked at both ends with the
+/// comparators' own arithmetic. Rounding is monotone, so every `v + x`
+/// in between gets the verdicts `v` gets. A bound that fails the check
+/// is 0, which no noise draw is sure to stay within.
+fn skip_bound(detector: &PulsePositionDetector, trips: &[f64; 4], v: Volt) -> f64 {
+    let margin = trips
+        .iter()
+        .fold(f64::INFINITY, |m, &t| m.min((v.value() - t).abs()));
+    let bound = margin * (1.0 - 1e-9);
+    if detector.steps_alike(v - Volt::new(bound), v + Volt::new(bound)) {
+        bound
+    } else {
+        0.0
+    }
+}
+
+/// The run samples `k` of `total` whose window fraction `k / total`
+/// lies in `[from, until)`, by the same float comparison a per-sample
+/// test would make. The fraction is monotone in `k`, so the samples
+/// form one range; a NaN edge leaves it empty.
+fn window(total: usize, from: f64, until: f64) -> Range<usize> {
+    let inv_total = 1.0 / total as f64;
+    let frac = |k: usize| k as f64 * inv_total;
+    partition_point(total, |k| frac(k) < from || from.is_nan())..partition_point(total, |k| {
+        frac(k) < until
+    })
+}
+
+/// The first `k` in `0..total` at which `before(k)` fails, for a
+/// `before` that holds on a prefix of the range.
+fn partition_point(total: usize, before: impl Fn(usize) -> bool) -> usize {
+    let (mut lo, mut hi) = (0, total);
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if before(mid) {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    lo
 }
 
 impl Default for FrontEnd {
@@ -994,15 +1191,9 @@ mod tests {
         let fe = FrontEnd::new(cfg).expect("valid config");
         let mut detector = PulsePositionDetector::new(fe.config().detector);
         let h = h_from_microtesla(15.0);
+        let row = fe.clean_row(h, 1.0);
         let (scanned, seen, steps) = counted(|on_sample| {
-            let mut noise = GaussianNoise::new(0.0, 1);
-            fe.measure_folded::<1>(
-                &mut detector,
-                fe.clean_pickup(h, &mut noise),
-                None,
-                true,
-                on_sample,
-            )
+            fe.measure_folded::<1>(&mut detector, |_, j| row[j], None, true, on_sample)
         });
         assert_eq!(steps, 9 * 4096);
         let traced = fe.run_with_seed(h, 1);
@@ -1235,6 +1426,117 @@ mod tests {
                 .collect()
         });
         assert_eq!(got, expected);
+    }
+
+    /// On an unstruck paper-design axis at 2 mV, every sample draws its
+    /// noise but fewer than one in ten evaluates it: the rest are too
+    /// far from a trip point for the draw to matter.
+    #[test]
+    fn noisy_axis_evaluates_under_a_tenth_of_its_draws() {
+        let mut cfg = FrontEndConfig::paper_design();
+        cfg.pickup_noise_rms = 2e-3;
+        cfg.measure_periods = 8;
+        let fe = FrontEnd::new(cfg).expect("valid config");
+        let mut detector = PulsePositionDetector::new(fe.config().detector);
+        for (seed, ut) in [(1, 0.0), (2, 7.5), (3, -15.0)] {
+            let session = fluxcomp_obs::init_scoped_for_test();
+            fe.measure_into(h_from_microtesla(ut), seed, &mut detector, |_, _| {});
+            let profile = session.profile().expect("recording");
+            let draws = profile.counter("afe.noise_draws").unwrap_or(0);
+            let evals = profile.counter("afe.noise_evals").unwrap_or(0);
+            assert_eq!(draws, 9 * 4096, "{ut} µT: every sample draws");
+            assert!(
+                evals * 10 < draws,
+                "{ut} µT: {evals} of {draws} draws evaluated"
+            );
+        }
+    }
+
+    /// The skip is exact. Over random detector designs, states, noise
+    /// levels and clean values, many of them next to or on a trip point:
+    /// stepping with the clean value moved by the whole bound either way
+    /// leaves the same detector as stepping with the clean value, and so
+    /// does stepping with any noisy value whose draw is at or above its
+    /// floor (the noise is evaluated anyway to compare).
+    #[test]
+    fn skipped_noise_never_changes_the_detector() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x5EED);
+        let (mut skipped, mut skipped_near) = (0, 0);
+        for case in 0..20_000u64 {
+            let config = DetectorConfig {
+                threshold: Volt::new(rng.gen_range(1e-3..50e-3)),
+                hysteresis: Volt::new(rng.gen_range(0.0..10e-3)),
+                offset: Volt::new(rng.gen_range(-5e-3..5e-3)),
+                delay: Seconds::ZERO,
+            };
+            let mut detector = PulsePositionDetector::new(config);
+            for _ in 0..rng.gen_range(0..6) {
+                detector.step(Volt::new(rng.gen_range(-80e-3..80e-3)));
+            }
+            let trips = trip_points(&config);
+            let trip = trips[rng.gen_range(0..4usize)];
+            let v = Volt::new(match case % 4 {
+                0 | 1 => rng.gen_range(-80e-3..80e-3),
+                2 => trip + rng.gen_range(-1e-4..1e-4),
+                _ => trip,
+            });
+            let bound = skip_bound(&detector, &trips, v);
+            let stepped = |x: f64| {
+                let mut d = detector.clone();
+                d.step(v + Volt::new(x));
+                d
+            };
+            assert_eq!(stepped(-bound), stepped(0.0), "case {case}: −bound");
+            assert_eq!(stepped(bound), stepped(0.0), "case {case}: +bound");
+            // Next to a trip point, noise small enough that draws skip.
+            let sigma = if case % 4 < 2 { 10e-3 } else { 50e-6 };
+            let mut noise = GaussianNoise::new(rng.gen_range(0.0..sigma), case);
+            let floor = noise.floor_within(bound);
+            for _ in 0..8 {
+                if noise.draw() >= floor {
+                    let x = noise.value();
+                    assert_eq!(stepped(x), stepped(0.0), "case {case}: noise {x}");
+                    skipped += 1;
+                    skipped_near += u32::from(bound < 1e-3);
+                }
+            }
+        }
+        assert!(skipped > 50_000, "only {skipped} skips");
+        assert!(
+            skipped_near > 1_000,
+            "only {skipped_near} skips within 1 mV of a trip point"
+        );
+    }
+
+    /// A window's sample range holds exactly the samples whose fraction
+    /// of the run passes the per-sample comparison.
+    #[test]
+    fn window_ranges_match_the_per_sample_comparison() {
+        let total = 9 * 4096;
+        let inv_total = 1.0 / total as f64;
+        let edges = [
+            0.0,
+            0.2,
+            0.3,
+            0.6,
+            0.7,
+            1.0,
+            1.5,
+            4096.0 / total as f64,
+            f64::NAN,
+        ];
+        for from in edges {
+            for until in edges {
+                let range = window(total, from, until);
+                for k in 0..total {
+                    let frac = k as f64 * inv_total;
+                    let inside = frac >= from && frac < until;
+                    assert_eq!(range.contains(&k), inside, "[{from}, {until}) at {k}");
+                }
+            }
+        }
     }
 
     #[test]
