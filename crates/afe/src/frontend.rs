@@ -508,16 +508,7 @@ impl FrontEnd {
         }
         let mut noise = GaussianNoise::new(cfg.pickup_noise_rms, noise_seed);
         let floors = self.skip_floors(&row, &noise);
-        let total = self.run_samples();
-        let (burst, mut stream) = faults.burst.map_or_else(
-            || (0..0, GaussianNoise::silent()),
-            |b| {
-                (
-                    window(total, b.from, b.until),
-                    GaussianNoise::new(b.rms, b.seed),
-                )
-            },
-        );
+        let (burst, mut stream) = self.burst(faults);
         let mut evals = 0;
         let pickup = |run_sample: usize, j: usize| {
             if burst.contains(&run_sample) {
@@ -528,13 +519,25 @@ impl FrontEnd {
             }
         };
         let result = self.measure_folded::<FOLD_TOGGLES>(detector, pickup, stuck, false, on_sample);
-        count_noise(&noise, total, evals);
+        count_noise(&noise, self.run_samples(), evals);
         result
     }
 
     /// Settle plus measurement samples in one run.
     fn run_samples(&self) -> usize {
         (self.config.settle_periods + self.config.measure_periods) * self.config.samples_per_period
+    }
+
+    /// The run samples a noise burst covers and its stream: an empty
+    /// range and a silent stream when `faults` has no burst.
+    fn burst(&self, faults: &fluxcomp_faults::FixFaults) -> (Range<usize>, GaussianNoise) {
+        faults.burst.map_or_else(
+            || (0..0, GaussianNoise::silent()),
+            |b| {
+                let window = window(self.run_samples(), b.from, b.until);
+                (window, GaussianNoise::new(b.rms, b.seed))
+            },
+        )
     }
 
     /// The noise-free pickup EMF of each excitation-table sample in
@@ -735,12 +738,7 @@ impl FrontEnd {
         let dropout = faults
             .dropout
             .map_or(0..0, |(from, until)| window(total, from, until));
-        let mut burst = faults.burst.map(|b| {
-            (
-                window(total, b.from, b.until),
-                GaussianNoise::new(b.rms, b.seed),
-            )
-        });
+        let (burst, mut stream) = self.burst(faults);
         let table = self.table.samples();
         let pickup = |run_sample: usize, j: usize| {
             let (h_drive, dh_dt) = if dropout.contains(&run_sample) {
@@ -755,10 +753,8 @@ impl FrontEnd {
                 v_pickup = Volt::new(v_pickup.value() * faults.pickup_gain);
             }
             v_pickup += Volt::new(noise.sample());
-            if let Some((window, stream)) = burst.as_mut() {
-                if window.contains(&run_sample) {
-                    v_pickup += Volt::new(stream.sample());
-                }
+            if burst.contains(&run_sample) {
+                v_pickup += Volt::new(stream.sample());
             }
             v_pickup
         };

@@ -68,6 +68,7 @@ impl GaussianNoise {
         Self {
             std_dev,
             rng: StdRng::seed_from_u64(seed),
+            // No pair drawn yet: radius zero.
             pair: Pair {
                 u1: 1.0,
                 u2: 0.0,
