@@ -1,11 +1,14 @@
 //! Chip-level integration: the synthesised netlists, the Sea-of-Gates
 //! mapping and the gate-level simulator agree with the behavioural RTL.
 
-use fluxcomp::compass::chip::paper_chip;
+use fluxcomp::compass::chip::{build_chip, paper_chip};
 use fluxcomp::rtl::cordic::CordicArctan;
 use fluxcomp::rtl::netsim::GateSim;
-use fluxcomp::rtl::synth::{cordic_step, updown_counter};
+use fluxcomp::rtl::scan::{insert_scan, scan_overhead_transistors};
+use fluxcomp::rtl::synth::{cordic_step, full_compass_inventory, updown_counter};
+use fluxcomp::rtl::timing::{analyze, DelayModel};
 use fluxcomp::sog::fabric::PowerDomain;
+use fluxcomp::sog::library::AnalogMacro;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -145,5 +148,51 @@ fn site_accounting_conserved() {
     assert!(
         (digital_sites as f64 - expected).abs() <= slack + 16.0,
         "sites {digital_sites} vs expected {expected}"
+    );
+}
+
+/// Every figure the E6 bench prints, pinned to the bit: the digital
+/// inventory, the quarter fill, the analogue occupancy and sites, the
+/// counter and CORDIC timing, the scan overhead and the utilisation
+/// sweep. Floats are compared by their bits; the decimal value is in
+/// the comment.
+#[test]
+fn e6_report_figures_are_pinned() {
+    let report = paper_chip().expect("fits");
+    assert_eq!(report.digital_transistors, 32_288);
+    assert_eq!(full_compass_inventory().len(), 12);
+    assert_eq!(report.digital_quarters.to_bits(), 0x4001_3886_594a_f4f1); // 2.1526
+    assert_eq!(report.analog_occupancy.to_bits(), 0x3fc1_6872_b020_c49c); // 0.136
+    let analog_sites: u32 = AnalogMacro::paper_analog_section()
+        .iter()
+        .map(|m| m.total_sites())
+        .sum();
+    assert_eq!(analog_sites, 3_400);
+
+    let (counter_nl, _, _) = updown_counter(16);
+    let counter = analyze(&counter_nl, &DelayModel::sog_1um());
+    assert_eq!(counter.critical_path_ns.to_bits(), 0x4042_d999_9999_999c); // 37.7 ns
+    assert_eq!(counter.fmax.value().to_bits(), 0x4179_4be0_ef06_1c82); // 26.5 MHz
+    let stage = analyze(&cordic_step(24, 3).0, &DelayModel::sog_1um());
+    assert_eq!(stage.critical_path_ns.to_bits(), 0x404c_0ccc_cccc_ccd3); // 56.1 ns
+
+    let flops = counter_nl.stats().flip_flops;
+    assert_eq!(flops, 16);
+    assert_eq!(scan_overhead_transistors(flops), 192);
+    assert_eq!(insert_scan(counter_nl).len(), 16);
+
+    let sweep = [0.50, 0.40, 0.30, 0.25, 0.22, 0.15, 0.10]
+        .map(|util| build_chip(util).ok().map(|r| r.digital_quarters.to_bits()));
+    assert_eq!(
+        sweep,
+        [
+            Some(0x3ff4_aa10_e022_1427), // 1.29152
+            Some(0x3ff9_d4bf_0995_aaf8), // 1.61444
+            Some(0x4001_3886_594a_f4f1), // 2.1526
+            Some(0x4004_aa10_e022_1427), // 2.58304
+            None,
+            None,
+            None,
+        ]
     );
 }

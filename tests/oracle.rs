@@ -293,6 +293,33 @@ fn per_case<T: Send>(f: impl Fn(&Case, u64) -> T + Sync) -> Vec<(&'static str, u
     })
 }
 
+/// Digest of the raw clean pickup-EMF rows of `paper_design`, one row
+/// per external field over the excitation table. Output digests cannot
+/// see a one-ULP change to the EMF (no output bit on the grid moves), so
+/// the rows themselves are pinned.
+const GOLDEN_EMF: u64 = 0x68e3_3556_d9e2_1f84;
+
+#[test]
+fn clean_emf_rows_match_their_golden_digest() {
+    let config = CompassConfig::paper_design();
+    let mut fe_config = config.frontend.clone();
+    fe_config.sensor = config.pair.element;
+    let frontend = FrontEnd::new(fe_config).expect("valid front-end");
+    let sensor = frontend.sensor();
+    let table = frontend.excitation_table().samples();
+    let peak = frontend.peak_excitation_field().value();
+    let digest = [0.0, 12.0, -12.0, 1.2 * peak, -1.2 * peak]
+        .into_iter()
+        .flat_map(|h_ext| {
+            table.iter().map(move |drive| {
+                let h = drive.h_drive + AmperePerMeter::new(h_ext);
+                sensor.pickup_emf(h, drive.dh_dt).value().to_bits()
+            })
+        })
+        .fold(FNV_OFFSET, chain);
+    assert_eq!(digest, GOLDEN_EMF);
+}
+
 #[test]
 fn fast_path_matches_golden_grid_digests() {
     let got = per_case(|case, seed| {
