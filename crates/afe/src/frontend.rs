@@ -431,7 +431,7 @@ impl FrontEnd {
     }
 
     /// Like [`measure`](Self::measure), but with an explicit noise seed.
-    pub fn measure_with_seed(&self, h_ext: AmperePerMeter, noise_seed: u64) -> MeasureResult {
+    fn measure_with_seed(&self, h_ext: AmperePerMeter, noise_seed: u64) -> MeasureResult {
         let mut detector = PulsePositionDetector::new(self.config.detector);
         self.measure_into(h_ext, noise_seed, &mut detector, |_, _| {})
     }

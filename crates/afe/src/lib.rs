@@ -23,9 +23,7 @@
 //!   cycling and supply scaling (experiment E7);
 //! * [`relaxation_sim`] — circuit-level transient of the relaxation
 //!   oscillator, verifying that 8 kHz really emerges from 10 pF and
-//!   12.5 MΩ;
-//! * [`mux`] — the analogue multiplexer that excites "one sensor at a
-//!   time" (on-resistance, settling, charge injection).
+//!   12.5 MΩ.
 //!
 //! ## Example: measure a field with the paper's front-end
 //!
@@ -51,7 +49,6 @@ pub mod comparator;
 pub mod detector;
 pub mod excitation;
 pub mod frontend;
-pub mod mux;
 pub mod oscillator;
 pub mod power;
 pub mod relaxation_sim;
@@ -62,7 +59,6 @@ pub use comparator::Comparator;
 pub use detector::{DetectorConfig, PulsePositionDetector};
 pub use excitation::{DriveSample, ExcitationTable};
 pub use frontend::{FrontEnd, FrontEndConfig, FrontEndError, FrontEndResult, MeasureResult};
-pub use mux::AnalogMux;
 pub use oscillator::{OffsetCorrection, RelaxationOscillator, TriangleWave};
 pub use power::{BlockCurrents, PowerModel, Schedule};
 pub use relaxation_sim::{simulate_relaxation, RelaxationRun};

@@ -461,7 +461,7 @@ impl Compass {
 
     /// Wraps an already-validated design with fresh sequencer/display
     /// state.
-    pub fn from_design(design: CompassDesign) -> Self {
+    fn from_design(design: CompassDesign) -> Self {
         let periods = design.config().frontend.measure_periods as u32;
         Self {
             sequencer: Sequencer::new(periods, 8),

@@ -77,7 +77,7 @@ pub enum AxisSel {
 impl AxisSel {
     /// Does this selector cover axis `axis_index` (0 = X, 1 = Y)?
     #[must_use]
-    pub fn applies_to(self, axis_index: u32) -> bool {
+    fn applies_to(self, axis_index: u32) -> bool {
         match self {
             AxisSel::X => axis_index == 0,
             AxisSel::Y => axis_index == 1,

@@ -20,8 +20,6 @@
 //!   noise studies;
 //! * [`pair`] — the orthogonal X/Y sensor pair of the compass, with
 //!   gain-mismatch and misalignment non-idealities;
-//! * [`demag`] — shape anisotropy: how core geometry sets the effective
-//!   `H_K`, i.e. why the paper's "adapted" sensor is obtainable;
 //! * [`jiles_atherton`] / [`thermal`] — physical hysteresis and
 //!   temperature models for the robustness extensions.
 //!
@@ -48,7 +46,6 @@
 //! ```
 
 pub mod core_model;
-pub mod demag;
 pub mod earth;
 pub mod jiles_atherton;
 pub mod noise;
@@ -57,7 +54,6 @@ pub mod thermal;
 pub mod transducer;
 
 pub use core_model::{CoreModel, Sweep};
-pub use demag::CoreGeometry;
 pub use earth::{EarthField, Location, MagneticDisturbance};
 pub use jiles_atherton::{JaParams, JilesAthertonCore};
 pub use noise::GaussianNoise;

@@ -57,7 +57,7 @@ pub type Sample = Vec<f64>;
 /// Draws the factor vector of trial `index` for a run seeded with
 /// `seed`. Pure: the same `(seed, index)` always yields the same sample,
 /// independent of any other trial.
-pub fn draw_sample(tolerances: &[Tolerance], seed: u64, index: usize) -> Sample {
+fn draw_sample(tolerances: &[Tolerance], seed: u64, index: usize) -> Sample {
     let mut rng = StdRng::seed_from_u64(derive_seed(seed, index as u64));
     tolerances.iter().map(|t| t.sample(&mut rng)).collect()
 }

@@ -42,7 +42,7 @@
 //! ```
 //!
 //! ```
-//! let session = fluxcomp_obs::init_for_test();
+//! let session = fluxcomp_obs::init_scoped_for_test();
 //! fluxcomp_obs::counter_add("demo.fixes", 2);
 //! {
 //!     let _span = fluxcomp_obs::span("demo.stage");
@@ -265,7 +265,7 @@ pub enum ObsMode {
 /// Reads `FLUXCOMP_OBS`. Unset, empty, `off`, `0` and `none` mean
 /// [`ObsMode::Off`]; unknown values also fall back to `Off` (a missing
 /// profile is obvious, a crashed example is not).
-pub fn mode_from_env() -> ObsMode {
+fn mode_from_env() -> ObsMode {
     match std::env::var("FLUXCOMP_OBS") {
         Ok(v) => match v.trim().to_ascii_lowercase().as_str() {
             "json" | "jsonl" => ObsMode::Json,
@@ -304,10 +304,6 @@ impl Drop for ObsSession {
             return;
         };
         uninstall();
-        if self.mode == ObsMode::Off {
-            // Test sessions: recorder installed, but nothing printed.
-            return;
-        }
         let profile = recorder.snapshot();
         let stderr = std::io::stderr();
         let mut w = stderr.lock();
@@ -326,9 +322,8 @@ pub fn init_from_env() -> ObsSession {
     init_with_mode(mode)
 }
 
-/// Like [`init_from_env`] with an explicit mode — for binaries that
-/// take the choice from a CLI flag instead.
-pub fn init_with_mode(mode: ObsMode) -> ObsSession {
+/// Like [`init_from_env`] with an explicit mode.
+fn init_with_mode(mode: ObsMode) -> ObsSession {
     let recorder = match mode {
         ObsMode::Off => None,
         ObsMode::Json | ObsMode::Text => {
@@ -338,18 +333,6 @@ pub fn init_with_mode(mode: ObsMode) -> ObsSession {
         }
     };
     ObsSession { mode, recorder }
-}
-
-/// Installs a fresh [`AggregatingRecorder`] regardless of the
-/// environment and returns a session that will **not** print on drop —
-/// read it back with [`ObsSession::profile`]. Intended for tests.
-pub fn init_for_test() -> ObsSession {
-    let r = Arc::new(AggregatingRecorder::new());
-    install(r.clone());
-    ObsSession {
-        mode: ObsMode::Off,
-        recorder: Some(r),
-    }
 }
 
 /// A fresh [`AggregatingRecorder`] scoped to the calling thread (and
@@ -408,25 +391,26 @@ mod tests {
     #[test]
     fn install_records_and_uninstall_stops() {
         let _guard = GLOBAL_LOCK.lock().unwrap();
-        let session = init_for_test();
+        let recorder = Arc::new(AggregatingRecorder::new());
+        install(recorder.clone());
         counter_add("a", 2);
         counter_add("a", 3);
         gauge_set("g", 0.5);
         histogram_record("h", 2.0);
         span("s").finish();
-        let p = session.profile().unwrap();
+        let p = recorder.snapshot();
         assert_eq!(p.counter("a"), Some(5));
         assert_eq!(p.gauge("g"), Some(0.5));
         assert_eq!(p.span("s").unwrap().count, 1);
         uninstall();
         counter_add("a", 100);
-        assert_eq!(session.profile().unwrap().counter("a"), Some(5));
+        assert_eq!(recorder.snapshot().counter("a"), Some(5));
     }
 
     #[test]
     fn span_guard_times_real_work() {
         let _guard = GLOBAL_LOCK.lock().unwrap();
-        let session = init_for_test();
+        let session = init_scoped_for_test();
         {
             let _s = span("sleepy");
             std::thread::sleep(std::time::Duration::from_millis(2));
@@ -435,7 +419,6 @@ mod tests {
         let s = p.span("sleepy").unwrap();
         assert_eq!(s.count, 1);
         assert!(s.total_nanos >= 1_000_000, "span too short: {s:?}");
-        uninstall();
     }
 
     #[test]
@@ -460,7 +443,8 @@ mod tests {
     #[test]
     fn scope_shadows_the_global_recorder_on_its_thread_only() {
         let _guard = GLOBAL_LOCK.lock().unwrap();
-        let global = init_for_test();
+        let global = Arc::new(AggregatingRecorder::new());
+        install(global.clone());
         let scoped = init_scoped_for_test();
         counter_add("c", 1);
         std::thread::scope(|s| {
@@ -473,7 +457,7 @@ mod tests {
         assert_eq!(snapshot().unwrap().counter("c"), Some(10));
         drop(scoped);
         counter_add("c", 100);
-        assert_eq!(global.profile().unwrap().counter("c"), Some(110));
+        assert_eq!(global.snapshot().counter("c"), Some(110));
         uninstall();
         assert!(!enabled());
     }

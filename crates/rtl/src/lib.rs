@@ -30,15 +30,11 @@
 //! * [`cordic_netlist`] — the whole Fig. 8 kernel unrolled into one
 //!   gate-level netlist, equivalence-checked against the behavioural
 //!   unit;
-//! * [`vhdl`] — structural VHDL-87 export of any netlist, closing the
-//!   loop back to the paper's design language;
 //! * [`timing`] — static timing analysis: the proof that the counter
 //!   closes timing at 4.194304 MHz on mid-90s gates, and that the
 //!   CORDIC *must* be iterated rather than unrolled;
 //! * [`scan`] — scan-chain insertion (design-for-test of the logic
-//!   itself, complementing the MCM's boundary scan);
-//! * [`fault_sim`] — stuck-at fault grading of the netlists with random
-//!   patterns, the coverage figure a production logic screen quotes.
+//!   itself, complementing the MCM's boundary scan).
 //!
 //! ## Example: the Fig. 8 arctangent
 //!
@@ -57,39 +53,31 @@
 
 pub mod adc;
 pub mod atan_rom;
-pub mod bcd;
 pub mod clock;
 pub mod cordic;
 pub mod cordic_netlist;
 pub mod counter;
-pub mod fault_sim;
 pub mod gates;
 pub mod lcd;
 pub mod netsim;
 pub mod scan;
 pub mod sequencer;
-pub mod sequencer_netlist;
 pub mod synth;
 pub mod timing;
-pub mod vhdl;
 pub mod watch;
 pub mod watch_extras;
 
 pub use adc::SarAdc;
 pub use atan_rom::AtanRom;
-pub use bcd::{double_dabble_netlist, to_bcd};
 pub use clock::{ClockDivider, ClockTree};
 pub use cordic::{ComputeHeadingError, CordicArctan, HeadingResult};
 pub use cordic_netlist::{cordic_kernel_netlist, CordicKernelNets};
 pub use counter::UpDownCounter;
-pub use fault_sim::{enumerate_faults, random_pattern_coverage, FaultCoverage, StuckAtFault};
 pub use gates::{GateKind, NetId, Netlist, NetlistStats};
 pub use lcd::{DisplayDriver, DisplayFrame, DisplayMode};
 pub use netsim::GateSim;
 pub use scan::{insert_scan, ScanChain};
 pub use sequencer::{Enables, Sequencer, SequencerState};
-pub use sequencer_netlist::{sequencer_netlist, SequencerNets};
 pub use timing::{analyze as timing_analyze, DelayModel, TimingReport};
-pub use vhdl::to_vhdl;
 pub use watch::{TimeOfDay, Watch};
 pub use watch_extras::{Alarm, CalendarDate, Stopwatch};

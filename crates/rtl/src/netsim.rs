@@ -24,8 +24,6 @@ pub struct GateSim {
     queue: VecDeque<u32>,
     queued: Vec<bool>,
     events: u64,
-    /// Nets forced to a fixed value (stuck-at fault injection).
-    forced: Vec<Option<bool>>,
 }
 
 impl GateSim {
@@ -50,7 +48,6 @@ impl GateSim {
             queue: VecDeque::new(),
             queued: vec![false; n],
             events: 0,
-            forced: vec![None; n],
             netlist,
         };
         // Apply constants and settle the initial state.
@@ -115,9 +112,6 @@ impl GateSim {
             GateKind::Input,
             "set_input target must be a primary input"
         );
-        if self.forced[net.index()].is_some() {
-            return; // a forced (faulty) input ignores stimulus
-        }
         if self.values[net.index()] != value {
             self.values[net.index()] = value;
             self.schedule_fanout(net.index());
@@ -146,29 +140,7 @@ impl GateSim {
         }
     }
 
-    /// Forces a net to a fixed value (stuck-at fault injection for the
-    /// fault simulator), or releases it with `None`.
-    pub fn force(&mut self, net: NetId, value: Option<bool>) {
-        self.forced[net.index()] = value;
-        let effective = match value {
-            Some(v) => v,
-            None => {
-                // Re-evaluate the released net.
-                self.enqueue(net.index() as u32);
-                self.values[net.index()]
-            }
-        };
-        if self.values[net.index()] != effective {
-            self.values[net.index()] = effective;
-            self.schedule_fanout(net.index());
-        }
-        self.settle();
-    }
-
     fn eval(&mut self, idx: usize) -> bool {
-        if let Some(v) = self.forced[idx] {
-            return v;
-        }
         let gate = &self.netlist.gates[idx];
         let v = |n: NetId| self.values[n.index()];
         match gate.kind {
@@ -228,7 +200,7 @@ impl GateSim {
         // Phase 1: sample all D inputs with pre-edge values.
         let mut updates = Vec::new();
         for (idx, gate) in self.netlist.gates.iter().enumerate() {
-            if gate.kind == GateKind::Dff && self.forced[idx].is_none() {
+            if gate.kind == GateKind::Dff {
                 let d = self.values[gate.inputs[0].index()];
                 if d != self.values[idx] {
                     updates.push((idx, d));

@@ -13,13 +13,6 @@
 //!   the occupancy report of experiment E6;
 //! * [`library`] — site costs of the analogue macros (\[Haa95\]/\[Don94\]
 //!   style analogue-on-SoG design);
-//! * [`placement`] — row-based detailed placement with HPWL wirelength
-//!   and greedy refinement, the Ocean-system \[Gro93\] step that grounds
-//!   the routing-utilisation factor;
-//! * [`routing`] — per-row track-demand estimation against the 2-metal
-//!   array's capacity;
-//! * [`anneal`](mod@anneal) — TimberWolf-style simulated-annealing refinement on top
-//!   of the greedy pass;
 //! * [`power_grid`] — supply-spine IR droop, quantifying why the paper
 //!   gives the analogue section its own supply quarter.
 //!
@@ -39,18 +32,12 @@
 //! # }
 //! ```
 
-pub mod anneal;
 pub mod fabric;
 pub mod floorplan;
 pub mod library;
-pub mod placement;
 pub mod power_grid;
-pub mod routing;
 
-pub use anneal::{anneal, AnnealSchedule, AnnealStats};
 pub use fabric::{CapacitorPlan, PowerDomain, Quarter, SogArray};
 pub use floorplan::{Block, Floorplan, PlaceBlockError, Placement};
 pub use library::AnalogMacro;
-pub use placement::{CellSite, DetailedPlacement, PlaceCell, PlaceNet};
 pub use power_grid::{isolation_report, IsolationReport, SupplySpine};
-pub use routing::{RoutingModel, RoutingReport};

@@ -2,7 +2,6 @@
 
 use fluxcomp_sog::fabric::{CapacitorPlan, PowerDomain, SogArray, ON_CHIP_CAP_LIMIT};
 use fluxcomp_sog::floorplan::{Block, Floorplan};
-use fluxcomp_sog::placement::{DetailedPlacement, PlaceCell, PlaceNet};
 use fluxcomp_units::si::Farad;
 use proptest::prelude::*;
 
@@ -70,24 +69,6 @@ proptest! {
     fn sites_at_least_raw_pairs(t in 1u32..1_000_000, util_pct in 1u32..100) {
         let b = Block::from_transistors("x", t, util_pct as f64 / 100.0, PowerDomain::Digital);
         prop_assert!(b.sites as u64 >= (t as u64).div_ceil(2));
-    }
-
-    /// `improve` never increases HPWL and is idempotent at a fixed point.
-    #[test]
-    fn placement_improvement_monotone(n in 4usize..20, seed in any::<u32>()) {
-        let cells: Vec<PlaceCell> = (0..n).map(|k| PlaceCell::new(format!("c{k}"), 1)).collect();
-        let nets: Vec<PlaceNet> = (0..n)
-            .map(|k| PlaceNet {
-                cells: vec![k, (k + 1 + (seed as usize % (n - 1))) % n],
-            })
-            .collect();
-        let cols = (n as u32).div_ceil(4).max(2);
-        let mut p = DetailedPlacement::initial(4, cols, cells, nets);
-        let before = p.hpwl();
-        let after = p.improve(5);
-        prop_assert!(after <= before + 1e-9);
-        let again = p.improve(5);
-        prop_assert!(again <= after + 1e-9);
     }
 
     /// Array accounting: total transistors is twice the site count.

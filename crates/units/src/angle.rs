@@ -12,8 +12,8 @@ use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
 /// An angle in degrees.
 ///
 /// The raw value is unconstrained; use [`Degrees::normalized`] to map into
-/// `[0, 360)` (compass-heading convention) or [`Degrees::wrapped_signed`]
-/// for `(-180, 180]`.
+/// `[0, 360)` (compass-heading convention) and
+/// [`Degrees::signed_error_from`] for a difference in `(-180, 180]`.
 ///
 /// # Example
 ///
@@ -64,7 +64,7 @@ impl Degrees {
 
     /// Maps the angle into the signed range `(-180, 180]`.
     #[inline]
-    pub fn wrapped_signed(self) -> Self {
+    fn wrapped_signed(self) -> Self {
         let mut a = self.0.rem_euclid(360.0);
         if a > 180.0 {
             a -= 360.0;

@@ -53,17 +53,6 @@ impl<const FRAC: u32> Q<FRAC> {
         self.0
     }
 
-    /// Converts an integer (no fractional part).
-    ///
-    /// # Panics
-    ///
-    /// Panics in debug builds if `value << FRAC` overflows, like the
-    /// synthesis-time width check a hardware flow would perform.
-    #[inline]
-    pub const fn from_int(value: i64) -> Self {
-        Self(value << FRAC)
-    }
-
     /// Rounds a float to the nearest representable fixed-point value
     /// (ties away from zero, matching a hardware round constant).
     #[inline]
@@ -78,13 +67,6 @@ impl<const FRAC: u32> Q<FRAC> {
         self.0 as f64 / (1i64 << FRAC) as f64
     }
 
-    /// Truncates to the integer part (rounds toward negative infinity,
-    /// which is what an arithmetic right shift does in hardware).
-    #[inline]
-    pub const fn floor_int(self) -> i64 {
-        self.0 >> FRAC
-    }
-
     /// Wrapping addition (models a plain ripple/carry adder register).
     #[inline]
     pub const fn wrapping_add(self, rhs: Self) -> Self {
@@ -93,7 +75,7 @@ impl<const FRAC: u32> Q<FRAC> {
 
     /// Wrapping subtraction.
     #[inline]
-    pub const fn wrapping_sub(self, rhs: Self) -> Self {
+    const fn wrapping_sub(self, rhs: Self) -> Self {
         Self(self.0.wrapping_sub(rhs.0))
     }
 
@@ -112,7 +94,7 @@ impl<const FRAC: u32> Q<FRAC> {
     /// Fixed-point multiply with rescale, using an `i128` intermediate
     /// (a full-width hardware multiplier followed by a shift).
     #[inline]
-    pub const fn mul_full(self, rhs: Self) -> Self {
+    const fn mul_full(self, rhs: Self) -> Self {
         Self(((self.0 as i128 * rhs.0 as i128) >> FRAC) as i64)
     }
 
@@ -126,23 +108,6 @@ impl<const FRAC: u32> Q<FRAC> {
     #[inline]
     pub const fn signum(self) -> i64 {
         self.0.signum()
-    }
-
-    /// `true` if the value is negative (the register's sign bit).
-    #[inline]
-    pub const fn is_negative(self) -> bool {
-        self.0 < 0
-    }
-
-    /// Number of bits (including sign) needed to represent this value —
-    /// the minimum register width a synthesis tool would allocate.
-    #[inline]
-    pub fn min_register_width(self) -> u32 {
-        if self.0 >= 0 {
-            64 - self.0.leading_zeros() + 1
-        } else {
-            64 - self.0.leading_ones() + 1
-        }
     }
 }
 
@@ -298,29 +263,11 @@ mod tests {
     }
 
     #[test]
-    fn floor_int_truncates_toward_neg_infinity() {
-        assert_eq!(Q7::from_f64(2.75).floor_int(), 2);
-        assert_eq!(Q7::from_f64(-2.25).floor_int(), -3);
-        assert_eq!(Q7::from_f64(0.0).floor_int(), 0);
-    }
-
-    #[test]
     fn signs() {
-        assert!(Q7::from_f64(-0.5).is_negative());
-        assert!(!Q7::from_f64(0.5).is_negative());
         assert_eq!(Q7::from_f64(-0.5).abs().to_f64(), 0.5);
         assert_eq!(Q7::from_f64(3.0).signum(), 1);
         assert_eq!(Q7::ZERO.signum(), 0);
         assert_eq!(Q7::from_f64(-3.0).signum(), -1);
-    }
-
-    #[test]
-    fn register_width_estimate() {
-        // 1.0 in Q7 is 128 = 8 magnitude bits + sign.
-        assert_eq!(Q7::ONE.min_register_width(), 9);
-        assert_eq!(Q7::ZERO.min_register_width(), 1);
-        assert_eq!(Q7::from_bits(-1).min_register_width(), 1);
-        assert_eq!(Q7::from_bits(-129).min_register_width(), 9);
     }
 
     #[test]

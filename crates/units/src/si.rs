@@ -357,22 +357,6 @@ impl Seconds {
     }
 }
 
-impl Henry {
-    /// Magnitude of the inductive reactance `|Z_L| = 2πfL` at frequency `f`.
-    #[inline]
-    pub fn reactance_at(self, f: Hertz) -> Ohm {
-        Ohm::new(2.0 * std::f64::consts::PI * f.value() * self.value())
-    }
-}
-
-impl Farad {
-    /// Magnitude of the capacitive reactance `|Z_C| = 1/(2πfC)` at `f`.
-    #[inline]
-    pub fn reactance_at(self, f: Hertz) -> Ohm {
-        Ohm::new(1.0 / (2.0 * std::f64::consts::PI * f.value() * self.value()))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -472,16 +456,6 @@ mod tests {
         assert_eq!(Volt::new(5.0).to_string(), "5 V");
         assert_eq!(Hertz::new(8000.0).to_string(), "8000 Hz");
         assert_eq!(Ohm::new(77.0).to_string(), "77 Ω");
-    }
-
-    #[test]
-    fn reactance_of_pickup_coil() {
-        // A 1 mH coil at 8 kHz: |Z| = 2π·8000·1e-3 ≈ 50.27 Ω.
-        let z = Henry::new(1e-3).reactance_at(Hertz::new(8_000.0));
-        assert!((z.value() - 50.265_482).abs() < 1e-3);
-        // 400 pF at 8 kHz is ≈ 49.7 kΩ.
-        let zc = Farad::new(400e-12).reactance_at(Hertz::new(8_000.0));
-        assert!((zc.value() - 49_735.92).abs() < 1.0);
     }
 
     #[test]
