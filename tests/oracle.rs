@@ -10,7 +10,7 @@
 //! effects, the detector and the counter that shares no loop with the
 //! front-end — that must agree with the fast path fix for fix.
 
-use fluxcomp::afe::{FrontEnd, PulsePositionDetector};
+use fluxcomp::afe::{FrontEnd, FrontEndConfig, FrontEndResult, PulsePositionDetector};
 use fluxcomp::compass::{
     AxisMeasurement, CheckedReading, CompassConfig, CompassDesign, DegradedTracker, FixQuality,
     MeasureScratch, Reading,
@@ -19,9 +19,10 @@ use fluxcomp::exec::{derive_seed, unit_f64};
 use fluxcomp::faults::{AxisSel, FaultKind, FaultPlan, FaultSpec, FixFaults};
 use fluxcomp::fluxgate::noise::GaussianNoise;
 use fluxcomp::fluxgate::pair::Axis;
+use fluxcomp::fluxgate::FluxgateParams;
 use fluxcomp::rtl::counter::ClockSchedule;
 use fluxcomp::rtl::{CordicArctan, UpDownCounter};
-use fluxcomp::units::{AmperePerMeter, Degrees, Volt};
+use fluxcomp::units::{AmperePerMeter, Degrees, Ohm, Volt};
 
 /// Headings in the pinned grid: every fifth point of the 1° grid (the
 /// full grid would add ~9 s to a debug-build test run).
@@ -352,4 +353,101 @@ fn oracle_matches_the_fast_path_and_its_golden_digests() {
         reference.into_iter().fold(FNV_OFFSET, chain)
     });
     assert_eq!(got, GOLDEN_ORACLE);
+}
+
+/// Digest of every output bit of a traced front-end run: the four
+/// traces (time in picoseconds and value bits), the measurement-window
+/// detector samples, the duty bits and the clip flag.
+fn waveform_digest(digest: u64, run: &FrontEndResult) -> u64 {
+    let traces = ["i_exc", "v_exc", "v_pickup", "detector"]
+        .into_iter()
+        .flat_map(|name| {
+            let trace = run.traces.by_name(name).expect("traced channel");
+            trace
+                .samples()
+                .iter()
+                .flat_map(|&(t, v)| [t.picos() as u64, v.to_bits()])
+        });
+    let samples = run
+        .detector_samples
+        .chunks(64)
+        .map(|c| c.iter().fold(0u64, |w, &b| w << 1 | u64::from(b)));
+    traces
+        .chain(samples)
+        .chain([
+            run.detector_samples.len() as u64,
+            run.duty.to_bits(),
+            u64::from(run.clipped),
+        ])
+        .fold(digest, chain)
+}
+
+/// Digest of `run_with_seed` over the paper channel, 2 mV noise, a
+/// clipping drive, a hysteretic core, a 3 mV comparator offset and the
+/// 0+2 split of the waveform figures, at fields 0, −0, ±1.2·H_peak and
+/// two seeds each.
+const GOLDEN_WAVEFORMS: [(&str, u64); 6] = [
+    ("paper", 0x022493d72aca64ad),
+    ("noisy", 0xcb64b55a044624a9),
+    ("clipping", 0xf75411030dc86d95),
+    ("hysteretic", 0xf7f6ac289fad61dd),
+    ("offset", 0xc3f4f39e80a29d4d),
+    ("split_0_2", 0x5c1abc86c5bc110d),
+];
+
+#[test]
+fn traced_waveforms_match_their_golden_digests() {
+    let with = |edit: fn(&mut FrontEndConfig)| {
+        let mut config = FrontEndConfig::paper_design();
+        edit(&mut config);
+        config
+    };
+    let configs = [
+        ("paper", with(|_| {})),
+        ("noisy", with(|c| c.pickup_noise_rms = 2e-3)),
+        (
+            "clipping",
+            with(|c| c.sensor.r_excitation = Ohm::new(2_000.0)),
+        ),
+        (
+            "hysteretic",
+            with(|c| c.sensor = FluxgateParams::adapted_hysteretic(0.1)),
+        ),
+        ("offset", with(|c| c.detector.offset = Volt::new(3e-3))),
+        (
+            "split_0_2",
+            with(|c| {
+                c.settle_periods = 0;
+                c.measure_periods = 2;
+            }),
+        ),
+    ];
+    let got: Vec<(&str, u64)> = std::thread::scope(|s| {
+        let runs: Vec<_> = configs
+            .into_iter()
+            .map(|(name, config)| {
+                s.spawn(move || {
+                    let frontend = FrontEnd::new(config).expect("valid front-end");
+                    let reach = frontend.peak_excitation_field() * 1.2;
+                    let fields = [
+                        AmperePerMeter::ZERO,
+                        AmperePerMeter::new(-0.0),
+                        reach,
+                        -reach,
+                    ];
+                    let digest = fields
+                        .into_iter()
+                        .flat_map(|h| [1, 0x5EED].map(|seed| (h, seed)))
+                        .fold(FNV_OFFSET, |digest, (h, seed)| {
+                            waveform_digest(digest, &frontend.run_with_seed(h, seed))
+                        });
+                    (name, digest)
+                })
+            })
+            .collect();
+        runs.into_iter()
+            .map(|run| run.join().expect("no panic"))
+            .collect()
+    });
+    assert_eq!(got, GOLDEN_WAVEFORMS);
 }
