@@ -141,16 +141,6 @@ impl PulsePositionDetector {
     }
 }
 
-/// Measures the high fraction of a sampled digital signal — the quantity
-/// the up/down counter digitises in hardware. Returns `None` for an
-/// empty sample set.
-pub fn duty_cycle(samples: &[bool]) -> Option<f64> {
-    if samples.is_empty() {
-        return None;
-    }
-    Some(samples.iter().filter(|&&s| s).count() as f64 / samples.len() as f64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -184,7 +174,7 @@ mod tests {
         let second: &[bool] = &out[4000..];
         // High between the positive pulse (75 %) and the next negative
         // pulse (25 % of the following period): duty ≈ 50 %.
-        let duty = duty_cycle(second).unwrap();
+        let duty = second.iter().filter(|&&s| s).count() as f64 / second.len() as f64;
         assert!((duty - 0.5).abs() < 0.03, "duty = {duty}");
         // Check polarity at sample points: low just before 75 %, high
         // just after; high before 25 %, low after.
@@ -210,7 +200,8 @@ mod tests {
                 out.push(det.step(v));
             }
         }
-        let duty = duty_cycle(&out[4000..]).unwrap();
+        let second = &out[4000..];
+        let duty = second.iter().filter(|&&s| s).count() as f64 / second.len() as f64;
         assert!((duty - 0.40).abs() < 0.03, "duty = {duty}");
     }
 
@@ -233,14 +224,6 @@ mod tests {
         }
         det.reset();
         assert!(!det.output());
-    }
-
-    #[test]
-    fn duty_cycle_helper() {
-        assert_eq!(duty_cycle(&[]), None);
-        assert_eq!(duty_cycle(&[true, true, false, false]), Some(0.5));
-        assert_eq!(duty_cycle(&[true]), Some(1.0));
-        assert_eq!(duty_cycle(&[false]), Some(0.0));
     }
 
     #[test]

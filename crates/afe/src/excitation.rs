@@ -10,11 +10,9 @@
 //! at construction — covers every settle and measure period of every
 //! run**, for every axis, heading and worker thread.
 //!
-//! [`ExcitationTable`] is that single period. Both measurement tiers of
-//! [`FrontEnd`](crate::frontend::FrontEnd) read their drive values from
-//! it, which is what makes the duty-only fast path bit-identical to the
-//! traced diagnostic path: they consume literally the same numbers in
-//! the same order, and only differ in what they *record*.
+//! [`ExcitationTable`] is that single period. The one measurement
+//! kernel of [`FrontEnd`](crate::frontend::FrontEnd) reads its drive
+//! values from it, for the duty-only fast path and the traced run alike.
 
 use crate::oscillator::TriangleWave;
 use crate::vi_converter::ViConverter;

@@ -5,22 +5,19 @@
 //! readout chain of Fig. 1's analogue section, and runs it over a
 //! configurable number of excitation periods.
 //!
-//! There are **two measurement tiers**, both fed from the same
-//! precomputed [`ExcitationTable`] (built once per channel — the drive
-//! chain is periodic and field-independent):
+//! One kernel steps the sensor and the detector, fed from a precomputed
+//! [`ExcitationTable`] (built once per channel — the drive chain is
+//! periodic and field-independent). It has two callers:
 //!
 //! * [`FrontEnd::measure`] — the **duty-only fast path**: tallies the
 //!   detector output inline (duty, clipping, pulse edges) with zero
 //!   per-sample allocation. This is what every heading fix, sweep and
 //!   Monte-Carlo trial runs.
-//! * [`FrontEnd::run`] — the **traced diagnostic path**: additionally
+//! * [`FrontEnd::run`] — the **traced run**: the same kernel with
+//!   folding off and every noise draw evaluated, which additionally
 //!   records the full `i_exc`/`v_exc`/`v_pickup`/`detector` waveform set
-//!   for the Fig. 3 / Fig. 4 reproductions and the spectrum tests.
-//!
-//! The two tiers consume identical drive values and step the noise
-//! generator and detector in the same order, so their duty cycles (and
-//! everything downstream — counts, headings) agree **bit for bit**; the
-//! determinism suite enforces this.
+//!   through a per-sample tap, for the Fig. 3 / Fig. 4 reproductions and
+//!   the spectrum tests.
 //!
 //! The fast path computes only what can change an output bit. The
 //! drive repeats every period and the sensor is stateless, so it
@@ -28,18 +25,19 @@
 //! that serves every period. On a noise-free channel it stops stepping
 //! once the detector state repeats from one excitation period to the
 //! next and replays the repeating period instead. On a noisy channel it
-//! draws every noise sample in the traced tier's order but evaluates
-//! the Gaussian value only when the draw could move a comparator
-//! across a trip point; otherwise it steps the detector with the clean
-//! value, which leaves the same state (see [`FrontEnd::measure_into`]).
-//! The same bits, less work.
+//! draws every noise sample in stream order but evaluates the Gaussian
+//! value only when the draw could move a comparator across a trip
+//! point; otherwise it steps the detector with the clean value, which
+//! leaves the same state (see [`FrontEnd::measure_into`]). The same
+//! bits as the traced run, less work; this module's tests pin the two
+//! against each other.
 //!
 //! The closed-form expectation, derived in the [`detector`](crate::detector)
 //! docs, is `duty = 1/2 − H_ext/(2·H_peak)`; the simulation reproduces it
 //! including all modelled non-idealities (comparator thresholds, noise,
 //! clipping, hysteretic cores).
 
-use crate::detector::{duty_cycle, DetectorConfig, PulsePositionDetector};
+use crate::detector::{DetectorConfig, PulsePositionDetector};
 use crate::excitation::ExcitationTable;
 use crate::oscillator::TriangleWave;
 use crate::vi_converter::ViConverter;
@@ -76,6 +74,8 @@ pub enum FrontEndError {
         /// The message [`FluxgateParams::check`] rejected them with.
         reason: &'static str,
     },
+    /// `pickup_noise_rms` is negative, NaN or infinite.
+    BadPickupNoise,
 }
 
 impl fmt::Display for FrontEndError {
@@ -86,6 +86,9 @@ impl fmt::Display for FrontEndError {
             }
             FrontEndError::NoMeasurePeriods => write!(f, "need at least one measurement period"),
             FrontEndError::BadSensor { reason } => write!(f, "invalid sensor element: {reason}"),
+            FrontEndError::BadPickupNoise => {
+                write!(f, "pickup noise RMS must be finite and non-negative")
+            }
         }
     }
 }
@@ -147,6 +150,9 @@ impl FrontEndConfig {
         }
         if self.measure_periods == 0 {
             return Err(FrontEndError::NoMeasurePeriods);
+        }
+        if !(self.pickup_noise_rms >= 0.0 && self.pickup_noise_rms.is_finite()) {
+            return Err(FrontEndError::BadPickupNoise);
         }
         self.sensor
             .check()
@@ -286,9 +292,9 @@ impl FrontEnd {
     ///
     /// # Errors
     ///
-    /// The [`FrontEndConfig::check`] error if `samples_per_period < 16`
-    /// or `measure_periods == 0`, or if the sensor parameters are
-    /// invalid.
+    /// The [`FrontEndConfig::check`] error if `samples_per_period < 16`,
+    /// `measure_periods == 0`, the pickup noise RMS is negative or not
+    /// finite, or the sensor parameters are invalid.
     pub fn new(config: FrontEndConfig) -> Result<Self, FrontEndError> {
         config.check()?;
         let sensor = Fluxgate::new(config.sensor);
@@ -335,6 +341,10 @@ impl FrontEnd {
     /// Runs the traced transient readout with external axial field
     /// `h_ext` and returns the measured duty cycle plus all waveforms.
     ///
+    /// This is the measurement kernel with folding off and every noise
+    /// draw evaluated; the waveforms are recorded through its per-sample
+    /// tap, settle periods included.
+    ///
     /// Noise is seeded from the configured `noise_seed`; this call is a
     /// pure function of the configuration and `h_ext`, so repeated runs
     /// return bit-identical results. Sweep-style callers that discard the
@@ -353,70 +363,41 @@ impl FrontEnd {
         let _run = fluxcomp_obs::span("afe.run");
         let cfg = &self.config;
         let period = 1.0 / cfg.excitation.frequency().value();
-        let n = cfg.samples_per_period;
-        let dt = period / n as f64;
-        let total_periods = cfg.settle_periods + cfg.measure_periods;
-        let total_samples = total_periods * n;
-
-        let mut detector = PulsePositionDetector::new(cfg.detector);
-        let mut noise = GaussianNoise::new(cfg.pickup_noise_rms, noise_seed);
+        let dt = period / cfg.samples_per_period as f64;
+        let total_samples = self.run_samples();
 
         let mut traces = TraceSet::new();
         let ch_i = traces.add_with_capacity("i_exc", total_samples);
         let ch_ve = traces.add_with_capacity("v_exc", total_samples);
         let ch_vp = traces.add_with_capacity("v_pickup", total_samples);
         let ch_d = traces.add_with_capacity("detector", total_samples);
+        let table = self.table.samples();
+        let tap = |run_sample: usize, j: usize, v_pickup: Volt, out: bool| {
+            let sim_t = SimTime::from_seconds(Seconds::new(run_sample as f64 * dt));
+            let drive = &table[j];
+            let v_exc = self.sensor.excitation_voltage(drive.i, drive.di_dt, h_ext);
+            traces.record(ch_i, sim_t, drive.i.value());
+            traces.record(ch_ve, sim_t, v_exc.value());
+            traces.record(ch_vp, sim_t, v_pickup.value());
+            traces.record(ch_d, sim_t, if out { 1.0 } else { 0.0 });
+        };
 
-        let mut detector_samples = Vec::with_capacity(cfg.measure_periods * n);
-        // Pulse edges are tallied locally — one counter update per run,
-        // not per analogue sample.
-        let mut pulse_edges = 0u64;
-        let mut prev_out = false;
-
-        for p in 0..total_periods {
-            for (j, drive) in self.table.samples().iter().enumerate() {
-                let k = p * n + j;
-                let sim_t = SimTime::from_seconds(Seconds::new(k as f64 * dt));
-
-                // Sensor: total field, pickup EMF, excitation-coil
-                // voltage. The drive terms come from the shared table.
-                let h = drive.h_drive + h_ext;
-                let mut v_pickup = self.sensor.pickup_emf(h, drive.dh_dt);
-                v_pickup += Volt::new(noise.sample());
-                let v_exc = self.sensor.excitation_voltage(drive.i, drive.di_dt, h_ext);
-
-                // Detector.
-                let out = detector.step(v_pickup);
-                pulse_edges += u64::from(out != prev_out);
-                prev_out = out;
-
-                traces.record(ch_i, sim_t, drive.i.value());
-                traces.record(ch_ve, sim_t, v_exc.value());
-                traces.record(ch_vp, sim_t, v_pickup.value());
-                traces.record(ch_d, sim_t, if out { 1.0 } else { 0.0 });
-
-                if p >= cfg.settle_periods {
-                    detector_samples.push(out);
-                }
-            }
-        }
-
-        let duty = duty_cycle(&detector_samples).unwrap_or(0.5);
-        // The drive is periodic, so "clipped anywhere in the run" is
-        // exactly "clipped anywhere in the table's single period".
-        let clipped = self.table.any_clips();
-        // The front-end's sample loop is the analogue transient, so it
-        // is what counts the analogue steps.
-        fluxcomp_obs::counter_add("msim.analog_steps", total_samples as u64);
-        fluxcomp_obs::counter_add("afe.runs", 1);
-        fluxcomp_obs::counter_add("afe.pulse_edges", pulse_edges);
-        fluxcomp_obs::counter_add("afe.clipped_runs", u64::from(clipped));
-        fluxcomp_obs::histogram_record("afe.duty", duty);
+        let mut detector_samples = Vec::with_capacity(cfg.measure_periods * cfg.samples_per_period);
+        let row = self.clean_row(h_ext, 1.0);
+        let mut noise = GaussianNoise::new(cfg.pickup_noise_rms, noise_seed);
+        let result = self.measure_folded::<FOLD_TOGGLES>(
+            &mut PulsePositionDetector::new(cfg.detector),
+            |_, j| row[j] + Volt::new(noise.sample()),
+            None,
+            false,
+            |_, out| detector_samples.push(out),
+            tap,
+        );
         FrontEndResult {
-            duty,
+            duty: result.duty,
             detector_samples,
             traces,
-            clipped,
+            clipped: result.clipped,
         }
     }
 
@@ -458,7 +439,8 @@ impl FrontEnd {
     /// toggles, or a state that never repeats keeps the plain scan.
     ///
     /// A noisy channel steps every sample, but most of its noise is not
-    /// evaluated. Each sample draws its uniforms as the traced tier does.
+    /// evaluated. Each sample draws its uniforms in stream order, as the
+    /// traced run does when it evaluates every draw.
     /// A draw whose first uniform shows that the noise is smaller than
     /// the clean value's distance to the nearest comparator trip point
     /// cannot change the detector's step, so the detector is stepped with
@@ -504,6 +486,7 @@ impl FrontEnd {
                 stuck,
                 fold,
                 on_sample,
+                no_tap,
             );
         }
         let mut noise = GaussianNoise::new(cfg.pickup_noise_rms, noise_seed);
@@ -518,7 +501,8 @@ impl FrontEnd {
                 add_noise(row[j], floors[j], &mut noise, &mut evals)
             }
         };
-        let result = self.measure_folded::<FOLD_TOGGLES>(detector, pickup, stuck, false, on_sample);
+        let result =
+            self.measure_folded::<FOLD_TOGGLES>(detector, pickup, stuck, false, on_sample, no_tap);
         count_noise(&noise, self.run_samples(), evals);
         result
     }
@@ -577,7 +561,9 @@ impl FrontEnd {
     /// first settle sample.
     /// `stuck`, when set, overrides the detector output (the detector is
     /// still stepped). `fold` allows period folding and must only be set
-    /// when every period sees the same inputs.
+    /// when every period sees the same inputs. `tap(run_sample, j,
+    /// pickup, output)` sees every stepped sample, settle periods
+    /// included; a measurement that records nothing passes [`no_tap`].
     fn measure_folded<const CAP: usize>(
         &self,
         detector: &mut PulsePositionDetector,
@@ -585,6 +571,7 @@ impl FrontEnd {
         stuck: Option<bool>,
         fold: bool,
         mut on_sample: impl FnMut(usize, bool),
+        mut tap: impl FnMut(usize, usize, Volt, bool),
     ) -> MeasureResult {
         let cfg = &self.config;
         *detector = PulsePositionDetector::new(cfg.detector);
@@ -608,9 +595,13 @@ impl FrontEnd {
             toggles.clear();
             let first = stepped * n;
             if stepped < cfg.settle_periods {
-                self.scan_period(first, &mut pickup, stuck, detector, &mut toggles, |_| {});
+                self.scan_period(first, &mut pickup, stuck, detector, &mut toggles, &mut tap);
             } else {
-                self.scan_period(first, &mut pickup, stuck, detector, &mut toggles, &mut emit);
+                let sample = |run_sample, j, v_pickup, out| {
+                    tap(run_sample, j, v_pickup, out);
+                    emit(out);
+                };
+                self.scan_period(first, &mut pickup, stuck, detector, &mut toggles, sample);
             }
             pulse_edges += toggles.len() as u64;
             stepped += 1;
@@ -630,8 +621,6 @@ impl FrontEnd {
         }
 
         let measure_samples = index as u64;
-        // Same division as `duty_cycle(&detector_samples)` on the traced
-        // path: high/total as f64 — bit-identical by construction.
         let duty = high_samples as f64 / measure_samples as f64;
         let clipped = self.table.any_clips();
         fluxcomp_obs::counter_add("msim.analog_steps", (stepped * n) as u64);
@@ -649,8 +638,8 @@ impl FrontEnd {
     }
 
     /// Steps the sensor and detector through the excitation period
-    /// starting at run sample `first`, passing each output to `emit` and
-    /// recording its toggles.
+    /// starting at run sample `first`, recording its toggles and passing
+    /// each sample to `sample(run_sample, j, pickup, output)`.
     #[inline(always)]
     fn scan_period<const CAP: usize>(
         &self,
@@ -659,11 +648,12 @@ impl FrontEnd {
         stuck: Option<bool>,
         detector: &mut PulsePositionDetector,
         toggles: &mut Toggles<CAP>,
-        mut emit: impl FnMut(bool),
+        mut sample: impl FnMut(usize, usize, Volt, bool),
     ) {
         let mut level = toggles.level;
         for j in 0..self.table.len() {
-            let mut out = detector.step(pickup(first + j, j));
+            let v_pickup = pickup(first + j, j);
+            let mut out = detector.step(v_pickup);
             if let Some(stuck) = stuck {
                 out = stuck;
             }
@@ -671,7 +661,7 @@ impl FrontEnd {
                 toggles.push(j, out);
                 level = out;
             }
-            emit(out);
+            sample(first + j, j, v_pickup, out);
         }
         toggles.level = level;
     }
@@ -764,11 +754,15 @@ impl FrontEnd {
             faults.stuck_output,
             false,
             on_sample,
+            no_tap,
         );
         count_noise(&noise, total, total as u64);
         result
     }
 }
+
+/// The tap of a measurement that records no sample.
+fn no_tap(_: usize, _: usize, _: Volt, _: bool) {}
 
 /// `v` plus the next draw of `noise`, evaluated only when the draw's
 /// first uniform is below `floor`. At or above it, the draw cannot
@@ -1000,6 +994,17 @@ mod tests {
     }
 
     #[test]
+    fn bad_pickup_noise_rejected() {
+        for rms in [-1e-3, f64::NAN, f64::INFINITY] {
+            let mut cfg = FrontEndConfig::paper_design();
+            cfg.pickup_noise_rms = rms;
+            let err = FrontEnd::new(cfg).unwrap_err();
+            assert_eq!(err, FrontEndError::BadPickupNoise, "noise RMS {rms}");
+            assert!(err.to_string().contains("noise RMS"));
+        }
+    }
+
+    #[test]
     fn bad_sensor_reports_the_element_reason() {
         let mut cfg = FrontEndConfig::paper_design();
         cfg.sensor.turns_pickup = 0;
@@ -1013,8 +1018,9 @@ mod tests {
 
     /// The contract the whole fast path rests on: for every configuration
     /// class (clean, noisy, clipping, hysteretic core), every seed and
-    /// every field, the duty-only tier reproduces the traced tier bit for
-    /// bit.
+    /// every field, folding and lazy noise change no bit — the duty-only
+    /// fast path reproduces the traced run, which scans every period and
+    /// evaluates every noise draw.
     #[test]
     fn measure_matches_run_bitwise() {
         let noisy = {
@@ -1122,8 +1128,8 @@ mod tests {
 
     /// The fold's contract: for every noise-free configuration, several
     /// settle/measure splits and 360 fields up to ±1.2·H_peak, the
-    /// folded measurement reproduces the traced reference bit for bit —
-    /// sample stream, duty, high samples and pulse edges.
+    /// folded measurement reproduces the plain scan of the traced run bit
+    /// for bit — sample stream, duty, high samples and pulse edges.
     #[test]
     fn folded_measure_matches_run_bitwise() {
         let splits = [(1, 8), (0, 1), (0, 3), (2, 2)];
@@ -1181,7 +1187,7 @@ mod tests {
     fn toggle_overflow_falls_back_to_the_scan() {
         // The paper design toggles twice per period: a one-entry buffer
         // overflows every period, so nothing folds — and the scan still
-        // matches the reference.
+        // matches the traced run.
         let mut cfg = FrontEndConfig::paper_design();
         cfg.measure_periods = 8;
         let fe = FrontEnd::new(cfg).expect("valid config");
@@ -1189,7 +1195,7 @@ mod tests {
         let h = h_from_microtesla(15.0);
         let row = fe.clean_row(h, 1.0);
         let (scanned, seen, steps) = counted(|on_sample| {
-            fe.measure_folded::<1>(&mut detector, |_, j| row[j], None, true, on_sample)
+            fe.measure_folded::<1>(&mut detector, |_, j| row[j], None, true, on_sample, no_tap)
         });
         assert_eq!(steps, 9 * 4096);
         let traced = fe.run_with_seed(h, 1);

@@ -13,8 +13,8 @@
 //! * [`detector`] — the **pulse-position detector** producing the single
 //!   digital-compatible output that makes an ADC unnecessary;
 //! * [`excitation`] — the precomputed one-period drive table (the
-//!   oscillator→V-I chain is periodic and field-independent, so both
-//!   measurement tiers read it instead of re-evaluating per sample);
+//!   oscillator→V-I chain is periodic and field-independent, so the
+//!   measurement kernel reads it instead of re-evaluating per sample);
 //! * [`second_harmonic`] — the classical readout the paper argues
 //!   against, implemented as the baseline for experiment E8;
 //! * [`frontend`] — the transient simulation wiring oscillator + V-I +

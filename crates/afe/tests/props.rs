@@ -1,7 +1,6 @@
 //! Property tests for the analogue front-end.
 
 use fluxcomp_afe::comparator::Comparator;
-use fluxcomp_afe::detector::duty_cycle;
 use fluxcomp_afe::oscillator::{OffsetCorrection, TriangleWave};
 use fluxcomp_afe::power::{PowerModel, Schedule};
 use fluxcomp_afe::vi_converter::ViConverter;
@@ -99,14 +98,6 @@ proptest! {
             // All inputs are within ±0.04 < ±0.05 (the trip points).
             prop_assert_eq!(c.step(Volt::new(v)), initial);
         }
-    }
-
-    /// duty_cycle is the exact fraction of true samples.
-    #[test]
-    fn duty_cycle_counts(samples in prop::collection::vec(any::<bool>(), 1..500)) {
-        let duty = duty_cycle(&samples).unwrap();
-        let expect = samples.iter().filter(|&&s| s).count() as f64 / samples.len() as f64;
-        prop_assert!((duty - expect).abs() < 1e-15);
     }
 
     /// Average power is monotone in the measurement duty and bounded by

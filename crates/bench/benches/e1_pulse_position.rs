@@ -80,8 +80,8 @@ fn bench(c: &mut Criterion) {
     });
 
     // The full front-end transient (5 periods × 4096 samples), traced
-    // tier vs the duty-only fast path (`tests/determinism.rs` pins the
-    // two tiers bit for bit at the system level).
+    // run vs the duty-only fast path (the `afe` tests pin their duties
+    // bit for bit).
     let fe = FrontEnd::new(FrontEndConfig::paper_design()).expect("valid config");
     let h = microtesla_to_h(15.0);
     group.bench_function("frontend_transient_5_periods", |b| {

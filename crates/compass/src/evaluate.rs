@@ -12,8 +12,8 @@
 //! `ExecPolicy::parallel(n)` are the same computation at different
 //! speeds.
 
-use crate::system::{CompassDesign, FixInput, MeasureScratch};
-use fluxcomp_exec::{derive_seed, par_map_range, par_map_range_scratch, ExecPolicy, StreamStats};
+use crate::system::{CompassDesign, MeasureScratch};
+use fluxcomp_exec::{derive_seed, par_map_range_scratch, ExecPolicy, StreamStats};
 use fluxcomp_units::angle::Degrees;
 
 /// Error statistics over a heading sweep.
@@ -73,9 +73,7 @@ fn sweep_error(design: &CompassDesign, scratch: &mut MeasureScratch, k: usize, n
 ///
 /// Every fix runs on the duty-only fast path through one
 /// [`MeasureScratch`] per worker, so the whole sweep performs no
-/// per-heading allocation. The result is nonetheless bit-identical to
-/// [`sweep_headings_traced`], which replays the sweep on the diagnostic
-/// full-waveform tier.
+/// per-heading allocation.
 ///
 /// # Panics
 ///
@@ -89,33 +87,6 @@ pub fn sweep_headings(design: &CompassDesign, n: usize, policy: &ExecPolicy) -> 
         || MeasureScratch::for_design(design),
         |scratch, k| sweep_error(design, scratch, k, n),
     );
-    AccuracyStats::from_signed_errors(errors)
-}
-
-/// [`sweep_headings`] on the diagnostic tier: every fix records the full
-/// waveform set before integrating the counter. Same statistics, bit for
-/// bit — this is the cross-check the determinism suite runs against
-/// the fast path.
-///
-/// # Panics
-///
-/// Panics if `n == 0`.
-pub fn sweep_headings_traced(
-    design: &CompassDesign,
-    n: usize,
-    policy: &ExecPolicy,
-) -> AccuracyStats {
-    assert!(n > 0, "need at least one heading");
-    let _sweep = fluxcomp_obs::span("compass.sweep");
-    let seed = design.config().frontend.noise_seed;
-    let errors = par_map_range(policy, n, |k| {
-        let truth = Degrees::new(k as f64 * 360.0 / n as f64);
-        design
-            .measure_traced(&FixInput::heading(truth, seed))
-            .heading
-            .signed_error_from(truth)
-            .value()
-    });
     AccuracyStats::from_signed_errors(errors)
 }
 
@@ -181,24 +152,6 @@ mod tests {
                 serial.rms_error.value().to_bits(),
                 par.rms_error.value().to_bits()
             );
-        }
-    }
-
-    #[test]
-    fn traced_sweep_matches_fast_sweep_bitwise() {
-        let design = CompassDesign::new(CompassConfig::paper_design()).unwrap();
-        for policy in [ExecPolicy::serial(), ExecPolicy::parallel(2)] {
-            let fast = sweep_headings(&design, 16, &policy);
-            let traced = sweep_headings_traced(&design, 16, &policy);
-            assert_eq!(fast.samples, traced.samples);
-            for (f, t) in [
-                (fast.max_error, traced.max_error),
-                (fast.mean_error, traced.mean_error),
-                (fast.rms_error, traced.rms_error),
-                (fast.bias, traced.bias),
-            ] {
-                assert_eq!(f.value().to_bits(), t.value().to_bits(), "{policy:?}");
-            }
         }
     }
 

@@ -24,7 +24,6 @@ use fluxcomp_units::magnetics::AmperePerMeter;
 pub struct GateLevelCompass {
     design: CompassDesign,
     counter_sim: GateSim,
-    counter_up: NetId,
     counter_bus: Vec<NetId>,
     cordic_sim: GateSim,
     cordic_nets: CordicKernelNets,
@@ -59,12 +58,11 @@ impl GateLevelCompass {
             });
         }
         let design = CompassDesign::new(config)?;
-        let (counter_nl, up, bus) = updown_counter(16);
+        let (counter_nl, _, bus) = updown_counter(16);
         let cordic_nets = cordic_kernel_netlist(24, 18, 8);
         Ok(Self {
             design,
             counter_sim: GateSim::new(counter_nl),
-            counter_up: up,
             counter_bus: bus,
             cordic_sim: GateSim::new(cordic_nets.netlist.clone()),
             cordic_nets,
@@ -72,22 +70,21 @@ impl GateLevelCompass {
     }
 
     /// Runs one axis's field through the front-end and the gate-level
-    /// counter.
+    /// counter, clocking the netlist once per master-clock edge.
     fn measure_axis_gate_level(&mut self, h_ext: AmperePerMeter) -> i64 {
         let noise_seed = self.design.config().frontend.noise_seed;
-        let (_, stream) = self.design.clock_domain_stream(h_ext, noise_seed);
         // Reset the counter netlist by loading zero through… there is no
         // reset pin (matching the paper-era minimal counter): rebuild the
         // simulator, which powers up at zero like silicon after POR.
         let (counter_nl, up, bus) = updown_counter(16);
         self.counter_sim = GateSim::new(counter_nl);
-        self.counter_up = up;
         self.counter_bus = bus;
-        for bit in stream {
-            self.counter_sim.set_input(self.counter_up, bit);
-            self.counter_sim.settle();
-            self.counter_sim.clock_edge();
-        }
+        let sim = &mut self.counter_sim;
+        self.design.clock_edges(h_ext, noise_seed, |bit| {
+            sim.set_input(up, bit);
+            sim.settle();
+            sim.clock_edge();
+        });
         self.counter_sim.bus_value_signed(&self.counter_bus)
     }
 

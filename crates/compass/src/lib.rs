@@ -68,7 +68,7 @@ pub use chip::{build_chip, paper_chip, ChipReport};
 pub use config::{BuildError, CompassConfig};
 pub use degraded::{AxisHealth, CheckedReading, DegradedTracker, FixQuality, HealthPolicy};
 pub use energy::{battery_life_days, Battery, UsageProfile};
-pub use evaluate::{repeat_heading, sweep_headings, sweep_headings_traced, AccuracyStats};
+pub use evaluate::{repeat_heading, sweep_headings, AccuracyStats};
 pub use filter::{circular_mean, circular_std, HeadingSmoother};
 pub use gate_level::{GateLevelCompass, GateLevelReading};
 pub use mission::{square_route, walk_route, Leg, MissionResult, Position};

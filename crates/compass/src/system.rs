@@ -30,10 +30,10 @@
 
 use crate::config::{BuildError, CompassConfig};
 use fluxcomp_afe::detector::PulsePositionDetector;
-use fluxcomp_afe::frontend::{FrontEnd, FrontEndResult};
+use fluxcomp_afe::frontend::FrontEnd;
 use fluxcomp_fluxgate::pair::{Axis, SensorPair};
 use fluxcomp_rtl::cordic::CordicArctan;
-use fluxcomp_rtl::counter::{sample_at_clock, ClockSchedule, UpDownCounter};
+use fluxcomp_rtl::counter::{ClockSchedule, UpDownCounter};
 use fluxcomp_rtl::lcd::DisplayDriver;
 use fluxcomp_rtl::sequencer::{Sequencer, SequencerState};
 use fluxcomp_units::angle::Degrees;
@@ -77,8 +77,7 @@ pub enum FixField {
 }
 
 /// The inputs of one fix — the field and the seed — as
-/// [`CompassDesign::measure`] and [`CompassDesign::measure_traced`]
-/// take them.
+/// [`CompassDesign::measure`] takes them.
 ///
 /// The seed drives the front-end noise of both axes and, under a fault
 /// plan, which faults strike. A fix is a pure function of the design,
@@ -199,14 +198,13 @@ impl CompassDesign {
     /// One fix: both axes measured through a caller-owned scratch on the
     /// fast path (under `plan`, if any), then the CORDIC fold.
     ///
-    /// This is the one fast-path fix entry point; every other
-    /// `measure_*` method but the diagnostic
-    /// [`measure_traced`](Self::measure_traced) forwards to it. The
-    /// detector output of each axis is fed straight into the up/down
-    /// counter via the precomputed [`ClockSchedule`] —
+    /// This is the one fix entry point; every other `measure_*` method
+    /// forwards to it. The detector output of each axis is fed straight
+    /// into the up/down counter via the precomputed [`ClockSchedule`] —
     /// no waveform traces, no detector-sample buffer, no clock-domain
-    /// resampling pass — and the output is bit-identical to
-    /// [`measure_traced`](Self::measure_traced). Which faults strike is a
+    /// resampling pass — and the count is bit-identical to clocking the
+    /// counter edge by edge with `sample_at_clock`'s stream of the traced
+    /// front-end run. Which faults strike is a
     /// pure function of `(plan, axis, input.seed)` (see the
     /// `fluxcomp-faults` determinism contract); when nothing strikes, the
     /// axis takes the plain fast path, so a zero plan leaves the
@@ -225,22 +223,6 @@ impl CompassDesign {
         let (hx, hy) = self.fields(input.field);
         let x = self.measure_axis(Axis::X, hx, input.seed, plan, scratch);
         let y = self.measure_axis(Axis::Y, hy, input.seed, plan, scratch);
-        self.fold_heading(x, y)
-    }
-
-    /// One fix on the diagnostic tier: full transient front-end run (all
-    /// waveform traces recorded) + clock-domain resampling + counter
-    /// integration for each axis, then the CORDIC fold.
-    ///
-    /// Bit-identical duty/count/clipped to [`measure`](Self::measure)
-    /// with no fault plan — enforced by the workspace determinism suite —
-    /// but allocates the complete `i_exc`/`v_exc`/`v_pickup`/`detector`
-    /// trace set per axis. Use it when the waveforms matter (Fig. 3 /
-    /// Fig. 4 regeneration, debug).
-    pub fn measure_traced(&self, input: &FixInput) -> Reading {
-        let (hx, hy) = self.fields(input.field);
-        let x = self.measure_axis_traced(Axis::X, hx, input.seed);
-        let y = self.measure_axis_traced(Axis::Y, hy, input.seed);
         self.fold_heading(x, y)
     }
 
@@ -327,8 +309,7 @@ impl CompassDesign {
         let faults = plan.map_or_else(fluxcomp_faults::FixFaults::none, |plan| {
             plan.compile(fault_axis_index(axis), noise_seed)
         });
-        // One span covers the fused excitation→detector→counter pass;
-        // the traced tier keeps the three per-stage spans.
+        // One span covers the fused excitation→detector→counter pass.
         let _excitation = fluxcomp_obs::span("compass.stage.excitation");
         let MeasureScratch { detector, counter } = scratch;
         counter.reset();
@@ -348,46 +329,25 @@ impl CompassDesign {
         }
     }
 
-    /// One axis on the traced tier.
-    fn measure_axis_traced(
-        &self,
-        axis: Axis,
-        h_ext: AmperePerMeter,
-        noise_seed: u64,
-    ) -> AxisMeasurement {
-        let (result, stream) = self.clock_domain_stream(h_ext, noise_seed);
-        let _counter_stage = fluxcomp_obs::span("compass.stage.counter");
-        let mut counter = UpDownCounter::paper_design();
-        let count = counter.run(stream);
-        AxisMeasurement {
-            axis,
-            duty: result.duty,
-            count,
-            clipped: result.clipped,
-        }
-    }
-
-    /// The traced front-end run of one axis and its detector output
-    /// resampled onto master-clock edges: the bit stream the up/down
-    /// counter integrates, for the traced tier and the gate-level
-    /// compass alike.
-    pub(crate) fn clock_domain_stream(
+    /// Runs one axis's front-end on the fast path and passes its
+    /// detector output to `on_edge` once per master-clock edge: the bit
+    /// stream the up/down counter integrates, for a counter that takes
+    /// one edge at a time.
+    pub(crate) fn clock_edges(
         &self,
         h_ext: AmperePerMeter,
         noise_seed: u64,
-    ) -> (FrontEndResult, Vec<bool>) {
-        let excitation = fluxcomp_obs::span("compass.stage.excitation");
-        let result = self.frontend.run_with_seed(h_ext, noise_seed);
-        drop(excitation);
-        let window = self.config.frontend.measure_periods as f64
-            / self.config.frontend.excitation.frequency().value();
-        let _detector = fluxcomp_obs::span("compass.stage.detector");
-        let stream = sample_at_clock(&result.detector_samples, window, self.config.clock.master());
-        (result, stream)
+        mut on_edge: impl FnMut(bool),
+    ) {
+        let mut detector = PulsePositionDetector::new(self.config.frontend.detector);
+        self.frontend
+            .measure_into(h_ext, noise_seed, &mut detector, |index, up| {
+                (0..self.schedule.edges_at(index)).for_each(|_| on_edge(up));
+            });
     }
 
     /// CORDIC + polarity fold shared by every fix entry point, so the
-    /// fast, traced and watch-level paths cannot drift apart.
+    /// design and watch-level paths cannot drift apart.
     fn fold_heading(&self, x: AxisMeasurement, y: AxisMeasurement) -> Reading {
         let _cordic_stage = fluxcomp_obs::span("compass.stage.cordic");
         let (heading, cycles) = match self.cordic.heading(-x.count, -y.count) {
@@ -544,9 +504,32 @@ impl Compass {
 mod tests {
     use super::*;
     use crate::config::CompassConfig;
+    use fluxcomp_rtl::counter::sample_at_clock;
 
     fn compass() -> Compass {
         Compass::new(CompassConfig::paper_design()).expect("valid config")
+    }
+
+    /// The per-edge reference fix: each axis's traced front-end run, its
+    /// measurement-window detector samples resampled onto master-clock
+    /// edges by `sample_at_clock` and integrated edge by edge, then the
+    /// CORDIC fold.
+    fn per_edge_fix(design: &CompassDesign, input: &FixInput) -> Reading {
+        let fe = &design.config.frontend;
+        let window = fe.measure_periods as f64 / fe.excitation.frequency().value();
+        let clock = design.config.clock.master();
+        let measure = |axis, h_ext| {
+            let traced = design.frontend.run_with_seed(h_ext, input.seed);
+            let stream = sample_at_clock(&traced.detector_samples, window, clock);
+            AxisMeasurement {
+                axis,
+                duty: traced.duty,
+                count: UpDownCounter::paper_design().run(stream),
+                clipped: traced.clipped,
+            }
+        };
+        let (hx, hy) = design.fields(input.field);
+        design.fold_heading(measure(Axis::X, hx), measure(Axis::Y, hy))
     }
 
     #[test]
@@ -602,7 +585,7 @@ mod tests {
                 None,
                 &mut MeasureScratch::for_design(&design),
             );
-            let traced = design.measure_traced(&FixInput::heading(truth, seed));
+            let traced = per_edge_fix(&design, &FixInput::heading(truth, seed));
             assert_eq!(
                 fast.heading.value().to_bits(),
                 traced.heading.value().to_bits(),
@@ -619,8 +602,9 @@ mod tests {
     /// The folded front-end under the fused counter: for the noise-free
     /// configurations, every fast fix over 360 headings at the paper's
     /// 1+8 period split, and over field vectors up to 1.2·H_peak and
-    /// other splits every 10°, equals the traced tier bit for bit. (The
-    /// `afe` fold test covers the sample stream itself on the full grid.)
+    /// other splits every 10°, equals the per-edge reference bit for bit.
+    /// (The `afe` fold test covers the sample stream itself on the full
+    /// grid.)
     #[test]
     fn folded_fixes_match_traced_fixes_bitwise() {
         fn assert_same(fast: &Reading, traced: &Reading, at: &str) {
@@ -664,7 +648,7 @@ mod tests {
                             if settle == 1 || k % 10 == 0 {
                                 let truth = Degrees::new(k as f64);
                                 let fast = design.measure_heading_scratch(truth, 5, &mut scratch);
-                                let traced = design.measure_traced(&FixInput::heading(truth, 5));
+                                let traced = per_edge_fix(&design, &FixInput::heading(truth, 5));
                                 assert_same(&fast, &traced, &at);
                             }
                             if k % 10 != 0 {
@@ -673,7 +657,7 @@ mod tests {
                             let angle = (k as f64).to_radians();
                             let (hx, hy) = (reach * angle.cos(), reach * angle.sin());
                             let fast = design.measure_field_scratch(hx, hy, 5, &mut scratch);
-                            let traced = design.measure_traced(&FixInput::vector(hx, hy, 5));
+                            let traced = per_edge_fix(&design, &FixInput::vector(hx, hy, 5));
                             assert_same(&fast, &traced, &format!("field {at}"));
                         }
                     }
@@ -865,6 +849,17 @@ mod tests {
             Compass::new(cfg).unwrap_err(),
             BuildError::BadFrontEnd { .. }
         ));
+        for rms in [-1e-3, f64::NAN, f64::INFINITY] {
+            let mut cfg = CompassConfig::paper_design();
+            cfg.frontend.pickup_noise_rms = rms;
+            assert_eq!(
+                CompassDesign::new(cfg).unwrap_err(),
+                BuildError::BadFrontEnd {
+                    reason: fluxcomp_afe::frontend::FrontEndError::BadPickupNoise
+                },
+                "noise RMS {rms}"
+            );
+        }
         let mut cfg = CompassConfig::paper_design();
         cfg.pair.gain_mismatch = f64::NAN;
         assert!(matches!(

@@ -11,7 +11,7 @@
 //! recorder installed: recording is write-only, so it must not move a
 //! single bit either.
 
-use fluxcomp::compass::evaluate::{repeat_heading, sweep_headings, sweep_headings_traced};
+use fluxcomp::compass::evaluate::{repeat_heading, sweep_headings};
 use fluxcomp::compass::tilt::{worst_tilt_error, Attitude};
 use fluxcomp::compass::{AccuracyStats, CompassConfig, CompassDesign, FixInput, MeasureScratch};
 use fluxcomp::exec::ExecPolicy;
@@ -141,25 +141,6 @@ fn monte_carlo_is_bit_identical_at_any_worker_count() {
         assert_eq!(
             got.quantile(0.9).to_bits(),
             reference.quantile(0.9).to_bits()
-        );
-    }
-}
-
-#[test]
-fn fast_path_matches_traced_path_bitwise() {
-    // The duty-only fast path and the full-waveform diagnostic tier are
-    // the same computation: every statistic of a sweep must agree bit
-    // for bit over the full 360-heading grid, serial and parallel. The
-    // traced reference runs under the `FLUXCOMP_THREADS` policy; the
-    // traced sweep itself is pinned serial == parallel in `evaluate.rs`.
-    let design = CompassDesign::new(CompassConfig::paper_design()).expect("valid design");
-    let reference = sweep_headings_traced(&design, 360, &ExecPolicy::auto());
-    for policy in [ExecPolicy::serial(), ExecPolicy::parallel(2)] {
-        let fast = sweep_headings(&design, 360, &policy);
-        assert_stats_bitwise(
-            &fast,
-            &reference,
-            &format!("fast vs traced with {} threads", policy.threads()),
         );
     }
 }

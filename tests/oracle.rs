@@ -1,14 +1,16 @@
 //! Absolute output bits of the reproduction, pinned.
 //!
-//! The determinism suite compares the fast measurement kernel with the
-//! traced tier, so a change to a shared primitive (the pickup EMF, the
-//! excitation table, the noise stream) would pass it as long as both
-//! tiers moved together. This suite pins the bits themselves: golden
+//! The traced front-end run is the fast path's measurement kernel with
+//! folding off and every noise draw evaluated, so tests that compare the
+//! two cannot see a change to the kernel or to a primitive they share
+//! (the pickup EMF, the excitation table, the noise stream). This suite
+//! pins the bits themselves and is the independent reference: golden
 //! digests of the `paper_design` heading grid, noise-free and at 2 mV
-//! under a mixed fault plan, plus an independent oracle — a plain
-//! per-sample loop over the excitation table, the sensor EMF, the fault
-//! effects, the detector and the counter that shares no loop with the
-//! front-end — that must agree with the fast path fix for fix.
+//! under a mixed fault plan; an oracle — a plain per-sample loop over
+//! the excitation table, the sensor EMF, the fault effects, the detector
+//! and the counter that shares no loop with the front-end — that must
+//! agree with the fast path fix for fix; the raw clean-EMF rows; and
+//! golden digests of every waveform the traced run records.
 
 use fluxcomp::afe::{FrontEnd, FrontEndConfig, FrontEndResult, PulsePositionDetector};
 use fluxcomp::compass::{
