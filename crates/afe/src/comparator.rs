@@ -1,12 +1,15 @@
-//! A clocked-free (continuous) comparator with hysteresis and
-//! propagation delay — the building block of the pulse-position detector.
+//! A clocked-free (continuous) comparator with hysteresis — the building
+//! block of the pulse-position detector.
 //!
 //! Sea-of-Gates comparators (cf. \[Haa95\], \[Don94\]: analogue design on a
-//! digital SoG) are modest: we model the three non-idealities that matter
-//! for pulse timing — input offset, hysteresis and propagation delay.
-//! All three feed the detector-robustness ablation of experiment E1.
+//! digital SoG) are modest: we model the two non-idealities that move
+//! pulse timing — input offset and hysteresis. Both feed the
+//! detector-robustness ablation of experiment E1. Propagation delay is not
+//! modelled: the detector toggles on the trailing edges of both pulse
+//! polarities, so a lag common to both comparators cancels to first
+//! order, and the sampled model switches within the sample.
 
-use fluxcomp_units::si::{Seconds, Volt};
+use fluxcomp_units::si::Volt;
 
 /// A continuous-time comparator with hysteresis.
 ///
@@ -21,8 +24,6 @@ pub struct Comparator {
     pub hysteresis: Volt,
     /// Input-referred offset voltage.
     pub offset: Volt,
-    /// Propagation delay from input crossing to output change.
-    pub delay: Seconds,
     state: bool,
 }
 
@@ -31,27 +32,15 @@ impl Comparator {
     ///
     /// # Panics
     ///
-    /// Panics if `hysteresis` or `delay` is negative.
-    pub fn new(threshold: Volt, hysteresis: Volt, offset: Volt, delay: Seconds) -> Self {
+    /// Panics if `hysteresis` is negative.
+    pub fn new(threshold: Volt, hysteresis: Volt, offset: Volt) -> Self {
         assert!(hysteresis.value() >= 0.0, "hysteresis must be non-negative");
-        assert!(delay.value() >= 0.0, "delay must be non-negative");
         Self {
             threshold,
             hysteresis,
             offset,
-            delay,
             state: false,
         }
-    }
-
-    /// An ideal comparator: no hysteresis, offset or delay.
-    pub fn ideal(threshold: Volt) -> Self {
-        Self::new(threshold, Volt::ZERO, Volt::ZERO, Seconds::ZERO)
-    }
-
-    /// Current output state.
-    pub fn output(&self) -> bool {
-        self.state
     }
 
     /// Resets the output to low.
@@ -60,8 +49,7 @@ impl Comparator {
     }
 
     /// Evaluates the comparator on a new input sample, returning the new
-    /// output. (Propagation delay is exposed via [`Comparator::delay`]
-    /// and applied by the caller, which knows the time base.)
+    /// output.
     pub fn step(&mut self, input: Volt) -> bool {
         self.state = self.verdict(input).unwrap_or(self.state);
         self.state
@@ -92,7 +80,7 @@ mod tests {
 
     #[test]
     fn ideal_switches_at_threshold() {
-        let mut c = Comparator::ideal(Volt::new(1.0));
+        let mut c = Comparator::new(Volt::new(1.0), Volt::ZERO, Volt::ZERO);
         assert!(!c.step(Volt::new(0.99)));
         assert!(c.step(Volt::new(1.01)));
         assert!(!c.step(Volt::new(0.99)));
@@ -100,7 +88,7 @@ mod tests {
 
     #[test]
     fn hysteresis_creates_dead_band() {
-        let mut c = Comparator::new(Volt::new(0.0), Volt::new(0.2), Volt::ZERO, Seconds::ZERO);
+        let mut c = Comparator::new(Volt::new(0.0), Volt::new(0.2), Volt::ZERO);
         assert!(!c.step(Volt::new(0.09))); // below upper trip (0.1)
         assert!(c.step(Volt::new(0.11))); // above upper trip
         assert!(c.step(Volt::new(-0.09))); // still high inside band
@@ -110,8 +98,8 @@ mod tests {
 
     #[test]
     fn hysteresis_rejects_noise_chatter() {
-        let mut ideal = Comparator::ideal(Volt::ZERO);
-        let mut hyst = Comparator::new(Volt::ZERO, Volt::new(0.1), Volt::ZERO, Seconds::ZERO);
+        let mut ideal = Comparator::new(Volt::ZERO, Volt::ZERO, Volt::ZERO);
+        let mut hyst = Comparator::new(Volt::ZERO, Volt::new(0.1), Volt::ZERO);
         // A slow ramp with superimposed deterministic ripple.
         let mut ideal_edges = 0;
         let mut hyst_edges = 0;
@@ -137,7 +125,7 @@ mod tests {
 
     #[test]
     fn offset_shifts_effective_threshold() {
-        let mut c = Comparator::new(Volt::new(1.0), Volt::ZERO, Volt::new(0.1), Seconds::ZERO);
+        let mut c = Comparator::new(Volt::new(1.0), Volt::ZERO, Volt::new(0.1));
         // Effective input = v + 0.1, so switching happens at v = 0.9.
         assert!(!c.step(Volt::new(0.89)));
         assert!(c.step(Volt::new(0.91)));
@@ -145,16 +133,16 @@ mod tests {
 
     #[test]
     fn reset_forces_low() {
-        let mut c = Comparator::ideal(Volt::ZERO);
-        c.step(Volt::new(1.0));
-        assert!(c.output());
+        let mut c = Comparator::new(Volt::ZERO, Volt::ZERO, Volt::ZERO);
+        assert!(c.step(Volt::new(1.0)));
         c.reset();
-        assert!(!c.output());
+        // An input exactly on the threshold holds the output.
+        assert!(!c.step(Volt::ZERO));
     }
 
     #[test]
     #[should_panic(expected = "hysteresis")]
     fn negative_hysteresis_rejected() {
-        let _ = Comparator::new(Volt::ZERO, Volt::new(-0.1), Volt::ZERO, Seconds::ZERO);
+        let _ = Comparator::new(Volt::ZERO, Volt::new(-0.1), Volt::ZERO);
     }
 }

@@ -10,8 +10,9 @@
 //!
 //! i.e. an SR-latch toggled by the **trailing edges** of the two pulse
 //! polarities. Using trailing edges on both polarities makes the
-//! comparator lag cancel to first order. The result is a single
-//! **digital-compatible** signal whose high fraction per period is
+//! comparator lag cancel to first order, so the sampled model carries
+//! none. The result is a single **digital-compatible** signal whose
+//! high fraction per period is
 //!
 //! ```text
 //! duty = 1/2 − H_ext / (2·H_peak)
@@ -22,7 +23,7 @@
 //! argument for pulse-position over second-harmonic readout.
 
 use crate::comparator::Comparator;
-use fluxcomp_units::si::{Seconds, Volt};
+use fluxcomp_units::si::Volt;
 
 /// Configuration of the detector's two comparators.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -34,21 +35,33 @@ pub struct DetectorConfig {
     pub hysteresis: Volt,
     /// Input-referred comparator offset.
     pub offset: Volt,
-    /// Comparator propagation delay.
-    pub delay: Seconds,
 }
 
 impl DetectorConfig {
     /// A reasonable SoG design point: threshold at a third of the nominal
     /// pulse height (≈58 mV pulses → 20 mV threshold), 4 mV hysteresis,
-    /// no offset, 100 ns propagation delay.
+    /// no offset.
     pub fn paper_design() -> Self {
         Self {
             threshold: Volt::new(0.02),
             hysteresis: Volt::new(0.004),
             offset: Volt::ZERO,
-            delay: Seconds::new(100e-9),
         }
+    }
+
+    /// Validates the design: threshold and offset finite, hysteresis
+    /// finite and non-negative.
+    pub fn check(&self) -> Result<(), &'static str> {
+        if !self.threshold.value().is_finite() {
+            return Err("threshold must be finite");
+        }
+        if !self.offset.value().is_finite() {
+            return Err("offset must be finite");
+        }
+        if !(self.hysteresis.value() >= 0.0 && self.hysteresis.value().is_finite()) {
+            return Err("hysteresis must be finite and non-negative");
+        }
+        Ok(())
     }
 }
 
@@ -61,7 +74,6 @@ impl Default for DetectorConfig {
 /// The latched output state plus edge bookkeeping of the detector.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PulsePositionDetector {
-    config: DetectorConfig,
     positive: Comparator,
     negative: Comparator,
     prev_positive: bool,
@@ -73,28 +85,12 @@ impl PulsePositionDetector {
     /// Creates a detector; output starts low.
     pub fn new(config: DetectorConfig) -> Self {
         Self {
-            config,
-            positive: Comparator::new(
-                config.threshold,
-                config.hysteresis,
-                config.offset,
-                config.delay,
-            ),
-            negative: Comparator::new(
-                config.threshold,
-                config.hysteresis,
-                config.offset,
-                config.delay,
-            ),
+            positive: Comparator::new(config.threshold, config.hysteresis, config.offset),
+            negative: Comparator::new(config.threshold, config.hysteresis, config.offset),
             prev_positive: false,
             prev_negative: false,
             output: false,
         }
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &DetectorConfig {
-        &self.config
     }
 
     /// The current latched output.
@@ -223,13 +219,6 @@ mod tests {
             det.step(v);
         }
         det.reset();
-        assert!(!det.output());
-    }
-
-    #[test]
-    fn config_accessors() {
-        let det = PulsePositionDetector::new(DetectorConfig::default());
-        assert_eq!(det.config().threshold, Volt::new(0.02));
         assert!(!det.output());
     }
 }

@@ -76,6 +76,11 @@ pub enum FrontEndError {
     },
     /// `pickup_noise_rms` is negative, NaN or infinite.
     BadPickupNoise,
+    /// The detector design is invalid.
+    BadDetector {
+        /// The message [`DetectorConfig::check`] rejected it with.
+        reason: &'static str,
+    },
 }
 
 impl fmt::Display for FrontEndError {
@@ -89,6 +94,7 @@ impl fmt::Display for FrontEndError {
             FrontEndError::BadPickupNoise => {
                 write!(f, "pickup noise RMS must be finite and non-negative")
             }
+            FrontEndError::BadDetector { reason } => write!(f, "invalid detector: {reason}"),
         }
     }
 }
@@ -154,6 +160,9 @@ impl FrontEndConfig {
         if !(self.pickup_noise_rms >= 0.0 && self.pickup_noise_rms.is_finite()) {
             return Err(FrontEndError::BadPickupNoise);
         }
+        self.detector
+            .check()
+            .map_err(|reason| FrontEndError::BadDetector { reason })?;
         self.sensor
             .check()
             .map_err(|reason| FrontEndError::BadSensor { reason })
@@ -1005,6 +1014,44 @@ mod tests {
     }
 
     #[test]
+    fn bad_detector_rejected() {
+        let paper = DetectorConfig::paper_design();
+        let hysteresis = |v| DetectorConfig {
+            hysteresis: Volt::new(v),
+            ..paper
+        };
+        let cases = [
+            (hysteresis(-1e-3), "hysteresis"),
+            (hysteresis(f64::NAN), "hysteresis"),
+            (hysteresis(f64::INFINITY), "hysteresis"),
+            (
+                DetectorConfig {
+                    threshold: Volt::new(f64::NAN),
+                    ..paper
+                },
+                "threshold",
+            ),
+            (
+                DetectorConfig {
+                    offset: Volt::new(f64::NEG_INFINITY),
+                    ..paper
+                },
+                "offset",
+            ),
+        ];
+        for (detector, what) in cases {
+            let mut cfg = FrontEndConfig::paper_design();
+            cfg.detector = detector;
+            let err = FrontEnd::new(cfg).unwrap_err();
+            assert!(
+                matches!(err, FrontEndError::BadDetector { reason } if reason.contains(what)),
+                "{detector:?}: {err:?}"
+            );
+            assert!(err.to_string().starts_with("invalid detector: "));
+        }
+    }
+
+    #[test]
     fn bad_sensor_reports_the_element_reason() {
         let mut cfg = FrontEndConfig::paper_design();
         cfg.sensor.turns_pickup = 0;
@@ -1471,7 +1518,6 @@ mod tests {
                 threshold: Volt::new(rng.gen_range(1e-3..50e-3)),
                 hysteresis: Volt::new(rng.gen_range(0.0..10e-3)),
                 offset: Volt::new(rng.gen_range(-5e-3..5e-3)),
-                delay: Seconds::ZERO,
             };
             let mut detector = PulsePositionDetector::new(config);
             for _ in 0..rng.gen_range(0..6) {

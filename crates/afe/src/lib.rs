@@ -63,4 +63,4 @@ pub use oscillator::{OffsetCorrection, RelaxationOscillator, TriangleWave};
 pub use power::{BlockCurrents, PowerModel, Schedule};
 pub use relaxation_sim::{simulate_relaxation, RelaxationRun};
 pub use second_harmonic::SecondHarmonicDemodulator;
-pub use vi_converter::{OutputStage, ViConverter};
+pub use vi_converter::ViConverter;

@@ -186,15 +186,6 @@ impl RelaxationOscillator {
     pub fn period(&self) -> Seconds {
         self.frequency().period()
     }
-
-    /// Frequency sensitivity to a relative capacitor tolerance: returns
-    /// the frequency when `C` deviates by `tol` (e.g. `0.1` = +10 %).
-    pub fn frequency_with_tolerance(&self, cap_tol: f64, r_tol: f64) -> Hertz {
-        let mut osc = *self;
-        osc.capacitor *= 1.0 + cap_tol;
-        osc.r_ext *= 1.0 + r_tol;
-        osc.frequency()
-    }
 }
 
 /// The dc-offset correction servo: integrates the measured mean of the
@@ -313,17 +304,6 @@ mod tests {
         assert!((osc.reference_current().value() - 200e-9).abs() < 1e-15);
         assert!((osc.frequency().value() - 8_000.0).abs() < 1e-6);
         assert!((osc.period().value() - 125e-6).abs() < 1e-12);
-    }
-
-    #[test]
-    fn tolerance_shifts_frequency_inversely() {
-        let osc = RelaxationOscillator::paper_values();
-        // +10 % capacitance → f/1.1.
-        let f = osc.frequency_with_tolerance(0.1, 0.0);
-        assert!((f.value() - 8_000.0 / 1.1).abs() < 1e-6);
-        // +10 % resistance → also f/1.1 (current drops).
-        let f = osc.frequency_with_tolerance(0.0, 0.1);
-        assert!((f.value() - 8_000.0 / 1.1).abs() < 1e-6);
     }
 
     #[test]

@@ -38,11 +38,6 @@ impl SecondHarmonicDemodulator {
         }
     }
 
-    /// The lock-in reference frequency (`2·f_exc`).
-    pub fn reference_frequency(&self) -> Hertz {
-        self.excitation_frequency * 2.0
-    }
-
     /// Demodulates a pickup waveform sampled at interval `dt` seconds,
     /// starting at `t = 0`, returning the in-phase and quadrature
     /// components of the second harmonic.
@@ -61,13 +56,6 @@ impl SecondHarmonicDemodulator {
         }
         let n = samples.len().max(1) as f64;
         (2.0 * i_acc / n, 2.0 * q_acc / n)
-    }
-
-    /// The second-harmonic amplitude `√(I² + Q²)` — proportional to the
-    /// external field for small fields.
-    pub fn amplitude(&self, samples: &[f64], dt: f64) -> f64 {
-        let (i, q) = self.demodulate_iq(samples, dt);
-        (i * i + q * q).sqrt()
     }
 
     /// The *signed* second-harmonic output: the component projected onto
@@ -132,11 +120,17 @@ mod tests {
         (samples, dt)
     }
 
+    /// The second-harmonic amplitude `√(I² + Q²)`.
+    fn amplitude(demod: &SecondHarmonicDemodulator, samples: &[f64], dt: f64) -> f64 {
+        let (i, q) = demod.demodulate_iq(samples, dt);
+        i.hypot(q)
+    }
+
     #[test]
     fn extracts_second_harmonic_amplitude() {
         let demod = SecondHarmonicDemodulator::new(Hertz::new(F));
         let (samples, dt) = synth(1.0, 0.25, 0.5, 512, 4, 0.0);
-        let amp = demod.amplitude(&samples, dt);
+        let amp = amplitude(&demod, &samples, dt);
         assert!((amp - 0.25).abs() < 1e-6, "amp = {amp}");
     }
 
@@ -144,7 +138,7 @@ mod tests {
     fn rejects_odd_harmonics() {
         let demod = SecondHarmonicDemodulator::new(Hertz::new(F));
         let (samples, dt) = synth(1.0, 0.0, 0.7, 512, 4, 0.0);
-        let amp = demod.amplitude(&samples, dt);
+        let amp = amplitude(&demod, &samples, dt);
         assert!(amp < 1e-6, "odd-harmonic leakage: {amp}");
     }
 
@@ -153,7 +147,7 @@ mod tests {
         let demod = SecondHarmonicDemodulator::new(Hertz::new(F));
         for phase in [0.0, 0.7, 1.9, 3.1] {
             let (samples, dt) = synth(1.0, 0.3, 0.0, 512, 4, phase);
-            let amp = demod.amplitude(&samples, dt);
+            let amp = amplitude(&demod, &samples, dt);
             assert!((amp - 0.3).abs() < 1e-6, "phase {phase}: {amp}");
         }
     }
@@ -176,12 +170,6 @@ mod tests {
         let demod = SecondHarmonicDemodulator::new(Hertz::new(F));
         let (samples, dt) = synth(1.0, 0.2, 0.0, 512, 2, 0.0);
         assert_eq!(demod.signed_output(&samples, dt, (0.0, 0.0)), 0.0);
-    }
-
-    #[test]
-    fn reference_frequency_is_double() {
-        let demod = SecondHarmonicDemodulator::new(Hertz::new(F));
-        assert_eq!(demod.reference_frequency(), Hertz::new(16_000.0));
     }
 
     #[test]

@@ -11,23 +11,10 @@
 //!   excitation current sources".
 //!
 //! [`ViConverter`] models exactly these properties: a transconductance
-//! stage with finite output compliance set by supply and headroom,
-//! optional single-ended (for comparison with the paper's balanced
-//! choice), and soft clipping when compliance is exceeded.
+//! stage with the balanced output's compliance set by supply and
+//! headroom, and hard clipping when compliance is exceeded.
 
 use fluxcomp_units::si::{Ampere, Ohm, Volt};
-
-/// Output topology of the converter.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum OutputStage {
-    /// Balanced differential drive — the paper's choice. Both supply
-    /// rails contribute headroom, so the compliance voltage is
-    /// `V_dd − 2·V_headroom`.
-    #[default]
-    BalancedDifferential,
-    /// Single-ended drive: only `V_dd/2 − V_headroom` of compliance.
-    SingleEnded,
-}
 
 /// A V-I converter channel (one per sensor; two in the system).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -36,8 +23,6 @@ pub struct ViConverter {
     pub supply: Volt,
     /// Saturation headroom each output transistor needs.
     pub headroom: Volt,
-    /// Output topology.
-    pub stage: OutputStage,
 }
 
 impl ViConverter {
@@ -47,30 +32,14 @@ impl ViConverter {
         Self {
             supply: Volt::new(5.0),
             headroom: Volt::new(0.2),
-            stage: OutputStage::BalancedDifferential,
         }
     }
 
-    /// The same converter at the paper's scaled-down 3.5 V supply.
-    pub fn low_voltage() -> Self {
-        Self {
-            supply: Volt::new(3.5),
-            ..Self::paper_design()
-        }
-    }
-
-    /// The maximum voltage the converter can place across the load.
+    /// The maximum voltage the converter can place across the load. The
+    /// output is balanced differential, so both rails contribute
+    /// headroom: `V_dd − 2·V_headroom`.
     pub fn compliance(&self) -> Volt {
-        match self.stage {
-            OutputStage::BalancedDifferential => self.supply - self.headroom * 2.0,
-            OutputStage::SingleEnded => self.supply / 2.0 - self.headroom,
-        }
-    }
-
-    /// The largest load resistance that can carry `i_peak` without
-    /// clipping: `R_max = V_compliance / i_peak`.
-    pub fn max_load_resistance(&self, i_peak: Ampere) -> Ohm {
-        self.compliance() / i_peak
+        self.supply - self.headroom * 2.0
     }
 
     /// The largest peak current that can be forced through `load`.
@@ -109,7 +78,7 @@ mod tests {
         // The paper's claim: at 5 V, sensors up to 800 Ω can be driven
         // (12 mA p-p = ±6 mA peak).
         let vi = ViConverter::paper_design();
-        let r_max = vi.max_load_resistance(Ampere::new(6e-3));
+        let r_max = vi.compliance() / Ampere::new(6e-3);
         assert!(
             r_max.value() >= 766.0,
             "r_max = {r_max} — should be around 800 Ω"
@@ -118,22 +87,12 @@ mod tests {
     }
 
     #[test]
-    fn single_ended_halves_the_drive_capability() {
-        let bal = ViConverter::paper_design();
-        let se = ViConverter {
-            stage: OutputStage::SingleEnded,
-            ..bal
-        };
-        assert!(se.compliance().value() < 0.5 * bal.compliance().value() + 0.2);
-        // A 500 Ω sensor at ±6 mA: fine balanced, clips single-ended.
-        assert!(!bal.clips(Ampere::new(6e-3), Ohm::new(500.0)));
-        assert!(se.clips(Ampere::new(6e-3), Ohm::new(500.0)));
-    }
-
-    #[test]
     fn low_voltage_supply_still_drives_77_ohm_kaw95() {
         // At 3.5 V the measured [Kaw95] sensor (77 Ω) is still drivable…
-        let vi = ViConverter::low_voltage();
+        let vi = ViConverter {
+            supply: Volt::new(3.5),
+            ..ViConverter::paper_design()
+        };
         assert!(!vi.clips(Ampere::new(6e-3), Ohm::new(77.0)));
         // …but the 800 Ω headline no longer holds.
         assert!(vi.clips(Ampere::new(6e-3), Ohm::new(800.0)));
@@ -161,16 +120,10 @@ mod tests {
     fn compliance_arithmetic() {
         let vi = ViConverter::paper_design();
         assert!((vi.compliance().value() - 4.6).abs() < 1e-12);
-        let se = ViConverter {
-            stage: OutputStage::SingleEnded,
-            ..vi
-        };
-        assert!((se.compliance().value() - 2.3).abs() < 1e-12);
     }
 
     #[test]
     fn default_is_paper_design() {
         assert_eq!(ViConverter::default(), ViConverter::paper_design());
-        assert_eq!(OutputStage::default(), OutputStage::BalancedDifferential);
     }
 }

@@ -42,11 +42,6 @@ pub fn banner(id: &str, title: &str, paper_ref: &str) {
     eprintln!("================================================================");
 }
 
-/// Prints one row of a two-column numeric series.
-pub fn row2(label: &str, a: f64, b: f64) {
-    eprintln!("  {label:<28} {a:>12.4} {b:>12.4}");
-}
-
 /// Renders a flat machine-readable benchmark record: one JSON object
 /// with the experiment id and a set of named numeric fields, in field
 /// order, `\n`-terminated — trivially diffable and `jq`-friendly.

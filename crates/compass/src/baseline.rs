@@ -36,21 +36,12 @@ impl SecondHarmonicCompass {
     ///
     /// # Errors
     ///
-    /// Returns [`BuildError::BadCordicIterations`] never, but shares the
-    /// config validation of the main system for the sampling grid.
+    /// Any [`BuildError`] from [`CompassConfig::validate`], the same one
+    /// [`crate::CompassDesign::new`] returns for the configuration.
     pub fn new(config: CompassConfig, adc_bits: u32) -> Result<Self, BuildError> {
-        let sample_rate = config.frontend.samples_per_period as f64
-            * config.frontend.excitation.frequency().value();
-        if sample_rate < config.clock.master().value() {
-            return Err(BuildError::SamplingTooCoarse {
-                sample_rate,
-                clock: config.clock.master().value(),
-            });
-        }
-        let mut fe_config = config.frontend.clone();
-        fe_config.sensor = config.pair.element;
+        config.validate()?;
         let frontend =
-            FrontEnd::new(fe_config).map_err(|reason| BuildError::BadFrontEnd { reason })?;
+            FrontEnd::new(config.channel()).map_err(|reason| BuildError::BadFrontEnd { reason })?;
         let demod = SecondHarmonicDemodulator::new(config.frontend.excitation.frequency());
         // Calibration run: a known positive full-scale field.
         let h_cal = AmperePerMeter::new(
@@ -68,11 +59,6 @@ impl SecondHarmonicCompass {
             reference,
             config,
         })
-    }
-
-    /// The ADC in use.
-    pub fn adc(&self) -> &SarAdc {
-        &self.adc
     }
 
     /// Measures one axis: demodulated second harmonic, digitised.
@@ -189,9 +175,10 @@ mod tests {
     #[test]
     fn adc_reference_is_auto_ranged() {
         let b = baseline(10);
-        // Full-scale field must not rail the converter.
+        // Full-scale field must not rail the converter: a 10-bit code
+        // tops out at 2⁹ − 1.
         let code = b.measure_axis(Axis::X, Degrees::new(0.0));
-        assert!(code < (1i64 << b.adc().bits()) - 1);
+        assert!(code < (1 << 9) - 1);
         assert!(code > (1 << 8), "code {code} suspiciously small");
     }
 }

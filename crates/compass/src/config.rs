@@ -49,13 +49,24 @@ impl CompassConfig {
         }
     }
 
+    /// The front-end channel as the system builds it: `frontend` with the
+    /// pair's element substituted as the sensor.
+    pub fn channel(&self) -> FrontEndConfig {
+        FrontEndConfig {
+            sensor: self.pair.element,
+            ..self.frontend.clone()
+        }
+    }
+
     /// Validates every field combination the system construction depends
     /// on, returning the first problem as a [`BuildError`].
     ///
-    /// [`crate::CompassDesign::new`] and [`crate::Compass::new`] route
-    /// through this, so an invalid configuration — including ones that
-    /// used to panic deep inside the sensor or front-end constructors —
-    /// is reported as an `Err` instead of a panic.
+    /// Every constructor ([`crate::CompassDesign::new`],
+    /// [`crate::Compass::new`], [`crate::GateLevelCompass::new`] and
+    /// [`crate::SecondHarmonicCompass::new`]) routes through this, so an
+    /// invalid configuration — including ones that used to panic deep
+    /// inside the sensor or front-end constructors — is reported as the
+    /// same `Err` by all of them instead of a panic.
     pub fn validate(&self) -> Result<(), BuildError> {
         if !(1..=16).contains(&self.cordic_iterations) {
             return Err(BuildError::BadCordicIterations {
@@ -68,11 +79,7 @@ impl CompassConfig {
         if sample_rate < clock {
             return Err(BuildError::SamplingTooCoarse { sample_rate, clock });
         }
-        // The design substitutes the pair's element into the front-end
-        // channel, so check the channel as it will actually be built.
-        let mut fe_config = self.frontend.clone();
-        fe_config.sensor = self.pair.element;
-        fe_config
+        self.channel()
             .check()
             .map_err(|reason| BuildError::BadFrontEnd { reason })?;
         self.pair

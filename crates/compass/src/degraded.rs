@@ -216,24 +216,6 @@ impl DegradedTracker {
         Self::new(HealthPolicy::for_design(design))
     }
 
-    /// The policy in force.
-    #[must_use]
-    pub fn policy(&self) -> &HealthPolicy {
-        &self.policy
-    }
-
-    /// The last heading that passed both axis checks, if any.
-    #[must_use]
-    pub fn last_good(&self) -> Option<Degrees> {
-        self.last_good
-    }
-
-    /// Consecutive fixes since the last good one (0 while healthy).
-    #[must_use]
-    pub fn held_fixes(&self) -> u64 {
-        self.held_fixes
-    }
-
     /// Clears the anchor and the held-fix count, so the next fix is
     /// scored as the first of a fresh run (e.g. a new sweep pass).
     pub fn reset(&mut self) {
@@ -362,7 +344,7 @@ mod tests {
                 direct.heading.value().to_bits()
             );
         }
-        assert!(tracker.last_good().is_some());
+        assert!(tracker.last_good.is_some());
     }
 
     #[test]
@@ -451,7 +433,7 @@ mod tests {
             anchor.value().to_bits(),
             "invalid fix must hold the last good heading"
         );
-        assert_eq!(tracker.held_fixes(), 1);
+        assert_eq!(tracker.held_fixes, 1);
         // With no anchor at all, the held heading is 0°.
         let mut fresh = DegradedTracker::for_design(&design);
         let held = design.measure_heading_checked(

@@ -27,14 +27,6 @@ impl Battery {
         }
     }
 
-    /// A CR2477 (the big one): 1000 mAh at 3 V.
-    pub fn cr2477() -> Self {
-        Self {
-            capacity_mah: 1000.0,
-            voltage: 3.0,
-        }
-    }
-
     /// The stored energy in joules.
     pub fn energy_joules(&self) -> f64 {
         self.capacity_mah * 1e-3 * 3600.0 * self.voltage
@@ -89,14 +81,6 @@ pub fn battery_life_days(power: &PowerModel, profile: &UsageProfile, battery: &B
     Seconds::new(seconds).value() / 86_400.0
 }
 
-/// Battery life without the paper's enable gating (analogue section and
-/// counter always on) — the ablation that shows why §4's power gating
-/// exists.
-pub fn battery_life_days_always_on(power: &PowerModel, battery: &Battery) -> f64 {
-    let avg_watts = power.average_power(&Schedule::paper_multiplexed()).value();
-    battery.energy_joules() / avg_watts / 86_400.0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -106,7 +90,6 @@ mod tests {
         // 160 mAh × 3 V = 1728 J.
         let e = Battery::cr2025().energy_joules();
         assert!((e - 1_728.0).abs() < 1e-9);
-        assert!(Battery::cr2477().energy_joules() > 6.0 * e);
     }
 
     #[test]
@@ -118,24 +101,13 @@ mod tests {
     }
 
     #[test]
-    fn gated_hiker_watch_lasts_months_to_years() {
+    fn gated_hiker_watch_lasts_months() {
         // The headline the paper's power story buys: with enable gating
         // the life is set by the always-on watch/LCD floor (~80 µW at
-        // 5 V), not by the compass — months on a small cell, years on a
-        // CR2477. Without gating it would be *under a day* (next test).
+        // 5 V), not by the compass — months on a small cell.
         let pm = PowerModel::at_5v();
         let small = battery_life_days(&pm, &UsageProfile::hiker(), &Battery::cr2025());
         assert!(small > 180.0, "hiker life {small} days on CR2025");
-        let big = battery_life_days(&pm, &UsageProfile::hiker(), &Battery::cr2477());
-        assert!(big > 3.0 * 365.0, "hiker life {big} days on CR2477");
-    }
-
-    #[test]
-    fn always_on_drains_in_days() {
-        // Without gating, ~26 mW kills a 1728 J cell in under a day —
-        // the quantitative version of §4's justification.
-        let days = battery_life_days_always_on(&PowerModel::at_5v(), &Battery::cr2025());
-        assert!(days < 2.0, "always-on life {days} days");
     }
 
     #[test]
@@ -144,7 +116,12 @@ mod tests {
         let battery = Battery::cr2025();
         let hiker = battery_life_days(&pm, &UsageProfile::hiker(), &battery);
         let continuous = battery_life_days(&pm, &UsageProfile::continuous(), &battery);
-        let always = battery_life_days_always_on(&pm, &battery);
+        // Without the enable gating the analogue section and counter are
+        // always on: ~26 mW kills a 1728 J cell in under a day — the
+        // quantitative version of §4's justification.
+        let always_watts = pm.average_power(&Schedule::paper_multiplexed()).value();
+        let always = battery.energy_joules() / always_watts / 86_400.0;
+        assert!(always < 2.0, "always-on life {always} days");
         assert!(continuous < hiker);
         assert!(continuous > always);
     }

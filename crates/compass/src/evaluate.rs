@@ -13,7 +13,7 @@
 //! speeds.
 
 use crate::system::{CompassDesign, MeasureScratch};
-use fluxcomp_exec::{derive_seed, par_map_range_scratch, ExecPolicy, StreamStats};
+use fluxcomp_exec::{par_map_range_scratch, ExecPolicy, StreamStats};
 use fluxcomp_units::angle::Degrees;
 
 /// Error statistics over a heading sweep.
@@ -90,35 +90,6 @@ pub fn sweep_headings(design: &CompassDesign, n: usize, policy: &ExecPolicy) -> 
     AccuracyStats::from_signed_errors(errors)
 }
 
-/// Evaluates a single heading `repeats` times (for noise studies) and
-/// returns the per-trial errors in degrees.
-///
-/// Every repeat uses a distinct noise seed derived from the design's
-/// configured seed and the repeat index, so the trials are independent
-/// noise realisations yet the whole study is reproducible — and, like
-/// [`sweep_headings`], bit-identical under any `policy`. Fixes run on
-/// the fast path with one reused [`MeasureScratch`] per worker.
-pub fn repeat_heading(
-    design: &CompassDesign,
-    heading: Degrees,
-    repeats: usize,
-    policy: &ExecPolicy,
-) -> Vec<f64> {
-    let base = design.config().frontend.noise_seed;
-    par_map_range_scratch(
-        policy,
-        repeats,
-        || MeasureScratch::for_design(design),
-        |scratch, k| {
-            design
-                .measure_heading_scratch(heading, derive_seed(base, k as u64), scratch)
-                .heading
-                .signed_error_from(heading)
-                .value()
-        },
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -166,34 +137,6 @@ mod tests {
             "3 iterations should miss 1°: max {}",
             stats.max_error
         );
-    }
-
-    #[test]
-    fn repeat_heading_is_deterministic_without_noise() {
-        let design = CompassDesign::new(CompassConfig::paper_design()).unwrap();
-        let errs = repeat_heading(&design, Degrees::new(77.0), 3, &ExecPolicy::serial());
-        assert_eq!(errs.len(), 3);
-        assert!(errs.windows(2).all(|w| w[0] == w[1]));
-    }
-
-    #[test]
-    fn repeat_heading_varies_under_noise_but_reproduces() {
-        let mut cfg = CompassConfig::paper_design();
-        cfg.frontend.pickup_noise_rms = 2e-3;
-        cfg.frontend.detector.hysteresis = fluxcomp_units::Volt::new(0.016);
-        let design = CompassDesign::new(cfg).unwrap();
-        let policy = ExecPolicy::serial();
-        let errs = repeat_heading(&design, Degrees::new(30.0), 8, &policy);
-        // Distinct per-repeat seeds: the noise realisations differ.
-        assert!(
-            errs.windows(2).any(|w| w[0] != w[1]),
-            "noise repeats should differ: {errs:?}"
-        );
-        // ... yet the whole study is reproducible, serial or parallel.
-        let again = repeat_heading(&design, Degrees::new(30.0), 8, &policy);
-        assert_eq!(errs, again);
-        let par = repeat_heading(&design, Degrees::new(30.0), 8, &ExecPolicy::parallel(4));
-        assert_eq!(errs, par);
     }
 
     #[test]

@@ -4,26 +4,10 @@
 //! clutter the displayed heading should be steadied without lagging a
 //! real turn too much. Angles live on a circle, so naive averaging fails
 //! catastrophically around north (the mean of 359° and 1° is *not*
-//! 180°). Both filters here work on unit vectors, the standard circular
-//! statistics approach.
+//! 180°). The spread metric and the smoother here work on unit vectors,
+//! the standard circular statistics approach.
 
 use fluxcomp_units::angle::Degrees;
-
-/// Circular mean of a set of headings. Returns `None` for an empty set
-/// or when the vectors cancel (no meaningful mean).
-pub fn circular_mean(headings: &[Degrees]) -> Option<Degrees> {
-    if headings.is_empty() {
-        return None;
-    }
-    let (sx, sy) = headings
-        .iter()
-        .fold((0.0, 0.0), |(x, y), h| (x + h.cos(), y + h.sin()));
-    let r = (sx * sx + sy * sy).sqrt() / headings.len() as f64;
-    if r < 1e-9 {
-        return None;
-    }
-    Some(Degrees::atan2(sy, sx).normalized())
-}
 
 /// The circular standard deviation `√(−2·ln R)` in degrees — the spread
 /// metric for repeated-fix noise studies.
@@ -57,11 +41,6 @@ impl HeadingSmoother {
         Self { alpha, state: None }
     }
 
-    /// The smoothing weight.
-    pub fn alpha(&self) -> f64 {
-        self.alpha
-    }
-
     /// Feeds a new fix; returns the smoothed heading.
     pub fn update(&mut self, fix: Degrees) -> Degrees {
         let v = (fix.cos(), fix.sin());
@@ -72,48 +51,11 @@ impl HeadingSmoother {
         self.state = Some(s);
         Degrees::atan2(s.1, s.0).normalized()
     }
-
-    /// The current smoothed heading, if any fix has been seen.
-    pub fn current(&self) -> Option<Degrees> {
-        self.state.map(|(x, y)| Degrees::atan2(y, x).normalized())
-    }
-
-    /// Forgets all history.
-    pub fn reset(&mut self) {
-        self.state = None;
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn mean_across_north_is_north() {
-        let headings = [Degrees::new(359.0), Degrees::new(1.0), Degrees::new(0.5)];
-        let mean = circular_mean(&headings).unwrap();
-        assert!(
-            mean.angular_distance(Degrees::new(0.17)).value() < 0.2,
-            "{mean}"
-        );
-    }
-
-    #[test]
-    fn mean_of_identical_headings() {
-        let headings = [Degrees::new(123.0); 5];
-        let mean = circular_mean(&headings).unwrap();
-        assert!(mean.angular_distance(Degrees::new(123.0)).value() < 1e-9);
-    }
-
-    #[test]
-    fn degenerate_means() {
-        assert_eq!(circular_mean(&[]), None);
-        // Perfectly opposed headings cancel.
-        assert_eq!(
-            circular_mean(&[Degrees::new(0.0), Degrees::new(180.0)]),
-            None
-        );
-    }
 
     #[test]
     fn std_of_tight_cluster_is_small() {
@@ -133,13 +75,11 @@ mod tests {
     #[test]
     fn smoother_converges_to_constant_input() {
         let mut f = HeadingSmoother::new(0.3);
-        assert_eq!(f.current(), None);
         let mut out = Degrees::ZERO;
         for _ in 0..50 {
             out = f.update(Degrees::new(200.0));
         }
         assert!(out.angular_distance(Degrees::new(200.0)).value() < 1e-6);
-        assert_eq!(f.alpha(), 0.3);
     }
 
     #[test]
@@ -161,25 +101,15 @@ mod tests {
     fn smoother_tracks_across_north() {
         let mut f = HeadingSmoother::new(0.5);
         // Rotate steadily through north: 350 → 10.
+        let mut out = Degrees::ZERO;
         for deg in [350.0, 354.0, 358.0, 2.0, 6.0, 10.0] {
-            f.update(Degrees::new(deg));
+            out = f.update(Degrees::new(deg));
         }
-        let out = f.current().unwrap();
         // The smoothed heading lags but must be near north, NOT near 180°.
         assert!(
             out.angular_distance(Degrees::new(5.0)).value() < 10.0,
             "{out}"
         );
-    }
-
-    #[test]
-    fn smoother_reset() {
-        let mut f = HeadingSmoother::new(1.0);
-        f.update(Degrees::new(10.0));
-        f.reset();
-        assert_eq!(f.current(), None);
-        // alpha = 1: output equals input immediately.
-        assert_eq!(f.update(Degrees::new(77.0)).value().round(), 77.0);
     }
 
     #[test]

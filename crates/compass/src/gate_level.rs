@@ -15,7 +15,6 @@ use fluxcomp_rtl::atan_rom::{AtanRom, ANGLE_SCALE};
 use fluxcomp_rtl::cordic_netlist::{cordic_kernel_netlist, CordicKernelNets};
 use fluxcomp_rtl::netsim::GateSim;
 use fluxcomp_rtl::synth::updown_counter;
-use fluxcomp_rtl::NetId;
 use fluxcomp_units::angle::Degrees;
 use fluxcomp_units::magnetics::AmperePerMeter;
 
@@ -23,9 +22,6 @@ use fluxcomp_units::magnetics::AmperePerMeter;
 #[derive(Debug, Clone)]
 pub struct GateLevelCompass {
     design: CompassDesign,
-    counter_sim: GateSim,
-    counter_bus: Vec<NetId>,
-    cordic_sim: GateSim,
     cordic_nets: CordicKernelNets,
 }
 
@@ -38,7 +34,8 @@ pub struct GateLevelReading {
     pub x: i64,
     /// Gate-level counter outputs (sign-corrected, ∝ field).
     pub y: i64,
-    /// Gate-evaluation events spent on this fix (activity proxy).
+    /// Gate-evaluation events spent on this fix (activity proxy), counted
+    /// from power-on of the counter and kernel simulators.
     pub gate_events: u64,
 }
 
@@ -52,62 +49,52 @@ impl GateLevelCompass {
     /// count is fixed at the paper's 8 (the kernel netlist is built for
     /// it).
     pub fn new(config: CompassConfig) -> Result<Self, BuildError> {
-        if config.cordic_iterations != 8 {
-            return Err(BuildError::BadCordicIterations {
-                got: config.cordic_iterations,
-            });
-        }
+        let got = config.cordic_iterations;
         let design = CompassDesign::new(config)?;
-        let (counter_nl, _, bus) = updown_counter(16);
-        let cordic_nets = cordic_kernel_netlist(24, 18, 8);
+        if got != 8 {
+            return Err(BuildError::BadCordicIterations { got });
+        }
         Ok(Self {
             design,
-            counter_sim: GateSim::new(counter_nl),
-            counter_bus: bus,
-            cordic_sim: GateSim::new(cordic_nets.netlist.clone()),
-            cordic_nets,
+            cordic_nets: cordic_kernel_netlist(24, 18, 8),
         })
     }
 
     /// Runs one axis's field through the front-end and the gate-level
-    /// counter, clocking the netlist once per master-clock edge.
-    fn measure_axis_gate_level(&mut self, h_ext: AmperePerMeter) -> i64 {
+    /// counter, clocking the netlist once per master-clock edge. Returns
+    /// the count and the gate events spent.
+    fn measure_axis_gate_level(&self, h_ext: AmperePerMeter) -> (i64, u64) {
         let noise_seed = self.design.config().frontend.noise_seed;
-        // Reset the counter netlist by loading zero through… there is no
-        // reset pin (matching the paper-era minimal counter): rebuild the
-        // simulator, which powers up at zero like silicon after POR.
+        // The counter netlist has no reset pin (matching the paper-era
+        // minimal counter): each axis gets a fresh simulator, which powers
+        // up at zero like silicon after POR.
         let (counter_nl, up, bus) = updown_counter(16);
-        self.counter_sim = GateSim::new(counter_nl);
-        self.counter_bus = bus;
-        let sim = &mut self.counter_sim;
+        let mut sim = GateSim::new(counter_nl);
         self.design.clock_edges(h_ext, noise_seed, |bit| {
             sim.set_input(up, bit);
             sim.settle();
             sim.clock_edge();
         });
-        self.counter_sim.bus_value_signed(&self.counter_bus)
+        (sim.bus_value_signed(&bus), sim.events())
     }
 
     /// One full fix through the gate-level digital section.
-    pub fn measure_heading(&mut self, true_heading: Degrees) -> GateLevelReading {
-        let events_before = self.counter_sim.events() + self.cordic_sim.events();
+    pub fn measure_heading(&self, true_heading: Degrees) -> GateLevelReading {
         let (hx, hy) = self.design.axial_fields(true_heading);
-        let x = -self.measure_axis_gate_level(hx);
-        let ev_x = self.counter_sim.events();
-        let y = -self.measure_axis_gate_level(hy);
-        let ev_y = self.counter_sim.events();
+        let (x, ev_x) = self.measure_axis_gate_level(hx);
+        let (y, ev_y) = self.measure_axis_gate_level(hy);
+        let (x, y) = (-x, -y);
+        let mut cordic = GateSim::new(self.cordic_nets.netlist.clone());
 
         // Quadrant fold in "hardware-trivial" logic (sign decode), then
         // the gate-level first-quadrant kernel.
         let heading = if x == 0 && y == 0 {
             Degrees::ZERO
         } else {
-            self.cordic_sim.set_bus(&self.cordic_nets.x_in, x.abs());
-            self.cordic_sim.set_bus(&self.cordic_nets.y_in, y.abs());
-            self.cordic_sim.settle();
-            let q8 = self
-                .cordic_sim
-                .bus_value_signed(&self.cordic_nets.angle_out);
+            cordic.set_bus(&self.cordic_nets.x_in, x.abs());
+            cordic.set_bus(&self.cordic_nets.y_in, y.abs());
+            cordic.settle();
+            let q8 = cordic.bus_value_signed(&self.cordic_nets.angle_out);
             let folded = match (x >= 0, y >= 0) {
                 (true, true) => q8,
                 (false, true) => 180 * ANGLE_SCALE - q8,
@@ -121,7 +108,7 @@ impl GateLevelCompass {
             heading,
             x,
             y,
-            gate_events: ev_x + ev_y + self.cordic_sim.events() - events_before,
+            gate_events: ev_x + ev_y + cordic.events(),
         }
     }
 }
@@ -134,7 +121,7 @@ mod tests {
     #[test]
     fn gate_level_fix_is_bit_identical_to_behavioral() {
         let mut behavioral = Compass::new(CompassConfig::paper_design()).expect("valid");
-        let mut gate_level = GateLevelCompass::new(CompassConfig::paper_design()).expect("valid");
+        let gate_level = GateLevelCompass::new(CompassConfig::paper_design()).expect("valid");
         for deg in [0.0, 33.0, 123.0, 200.0, 300.0, 359.0] {
             let truth = Degrees::new(deg);
             let b = behavioral.measure_heading(truth);
@@ -159,7 +146,7 @@ mod tests {
 
     #[test]
     fn gate_level_meets_the_one_degree_claim_alone() {
-        let mut c = GateLevelCompass::new(CompassConfig::paper_design()).expect("valid");
+        let c = GateLevelCompass::new(CompassConfig::paper_design()).expect("valid");
         for deg in [45.0, 137.0, 222.0, 313.0] {
             let truth = Degrees::new(deg);
             let got = c.measure_heading(truth);
@@ -173,10 +160,22 @@ mod tests {
 
     #[test]
     fn activity_is_reported() {
-        let mut c = GateLevelCompass::new(CompassConfig::paper_design()).expect("valid");
+        let c = GateLevelCompass::new(CompassConfig::paper_design()).expect("valid");
         let r = c.measure_heading(Degrees::new(77.0));
         // Thousands of clocked counter evaluations plus the kernel.
         assert!(r.gate_events > 10_000, "events {}", r.gate_events);
+    }
+
+    #[test]
+    fn identical_fixes_spend_identical_gate_events() {
+        let truth = Degrees::new(77.0);
+        let fresh = GateLevelCompass::new(CompassConfig::paper_design())
+            .expect("valid")
+            .measure_heading(truth);
+        let c = GateLevelCompass::new(CompassConfig::paper_design()).expect("valid");
+        for fix in 0..3 {
+            assert_eq!(c.measure_heading(truth), fresh, "fix {fix}");
+        }
     }
 
     #[test]

@@ -68,11 +68,11 @@ pub use chip::{build_chip, paper_chip, ChipReport};
 pub use config::{BuildError, CompassConfig};
 pub use degraded::{AxisHealth, CheckedReading, DegradedTracker, FixQuality, HealthPolicy};
 pub use energy::{battery_life_days, Battery, UsageProfile};
-pub use evaluate::{repeat_heading, sweep_headings, AccuracyStats};
-pub use filter::{circular_mean, circular_std, HeadingSmoother};
+pub use evaluate::{sweep_headings, AccuracyStats};
+pub use filter::{circular_std, HeadingSmoother};
 pub use gate_level::{GateLevelCompass, GateLevelReading};
 pub use mission::{square_route, walk_route, Leg, MissionResult, Position};
-pub use production::{production_test, production_test_batch, ProductionResult, RejectReason};
+pub use production::{production_test, ProductionResult, RejectReason};
 pub use selftest::{run_self_test, SelfTestReport};
 pub use system::{
     AxisMeasurement, Compass, CompassDesign, FixField, FixInput, MeasureScratch, Reading,

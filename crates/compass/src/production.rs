@@ -16,7 +16,6 @@
 use crate::config::CompassConfig;
 use crate::selftest::{run_self_test, SelfTestReport};
 use crate::system::CompassDesign;
-use fluxcomp_exec::{par_map_range, ExecPolicy};
 use fluxcomp_mcm::diagnosis::diagnose_module;
 use fluxcomp_mcm::interconnect_test::InterconnectTester;
 use fluxcomp_mcm::substrate::{Fault, McmAssembly};
@@ -50,13 +49,6 @@ pub struct ProductionResult {
     pub reject: Option<RejectReason>,
     /// Which stages actually ran (earlier rejects skip later stages).
     pub stages_run: u32,
-}
-
-impl ProductionResult {
-    /// `true` when the module ships.
-    pub fn shipped(&self) -> bool {
-        self.reject.is_none()
-    }
 }
 
 /// The functional limit: the paper's specification plus a test-fixture
@@ -119,19 +111,6 @@ pub fn production_test(assembly: &McmAssembly, config: &CompassConfig) -> Produc
     }
 }
 
-/// Runs the full flow on a whole batch of modules, one worker-pool task
-/// per module. Each module's flow is independent, so the verdict vector
-/// is identical — stage by stage, error bit by error bit — to testing
-/// the batch serially.
-pub fn production_test_batch(
-    modules: &[(McmAssembly, CompassConfig)],
-    policy: &ExecPolicy,
-) -> Vec<ProductionResult> {
-    par_map_range(policy, modules.len(), |k| {
-        production_test(&modules[k].0, &modules[k].1)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -140,7 +119,7 @@ mod tests {
     #[test]
     fn good_module_ships() {
         let result = production_test(&McmAssembly::paper_module(), &CompassConfig::paper_design());
-        assert!(result.shipped(), "{result:?}");
+        assert!(result.reject.is_none(), "{result:?}");
         assert_eq!(result.stages_run, 3);
     }
 
@@ -149,7 +128,7 @@ mod tests {
         let mut module = McmAssembly::paper_module();
         module.inject(Fault::Open { net: 3 });
         let result = production_test(&module, &CompassConfig::paper_design());
-        assert!(!result.shipped());
+        assert!(result.reject.is_some());
         assert_eq!(result.stages_run, 1, "must stop at the cheap stage");
         match result.reject.unwrap() {
             RejectReason::Interconnect { candidates } => {
@@ -167,7 +146,7 @@ mod tests {
             .excitation
             .with_amplitude_pp(Ampere::new(12e-3 * 0.7));
         let result = production_test(&McmAssembly::paper_module(), &cfg);
-        assert!(!result.shipped());
+        assert!(result.reject.is_some());
         assert_eq!(result.stages_run, 2);
         assert!(matches!(result.reject, Some(RejectReason::SelfTest { .. })));
     }
@@ -181,7 +160,7 @@ mod tests {
         cfg.pair.element.r_excitation = Ohm::new(1e6);
         cfg.frontend.sensor = cfg.pair.element;
         let result = production_test(&McmAssembly::paper_module(), &cfg);
-        assert!(!result.shipped(), "{result:?}");
+        assert!(result.reject.is_some(), "{result:?}");
         assert_eq!(
             result.stages_run, 3,
             "the BIST passes; functional must catch it"
@@ -193,33 +172,11 @@ mod tests {
     }
 
     #[test]
-    fn batch_matches_serial_flow() {
-        let mut bad_cfg = CompassConfig::paper_design();
-        bad_cfg.pair.misalignment = fluxcomp_units::Degrees::new(4.0);
-        let mut open_module = McmAssembly::paper_module();
-        open_module.inject(Fault::Open { net: 3 });
-        let batch = vec![
-            (McmAssembly::paper_module(), CompassConfig::paper_design()),
-            (open_module, CompassConfig::paper_design()),
-            (McmAssembly::paper_module(), bad_cfg),
-        ];
-        let serial: Vec<ProductionResult> =
-            batch.iter().map(|(a, c)| production_test(a, c)).collect();
-        for threads in [1, 4] {
-            let par = production_test_batch(&batch, &ExecPolicy::parallel(threads));
-            assert_eq!(serial, par, "at {threads} threads");
-        }
-        assert!(serial[0].shipped());
-        assert!(!serial[1].shipped() && serial[1].stages_run == 1);
-        assert!(!serial[2].shipped() && serial[2].stages_run == 3);
-    }
-
-    #[test]
     fn misalignment_out_of_spec_caught_functionally() {
         let mut cfg = CompassConfig::paper_design();
         cfg.pair.misalignment = fluxcomp_units::Degrees::new(4.0);
         let result = production_test(&McmAssembly::paper_module(), &cfg);
-        assert!(!result.shipped());
+        assert!(result.reject.is_some());
         assert!(matches!(
             result.reject,
             Some(RejectReason::Functional { worst_error }) if worst_error > 1.2

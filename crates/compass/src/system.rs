@@ -165,8 +165,6 @@ impl CompassDesign {
     /// inside the block constructors).
     pub fn new(config: CompassConfig) -> Result<Self, BuildError> {
         config.validate()?;
-        let mut fe_config = config.frontend.clone();
-        fe_config.sensor = config.pair.element;
         let window =
             config.frontend.measure_periods as f64 / config.frontend.excitation.frequency().value();
         let schedule = ClockSchedule::new(
@@ -175,7 +173,7 @@ impl CompassDesign {
             config.clock.master(),
         );
         Ok(Self {
-            frontend: FrontEnd::new(fe_config)
+            frontend: FrontEnd::new(config.channel())
                 .map_err(|reason| BuildError::BadFrontEnd { reason })?,
             pair: SensorPair::new(config.pair),
             cordic: CordicArctan::new(config.cordic_iterations),
@@ -866,6 +864,69 @@ mod tests {
             CompassDesign::new(cfg).unwrap_err(),
             BuildError::BadSensorPair { .. }
         ));
+        // Every constructor validates through `CompassConfig::validate`,
+        // so all four reject a bad configuration with the same typed
+        // error instead of panicking in a block constructor.
+        use crate::baseline::SecondHarmonicCompass;
+        use crate::gate_level::GateLevelCompass;
+        use fluxcomp_afe::frontend::FrontEndError;
+        use fluxcomp_units::Volt;
+        let front_end = |reason| BuildError::BadFrontEnd { reason };
+        type Case = (&'static str, fn(&mut CompassConfig), BuildError);
+        let cases: [Case; 6] = [
+            (
+                "bad detector",
+                |c| c.frontend.detector.hysteresis = Volt::new(-1e-3),
+                front_end(FrontEndError::BadDetector {
+                    reason: "hysteresis must be finite and non-negative",
+                }),
+            ),
+            (
+                "bad noise",
+                |c| c.frontend.pickup_noise_rms = f64::NAN,
+                front_end(FrontEndError::BadPickupNoise),
+            ),
+            (
+                "too few samples",
+                |c| c.frontend.samples_per_period = 8,
+                BuildError::SamplingTooCoarse {
+                    sample_rate: 64_000.0,
+                    clock: 4_194_304.0,
+                },
+            ),
+            (
+                "zero measurement periods",
+                |c| c.frontend.measure_periods = 0,
+                front_end(FrontEndError::NoMeasurePeriods),
+            ),
+            (
+                "bad element",
+                |c| c.pair.element.magnetic_length = 0.0,
+                front_end(FrontEndError::BadSensor {
+                    reason: "magnetic length must be positive",
+                }),
+            ),
+            (
+                "bad pair gain",
+                |c| c.pair.gain_mismatch = 0.0,
+                BuildError::BadSensorPair {
+                    reason: "gain mismatch must be positive and finite",
+                },
+            ),
+        ];
+        for (what, spoil, expected) in cases {
+            let mut cfg = CompassConfig::paper_design();
+            spoil(&mut cfg);
+            let errors = [
+                CompassDesign::new(cfg.clone()).unwrap_err(),
+                Compass::new(cfg.clone()).unwrap_err(),
+                GateLevelCompass::new(cfg.clone()).unwrap_err(),
+                SecondHarmonicCompass::new(cfg, 10).unwrap_err(),
+            ];
+            for (constructor, err) in errors.iter().enumerate() {
+                assert_eq!(err, &expected, "{what}: constructor {constructor}");
+            }
+        }
     }
 
     #[test]
@@ -873,8 +934,7 @@ mod tests {
         let mut c = compass();
         c.measure_heading(Degrees::new(10.0));
         assert_eq!(c.sequencer().state(), SequencerState::Display);
-        assert_eq!(c.sequencer().fixes(), 1);
         c.measure_heading(Degrees::new(20.0));
-        assert_eq!(c.sequencer().fixes(), 2);
+        assert_eq!(c.sequencer().state(), SequencerState::Display);
     }
 }

@@ -30,11 +30,6 @@ pub struct Attitude {
 }
 
 impl Attitude {
-    /// A level platform.
-    pub fn level() -> Self {
-        Self::default()
-    }
-
     /// Creates an attitude.
     pub fn new(pitch: Degrees, roll: Degrees) -> Self {
         Self { pitch, roll }
@@ -139,7 +134,7 @@ mod tests {
         let f = enschede();
         for deg in [0.0, 77.0, 191.0, 333.0] {
             let h = Degrees::new(deg);
-            let indicated = two_axis_heading(&f, h, Attitude::level());
+            let indicated = two_axis_heading(&f, h, Attitude::default());
             assert!(indicated.angular_distance(h).value() < 1e-9);
         }
     }
@@ -216,7 +211,7 @@ mod tests {
     fn roll_couples_vertical_into_y() {
         let f = enschede();
         // Facing north, rolled right: the down component leaks into +y…
-        let (_, by_level, _) = body_field(&f, Degrees::ZERO, Attitude::level());
+        let (_, by_level, _) = body_field(&f, Degrees::ZERO, Attitude::default());
         let (_, by_rolled, _) = body_field(
             &f,
             Degrees::ZERO,
@@ -246,7 +241,7 @@ mod tests {
     fn empty_sweep_rejected() {
         let _ = worst_tilt_error(
             &enschede(),
-            Attitude::level(),
+            Attitude::default(),
             0,
             &fluxcomp_exec::ExecPolicy::serial(),
         );

@@ -1,7 +1,7 @@
 //! Property tests for the compass-level algorithms that don't need the
 //! (expensive) transient pipeline.
 
-use fluxcomp_compass::filter::{circular_mean, HeadingSmoother};
+use fluxcomp_compass::filter::HeadingSmoother;
 use fluxcomp_compass::mission::{Leg, Position};
 use fluxcomp_compass::tilt::{body_field, tilt_compensated_heading, Attitude};
 use fluxcomp_fluxgate::earth::EarthField;
@@ -52,30 +52,12 @@ proptest! {
         prop_assert!((mag - field.total().value()).abs() < 1e-15 + 1e-9 * mag);
     }
 
-    /// The circular mean of a tight cluster lies inside the cluster's
-    /// angular span.
-    #[test]
-    fn circular_mean_inside_cluster(center in 0.0f64..360.0, spread in 0.1f64..30.0, n in 2usize..20) {
-        let headings: Vec<Degrees> = (0..n)
-            .map(|k| {
-                let frac = k as f64 / (n - 1).max(1) as f64 - 0.5;
-                Degrees::new(center + spread * frac)
-            })
-            .collect();
-        let mean = circular_mean(&headings).expect("non-degenerate");
-        prop_assert!(
-            mean.angular_distance(Degrees::new(center)).value() <= spread / 2.0 + 1e-6,
-            "mean {mean} outside ±{}", spread / 2.0
-        );
-    }
-
     /// The smoother is a contraction toward a constant input from any
     /// start.
     #[test]
     fn smoother_contracts(start in 0.0f64..360.0, target in 0.0f64..360.0, alpha_pct in 5u32..100) {
         let mut f = HeadingSmoother::new(alpha_pct as f64 / 100.0);
-        f.update(Degrees::new(start));
-        let mut prev = f.current().unwrap().angular_distance(Degrees::new(target)).value();
+        let mut prev = f.update(Degrees::new(start)).angular_distance(Degrees::new(target)).value();
         // Opposed vectors can cancel exactly; skip the measure-zero case.
         prop_assume!((prev - 180.0).abs() > 1.0);
         // Enough steps for the slowest alpha to converge: the state

@@ -26,9 +26,8 @@ const GRABS_PER_WORKER: usize = 8;
 /// thread is a serial loop on the calling thread; more is a scoped
 /// worker pool. This is the single execution argument the workspace's
 /// unified entry points take (`sweep_headings`, `run_monte_carlo`,
-/// `worst_tilt_error`, `production_test_batch`, …) — the result is
-/// bit-identical either way, so the policy is purely a throughput
-/// choice.
+/// `worst_tilt_error`, …) — the result is bit-identical either way, so
+/// the policy is purely a throughput choice.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ExecPolicy {
     threads: NonZeroUsize,

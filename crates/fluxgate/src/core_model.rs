@@ -136,18 +136,6 @@ impl CoreModel {
         }
     }
 
-    /// Relative differential permeability `µ_r = (dB/dH)/µ₀` at `h`.
-    pub fn mu_r(&self, h: AmperePerMeter, sweep: Sweep) -> f64 {
-        self.mu_diff(h, sweep) / MU_0
-    }
-
-    /// `true` when the core is in deep saturation at `h`: the
-    /// differential permeability has collapsed below 5 % of its zero-field
-    /// value.
-    pub fn is_saturated(&self, h: AmperePerMeter, sweep: Sweep) -> bool {
-        self.mu_diff(h, sweep) < 0.05 * self.mu_diff(AmperePerMeter::ZERO, Sweep::default())
-    }
-
     /// The field at which `tanh` has effectively saturated (≈ 3·H_K,
     /// where `tanh = 0.995`); a practical "saturation field" figure.
     pub fn saturation_field(&self) -> AmperePerMeter {
@@ -218,21 +206,9 @@ mod tests {
     }
 
     #[test]
-    fn saturation_detection() {
+    fn saturation_field_is_three_hk() {
         let m = adapted();
-        assert!(!m.is_saturated(AmperePerMeter::ZERO, Sweep::Up));
-        assert!(!m.is_saturated(AmperePerMeter::new(40.0), Sweep::Up));
-        assert!(m.is_saturated(AmperePerMeter::new(120.0), Sweep::Up));
-        assert!(m.is_saturated(AmperePerMeter::new(-120.0), Sweep::Up));
         assert_eq!(m.saturation_field(), AmperePerMeter::new(120.0));
-    }
-
-    #[test]
-    fn relative_permeability_is_large_for_permalloy() {
-        let m = adapted();
-        // 0.0125 / µ0 ≈ 10,000 — the right order for a permalloy film.
-        let mu_r = m.mu_r(AmperePerMeter::ZERO, Sweep::Up);
-        assert!((9_000.0..11_000.0).contains(&mu_r), "mu_r = {mu_r}");
     }
 
     #[test]

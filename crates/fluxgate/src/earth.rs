@@ -11,7 +11,7 @@
 //! hard-iron and soft-iron effects for calibration experiments.
 
 use fluxcomp_units::angle::Degrees;
-use fluxcomp_units::magnetics::{AmperePerMeter, Tesla, MU_0};
+use fluxcomp_units::magnetics::Tesla;
 
 /// Representative locations spanning the paper's stated field range.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -62,30 +62,15 @@ impl Location {
             Location::SouthPole => Degrees::new(-85.0),
         }
     }
-
-    /// Magnetic declination at the location (representative mid-1990s
-    /// values; declination drifts by ~0.1°/year).
-    pub fn declination(self) -> Degrees {
-        match self {
-            Location::SouthAmerica => Degrees::new(-8.0),
-            Location::Equator => Degrees::new(0.0),
-            Location::MidNorth => Degrees::new(4.0),
-            Location::Enschede => Degrees::new(-2.0),
-            Location::SouthPole => Degrees::new(25.0),
-        }
-    }
 }
 
 /// The earth's field as the compass experiences it: a horizontal
 /// component (what the two in-plane fluxgates measure) plus the dip
-/// angle, and the local declination (the angle from true north to
-/// magnetic north — what separates the compass's reading from a map
-/// bearing).
+/// angle.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EarthField {
     total: Tesla,
     inclination: Degrees,
-    declination: Degrees,
 }
 
 impl EarthField {
@@ -94,7 +79,6 @@ impl EarthField {
         Self {
             total: location.total_field(),
             inclination: location.inclination(),
-            declination: location.declination(),
         }
     }
 
@@ -105,19 +89,7 @@ impl EarthField {
     /// Panics if `total` is negative.
     pub fn with_magnitude(total: Tesla, inclination: Degrees) -> Self {
         assert!(total.value() >= 0.0, "field magnitude must be non-negative");
-        Self {
-            total,
-            inclination,
-            declination: Degrees::ZERO,
-        }
-    }
-
-    /// Returns a copy with the given declination.
-    pub fn with_declination(self, declination: Degrees) -> Self {
-        Self {
-            declination,
-            ..self
-        }
+        Self { total, inclination }
     }
 
     /// A purely horizontal field of the given magnitude — the idealised
@@ -134,24 +106,6 @@ impl EarthField {
     /// Dip angle.
     pub fn inclination(&self) -> Degrees {
         self.inclination
-    }
-
-    /// Declination: the signed angle from true north to magnetic north
-    /// (positive = magnetic north lies east of true north).
-    pub fn declination(&self) -> Degrees {
-        self.declination
-    }
-
-    /// Converts a compass (magnetic) heading to a map (true) bearing:
-    /// `true = magnetic + declination`.
-    pub fn magnetic_to_true(&self, magnetic: Degrees) -> Degrees {
-        (magnetic + self.declination).normalized()
-    }
-
-    /// Converts a map (true) bearing to the compass (magnetic) heading
-    /// to steer.
-    pub fn true_to_magnetic(&self, true_bearing: Degrees) -> Degrees {
-        (true_bearing - self.declination).normalized()
     }
 
     /// Horizontal field magnitude `B_h = B·cos(inclination)` — the only
@@ -175,22 +129,6 @@ impl EarthField {
     pub fn body_components(&self, heading: Degrees) -> (Tesla, Tesla) {
         let bh = self.horizontal_magnitude();
         (bh * heading.cos(), bh * heading.sin())
-    }
-
-    /// The same components expressed as field strength `H = B/µ₀`
-    /// (what the sensor core model consumes).
-    pub fn body_field_strength(&self, heading: Degrees) -> (AmperePerMeter, AmperePerMeter) {
-        let (bx, by) = self.body_components(heading);
-        (
-            AmperePerMeter::new(bx.value() / MU_0),
-            AmperePerMeter::new(by.value() / MU_0),
-        )
-    }
-
-    /// Recovers the heading from body-frame components — the reference
-    /// ("oracle") computation the digital CORDIC is checked against.
-    pub fn heading_from_components(bx: Tesla, by: Tesla) -> Degrees {
-        Degrees::atan2(by.value(), bx.value()).normalized()
     }
 }
 
@@ -225,14 +163,6 @@ impl MagneticDisturbance {
         }
     }
 
-    /// Pure soft-iron distortion.
-    pub fn soft(matrix: [[f64; 2]; 2]) -> Self {
-        Self {
-            soft_iron: matrix,
-            ..Self::none()
-        }
-    }
-
     /// Applies the disturbance to clean body-frame components.
     pub fn apply(&self, bx: Tesla, by: Tesla) -> (Tesla, Tesla) {
         let dx = Tesla::new(self.soft_iron[0][0] * bx.value() + self.soft_iron[0][1] * by.value())
@@ -240,11 +170,6 @@ impl MagneticDisturbance {
         let dy = Tesla::new(self.soft_iron[1][0] * bx.value() + self.soft_iron[1][1] * by.value())
             + self.hard_iron.1;
         (dx, dy)
-    }
-
-    /// `true` when this is exactly the identity disturbance.
-    pub fn is_none(&self) -> bool {
-        *self == Self::none()
     }
 }
 
@@ -285,20 +210,6 @@ mod tests {
     }
 
     #[test]
-    fn heading_round_trip_through_components() {
-        let f = EarthField::at(Location::Enschede);
-        for deg in (0..360).step_by(7) {
-            let heading = Degrees::new(deg as f64);
-            let (bx, by) = f.body_components(heading);
-            let back = EarthField::heading_from_components(bx, by);
-            assert!(
-                back.angular_distance(heading).value() < 1e-9,
-                "heading {deg}: got {back}"
-            );
-        }
-    }
-
-    #[test]
     fn cardinal_directions() {
         let f = EarthField::horizontal(Tesla::from_microtesla(20.0));
         let (bx, by) = f.body_components(Degrees::new(0.0));
@@ -309,14 +220,6 @@ mod tests {
         assert!((bx.as_microtesla() + 20.0).abs() < 1e-9 && by.as_microtesla().abs() < 1e-9);
         let (bx, by) = f.body_components(Degrees::new(270.0));
         assert!(bx.as_microtesla().abs() < 1e-9 && (by.as_microtesla() + 20.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn field_strength_components_divide_by_mu0() {
-        let f = EarthField::horizontal(Tesla::from_microtesla(50.0));
-        let (hx, _) = f.body_field_strength(Degrees::ZERO);
-        // 50 µT / µ0 ≈ 39.8 A/m.
-        assert!((hx.value() - 39.788_735).abs() < 1e-3);
     }
 
     #[test]
@@ -338,7 +241,10 @@ mod tests {
 
     #[test]
     fn soft_iron_scales_and_couples() {
-        let d = MagneticDisturbance::soft([[1.1, 0.0], [0.2, 0.9]]);
+        let d = MagneticDisturbance {
+            soft_iron: [[1.1, 0.0], [0.2, 0.9]],
+            ..MagneticDisturbance::none()
+        };
         let (x, y) = d.apply(Tesla::from_microtesla(10.0), Tesla::from_microtesla(20.0));
         assert!((x.as_microtesla() - 11.0).abs() < 1e-9);
         assert!((y.as_microtesla() - 20.0).abs() < 1e-9); // 0.2·10 + 0.9·20
@@ -347,37 +253,10 @@ mod tests {
     #[test]
     fn none_disturbance_is_identity() {
         let d = MagneticDisturbance::none();
-        assert!(d.is_none());
         assert_eq!(d, MagneticDisturbance::default());
         let (x, y) = d.apply(Tesla::from_microtesla(7.0), Tesla::from_microtesla(-7.0));
         assert!((x.as_microtesla() - 7.0).abs() < 1e-12);
         assert!((y.as_microtesla() + 7.0).abs() < 1e-12);
-        assert!(!MagneticDisturbance::hard(Tesla::new(1e-6), Tesla::ZERO).is_none());
-    }
-
-    #[test]
-    fn declination_round_trip() {
-        let f = EarthField::at(Location::Enschede);
-        assert_eq!(f.declination(), Degrees::new(-2.0));
-        for deg in [0.0, 90.0, 359.0] {
-            let magnetic = Degrees::new(deg);
-            let true_bearing = f.magnetic_to_true(magnetic);
-            let back = f.true_to_magnetic(true_bearing);
-            assert!(back.angular_distance(magnetic).value() < 1e-9);
-        }
-        // Enschede 1990s: magnetic north ~2° west of true north, so a
-        // magnetic heading of 0° is a true bearing of 358°.
-        assert_eq!(f.magnetic_to_true(Degrees::ZERO), Degrees::new(358.0));
-    }
-
-    #[test]
-    fn with_declination_builder() {
-        let f = EarthField::horizontal(Tesla::from_microtesla(20.0))
-            .with_declination(Degrees::new(10.0));
-        assert_eq!(f.magnetic_to_true(Degrees::new(350.0)), Degrees::new(0.0));
-        // Horizontal constructor defaults to zero declination.
-        let g = EarthField::horizontal(Tesla::from_microtesla(20.0));
-        assert_eq!(g.declination(), Degrees::ZERO);
     }
 
     #[test]

@@ -128,11 +128,6 @@ impl JilesAthertonCore {
         &self.params
     }
 
-    /// Current magnetisation.
-    pub fn magnetization(&self) -> AmperePerMeter {
-        AmperePerMeter::new(self.m)
-    }
-
     /// Current flux density `B = µ0(H + M)`.
     pub fn flux_density(&self) -> Tesla {
         Tesla::new(MU_0 * (self.h + self.m))
@@ -265,7 +260,7 @@ mod tests {
     fn virgin_curve_saturates_at_ms() {
         let mut core = JilesAthertonCore::new(params());
         core.drive_to(AmperePerMeter::new(2_000.0), 2_000);
-        let m = core.magnetization().value();
+        let m = core.m;
         assert!(m > 0.95 * params().ms, "M = {m}, Ms = {}", params().ms);
         // B at saturation ≈ µ0(Ms + H) ≈ 0.5 T.
         assert!((core.flux_density().value() - 0.5).abs() < 0.05);
@@ -347,18 +342,18 @@ mod tests {
     fn zero_drive_is_identity() {
         let mut core = JilesAthertonCore::new(params());
         core.drive_to(AmperePerMeter::new(50.0), 100);
-        let before = core.magnetization();
+        let before = core.m;
         core.drive_to(AmperePerMeter::new(50.0), 100);
-        assert_eq!(core.magnetization(), before);
+        assert_eq!(core.m, before);
     }
 
     #[test]
     fn magnetization_never_exceeds_ms() {
         let mut core = JilesAthertonCore::new(params());
         core.drive_to(AmperePerMeter::new(1e6), 100);
-        assert!(core.magnetization().value() <= params().ms);
+        assert!(core.m <= params().ms);
         core.drive_to(AmperePerMeter::new(-1e6), 100);
-        assert!(core.magnetization().value() >= -params().ms);
+        assert!(core.m >= -params().ms);
     }
 
     #[test]
@@ -374,5 +369,23 @@ mod tests {
     fn zero_steps_rejected() {
         let mut core = JilesAthertonCore::new(params());
         core.drive_to(AmperePerMeter::new(10.0), 0);
+    }
+
+    mod props {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            /// The magnetisation always stays within ±Ms, whatever drive
+            /// sequence the core sees.
+            #[test]
+            fn magnetization_bounded(targets in prop::collection::vec(-500.0f64..500.0, 1..12)) {
+                let mut core = JilesAthertonCore::new(params());
+                for t in targets {
+                    core.drive_to(AmperePerMeter::new(t), 64);
+                    prop_assert!(core.m.abs() <= params().ms + 1e-9);
+                }
+            }
+        }
     }
 }

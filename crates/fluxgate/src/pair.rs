@@ -1,8 +1,9 @@
 //! The orthogonal X/Y sensor pair.
 //!
 //! The compass measures the horizontal field "in two perpendicular
-//! directions" (paper §2). [`SensorPair`] groups two [`Fluxgate`]
-//! elements with the two dominant pair-level non-idealities:
+//! directions" (paper §2). [`SensorPair`] groups two
+//! [`Fluxgate`](crate::transducer::Fluxgate) elements with the two
+//! dominant pair-level non-idealities:
 //!
 //! * **gain mismatch** — the two elements (and their V-I converters) are
 //!   never perfectly matched; modelled as a multiplicative factor on the
@@ -14,7 +15,7 @@
 //! *system* behaviour and lives in the `compass` crate's scheduler.
 
 use crate::earth::{EarthField, MagneticDisturbance};
-use crate::transducer::{Fluxgate, FluxgateParams};
+use crate::transducer::FluxgateParams;
 use fluxcomp_units::angle::Degrees;
 use fluxcomp_units::magnetics::{AmperePerMeter, MU_0};
 
@@ -26,16 +27,6 @@ pub enum Axis {
     X,
     /// The rightward-pointing element.
     Y,
-}
-
-impl Axis {
-    /// The other axis.
-    pub fn other(self) -> Self {
-        match self {
-            Axis::X => Axis::Y,
-            Axis::Y => Axis::X,
-        }
-    }
 }
 
 /// Construction parameters for a pair.
@@ -83,8 +74,6 @@ impl Default for SensorPairParams {
 /// Two orthogonal fluxgate elements on the MCM.
 #[derive(Debug, Clone)]
 pub struct SensorPair {
-    x: Fluxgate,
-    y: Fluxgate,
     params: SensorPairParams,
 }
 
@@ -94,29 +83,17 @@ impl SensorPair {
     /// # Panics
     ///
     /// Panics if `gain_mismatch` is not strictly positive, or the element
-    /// parameters are invalid (see [`Fluxgate::new`]).
+    /// parameters are invalid (see [`crate::transducer::Fluxgate::new`]).
     pub fn new(params: SensorPairParams) -> Self {
         if let Err(reason) = params.check() {
             panic!("{reason}");
         }
-        Self {
-            x: Fluxgate::new(params.element),
-            y: Fluxgate::new(params.element),
-            params,
-        }
+        Self { params }
     }
 
     /// The pair's parameters.
     pub fn params(&self) -> &SensorPairParams {
         &self.params
-    }
-
-    /// The element on the given axis.
-    pub fn element(&self, axis: Axis) -> &Fluxgate {
-        match axis {
-            Axis::X => &self.x,
-            Axis::Y => &self.y,
-        }
     }
 
     /// The external axial field strength each element sees when the
@@ -184,12 +161,6 @@ mod tests {
     }
 
     #[test]
-    fn axis_other() {
-        assert_eq!(Axis::X.other(), Axis::Y);
-        assert_eq!(Axis::Y.other(), Axis::X);
-    }
-
-    #[test]
     fn single_axis_matches_pair() {
         let pair = SensorPair::default();
         let h = Degrees::new(73.0);
@@ -235,15 +206,6 @@ mod tests {
         let (hx_dist, _) = pair.axial_fields(&field(), Degrees::new(90.0));
         let delta_b = (hx_dist.value() - hx_clean.value()) * MU_0;
         assert!((delta_b - 3e-6).abs() < 1e-12);
-    }
-
-    #[test]
-    fn elements_share_parameters() {
-        let pair = SensorPair::default();
-        assert_eq!(
-            pair.element(Axis::X).params(),
-            pair.element(Axis::Y).params()
-        );
     }
 
     #[test]

@@ -93,15 +93,6 @@ fn scale_resistance(r: Ohm, coeffs: &ThermalCoefficients, dt: f64) -> Ohm {
     r * (1.0 + coeffs.alpha_resistance * dt).max(0.01)
 }
 
-/// The sensitivity scale factor at temperature: the pulse-position duty
-/// shift per unit field is `1/H_peak`, and when the drive is fixed the
-/// *usable* sensitivity follows `H_K` drift. Both axes share it, so the
-/// heading ratio is first-order temperature-free; this helper quantifies
-/// the common-mode factor for the X1 experiment.
-pub fn sensitivity_scale(coeffs: &ThermalCoefficients, celsius: f64) -> f64 {
-    1.0 / (1.0 + coeffs.alpha_hk * (celsius - REFERENCE_CELSIUS)).max(0.01)
-}
-
 /// The hottest temperature at which the paper's V-I converter can still
 /// drive the given sensor at ±`i_peak` from a 5 V supply — the thermal
 /// margin of the 800 Ω claim.
@@ -182,16 +173,6 @@ mod tests {
             }
             _ => panic!("expected hysteretic cores"),
         }
-    }
-
-    #[test]
-    fn sensitivity_scale_is_common_mode() {
-        let c = ThermalCoefficients::typical();
-        let s_hot = sensitivity_scale(&c, 60.0);
-        let s_cold = sensitivity_scale(&c, -20.0);
-        assert!(s_hot > 1.0, "H_K drops when hot -> more duty per field");
-        assert!(s_cold < 1.0);
-        assert_eq!(sensitivity_scale(&c, REFERENCE_CELSIUS), 1.0);
     }
 
     #[test]

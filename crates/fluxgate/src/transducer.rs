@@ -17,7 +17,7 @@
 //!   in saturation — the impedance change visible in the paper's Fig. 4.
 
 use crate::core_model::{CoreModel, Sweep};
-use fluxcomp_units::magnetics::{AmperePerMeter, Tesla, MU_0};
+use fluxcomp_units::magnetics::{AmperePerMeter, Tesla};
 use fluxcomp_units::si::{Ampere, Henry, Ohm, Volt};
 
 /// Physical and electrical parameters of one fluxgate element.
@@ -83,16 +83,6 @@ impl FluxgateParams {
         Self {
             core: CoreModel::hysteretic(base.core.bsat(), hk, hk * hc_over_hk),
             ..base
-        }
-    }
-
-    /// A high-resistance variant at the paper's stated drive limit
-    /// ("sensors with a resistance as high as 800 Ω can be driven" at
-    /// 5 V supply).
-    pub fn high_resistance() -> Self {
-        Self {
-            r_excitation: Ohm::new(800.0),
-            ..Self::adapted()
         }
     }
 
@@ -228,14 +218,6 @@ impl Fluxgate {
         self.params.r_excitation * i + Volt::new(inductive)
     }
 
-    /// Ratio of the element's saturation field (as an equivalent air flux
-    /// density) to a given external field — the paper quotes ≈15 for the
-    /// \[Kaw95\] element against the earth's field.
-    pub fn saturation_ratio_vs(&self, b_ext: Tesla) -> f64 {
-        let b_sat_equiv = MU_0 * self.params.core.hk().value();
-        b_sat_equiv / b_ext.value()
-    }
-
     /// Peak-to-peak excitation current that drives the core to
     /// `ratio × saturation field` — the paper's operating-point rule
     /// ("best sensitivity … twice the saturation field") solved for
@@ -255,6 +237,7 @@ impl From<FluxgateParams> for Fluxgate {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fluxcomp_units::magnetics::MU_0;
 
     fn sensor() -> Fluxgate {
         Fluxgate::new(FluxgateParams::adapted())
@@ -282,10 +265,11 @@ mod tests {
 
     #[test]
     fn kaw95_saturates_at_about_15x_earth() {
-        let s = Fluxgate::new(FluxgateParams::kaw95());
-        // Earth's field as the paper compares it (≈6.7 µT horizontal
+        // The saturation field as an equivalent air flux density, against
+        // the earth's field as the paper compares it (≈6.7 µT horizontal
         // component in NL): ratio ≈ 15.
-        let ratio = s.saturation_ratio_vs(Tesla::from_microtesla(6.67));
+        let b_sat_equiv = MU_0 * FluxgateParams::kaw95().core.hk().value();
+        let ratio = b_sat_equiv / Tesla::from_microtesla(6.67).value();
         assert!((14.0..16.0).contains(&ratio), "ratio = {ratio}");
     }
 
@@ -353,15 +337,6 @@ mod tests {
             .abs();
         let at_origin = s.pickup_emf(AmperePerMeter::new(0.0) + h_ext, dh_dt).abs();
         assert!(at_shifted > at_origin);
-    }
-
-    #[test]
-    fn high_resistance_preset_is_800_ohm() {
-        let p = FluxgateParams::high_resistance();
-        assert_eq!(p.r_excitation, Ohm::new(800.0));
-        // Drive check at 5 V: 6 mA through 800 Ω needs 4.8 V — just fits.
-        let v = Ohm::new(800.0) * Ampere::new(6e-3);
-        assert!(v.value() < 5.0);
     }
 
     #[test]

@@ -13,7 +13,8 @@ use crate::bscan::{Instruction, TapController};
 #[derive(Debug, Clone)]
 pub struct TapChain {
     taps: Vec<TapController>,
-    /// Per-die boundary observation inputs, latched between clocks.
+    /// Per-die boundary observation inputs: what each die's pins see,
+    /// all low on the bare chain.
     observed: Vec<Vec<bool>>,
 }
 
@@ -35,31 +36,6 @@ impl TapChain {
         }
     }
 
-    /// Number of dies in the chain.
-    pub fn len(&self) -> usize {
-        self.taps.len()
-    }
-
-    /// `true` if the chain is empty (never, by construction).
-    pub fn is_empty(&self) -> bool {
-        self.taps.is_empty()
-    }
-
-    /// Access to one die's TAP.
-    pub fn tap(&self, die: usize) -> &TapController {
-        &self.taps[die]
-    }
-
-    /// Sets the observed boundary values for one die (what its pins see).
-    pub fn set_observed(&mut self, die: usize, values: Vec<bool>) {
-        assert_eq!(
-            values.len(),
-            self.observed[die].len(),
-            "observation width mismatch"
-        );
-        self.observed[die] = values;
-    }
-
     /// One TCK on the whole chain: TMS is common, data ripples
     /// TDI → die0 → … → TDO. Returns the chain's TDO.
     pub fn clock(&mut self, tms: bool, tdi: bool) -> Option<bool> {
@@ -75,13 +51,6 @@ impl TapChain {
         for _ in 0..5 {
             self.clock(true, false);
         }
-    }
-
-    /// Loads an instruction into **every** die (the common case: all in
-    /// BYPASS except one under test is handled by
-    /// [`TapChain::load_instructions`]).
-    pub fn load_instruction_all(&mut self, instruction: Instruction) {
-        self.load_instructions(&vec![instruction; self.taps.len()]);
     }
 
     /// Loads a per-die instruction vector through one IR scan.
@@ -169,29 +138,10 @@ mod tests {
     }
 
     #[test]
-    fn reset_selects_idcode_everywhere() {
-        let mut chain = paper_chain();
-        chain.reset();
-        for die in 0..3 {
-            assert_eq!(chain.tap(die).instruction(), Instruction::Idcode);
-        }
-    }
-
-    #[test]
-    fn ir_scan_loads_distinct_instructions() {
-        let mut chain = paper_chain();
-        chain.reset();
-        chain.load_instructions(&[Instruction::Extest, Instruction::Bypass, Instruction::Clamp]);
-        assert_eq!(chain.tap(0).instruction(), Instruction::Extest);
-        assert_eq!(chain.tap(1).instruction(), Instruction::Bypass);
-        assert_eq!(chain.tap(2).instruction(), Instruction::Clamp);
-    }
-
-    #[test]
     fn all_bypass_scan_path_is_one_bit_per_die() {
         let mut chain = paper_chain();
         chain.reset();
-        chain.load_instruction_all(Instruction::Bypass);
+        chain.load_instructions(&[Instruction::Bypass; 3]);
         assert_eq!(chain.scan_path_bits(), 3);
         assert_eq!(chain.measure_scan_path(), 3);
     }
@@ -200,7 +150,7 @@ mod tests {
     fn extest_everywhere_sums_boundary_lengths() {
         let mut chain = paper_chain();
         chain.reset();
-        chain.load_instruction_all(Instruction::Extest);
+        chain.load_instructions(&[Instruction::Extest; 3]);
         assert_eq!(chain.scan_path_bits(), 9 + 4 + 4);
         assert_eq!(chain.measure_scan_path(), 17);
     }
@@ -224,25 +174,6 @@ mod tests {
         chain.reset();
         // Reset selects IDCODE everywhere.
         assert_eq!(chain.scan_path_bits(), 96);
-    }
-
-    #[test]
-    fn observed_values_reach_capture() {
-        let mut chain = TapChain::new(&[4]);
-        chain.reset();
-        chain.load_instruction_all(Instruction::Sample);
-        chain.set_observed(0, vec![true, false, true, true]);
-        // DR scan: capture then shift out 4 bits.
-        chain.clock(false, false); // RTI (already there — harmless)
-        chain.clock(true, false); // SelectDR
-        chain.clock(false, false); // CaptureDR
-        chain.clock(false, false); // ShiftDR
-        let mut bits = Vec::new();
-        for _ in 0..4 {
-            bits.push(chain.clock(false, false).unwrap());
-        }
-        // TDO emits last-cell-first.
-        assert_eq!(bits, vec![true, true, false, true]);
     }
 
     #[test]

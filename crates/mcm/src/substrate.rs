@@ -133,11 +133,6 @@ impl McmAssembly {
         &self.passives
     }
 
-    /// Currently injected faults.
-    pub fn faults(&self) -> &[Fault] {
-        &self.faults
-    }
-
     /// Injects a fault.
     ///
     /// # Panics
@@ -298,7 +293,7 @@ mod tests {
         let mut m = McmAssembly::paper_module();
         m.inject(Fault::Open { net: 0 });
         m.clear_faults();
-        assert!(m.faults().is_empty());
+        assert!(m.faults.is_empty());
         let driven = vec![true; 9];
         assert_eq!(m.propagate(&driven), driven);
     }

@@ -316,10 +316,14 @@ fn vcd_id(i: usize) -> String {
 mod tests {
     use super::*;
 
+    fn ns(n: i64) -> SimTime {
+        SimTime::from_picos(n * 1_000)
+    }
+
     fn ramp_trace() -> Trace {
         let mut tr = Trace::new("ramp");
         for k in 0..=10 {
-            tr.push(SimTime::from_nanos(k), k as f64);
+            tr.push(ns(k), k as f64);
         }
         tr
     }
@@ -343,8 +347,8 @@ mod tests {
     fn interpolation_clamps_outside() {
         let tr = ramp_trace();
         assert_eq!(tr.sample_at(SimTime::from_picos(-5)), Some(0.0));
-        assert_eq!(tr.sample_at(SimTime::from_micros(1)), Some(10.0));
-        assert_eq!(Trace::new("empty").sample_at(SimTime::ZERO), None);
+        assert_eq!(tr.sample_at(ns(1_000)), Some(10.0));
+        assert_eq!(Trace::new("empty").sample_at(SimTime::default()), None);
     }
 
     #[test]
@@ -352,24 +356,24 @@ mod tests {
         let mut tr = Trace::new("tri");
         // Triangle: 0 → 10 → 0 over 20 ns.
         for k in 0..=10 {
-            tr.push(SimTime::from_nanos(k), k as f64);
+            tr.push(ns(k), k as f64);
         }
         for k in 1..=10 {
-            tr.push(SimTime::from_nanos(10 + k), (10 - k) as f64);
+            tr.push(ns(10 + k), (10 - k) as f64);
         }
         let rising = tr.crossings(5.0, true);
         assert_eq!(rising.len(), 1);
-        assert_eq!(rising[0], SimTime::from_nanos(5));
+        assert_eq!(rising[0], ns(5));
         let falling = tr.crossings(5.0, false);
         assert_eq!(falling.len(), 1);
-        assert_eq!(falling[0], SimTime::from_nanos(15));
+        assert_eq!(falling[0], ns(15));
     }
 
     #[test]
     fn crossing_interpolates_between_samples() {
         let mut tr = Trace::new("step");
-        tr.push(SimTime::from_nanos(0), 0.0);
-        tr.push(SimTime::from_nanos(10), 4.0);
+        tr.push(ns(0), 0.0);
+        tr.push(ns(10), 4.0);
         let c = tr.crossings(1.0, true);
         assert_eq!(c, vec![SimTime::from_picos(2_500)]);
     }
@@ -379,9 +383,9 @@ mod tests {
         let mut set = TraceSet::new();
         let a = set.add("a");
         let b = set.add("b");
-        set.record(a, SimTime::from_nanos(0), 1.0);
-        set.record(a, SimTime::from_nanos(2), 3.0);
-        set.record(b, SimTime::from_nanos(1), 10.0);
+        set.record(a, ns(0), 1.0);
+        set.record(a, ns(2), 3.0);
+        set.record(b, ns(1), 10.0);
         let csv = set.to_csv();
         let lines: Vec<&str> = csv.lines().collect();
         assert_eq!(lines[0], "time_s,a,b");
@@ -396,8 +400,8 @@ mod tests {
     fn vcd_structure() {
         let mut set = TraceSet::new();
         let a = set.add("sig a");
-        set.record(a, SimTime::from_nanos(1), 2.5);
-        set.record(a, SimTime::from_nanos(2), -1.0);
+        set.record(a, ns(1), 2.5);
+        set.record(a, ns(2), -1.0);
         let vcd = set.to_vcd();
         assert!(vcd.contains("$timescale 1ps $end"));
         assert!(vcd.contains("$var real 64 ! sig_a $end"));
@@ -412,7 +416,7 @@ mod tests {
         let mut set = TraceSet::new();
         let i = set.add("sine");
         for k in 0..200 {
-            let t = SimTime::from_nanos(k);
+            let t = ns(k);
             set.record(i, t, (k as f64 * 0.1).sin());
         }
         let art = set.to_ascii("sine", 60, 12).unwrap();

@@ -6,35 +6,20 @@ use fluxcomp_msim::trace::Trace;
 use proptest::prelude::*;
 
 proptest! {
-    /// SimTime phase decomposition: `t = cycles·period + phase`, with
-    /// `0 ≤ phase < period`.
-    #[test]
-    fn time_phase_decomposition(t in 0i64..1_000_000_000, period in 1i64..1_000_000) {
-        let time = SimTime::from_picos(t);
-        let p = SimTime::from_picos(period);
-        let cycles = time.cycles_of(p);
-        let phase = time.phase_in(p);
-        prop_assert!(phase >= SimTime::ZERO && phase < p);
-        prop_assert_eq!(
-            SimTime::from_picos(cycles * period) + phase,
-            time
-        );
-    }
-
     /// Trace interpolation is exact at sample points and bounded by the
     /// neighbouring samples in between.
     #[test]
     fn trace_interpolation_bounds(values in prop::collection::vec(-100.0f64..100.0, 2..40)) {
         let mut tr = Trace::new("t");
         for (k, &v) in values.iter().enumerate() {
-            tr.push(SimTime::from_nanos(k as i64 * 10), v);
+            tr.push(SimTime::from_picos((k as i64 * 10) * 1_000), v);
         }
         for (k, &v) in values.iter().enumerate() {
-            let got = tr.sample_at(SimTime::from_nanos(k as i64 * 10)).unwrap();
+            let got = tr.sample_at(SimTime::from_picos((k as i64 * 10) * 1_000)).unwrap();
             prop_assert!((got - v).abs() < 1e-12);
         }
         for k in 0..values.len() - 1 {
-            let mid = tr.sample_at(SimTime::from_nanos(k as i64 * 10 + 5)).unwrap();
+            let mid = tr.sample_at(SimTime::from_picos((k as i64 * 10 + 5) * 1_000)).unwrap();
             let lo = values[k].min(values[k + 1]);
             let hi = values[k].max(values[k + 1]);
             prop_assert!(mid >= lo - 1e-12 && mid <= hi + 1e-12);
@@ -48,7 +33,7 @@ proptest! {
     fn crossings_alternate(values in prop::collection::vec(-10.0f64..10.0, 2..100), thr in -5.0f64..5.0) {
         let mut tr = Trace::new("t");
         for (k, &v) in values.iter().enumerate() {
-            tr.push(SimTime::from_nanos(k as i64), v);
+            tr.push(SimTime::from_picos((k as i64) * 1_000), v);
         }
         let up = tr.crossings(thr, true).len() as i64;
         let down = tr.crossings(thr, false).len() as i64;

@@ -205,11 +205,11 @@ mod tests {
                 Some("span") => {
                     assert_eq!(v.get("count").unwrap().as_u64(), Some(2));
                     assert_eq!(v.get("total_ns").unwrap().as_u64(), Some(4000));
-                    assert_eq!(v.get("mean_ns").unwrap().as_f64(), Some(2000.0));
+                    assert_eq!(v.get("mean_ns"), Some(&Value::Number(2000.0)));
                     saw_span = true;
                 }
                 Some("gauge") => {
-                    assert_eq!(v.get("value").unwrap().as_f64(), Some(0.4517));
+                    assert_eq!(v.get("value"), Some(&Value::Number(0.4517)));
                 }
                 _ => {}
             }

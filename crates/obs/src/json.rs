@@ -44,14 +44,6 @@ impl Value {
         }
     }
 
-    /// The numeric content if this is a number.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Value::Number(n) => Some(*n),
-            _ => None,
-        }
-    }
-
     /// The numeric content as an integer, when it is one.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
@@ -341,7 +333,7 @@ mod tests {
         let v = parse(r#"{"n":7,"f":1.5,"s":"t"}"#).unwrap();
         assert_eq!(v.get("n").unwrap().as_u64(), Some(7));
         assert_eq!(v.get("f").unwrap().as_u64(), None);
-        assert_eq!(v.get("f").unwrap().as_f64(), Some(1.5));
+        assert_eq!(v.get("f"), Some(&Value::Number(1.5)));
         assert_eq!(v.get("missing"), None);
         assert_eq!(Value::Null.get("x"), None);
     }

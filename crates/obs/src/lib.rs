@@ -58,9 +58,7 @@ pub mod json;
 pub mod recorder;
 
 pub use export::{write_json_lines, write_text, PROFILE_VERSION};
-pub use recorder::{
-    AggregatingRecorder, HistogramSummary, NoopRecorder, Profile, Recorder, SpanSummary,
-};
+pub use recorder::{AggregatingRecorder, HistogramSummary, Profile, Recorder, SpanSummary};
 
 use std::cell::RefCell;
 use std::marker::PhantomData;
@@ -286,18 +284,6 @@ pub struct ObsSession {
     recorder: Option<Arc<AggregatingRecorder>>,
 }
 
-impl ObsSession {
-    /// The mode this session runs in.
-    pub fn mode(&self) -> ObsMode {
-        self.mode
-    }
-
-    /// Snapshot of everything recorded so far (None when off).
-    pub fn profile(&self) -> Option<Profile> {
-        self.recorder.as_ref().map(|r| r.snapshot())
-    }
-}
-
 impl Drop for ObsSession {
     fn drop(&mut self) {
         let Some(recorder) = self.recorder.take() else {
@@ -400,7 +386,7 @@ mod tests {
         span("s").finish();
         let p = recorder.snapshot();
         assert_eq!(p.counter("a"), Some(5));
-        assert_eq!(p.gauge("g"), Some(0.5));
+        assert_eq!(p.gauges, vec![("g".to_string(), 0.5)]);
         assert_eq!(p.span("s").unwrap().count, 1);
         uninstall();
         counter_add("a", 100);
@@ -492,7 +478,7 @@ mod tests {
         uninstall();
         let session = init_with_mode(ObsMode::Off);
         counter_add("nope", 1);
-        assert_eq!(session.profile(), None);
-        assert_eq!(session.mode(), ObsMode::Off);
+        assert!(session.recorder.is_none());
+        assert_eq!(session.mode, ObsMode::Off);
     }
 }

@@ -29,21 +29,6 @@ pub trait Recorder: Send + Sync {
     fn snapshot(&self) -> Profile;
 }
 
-/// A recorder that drops everything. Useful to measure instrumentation
-/// overhead with the global path enabled but no aggregation cost.
-#[derive(Debug, Default)]
-pub struct NoopRecorder;
-
-impl Recorder for NoopRecorder {
-    fn counter_add(&self, _name: &'static str, _delta: u64) {}
-    fn gauge_set(&self, _name: &'static str, _value: f64) {}
-    fn histogram_record(&self, _name: &'static str, _value: f64) {}
-    fn span_complete(&self, _name: &'static str, _nanos: u64) {}
-    fn snapshot(&self) -> Profile {
-        Profile::default()
-    }
-}
-
 /// Summary of a value histogram: count / sum / min / max, enough for
 /// the profile dumps without storing every observation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -155,11 +140,6 @@ impl Profile {
             .map(|&(_, v)| v)
     }
 
-    /// Looks up a gauge by name.
-    pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.gauges.iter().find(|(n, _)| n == name).map(|&(_, v)| v)
-    }
-
     /// Looks up a span summary by name.
     pub fn span(&self, name: &str) -> Option<&SpanSummary> {
         self.spans.iter().find(|(n, _)| n == name).map(|(_, s)| s)
@@ -253,7 +233,7 @@ mod tests {
         let r = AggregatingRecorder::new();
         r.gauge_set("duty", 0.25);
         r.gauge_set("duty", 0.75);
-        assert_eq!(r.snapshot().gauge("duty"), Some(0.75));
+        assert_eq!(r.snapshot().gauges, vec![("duty".to_string(), 0.75)]);
     }
 
     #[test]

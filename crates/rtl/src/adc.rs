@@ -3,10 +3,9 @@
 //! "a complicated AD-converter is not necessary, which would have been
 //! the case for methods based on second harmonic measurements").
 //!
-//! The model is bit-accurate SAR: N decision cycles, one comparator, a
-//! binary-weighted DAC, plus the two non-idealities that matter for the
-//! E8 comparison — input-referred comparator offset and DAC gain error.
-//! A transistor-cost estimate feeds the hardware-cost side of E8.
+//! The model is bit-accurate SAR: N decision cycles, one comparator and
+//! an ideal binary-weighted DAC. A transistor-cost estimate feeds the
+//! hardware-cost side of E8.
 
 use fluxcomp_units::si::Volt;
 
@@ -16,10 +15,6 @@ pub struct SarAdc {
     bits: u32,
     /// Full-scale input range: codes span `[-vref, +vref)`.
     vref: Volt,
-    /// Input-referred comparator offset.
-    offset: Volt,
-    /// Relative DAC gain error (0.0 = ideal).
-    gain_error: f64,
 }
 
 impl SarAdc {
@@ -31,27 +26,7 @@ impl SarAdc {
     pub fn new(bits: u32, vref: Volt) -> Self {
         assert!((2..=24).contains(&bits), "bits must be in 2..=24");
         assert!(vref.value() > 0.0, "vref must be positive");
-        Self {
-            bits,
-            vref,
-            offset: Volt::ZERO,
-            gain_error: 0.0,
-        }
-    }
-
-    /// Adds an input-referred comparator offset.
-    pub fn with_offset(self, offset: Volt) -> Self {
-        Self { offset, ..self }
-    }
-
-    /// Adds a relative DAC gain error.
-    pub fn with_gain_error(self, gain_error: f64) -> Self {
-        Self { gain_error, ..self }
-    }
-
-    /// Resolution in bits.
-    pub fn bits(&self) -> u32 {
-        self.bits
+        Self { bits, vref }
     }
 
     /// The LSB size in volts.
@@ -62,8 +37,8 @@ impl SarAdc {
     /// Converts an input voltage to a signed code in
     /// `[-2^(bits-1), 2^(bits-1))`, running the SAR loop bit by bit.
     pub fn convert(&self, input: Volt) -> i64 {
-        let vin = input.value() + self.offset.value();
-        let full = self.vref.value() * (1.0 + self.gain_error);
+        let vin = input.value();
+        let full = self.vref.value();
         let half_codes = 1i64 << (self.bits - 1);
         // SAR loop over an offset-binary accumulator.
         let mut code: i64 = 0;
@@ -81,11 +56,6 @@ impl SarAdc {
     /// The voltage a code maps back to (mid-tread reconstruction).
     pub fn reconstruct(&self, code: i64) -> Volt {
         Volt::new(code as f64 * self.lsb().value() + self.lsb().value() / 2.0)
-    }
-
-    /// Conversion cycles per sample (one per bit — the SAR latency).
-    pub fn cycles_per_conversion(&self) -> u32 {
-        self.bits
     }
 
     /// Rough transistor cost: comparator (≈40) + SAR logic (≈30/bit) +
@@ -151,29 +121,9 @@ mod tests {
     }
 
     #[test]
-    fn offset_shifts_transfer() {
-        let ideal = adc8();
-        let off = adc8().with_offset(Volt::new(0.1));
-        let v = Volt::new(0.25);
-        let shift = off.convert(v) - ideal.convert(v);
-        // 0.1 V / 7.8 mV LSB ≈ 13 codes.
-        assert!((12..=14).contains(&shift), "shift = {shift}");
-    }
-
-    #[test]
-    fn gain_error_scales_transfer() {
-        let ideal = adc8();
-        let ge = adc8().with_gain_error(0.05);
-        // A +5 % reference makes codes smaller for the same input.
-        assert!(ge.convert(Volt::new(0.8)) < ideal.convert(Volt::new(0.8)));
-    }
-
-    #[test]
-    fn latency_and_cost_scale_with_bits() {
+    fn cost_scales_with_bits() {
         let a8 = adc8();
         let a12 = SarAdc::new(12, Volt::new(1.0));
-        assert_eq!(a8.cycles_per_conversion(), 8);
-        assert_eq!(a12.cycles_per_conversion(), 12);
         assert!(a12.transistor_estimate() > a8.transistor_estimate());
         assert_eq!(a8.transistor_estimate(), 40 + 42 * 8 + 20);
     }

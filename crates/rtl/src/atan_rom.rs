@@ -67,17 +67,6 @@ impl AtanRom {
     pub fn to_degrees(angle_q8: i64) -> f64 {
         angle_q8 as f64 / ANGLE_SCALE as f64
     }
-
-    /// Converts floating-point degrees to Q8.
-    pub fn from_degrees(deg: f64) -> i64 {
-        (deg * ANGLE_SCALE as f64).round() as i64
-    }
-
-    /// Total ROM size in bits (entries × 14-bit words), for the
-    /// transistor-budget accounting of experiment E6.
-    pub fn size_bits(&self) -> u32 {
-        self.entries.len() as u32 * 14
-    }
 }
 
 impl Default for AtanRom {
@@ -133,19 +122,10 @@ mod tests {
     }
 
     #[test]
-    fn round_trip_conversion() {
-        for deg in [0.0, 0.25, 45.0, 90.0, 359.996] {
-            let q = AtanRom::from_degrees(deg);
-            assert!((AtanRom::to_degrees(q) - deg).abs() <= 0.5 / 256.0);
-        }
-    }
-
-    #[test]
     fn paper_rom_size() {
         let rom = AtanRom::paper();
         assert_eq!(rom.len(), 8);
         assert!(!rom.is_empty());
-        assert_eq!(rom.size_bits(), 112);
     }
 
     #[test]

@@ -3,16 +3,13 @@
 //! The paper's counter clock is **4.194304 MHz = 2²² Hz** — the classic
 //! watch-crystal multiple: dividing by 2⁷ gives the 32 768 Hz watch tick,
 //! dividing that by 2¹⁵ gives 1 Hz. This is why the "common watch
-//! options" of §4 come almost for free. [`ClockTree`] captures those
-//! relationships; [`ClockDivider`] is the behavioural divide-by-2ⁿ chain.
+//! options" of §4 come almost for free. [`ClockTree`] holds the master
+//! clock the counter runs at.
 
-use fluxcomp_units::si::{Hertz, Seconds};
+use fluxcomp_units::si::Hertz;
 
 /// The paper's master clock frequency, 2²² Hz.
 pub const MASTER_CLOCK_HZ: f64 = 4_194_304.0;
-
-/// The standard watch-crystal tick, 2¹⁵ Hz.
-pub const WATCH_TICK_HZ: f64 = 32_768.0;
 
 /// The clock tree of the digital section.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -43,63 +40,11 @@ impl ClockTree {
     pub fn master(&self) -> Hertz {
         self.master
     }
-
-    /// Master clock period.
-    pub fn master_period(&self) -> Seconds {
-        self.master.period()
-    }
-
-    /// The watch tick (master / 2⁷ for the paper's tree).
-    pub fn watch_tick(&self) -> Hertz {
-        self.master / 128.0
-    }
-
-    /// Number of master-clock cycles in one excitation period of
-    /// frequency `f_exc` (truncating, as a synchronous counter would).
-    pub fn cycles_per_excitation_period(&self, f_exc: Hertz) -> u64 {
-        (self.master.value() / f_exc.value()) as u64
-    }
 }
 
 impl Default for ClockTree {
     fn default() -> Self {
         Self::paper()
-    }
-}
-
-/// A behavioural divide-by-2ⁿ ripple chain.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ClockDivider {
-    stages: u32,
-    count: u64,
-}
-
-impl ClockDivider {
-    /// A divider with `stages` binary stages (division ratio 2^stages).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `stages > 32`.
-    pub fn new(stages: u32) -> Self {
-        assert!(stages <= 32, "more than 32 divider stages is unrealistic");
-        Self { stages, count: 0 }
-    }
-
-    /// Division ratio.
-    pub fn ratio(&self) -> u64 {
-        1 << self.stages
-    }
-
-    /// Clocks the divider once; returns `true` when the output toggles
-    /// period completes (i.e. once every `2^stages` input edges).
-    pub fn tick(&mut self) -> bool {
-        self.count = (self.count + 1) % self.ratio();
-        self.count == 0
-    }
-
-    /// Resets the chain.
-    pub fn reset(&mut self) {
-        self.count = 0;
     }
 }
 
@@ -110,67 +55,6 @@ mod tests {
     #[test]
     fn master_is_power_of_two() {
         assert_eq!(MASTER_CLOCK_HZ as u64, 1 << 22);
-        assert_eq!(WATCH_TICK_HZ as u64, 1 << 15);
-    }
-
-    #[test]
-    fn watch_tick_derivation() {
-        let tree = ClockTree::paper();
-        assert!((tree.watch_tick().value() - 32_768.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn cycles_per_excitation_period() {
-        let tree = ClockTree::paper();
-        // 4194304 / 8000 = 524.288 → 524 whole cycles.
-        assert_eq!(tree.cycles_per_excitation_period(Hertz::new(8_000.0)), 524);
-    }
-
-    #[test]
-    fn master_period() {
-        let t = ClockTree::paper().master_period();
-        assert!((t.value() - 2.384185791015625e-7).abs() < 1e-20);
-    }
-
-    #[test]
-    fn divider_counts_ratio_edges() {
-        let mut div = ClockDivider::new(3); // ÷8
-        assert_eq!(div.ratio(), 8);
-        let mut pulses = 0;
-        for _ in 0..64 {
-            if div.tick() {
-                pulses += 1;
-            }
-        }
-        assert_eq!(pulses, 8);
-    }
-
-    #[test]
-    fn divider_reset() {
-        let mut div = ClockDivider::new(2);
-        div.tick();
-        div.reset();
-        let mut first = 0;
-        for k in 1..=4 {
-            if div.tick() {
-                first = k;
-            }
-        }
-        assert_eq!(first, 4);
-    }
-
-    #[test]
-    fn full_watch_chain() {
-        // 2²² Hz master → ÷2⁷ → 32768 Hz → ÷2¹⁵ → 1 Hz.
-        let mut to_watch = ClockDivider::new(7);
-        let mut to_seconds = ClockDivider::new(15);
-        let mut seconds = 0;
-        for _ in 0..(1 << 22) {
-            if to_watch.tick() && to_seconds.tick() {
-                seconds += 1;
-            }
-        }
-        assert_eq!(seconds, 1);
     }
 
     #[test]

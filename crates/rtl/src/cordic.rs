@@ -100,11 +100,6 @@ impl CordicArctan {
         self.rom.len() as u32
     }
 
-    /// The ROM in use.
-    pub fn rom(&self) -> &AtanRom {
-        &self.rom
-    }
-
     /// The Fig. 8 kernel: first-quadrant angle of the vector `(x, y)`
     /// with `x, y ≥ 0`, in Q8 degrees.
     ///

@@ -133,6 +133,7 @@ pub fn cordic_kernel_netlist(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::atan_rom::ANGLE_SCALE;
     use crate::cordic::CordicArctan;
     use crate::netsim::GateSim;
 
@@ -161,7 +162,7 @@ mod tests {
             // same within the residual. Compare accordingly.
             if x == 0 {
                 assert!(
-                    (got - expect).abs() <= AtanRom::from_degrees(0.5),
+                    (got - expect).abs() <= ANGLE_SCALE / 2, // 0.5°
                     "x=0: {got} vs {expect}"
                 );
             } else {

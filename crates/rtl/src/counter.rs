@@ -16,6 +16,10 @@
 //! i.e. a signed integer directly proportional to the measured field
 //! component. The counter's finite clock is the dominant quantisation in
 //! the whole signal chain; experiment E5 sweeps it.
+//!
+//! Like its gate-level netlist (`synth::updown_counter`), the counter has
+//! no count-enable: it counts on every edge it is clocked with, and the
+//! sequencer powers it only while an axis is measured.
 
 use fluxcomp_units::si::Hertz;
 
@@ -24,7 +28,6 @@ use fluxcomp_units::si::Hertz;
 pub struct UpDownCounter {
     width: u32,
     value: i64,
-    enabled: bool,
 }
 
 impl UpDownCounter {
@@ -36,22 +39,13 @@ impl UpDownCounter {
     /// Panics unless `2 ≤ width ≤ 32`.
     pub fn new(width: u32) -> Self {
         assert!((2..=32).contains(&width), "width must be in 2..=32");
-        Self {
-            width,
-            value: 0,
-            enabled: true,
-        }
+        Self { width, value: 0 }
     }
 
     /// The paper's counter: sized for the multi-period measurement —
     /// 16 bits holds ±8 periods × 524 counts with margin.
     pub fn paper_design() -> Self {
         Self::new(16)
-    }
-
-    /// Register width in bits.
-    pub fn width(&self) -> u32 {
-        self.width
     }
 
     /// Current count.
@@ -64,28 +58,14 @@ impl UpDownCounter {
         (1 << (self.width - 1)) - 1
     }
 
-    /// Whether the count-enable is asserted (the paper gates this to
-    /// save power).
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Asserts/deasserts count-enable.
-    pub fn set_enabled(&mut self, enabled: bool) {
-        self.enabled = enabled;
-    }
-
     /// Clears the count.
     pub fn reset(&mut self) {
         self.value = 0;
     }
 
     /// One master-clock edge: counts up if `up` is high, down otherwise.
-    /// Does nothing while disabled. Saturates at the width limits.
+    /// Saturates at the width limits.
     pub fn clock(&mut self, up: bool) {
-        if !self.enabled {
-            return;
-        }
         let max = self.max_value();
         let min = -max - 1;
         self.value = if up {
@@ -105,7 +85,7 @@ impl UpDownCounter {
     /// measurement path: the edges within one analogue sample all see the
     /// same detector output, so a [`ClockSchedule`] can batch them.
     pub fn clock_n(&mut self, up: bool, edges: u32) {
-        if !self.enabled || edges == 0 {
+        if edges == 0 {
             return;
         }
         let max = self.max_value();
@@ -268,18 +248,6 @@ mod tests {
     }
 
     #[test]
-    fn enable_gates_counting() {
-        let mut c = UpDownCounter::paper_design();
-        c.set_enabled(false);
-        assert!(!c.is_enabled());
-        c.clock(true);
-        assert_eq!(c.value(), 0);
-        c.set_enabled(true);
-        c.clock(true);
-        assert_eq!(c.value(), 1);
-    }
-
-    #[test]
     fn reset_clears() {
         let mut c = UpDownCounter::paper_design();
         c.clock(true);
@@ -345,17 +313,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn clock_n_respects_enable() {
-        let mut c = UpDownCounter::paper_design();
-        c.set_enabled(false);
-        c.clock_n(true, 100);
-        assert_eq!(c.value(), 0);
-        c.set_enabled(true);
-        c.clock_n(true, 100);
-        assert_eq!(c.value(), 100);
     }
 
     /// A pseudo-random detector stream counted two ways: per edge through

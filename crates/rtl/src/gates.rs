@@ -38,8 +38,7 @@ impl fmt::Display for NetId {
 
 /// Gate varieties. Static-CMOS transistor costs are given per kind
 /// ([`GateKind::transistors`]); the counts follow standard schematics
-/// (inverter 2, NAND2/NOR2 4, AND/OR 6, XOR/XNOR 10, MUX2 12,
-/// transmission-gate DFF 26).
+/// (inverter 2, AND/OR 6, XOR 10, MUX2 12, transmission-gate DFF 26).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum GateKind {
     /// Primary input (no transistors).
@@ -52,14 +51,8 @@ pub enum GateKind {
     And,
     /// 2-input OR.
     Or,
-    /// 2-input NAND.
-    Nand,
-    /// 2-input NOR.
-    Nor,
     /// 2-input XOR.
     Xor,
-    /// 2-input XNOR.
-    Xnor,
     /// 2:1 multiplexer, inputs `[sel, a, b]`: output = `sel ? b : a`.
     Mux,
     /// Positive-edge D flip-flop (one global clock domain).
@@ -72,9 +65,8 @@ impl GateKind {
         match self {
             GateKind::Input | GateKind::Const(_) => 0,
             GateKind::Not => 2,
-            GateKind::Nand | GateKind::Nor => 4,
             GateKind::And | GateKind::Or => 6,
-            GateKind::Xor | GateKind::Xnor => 10,
+            GateKind::Xor => 10,
             GateKind::Mux => 12,
             GateKind::Dff => 26,
         }
@@ -156,24 +148,9 @@ impl Netlist {
         self.push(GateKind::Or, vec![a, b])
     }
 
-    /// 2-input NAND.
-    pub fn nand(&mut self, a: NetId, b: NetId) -> NetId {
-        self.push(GateKind::Nand, vec![a, b])
-    }
-
-    /// 2-input NOR.
-    pub fn nor(&mut self, a: NetId, b: NetId) -> NetId {
-        self.push(GateKind::Nor, vec![a, b])
-    }
-
     /// 2-input XOR.
     pub fn xor(&mut self, a: NetId, b: NetId) -> NetId {
         self.push(GateKind::Xor, vec![a, b])
-    }
-
-    /// 2-input XNOR.
-    pub fn xnor(&mut self, a: NetId, b: NetId) -> NetId {
-        self.push(GateKind::Xnor, vec![a, b])
     }
 
     /// 2:1 mux: `sel ? b : a`.
@@ -259,17 +236,6 @@ impl Netlist {
     pub fn input_bus(&mut self, width: u32) -> Vec<NetId> {
         (0..width).map(|_| self.input()).collect()
     }
-
-    /// A bus of constant bits encoding `value` (two's complement),
-    /// LSB first.
-    pub fn constant_bus(&mut self, value: i64, width: u32) -> Vec<NetId> {
-        (0..width)
-            .map(|i| {
-                let bit = (value >> i) & 1 == 1;
-                self.constant(bit)
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -279,7 +245,6 @@ mod tests {
     #[test]
     fn transistor_costs() {
         assert_eq!(GateKind::Not.transistors(), 2);
-        assert_eq!(GateKind::Nand.transistors(), 4);
         assert_eq!(GateKind::Xor.transistors(), 10);
         assert_eq!(GateKind::Dff.transistors(), 26);
         assert_eq!(GateKind::Input.transistors(), 0);
@@ -301,20 +266,6 @@ mod tests {
         assert_eq!(nl.len(), 4);
         assert_eq!(nl.output("q"), Some(q));
         assert_eq!(nl.output("missing"), None);
-    }
-
-    #[test]
-    fn constant_bus_encodes_twos_complement() {
-        let mut nl = Netlist::new();
-        let bus = nl.constant_bus(-3, 4); // 1101
-        let bits: Vec<bool> = bus
-            .iter()
-            .map(|&n| match nl.kind(n) {
-                GateKind::Const(v) => v,
-                _ => unreachable!(),
-            })
-            .collect();
-        assert_eq!(bits, vec![true, false, true, true]);
     }
 
     #[test]

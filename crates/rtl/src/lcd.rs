@@ -73,11 +73,6 @@ impl SegmentPattern {
     pub fn segment(&self, seg: u8) -> bool {
         (self.0 >> seg) & 1 == 1
     }
-
-    /// Number of lit segments (for power estimation).
-    pub fn lit_count(&self) -> u32 {
-        self.0.count_ones()
-    }
 }
 
 /// The six-digit display frame produced by the driver.
@@ -116,11 +111,6 @@ impl DisplayFrame {
         }
         format!("{}\n{}\n{}\n", lines[0], lines[1], lines[2])
     }
-
-    /// Total lit segments in the frame.
-    pub fn lit_segments(&self) -> u32 {
-        self.digits.iter().map(|d| d.lit_count()).sum()
-    }
 }
 
 impl fmt::Display for DisplayFrame {
@@ -142,11 +132,6 @@ impl DisplayDriver {
     /// A driver in direction mode with nothing latched.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Current mode.
-    pub fn mode(&self) -> DisplayMode {
-        self.mode
     }
 
     /// Selects what to display (the watch's mode button).
@@ -231,9 +216,14 @@ mod tests {
     #[test]
     fn digit_patterns_have_expected_segment_counts() {
         // 8 lights all 7 segments; 1 lights two.
-        assert_eq!(SegmentPattern::digit(8).lit_count(), 7);
-        assert_eq!(SegmentPattern::digit(1).lit_count(), 2);
-        assert_eq!(SegmentPattern::digit(0).lit_count(), 6);
+        let lit = |d: u8| {
+            (0..7)
+                .filter(|&s| SegmentPattern::digit(d).segment(s))
+                .count()
+        };
+        assert_eq!(lit(8), 7);
+        assert_eq!(lit(1), 2);
+        assert_eq!(lit(0), 6);
     }
 
     #[test]
@@ -276,7 +266,7 @@ mod tests {
         let mut drv = DisplayDriver::new();
         drv.latch_time(TimeOfDay::new(12, 34, 56));
         drv.set_mode(DisplayMode::Time);
-        assert_eq!(drv.mode(), DisplayMode::Time);
+        assert_eq!(drv.mode, DisplayMode::Time);
         let frame = drv.frame();
         assert!(frame.colons);
         let expect = [1u8, 2, 3, 4, 5, 6];
@@ -315,14 +305,5 @@ mod tests {
             assert!(SegmentPattern::letter(c).is_some(), "{c}");
         }
         assert!(SegmentPattern::letter('Q').is_none());
-    }
-
-    #[test]
-    fn lit_segment_budget() {
-        let mut drv = DisplayDriver::new();
-        drv.latch_time(TimeOfDay::new(8, 8, 8));
-        drv.set_mode(DisplayMode::Time);
-        // 08:08:08 → digits 0,8,0,8,0,8: 3×6 + 3×7 = 39 segments.
-        assert_eq!(drv.frame().lit_segments(), 39);
     }
 }

@@ -5,8 +5,7 @@
 //!
 //! **Cycle-accurate behavioural RTL** (the VHDL the paper describes):
 //!
-//! * [`clock`] — the 4.194304 MHz (= 2²²) master clock and the
-//!   watch-crystal divider chain;
+//! * [`clock`] — the 4.194304 MHz (= 2²²) master clock;
 //! * [`counter`] — the high-speed up/down counter digitising the pulse
 //!   detector's duty cycle;
 //! * [`atan_rom`] / [`cordic`] — the Fig. 8 greedy vectoring CORDIC that
@@ -69,7 +68,7 @@ pub mod watch_extras;
 
 pub use adc::SarAdc;
 pub use atan_rom::AtanRom;
-pub use clock::{ClockDivider, ClockTree};
+pub use clock::ClockTree;
 pub use cordic::{ComputeHeadingError, CordicArctan, HeadingResult};
 pub use cordic_netlist::{cordic_kernel_netlist, CordicKernelNets};
 pub use counter::UpDownCounter;
@@ -77,7 +76,7 @@ pub use gates::{GateKind, NetId, Netlist, NetlistStats};
 pub use lcd::{DisplayDriver, DisplayFrame, DisplayMode};
 pub use netsim::GateSim;
 pub use scan::{insert_scan, ScanChain};
-pub use sequencer::{Enables, Sequencer, SequencerState};
+pub use sequencer::{Sequencer, SequencerState};
 pub use timing::{analyze as timing_analyze, DelayModel, TimingReport};
 pub use watch::{TimeOfDay, Watch};
 pub use watch_extras::{Alarm, CalendarDate, Stopwatch};

@@ -64,11 +64,6 @@ impl GateSim {
         sim
     }
 
-    /// The underlying netlist.
-    pub fn netlist(&self) -> &Netlist {
-        &self.netlist
-    }
-
     /// Total evaluation events since construction (activity proxy).
     pub fn events(&self) -> u64 {
         self.events
@@ -148,10 +143,7 @@ impl GateSim {
             GateKind::Not => !v(gate.inputs[0]),
             GateKind::And => v(gate.inputs[0]) && v(gate.inputs[1]),
             GateKind::Or => v(gate.inputs[0]) || v(gate.inputs[1]),
-            GateKind::Nand => !(v(gate.inputs[0]) && v(gate.inputs[1])),
-            GateKind::Nor => !(v(gate.inputs[0]) || v(gate.inputs[1])),
             GateKind::Xor => v(gate.inputs[0]) ^ v(gate.inputs[1]),
-            GateKind::Xnor => !(v(gate.inputs[0]) ^ v(gate.inputs[1])),
             GateKind::Mux => {
                 if v(gate.inputs[0]) {
                     v(gate.inputs[2])
@@ -228,9 +220,6 @@ mod tests {
         let and = nl.and(a, b);
         let or = nl.or(a, b);
         let xor = nl.xor(a, b);
-        let nand = nl.nand(a, b);
-        let nor = nl.nor(a, b);
-        let xnor = nl.xnor(a, b);
         let not = nl.not(a);
         let mut sim = GateSim::new(nl);
         for (va, vb) in [(false, false), (false, true), (true, false), (true, true)] {
@@ -240,9 +229,6 @@ mod tests {
             assert_eq!(sim.value(and), va && vb);
             assert_eq!(sim.value(or), va || vb);
             assert_eq!(sim.value(xor), va ^ vb);
-            assert_eq!(sim.value(nand), !(va && vb));
-            assert_eq!(sim.value(nor), !(va || vb));
-            assert_eq!(sim.value(xnor), !(va ^ vb));
             assert_eq!(sim.value(not), !va);
         }
     }

@@ -6,11 +6,9 @@
 //! and it controls the multiplexing of the two sensors."
 //!
 //! [`Sequencer`] is that FSM: it walks a compass fix through
-//! `MeasureX → MeasureY → Compute → Display`, asserting the per-block
-//! enable lines the power model consumes and selecting the active sensor
-//! for the multiplexer.
-
-use fluxcomp_fluxgate::pair::Axis;
+//! `MeasureX → MeasureY → Compute → Display`; the state names the one
+//! sensor and the blocks that are powered, and
+//! [`Sequencer::analog_duty_per_fix`] is what the power model consumes.
 
 /// The FSM states of one compass fix.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -28,20 +26,6 @@ pub enum SequencerState {
     Display,
 }
 
-/// Enable lines driven by the sequencer — the interface to the power
-/// gating the paper describes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct Enables {
-    /// Analogue section (oscillator, V-I, detector).
-    pub analog: bool,
-    /// The high-speed up/down counter.
-    pub counter: bool,
-    /// The arctan unit.
-    pub arctan: bool,
-    /// Which sensor the multiplexer routes (meaningful while `analog`).
-    pub sensor: Option<Axis>,
-}
-
 /// The measurement sequencer.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Sequencer {
@@ -52,8 +36,6 @@ pub struct Sequencer {
     periods_done: u32,
     /// CORDIC cycles remaining in `Compute`.
     compute_cycles_left: u32,
-    /// Completed fixes since reset.
-    fixes: u64,
 }
 
 impl Sequencer {
@@ -72,7 +54,6 @@ impl Sequencer {
             periods_per_axis,
             periods_done: 0,
             compute_cycles_left: cordic_cycles,
-            fixes: 0,
         }
     }
 
@@ -87,39 +68,9 @@ impl Sequencer {
         self.state
     }
 
-    /// Completed fixes since reset.
-    pub fn fixes(&self) -> u64 {
-        self.fixes
-    }
-
     /// Periods integrated per axis.
     pub fn periods_per_axis(&self) -> u32 {
         self.periods_per_axis
-    }
-
-    /// The enable lines for the current state.
-    pub fn enables(&self) -> Enables {
-        match self.state {
-            SequencerState::Idle | SequencerState::Display => Enables::default(),
-            SequencerState::MeasureX => Enables {
-                analog: true,
-                counter: true,
-                arctan: false,
-                sensor: Some(Axis::X),
-            },
-            SequencerState::MeasureY => Enables {
-                analog: true,
-                counter: true,
-                arctan: false,
-                sensor: Some(Axis::Y),
-            },
-            SequencerState::Compute => Enables {
-                analog: false,
-                counter: false,
-                arctan: true,
-                sensor: None,
-            },
-        }
     }
 
     /// Kicks off a fix from `Idle` (or restarts from `Display`).
@@ -155,7 +106,6 @@ impl Sequencer {
                 self.compute_cycles_left -= 1;
                 if self.compute_cycles_left == 0 {
                     self.state = SequencerState::Display;
-                    self.fixes += 1;
                 }
             }
         }
@@ -203,42 +153,6 @@ mod tests {
             s.advance();
         }
         assert_eq!(s.state(), SequencerState::Display);
-        assert_eq!(s.fixes(), 1);
-    }
-
-    #[test]
-    fn enables_match_paper_gating() {
-        let mut s = Sequencer::paper_design();
-        // Idle: everything off.
-        let e = s.enables();
-        assert!(!e.analog && !e.counter && !e.arctan && e.sensor.is_none());
-        s.start_fix();
-        let e = s.enables();
-        assert!(e.analog && e.counter && !e.arctan);
-        assert_eq!(e.sensor, Some(Axis::X));
-        for _ in 0..4 {
-            s.advance();
-        }
-        assert_eq!(s.enables().sensor, Some(Axis::Y));
-        for _ in 0..4 {
-            s.advance();
-        }
-        // Compute: only the arctan runs — analogue and counter gated off.
-        let e = s.enables();
-        assert!(!e.analog && !e.counter && e.arctan && e.sensor.is_none());
-    }
-
-    #[test]
-    fn multiplexing_excites_one_sensor_at_a_time() {
-        let mut s = Sequencer::paper_design();
-        s.start_fix();
-        for _ in 0..16 {
-            let e = s.enables();
-            if e.analog {
-                assert!(e.sensor.is_some(), "analog on but no sensor selected");
-            }
-            s.advance();
-        }
     }
 
     #[test]
@@ -270,7 +184,6 @@ mod tests {
     fn advance_in_idle_is_a_no_op() {
         let mut s = Sequencer::paper_design();
         assert_eq!(s.advance(), SequencerState::Idle);
-        assert_eq!(s.fixes(), 0);
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //!   digital section, assembled from the builders plus standard-cell
 //!   estimates for control/ROM/display, feeding experiment E6.
 
-use crate::gates::{NetId, Netlist, NetlistStats};
+use crate::gates::{NetId, Netlist};
 
 /// A full adder cell; returns `(sum, carry_out)`.
 fn full_adder(nl: &mut Netlist, a: NetId, b: NetId, cin: NetId) -> (NetId, NetId) {
@@ -159,97 +159,6 @@ pub fn cordic_step(
     (nl, x, y, x_out, y_out, rotate)
 }
 
-/// Equality comparator against a constant: AND-reduction of per-bit
-/// XNORs (clear bits via NOT).
-pub fn equals_const(nl: &mut Netlist, bus: &[NetId], value: i64) -> NetId {
-    assert!(!bus.is_empty(), "comparator needs a bus");
-    let mut acc: Option<NetId> = None;
-    for (i, &bit) in bus.iter().enumerate() {
-        let want = (value >> i) & 1 == 1;
-        let term = if want { bit } else { nl.not(bit) };
-        acc = Some(match acc {
-            None => term,
-            Some(a) => nl.and(a, term),
-        });
-    }
-    acc.expect("nonempty")
-}
-
-/// A synthesised modulo-`modulus` counter with enable — the building
-/// block of the watch's seconds/minutes/hours chain. On each clock with
-/// `enable` high the register increments; at `modulus − 1` it wraps to
-/// zero and raises `carry` for that cycle.
-///
-/// Returns `(netlist, enable_input, count_bus, carry_net)`.
-///
-/// # Panics
-///
-/// Panics if `modulus < 2` or does not fit `width` bits.
-pub fn modulo_counter(modulus: u32, width: u32) -> (Netlist, NetId, Vec<NetId>, NetId) {
-    assert!(modulus >= 2, "modulus must be at least 2");
-    assert!(
-        (modulus as u64) <= (1u64 << width),
-        "modulus must fit the width"
-    );
-    let mut nl = Netlist::new();
-    let enable = nl.input();
-    let zero = nl.constant(false);
-    let state: Vec<NetId> = (0..width).map(|_| nl.dff(zero)).collect();
-    // Incremented value: state + 1.
-    let one_bus = nl.constant_bus(1, width);
-    let incremented = ripple_adder(&mut nl, &state, &one_bus);
-    // Terminal count detection.
-    let at_terminal = equals_const(&mut nl, &state, modulus as i64 - 1);
-    let carry = nl.and(enable, at_terminal);
-    // Next value: wrap to zero at terminal, else incremented; hold when
-    // not enabled.
-    let zero_bus = vec![zero; width as usize];
-    let wrapped = bus_mux(&mut nl, at_terminal, &incremented, &zero_bus);
-    let next = bus_mux(&mut nl, enable, &state, &wrapped);
-    for (ff, d) in state.iter().zip(&next) {
-        nl.connect_dff(*ff, *d);
-    }
-    for (i, &b) in state.iter().enumerate() {
-        nl.mark_output(format!("count{i}"), b);
-    }
-    nl.mark_output("carry", carry);
-    (nl, enable, state, carry)
-}
-
-/// The synthesised watch time chain: seconds (mod 60) → minutes
-/// (mod 60) → hours (mod 24) in one netlist, each stage enabled by the
-/// previous stage's carry. Returns
-/// `(netlist, tick_enable, seconds_bus, minutes_bus, hours_bus)`.
-#[allow(clippy::type_complexity)]
-pub fn watch_time_chain() -> (Netlist, NetId, Vec<NetId>, Vec<NetId>, Vec<NetId>) {
-    let mut nl = Netlist::new();
-    let tick = nl.input();
-    let zero = nl.constant(false);
-    let build_stage = |nl: &mut Netlist, enable: NetId, modulus: u32, width: u32, zero: NetId| {
-        let state: Vec<NetId> = (0..width).map(|_| nl.dff(zero)).collect();
-        let one_bus = nl.constant_bus(1, width);
-        let incremented = ripple_adder(nl, &state, &one_bus);
-        let at_terminal = equals_const(nl, &state, modulus as i64 - 1);
-        let carry = nl.and(enable, at_terminal);
-        let zero_bus = vec![zero; width as usize];
-        let wrapped = bus_mux(nl, at_terminal, &incremented, &zero_bus);
-        let next = bus_mux(nl, enable, &state, &wrapped);
-        for (ff, d) in state.iter().zip(&next) {
-            nl.connect_dff(*ff, *d);
-        }
-        (state, carry)
-    };
-    let (seconds, sec_carry) = build_stage(&mut nl, tick, 60, 6, zero);
-    let (minutes, min_carry) = build_stage(&mut nl, sec_carry, 60, 6, zero);
-    let (hours, _day_carry) = build_stage(&mut nl, min_carry, 24, 5, zero);
-    for (name, bus) in [("sec", &seconds), ("min", &minutes), ("hour", &hours)] {
-        for (i, &b) in bus.iter().enumerate() {
-            nl.mark_output(format!("{name}{i}"), b);
-        }
-    }
-    (nl, tick, seconds, minutes, hours)
-}
-
 /// A named block in the digital-section inventory.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BlockInventory {
@@ -340,11 +249,6 @@ pub fn full_compass_inventory() -> Vec<BlockInventory> {
 /// Total transistors of an inventory.
 pub fn inventory_total(inv: &[BlockInventory]) -> u32 {
     inv.iter().map(|b| b.transistors).sum()
-}
-
-/// Stats helper re-export for callers that only need totals.
-pub fn netlist_transistors(stats: &NetlistStats) -> u32 {
-    stats.transistors
 }
 
 #[cfg(test)]
@@ -487,94 +391,6 @@ mod tests {
         let t8 = c8.stats().transistors;
         let t16 = c16.stats().transistors;
         assert!(t16 > 18 * 8 && t16 < 2 * t8 + 64, "t8={t8} t16={t16}");
-    }
-
-    #[test]
-    fn equals_const_detects_exact_value() {
-        let mut nl = Netlist::new();
-        let bus = nl.input_bus(6);
-        let eq = equals_const(&mut nl, &bus, 59);
-        let mut sim = GateSim::new(nl);
-        for v in 0..64 {
-            sim.set_bus(&bus, v);
-            sim.settle();
-            assert_eq!(sim.value(eq), v == 59, "at {v}");
-        }
-    }
-
-    #[test]
-    fn modulo_counter_wraps_and_carries() {
-        let (nl, enable, count, carry) = modulo_counter(60, 6);
-        let mut sim = GateSim::new(nl);
-        sim.set_input(enable, true);
-        sim.settle();
-        let mut carries = 0;
-        for k in 1..=150 {
-            sim.clock_edge();
-            let expected = k % 60;
-            assert_eq!(sim.bus_value(&count), expected, "after {k} ticks");
-            // Carry is combinational on the terminal state.
-            if sim.value(carry) {
-                carries += 1;
-            }
-        }
-        assert_eq!(carries, 2, "two wraps in 150 ticks");
-    }
-
-    #[test]
-    fn modulo_counter_holds_when_disabled() {
-        let (nl, enable, count, _) = modulo_counter(10, 4);
-        let mut sim = GateSim::new(nl);
-        sim.set_input(enable, true);
-        sim.settle();
-        for _ in 0..7 {
-            sim.clock_edge();
-        }
-        sim.set_input(enable, false);
-        sim.settle();
-        for _ in 0..5 {
-            sim.clock_edge();
-        }
-        assert_eq!(sim.bus_value(&count), 7);
-    }
-
-    #[test]
-    fn watch_chain_counts_a_simulated_hour_boundary() {
-        let (nl, tick, seconds, minutes, hours) = watch_time_chain();
-        let mut sim = GateSim::new(nl);
-        sim.set_input(tick, true);
-        sim.settle();
-        // 1 hour + 2 minutes + 3 seconds of ticks.
-        let total = 3600 + 120 + 3;
-        for _ in 0..total {
-            sim.clock_edge();
-        }
-        assert_eq!(sim.bus_value(&hours), 1);
-        assert_eq!(sim.bus_value(&minutes), 2);
-        assert_eq!(sim.bus_value(&seconds), 3);
-    }
-
-    #[test]
-    fn watch_chain_matches_behavioral_watch() {
-        let (nl, tick, seconds, minutes, hours) = watch_time_chain();
-        let mut sim = GateSim::new(nl);
-        sim.set_input(tick, true);
-        sim.settle();
-        let mut behavioral = crate::watch::Watch::new();
-        for k in 0..5_000 {
-            sim.clock_edge();
-            behavioral.tick_second();
-            let t = behavioral.time();
-            assert_eq!(sim.bus_value(&seconds) as u8, t.seconds, "s at {k}");
-            assert_eq!(sim.bus_value(&minutes) as u8, t.minutes, "m at {k}");
-            assert_eq!(sim.bus_value(&hours) as u8, t.hours, "h at {k}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "modulus must fit")]
-    fn modulo_counter_width_check() {
-        let _ = modulo_counter(60, 5);
     }
 
     #[test]

@@ -13,18 +13,16 @@
 //! clock-to-Q plus 0.5 ns setup for the DFFs.
 
 use crate::gates::{GateKind, NetId, Netlist};
-use fluxcomp_units::si::{Hertz, Seconds};
+use fluxcomp_units::si::Hertz;
 
 /// Per-kind gate delays, in nanoseconds.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DelayModel {
     /// Inverter.
     pub not_ns: f64,
-    /// NAND/NOR.
-    pub nand_nor_ns: f64,
     /// AND/OR (NAND/NOR + inverter).
     pub and_or_ns: f64,
-    /// XOR/XNOR.
+    /// XOR.
     pub xor_ns: f64,
     /// 2:1 mux.
     pub mux_ns: f64,
@@ -39,7 +37,6 @@ impl DelayModel {
     pub fn sog_1um() -> Self {
         Self {
             not_ns: 0.5,
-            nand_nor_ns: 0.8,
             and_or_ns: 1.1,
             xor_ns: 1.5,
             mux_ns: 1.5,
@@ -54,9 +51,8 @@ impl DelayModel {
         match kind {
             GateKind::Input | GateKind::Const(_) | GateKind::Dff => 0.0,
             GateKind::Not => self.not_ns,
-            GateKind::Nand | GateKind::Nor => self.nand_nor_ns,
             GateKind::And | GateKind::Or => self.and_or_ns,
-            GateKind::Xor | GateKind::Xnor => self.xor_ns,
+            GateKind::Xor => self.xor_ns,
             GateKind::Mux => self.mux_ns,
         }
     }
@@ -87,11 +83,6 @@ impl TimingReport {
     /// `true` when the netlist closes timing at `clock`.
     pub fn meets(&self, clock: Hertz) -> bool {
         self.fmax.value() >= clock.value()
-    }
-
-    /// Slack at a given clock (positive = meets timing).
-    pub fn slack_at(&self, clock: Hertz) -> Seconds {
-        Seconds::new(clock.period().value() - self.critical_path_ns * 1e-9)
     }
 }
 
@@ -176,7 +167,7 @@ pub fn analyze(netlist: &Netlist, delays: &DelayModel) -> TimingReport {
 mod tests {
     use super::*;
     use crate::cordic_netlist::cordic_kernel_netlist;
-    use crate::synth::{ripple_adder, updown_counter, watch_time_chain};
+    use crate::synth::{ripple_adder, updown_counter};
 
     #[test]
     fn inverter_chain_depth_and_delay() {
@@ -206,7 +197,6 @@ mod tests {
             report.fmax.value() / 1e6,
             report.critical_path_ns
         );
-        assert!(report.slack_at(clock).value() > 0.0);
         // And the margin is comfortable but not absurd (ripple carry!).
         assert!(
             report.critical_path_ns > 20.0,
@@ -256,14 +246,6 @@ mod tests {
         };
         assert!(path(16) > path(8));
         assert!(path(32) > path(16));
-    }
-
-    #[test]
-    fn watch_chain_is_trivially_fast_at_1hz() {
-        let (nl, ..) = watch_time_chain();
-        let report = analyze(&nl, &DelayModel::sog_1um());
-        assert!(report.meets(Hertz::new(1.0)));
-        assert!(report.meets(Hertz::new(1e6)), "even MHz-class is fine");
     }
 
     #[test]

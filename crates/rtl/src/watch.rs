@@ -37,11 +37,6 @@ impl TimeOfDay {
             seconds,
         }
     }
-
-    /// Seconds since midnight.
-    pub fn total_seconds(&self) -> u32 {
-        self.hours as u32 * 3600 + self.minutes as u32 * 60 + self.seconds as u32
-    }
 }
 
 impl fmt::Display for TimeOfDay {
@@ -59,8 +54,6 @@ impl fmt::Display for TimeOfDay {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Watch {
     time: TimeOfDay,
-    /// Sub-second phase in 32 768 Hz ticks.
-    subsecond_ticks: u16,
 }
 
 impl Watch {
@@ -77,16 +70,6 @@ impl Watch {
     /// Sets the time (the watch's "set" buttons).
     pub fn set_time(&mut self, time: TimeOfDay) {
         self.time = time;
-        self.subsecond_ticks = 0;
-    }
-
-    /// One 32 768 Hz tick; rolls seconds/minutes/hours as needed.
-    pub fn tick_32768hz(&mut self) {
-        self.subsecond_ticks += 1;
-        if self.subsecond_ticks == 32_768 {
-            self.subsecond_ticks = 0;
-            self.tick_second();
-        }
     }
 
     /// One 1 Hz heartbeat.
@@ -107,14 +90,6 @@ impl Watch {
         }
         self.time = TimeOfDay::new(h, m, s);
     }
-
-    /// Advances the watch by `n` seconds (used in tests and the watch
-    /// example).
-    pub fn advance_seconds(&mut self, n: u32) {
-        for _ in 0..n {
-            self.tick_second();
-        }
-    }
 }
 
 #[cfg(test)]
@@ -132,50 +107,8 @@ mod tests {
     }
 
     #[test]
-    fn tick_32768_makes_one_second() {
-        let mut w = Watch::new();
-        for _ in 0..32_768 {
-            w.tick_32768hz();
-        }
-        assert_eq!(w.time(), TimeOfDay::new(0, 0, 1));
-        // Half way through the next second: still :01.
-        for _ in 0..16_384 {
-            w.tick_32768hz();
-        }
-        assert_eq!(w.time(), TimeOfDay::new(0, 0, 1));
-    }
-
-    #[test]
-    fn advance_accumulates() {
-        let mut w = Watch::new();
-        w.advance_seconds(3_661);
-        assert_eq!(w.time(), TimeOfDay::new(1, 1, 1));
-    }
-
-    #[test]
-    fn set_time_clears_subsecond_phase() {
-        let mut w = Watch::new();
-        for _ in 0..20_000 {
-            w.tick_32768hz();
-        }
-        w.set_time(TimeOfDay::new(12, 0, 0));
-        for _ in 0..32_767 {
-            w.tick_32768hz();
-        }
-        assert_eq!(w.time(), TimeOfDay::new(12, 0, 0));
-        w.tick_32768hz();
-        assert_eq!(w.time(), TimeOfDay::new(12, 0, 1));
-    }
-
-    #[test]
     fn display_format() {
         assert_eq!(TimeOfDay::new(9, 5, 3).to_string(), "09:05:03");
-    }
-
-    #[test]
-    fn total_seconds() {
-        assert_eq!(TimeOfDay::new(1, 1, 1).total_seconds(), 3_661);
-        assert_eq!(TimeOfDay::default().total_seconds(), 0);
     }
 
     #[test]

@@ -10,8 +10,6 @@ use std::fmt;
 pub struct Alarm {
     /// The set time, if armed.
     set_point: Option<TimeOfDay>,
-    /// Latched "ringing" flag (cleared by the user).
-    ringing: bool,
 }
 
 impl Alarm {
@@ -25,36 +23,10 @@ impl Alarm {
         self.set_point = Some(at);
     }
 
-    /// Disarms and silences.
-    pub fn disarm(&mut self) {
-        self.set_point = None;
-        self.ringing = false;
-    }
-
-    /// `true` while ringing.
-    pub fn is_ringing(&self) -> bool {
-        self.ringing
-    }
-
-    /// The armed time, if any.
-    pub fn set_point(&self) -> Option<TimeOfDay> {
-        self.set_point
-    }
-
     /// Clock the alarm with the current time (call once per second);
-    /// returns `true` on the second it fires.
-    pub fn tick(&mut self, now: TimeOfDay) -> bool {
-        if self.set_point == Some(now) {
-            self.ringing = true;
-            return true;
-        }
-        false
-    }
-
-    /// Silences the ringing without disarming (it will fire again the
-    /// next day).
-    pub fn silence(&mut self) {
-        self.ringing = false;
+    /// returns `true` on the second it fires (again the next day).
+    pub fn tick(&self, now: TimeOfDay) -> bool {
+        self.set_point == Some(now)
     }
 }
 
@@ -66,8 +38,6 @@ pub struct Stopwatch {
     running: bool,
     /// Elapsed time in 1/128 s ticks.
     ticks: u64,
-    /// Lap snapshot, if taken.
-    lap: Option<u64>,
 }
 
 impl Stopwatch {
@@ -79,32 +49,6 @@ impl Stopwatch {
     /// Starts (or resumes) timing.
     pub fn start(&mut self) {
         self.running = true;
-    }
-
-    /// Stops timing (elapsed time is retained).
-    pub fn stop(&mut self) {
-        self.running = false;
-    }
-
-    /// Resets to zero (also clears the lap).
-    pub fn reset(&mut self) {
-        self.ticks = 0;
-        self.lap = None;
-    }
-
-    /// Snapshots the current time as a lap.
-    pub fn lap(&mut self) {
-        self.lap = Some(self.ticks);
-    }
-
-    /// The lap snapshot in seconds, if taken.
-    pub fn lap_seconds(&self) -> Option<f64> {
-        self.lap.map(|t| t as f64 / 128.0)
-    }
-
-    /// `true` while running.
-    pub fn is_running(&self) -> bool {
-        self.running
     }
 
     /// One 128 Hz tick.
@@ -205,12 +149,7 @@ mod tests {
         alarm.arm(TimeOfDay::new(7, 30, 0));
         assert!(!alarm.tick(TimeOfDay::new(7, 29, 59)));
         assert!(alarm.tick(TimeOfDay::new(7, 30, 0)));
-        assert!(alarm.is_ringing());
-        alarm.silence();
-        assert!(!alarm.is_ringing());
-        assert_eq!(alarm.set_point(), Some(TimeOfDay::new(7, 30, 0)));
-        alarm.disarm();
-        assert!(!alarm.tick(TimeOfDay::new(7, 30, 0)));
+        assert!(!alarm.tick(TimeOfDay::new(7, 30, 1)));
     }
 
     #[test]
@@ -221,34 +160,10 @@ mod tests {
         }
         assert_eq!(sw.elapsed_seconds(), 0.0, "stopped: no counting");
         sw.start();
-        assert!(sw.is_running());
         for _ in 0..192 {
             sw.tick_128hz();
         }
         assert!((sw.elapsed_seconds() - 1.5).abs() < 1e-12);
-        sw.stop();
-        for _ in 0..128 {
-            sw.tick_128hz();
-        }
-        assert!((sw.elapsed_seconds() - 1.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn stopwatch_lap_and_reset() {
-        let mut sw = Stopwatch::new();
-        sw.start();
-        for _ in 0..64 {
-            sw.tick_128hz();
-        }
-        sw.lap();
-        for _ in 0..64 {
-            sw.tick_128hz();
-        }
-        assert_eq!(sw.lap_seconds(), Some(0.5));
-        assert!((sw.elapsed_seconds() - 1.0).abs() < 1e-12);
-        sw.reset();
-        assert_eq!(sw.elapsed_seconds(), 0.0);
-        assert_eq!(sw.lap_seconds(), None);
     }
 
     #[test]

@@ -112,25 +112,9 @@ impl SogArray {
         &mut self.quarters
     }
 
-    /// Total transistor count of the array (2 per pair site).
-    pub fn total_transistors(&self) -> u64 {
-        self.quarters
-            .iter()
-            .map(|q| q.capacity_sites as u64 * 2)
-            .sum()
-    }
-
     /// Total committed sites across quarters.
     pub fn used_sites(&self) -> u32 {
         self.quarters.iter().map(|q| q.used_sites).sum()
-    }
-
-    /// Quarters assigned to a domain.
-    pub fn quarters_in_domain(&self, domain: PowerDomain) -> usize {
-        self.quarters
-            .iter()
-            .filter(|q| q.domain == Some(domain))
-            .count()
     }
 }
 
@@ -200,8 +184,9 @@ mod tests {
     #[test]
     fn fishbone_is_200k_transistors() {
         let array = SogArray::fishbone();
+        // 4 quarters × 25 000 pair sites × 2 transistors per site.
         assert_eq!(array.quarters().len(), 4);
-        assert_eq!(array.total_transistors(), 200_000);
+        assert!(array.quarters().iter().all(|q| q.capacity_sites == 25_000));
     }
 
     #[test]
@@ -212,16 +197,6 @@ mod tests {
         assert_eq!(q.free_sites(), 12_500);
         assert!((q.occupancy() - 0.5).abs() < 1e-12);
         assert_eq!(array.used_sites(), 12_500);
-    }
-
-    #[test]
-    fn domain_assignment_counts() {
-        let mut array = SogArray::fishbone();
-        array.quarters_mut()[0].domain = Some(PowerDomain::Digital);
-        array.quarters_mut()[1].domain = Some(PowerDomain::Digital);
-        array.quarters_mut()[3].domain = Some(PowerDomain::Analog);
-        assert_eq!(array.quarters_in_domain(PowerDomain::Digital), 2);
-        assert_eq!(array.quarters_in_domain(PowerDomain::Analog), 1);
     }
 
     #[test]

@@ -181,26 +181,6 @@ impl Floorplan {
         })
     }
 
-    /// Places a whole inventory; stops at the first failure.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`PlaceBlockError`] encountered.
-    pub fn place_all(
-        &mut self,
-        blocks: impl IntoIterator<Item = Block>,
-    ) -> Result<(), PlaceBlockError> {
-        for b in blocks {
-            self.place(b)?;
-        }
-        Ok(())
-    }
-
-    /// Number of quarters a domain *touches* (has any block in).
-    pub fn quarters_touched(&self, domain: PowerDomain) -> usize {
-        self.array.quarters_in_domain(domain)
-    }
-
     /// Equivalent quarters a domain *fills*: committed sites / quarter
     /// capacity — the paper's "occupies 3 quarters fully" metric.
     pub fn quarters_filled(&self, domain: PowerDomain) -> f64 {
@@ -337,7 +317,6 @@ mod tests {
         fp.place(Block::new("d2", 12_500, PowerDomain::Digital))
             .unwrap();
         assert!((fp.quarters_filled(PowerDomain::Digital) - 1.5).abs() < 1e-12);
-        assert_eq!(fp.quarters_touched(PowerDomain::Digital), 2);
     }
 
     #[test]
@@ -356,17 +335,6 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, PlaceBlockError::BlockTooLarge { .. }));
         assert!(err.to_string().contains("huge"));
-    }
-
-    #[test]
-    fn place_all_propagates_errors() {
-        let mut fp = Floorplan::fishbone();
-        let blocks = vec![
-            Block::new("ok", 1_000, PowerDomain::Digital),
-            Block::new("huge", 30_000, PowerDomain::Digital),
-        ];
-        assert!(fp.place_all(blocks).is_err());
-        assert_eq!(fp.placements().len(), 1);
     }
 
     #[test]

@@ -27,7 +27,7 @@
 //! fp.place(Block::from_transistors(
 //!     "cordic", 12_000, 0.30, PowerDomain::Digital,
 //! ))?;
-//! assert_eq!(fp.quarters_touched(PowerDomain::Digital), 1);
+//! assert!((fp.quarters_filled(PowerDomain::Digital) - 0.8).abs() < 1e-12);
 //! # Ok(())
 //! # }
 //! ```

@@ -54,12 +54,6 @@ impl SupplySpine {
         }
         Volt::new(v)
     }
-
-    /// Droop at the far end when the whole current is drawn there
-    /// (worst placement): the full `I·R`.
-    pub fn far_end_droop_lumped(&self, total_current: Ampere) -> Volt {
-        Volt::new(total_current.value() * self.resistance.value())
-    }
 }
 
 /// The supply-sharing comparison of the paper's floorplan decision.
@@ -109,7 +103,8 @@ mod tests {
         };
         let i = Ampere::new(2e-3);
         let uniform = spine.far_end_droop(i).value();
-        let lumped = spine.far_end_droop_lumped(i).value();
+        // The whole current drawn at the far end: the full I·R.
+        let lumped = i.value() * spine.resistance.value();
         assert!(
             (uniform / lumped - 0.5).abs() < 0.01,
             "{uniform} vs {lumped}"
@@ -121,7 +116,7 @@ mod tests {
         let spine = SupplySpine::fishbone_quarter();
         let i = Ampere::new(2e-3);
         let droop = spine.far_end_droop(i);
-        assert!(droop.value() < spine.far_end_droop_lumped(i).value());
+        assert!(droop.value() < i.value() * spine.resistance.value());
         assert!(droop.value() > 0.0);
     }
 

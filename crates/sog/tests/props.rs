@@ -1,6 +1,6 @@
 //! Property tests for the Sea-of-Gates models.
 
-use fluxcomp_sog::fabric::{CapacitorPlan, PowerDomain, SogArray, ON_CHIP_CAP_LIMIT};
+use fluxcomp_sog::fabric::{CapacitorPlan, PowerDomain, ON_CHIP_CAP_LIMIT};
 use fluxcomp_sog::floorplan::{Block, Floorplan};
 use fluxcomp_units::si::Farad;
 use proptest::prelude::*;
@@ -69,12 +69,5 @@ proptest! {
     fn sites_at_least_raw_pairs(t in 1u32..1_000_000, util_pct in 1u32..100) {
         let b = Block::from_transistors("x", t, util_pct as f64 / 100.0, PowerDomain::Digital);
         prop_assert!(b.sites as u64 >= (t as u64).div_ceil(2));
-    }
-
-    /// Array accounting: total transistors is twice the site count.
-    #[test]
-    fn array_transistor_accounting(quarters in 1usize..8, sites in 1u32..100_000) {
-        let array = SogArray::with_quarters(quarters, sites);
-        prop_assert_eq!(array.total_transistors(), quarters as u64 * sites as u64 * 2);
     }
 }

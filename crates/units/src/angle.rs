@@ -35,8 +35,6 @@ pub struct Radians(f64);
 impl Degrees {
     /// The zero angle.
     pub const ZERO: Self = Self(0.0);
-    /// A full turn.
-    pub const FULL_TURN: Self = Self(360.0);
 
     /// Wraps a raw value in degrees.
     #[inline]

@@ -1,16 +1,18 @@
 //! # fluxcomp-units
 //!
-//! Strongly-typed physical quantities, angle types and fixed-point numbers
-//! shared by every crate in the *fluxcomp* workspace.
+//! Strongly-typed physical quantities and angle types shared by every
+//! crate in the *fluxcomp* workspace.
 //!
-//! The 1997 integrated-compass paper mixes three numeric worlds:
+//! The 1997 integrated-compass paper mixes two physical worlds:
 //!
 //! * **Analogue circuit quantities** — volts, amperes, ohms, farads, hertz,
 //!   seconds ([`si`]);
 //! * **Magnetic quantities** — tesla, ampere-per-metre and the CGS oersted
-//!   used by the sensor literature ([`magnetics`]);
-//! * **Digital fixed-point arithmetic** — the CORDIC datapath of Fig. 8
-//!   works on integers with a 128× prescale ([`fixed`]).
+//!   used by the sensor literature ([`magnetics`]).
+//!
+//! The digital side needs no type here: the CORDIC datapath of Fig. 8
+//! works on raw `i64` registers with a 128× prescale, and its angles are
+//! integers scaled by `rtl::atan_rom::ANGLE_SCALE`.
 //!
 //! Keeping these distinct at the type level prevents the classic
 //! mixed-signal modelling bugs (feeding amperes where the model expects
@@ -33,12 +35,10 @@
 
 pub mod angle;
 pub mod eng;
-pub mod fixed;
 pub mod magnetics;
 pub mod si;
 
 pub use angle::{Degrees, Radians};
 pub use eng::eng;
-pub use fixed::Q;
 pub use magnetics::{AmperePerMeter, Oersted, Tesla, MU_0};
 pub use si::{Ampere, Farad, Henry, Hertz, Ohm, Seconds, Volt, Watt};

@@ -145,7 +145,7 @@ mag_quantity!(
 );
 
 /// `1 Oe` expressed in A/m: `1000/(4π)`.
-pub const AMPERE_PER_METER_PER_OERSTED: f64 = 1000.0 / (4.0 * std::f64::consts::PI);
+const AMPERE_PER_METER_PER_OERSTED: f64 = 1000.0 / (4.0 * std::f64::consts::PI);
 
 impl Oersted {
     /// Converts to SI field strength.

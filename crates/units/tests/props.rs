@@ -1,6 +1,5 @@
-//! Property tests for the quantity, angle and fixed-point types.
+//! Property tests for the quantity and angle types.
 
-use fluxcomp_units::fixed::Q;
 use fluxcomp_units::magnetics::{AmperePerMeter, Oersted, Tesla};
 use fluxcomp_units::si::{Ampere, Hertz, Ohm, Volt};
 use fluxcomp_units::{Degrees, Radians};
@@ -79,38 +78,5 @@ proptest! {
     fn microtesla_round_trip(ut in -1e3f64..1e3) {
         let b = Tesla::from_microtesla(ut);
         prop_assert!((b.as_microtesla() - ut).abs() < 1e-9 * ut.abs().max(1.0));
-    }
-
-    /// Q multiplication matches f64 multiplication within 1 ULP of the
-    /// format for in-range values.
-    #[test]
-    fn q16_multiplication(a in -1000.0f64..1000.0, b in -1000.0f64..1000.0) {
-        let qa = Q::<16>::from_f64(a);
-        let qb = Q::<16>::from_f64(b);
-        let product = (qa * qb).to_f64();
-        // Inputs are quantised first; compare against the quantised truth.
-        let truth = qa.to_f64() * qb.to_f64();
-        prop_assert!((product - truth).abs() <= 1.0 / 65536.0, "{a}*{b}: {product} vs {truth}");
-    }
-
-    /// Shifts divide/multiply by powers of two exactly.
-    #[test]
-    fn q_shift_semantics(bits in -1_000_000i64..1_000_000, k in 0u32..8) {
-        let q = Q::<7>::from_bits(bits);
-        prop_assert_eq!((q >> k).to_bits(), bits >> k);
-        prop_assert_eq!((q << k).to_bits(), bits << k);
-    }
-
-    /// Saturating ops never wrap.
-    #[test]
-    fn q_saturating_is_ordered(a in any::<i64>(), b in any::<i64>()) {
-        let qa = Q::<7>::from_bits(a);
-        let qb = Q::<7>::from_bits(b);
-        let sum = qa.saturating_add(qb);
-        if b >= 0 {
-            prop_assert!(sum >= qa || sum == Q::<7>::MAX);
-        } else {
-            prop_assert!(sum <= qa || sum == Q::<7>::MIN);
-        }
     }
 }

@@ -43,7 +43,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
         if alarm.tick(watch.time()) {
             println!("  *** BEEP BEEP — {} alarm ***", watch.time());
-            alarm.silence();
         }
         for _ in 0..128 {
             stopwatch.tick_128hz();

@@ -11,10 +11,10 @@
 //! recorder installed: recording is write-only, so it must not move a
 //! single bit either.
 
-use fluxcomp::compass::evaluate::{repeat_heading, sweep_headings};
+use fluxcomp::compass::evaluate::sweep_headings;
 use fluxcomp::compass::tilt::{worst_tilt_error, Attitude};
 use fluxcomp::compass::{AccuracyStats, CompassConfig, CompassDesign, FixInput, MeasureScratch};
-use fluxcomp::exec::ExecPolicy;
+use fluxcomp::exec::{derive_seed, par_map_range_scratch, ExecPolicy};
 use fluxcomp::fluxgate::earth::{EarthField, Location};
 use fluxcomp::msim::montecarlo::{run_monte_carlo, Tolerance};
 use fluxcomp::units::Degrees;
@@ -64,6 +64,30 @@ fn heading_sweep_is_bit_identical_at_any_worker_count() {
             &format!("sweep with {} threads", policy.threads()),
         );
     }
+}
+
+/// `repeats` fixes of one heading, each with its own noise seed derived
+/// from the design's, mapped over `policy`'s workers with one scratch
+/// each. Returns the signed heading errors in degrees.
+fn repeat_heading(
+    design: &CompassDesign,
+    heading: Degrees,
+    repeats: usize,
+    policy: &ExecPolicy,
+) -> Vec<f64> {
+    let base = design.config().frontend.noise_seed;
+    par_map_range_scratch(
+        policy,
+        repeats,
+        || MeasureScratch::for_design(design),
+        |scratch, k| {
+            design
+                .measure_heading_scratch(heading, derive_seed(base, k as u64), scratch)
+                .heading
+                .signed_error_from(heading)
+                .value()
+        },
+    )
 }
 
 #[test]

@@ -6,27 +6,10 @@ use fluxcomp::mcm::{BoundaryScanChain, InterconnectTester};
 use fluxcomp::rtl::adc::SarAdc;
 use fluxcomp::rtl::cordic::CordicArctan;
 use fluxcomp::rtl::counter::UpDownCounter;
-use fluxcomp::units::fixed::Q;
 use fluxcomp::units::{Degrees, Volt};
 use proptest::prelude::*;
 
 proptest! {
-    /// Q7 round-trips any value expressible in 1/128 steps.
-    #[test]
-    fn q7_round_trip(n in -1_000_000i64..1_000_000) {
-        let v = n as f64 / 128.0;
-        prop_assert_eq!(Q::<7>::from_f64(v).to_f64(), v);
-    }
-
-    /// Fixed-point addition agrees with float addition on exact values.
-    #[test]
-    fn q7_addition_homomorphic(a in -100_000i64..100_000, b in -100_000i64..100_000) {
-        let qa = Q::<7>::from_bits(a);
-        let qb = Q::<7>::from_bits(b);
-        prop_assert_eq!((qa + qb).to_bits(), a + b);
-        prop_assert_eq!((qa - qb).to_bits(), a - b);
-    }
-
     /// Angle normalisation always lands in [0, 360) and preserves the
     /// angle modulo 360.
     #[test]
