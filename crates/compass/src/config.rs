@@ -51,7 +51,7 @@ impl CompassConfig {
 
     /// The front-end channel as the system builds it: `frontend` with the
     /// pair's element substituted as the sensor.
-    pub fn channel(&self) -> FrontEndConfig {
+    pub(crate) fn channel(&self) -> FrontEndConfig {
         FrontEndConfig {
             sensor: self.pair.element,
             ..self.frontend.clone()

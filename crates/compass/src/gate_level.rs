@@ -23,6 +23,8 @@ use fluxcomp_units::magnetics::AmperePerMeter;
 pub struct GateLevelCompass {
     design: CompassDesign,
     cordic_nets: CordicKernelNets,
+    /// The kernel simulator at power-on, cloned for every fix.
+    cordic_sim: GateSim,
 }
 
 /// One gate-level fix.
@@ -54,9 +56,11 @@ impl GateLevelCompass {
         if got != 8 {
             return Err(BuildError::BadCordicIterations { got });
         }
+        let cordic_nets = cordic_kernel_netlist(24, 18, 8);
         Ok(Self {
             design,
-            cordic_nets: cordic_kernel_netlist(24, 18, 8),
+            cordic_sim: GateSim::new(cordic_nets.netlist.clone()),
+            cordic_nets,
         })
     }
 
@@ -84,7 +88,7 @@ impl GateLevelCompass {
         let (x, ev_x) = self.measure_axis_gate_level(hx);
         let (y, ev_y) = self.measure_axis_gate_level(hy);
         let (x, y) = (-x, -y);
-        let mut cordic = GateSim::new(self.cordic_nets.netlist.clone());
+        let mut cordic = self.cordic_sim.clone();
 
         // Quadrant fold in "hardware-trivial" logic (sign decode), then
         // the gate-level first-quadrant kernel.

@@ -13,9 +13,9 @@ use crate::bscan::{Instruction, TapController};
 #[derive(Debug, Clone)]
 pub struct TapChain {
     taps: Vec<TapController>,
-    /// Per-die boundary observation inputs: what each die's pins see,
-    /// all low on the bare chain.
-    observed: Vec<Vec<bool>>,
+    /// What the pins see on the bare chain: all low, as wide as the widest
+    /// boundary register; each die captures its own prefix.
+    pins_low: Vec<bool>,
 }
 
 impl TapChain {
@@ -27,12 +27,13 @@ impl TapChain {
     /// Panics if the chain is empty.
     pub fn new(boundary_cells: &[usize]) -> Self {
         assert!(!boundary_cells.is_empty(), "a chain needs at least one TAP");
+        let widest = boundary_cells.iter().copied().max().unwrap_or(0);
         Self {
             taps: boundary_cells
                 .iter()
                 .map(|&n| TapController::new(n))
                 .collect(),
-            observed: boundary_cells.iter().map(|&n| vec![false; n]).collect(),
+            pins_low: vec![false; widest],
         }
     }
 
@@ -40,8 +41,9 @@ impl TapChain {
     /// TDI → die0 → … → TDO. Returns the chain's TDO.
     pub fn clock(&mut self, tms: bool, tdi: bool) -> Option<bool> {
         let mut data = Some(tdi);
-        for (tap, obs) in self.taps.iter_mut().zip(&self.observed) {
-            data = tap.clock(tms, data.unwrap_or(false), obs);
+        for tap in &mut self.taps {
+            let pins = &self.pins_low[..tap.boundary.len()];
+            data = tap.clock(tms, data.unwrap_or(false), pins);
         }
         data
     }
@@ -138,6 +140,25 @@ mod tests {
     }
 
     #[test]
+    fn reset_selects_idcode_everywhere() {
+        let mut chain = paper_chain();
+        chain.reset();
+        for tap in &chain.taps {
+            assert_eq!(tap.instruction(), Instruction::Idcode);
+        }
+    }
+
+    #[test]
+    fn ir_scan_loads_distinct_instructions() {
+        let mut chain = paper_chain();
+        chain.reset();
+        chain.load_instructions(&[Instruction::Extest, Instruction::Bypass, Instruction::Clamp]);
+        assert_eq!(chain.taps[0].instruction(), Instruction::Extest);
+        assert_eq!(chain.taps[1].instruction(), Instruction::Bypass);
+        assert_eq!(chain.taps[2].instruction(), Instruction::Clamp);
+    }
+
+    #[test]
     fn all_bypass_scan_path_is_one_bit_per_die() {
         let mut chain = paper_chain();
         chain.reset();
@@ -180,5 +201,36 @@ mod tests {
     #[should_panic(expected = "at least one TAP")]
     fn empty_chain_rejected() {
         let _ = TapChain::new(&[]);
+    }
+
+    mod props {
+        use super::*;
+        use proptest::prelude::*;
+
+        const ALL: [Instruction; 6] = [
+            Instruction::Bypass,
+            Instruction::Extest,
+            Instruction::Sample,
+            Instruction::Idcode,
+            Instruction::Clamp,
+            Instruction::Highz,
+        ];
+
+        proptest! {
+            /// One IR scan leaves every die holding its own opcode, and the
+            /// measured scan path matches the computed one.
+            #[test]
+            fn ir_scan_reaches_each_die(picks in prop::collection::vec(0usize..6, 1..5)) {
+                let lengths: Vec<usize> = (0..picks.len()).map(|k| 3 + k).collect();
+                let mut chain = TapChain::new(&lengths);
+                chain.reset();
+                let instructions: Vec<Instruction> = picks.iter().map(|&p| ALL[p]).collect();
+                chain.load_instructions(&instructions);
+                for (tap, inst) in chain.taps.iter().zip(&instructions) {
+                    prop_assert_eq!(tap.instruction(), *inst);
+                }
+                prop_assert_eq!(chain.measure_scan_path(), chain.scan_path_bits());
+            }
+        }
     }
 }

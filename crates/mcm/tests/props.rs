@@ -96,8 +96,9 @@ proptest! {
     }
 
     /// Chain scan-path measurement equals the computed length for any
-    /// per-die instruction assignment. Every die has a different boundary
-    /// length, so the length also shows each opcode reached its own die.
+    /// per-die instruction assignment, and both equal the sum of one bit
+    /// per bypassed die and the boundary length of every other die. (That
+    /// each die holds its own opcode is checked in the `chain` unit tests.)
     #[test]
     fn chain_path_measurement(assignments in prop::collection::vec(0u8..3, 1..5)) {
         let lengths: Vec<usize> = (0..assignments.len()).map(|k| 3 + k).collect();
