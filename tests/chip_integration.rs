@@ -1,7 +1,10 @@
 //! Chip-level integration: the synthesised netlists, the Sea-of-Gates
-//! mapping and the gate-level simulator agree with the behavioural RTL.
+//! mapping and the gate-level simulator agree with the behavioural RTL,
+//! and the E6 occupancy and E7 power figures are pinned to the bit.
 
+use fluxcomp::afe::power::{PowerModel, Schedule};
 use fluxcomp::compass::chip::{build_chip, paper_chip};
+use fluxcomp::compass::energy::{battery_life_days, Battery, UsageProfile};
 use fluxcomp::rtl::atan_rom::AtanRom;
 use fluxcomp::rtl::cordic::CordicArctan;
 use fluxcomp::rtl::netsim::GateSim;
@@ -204,4 +207,23 @@ fn e6_report_figures_are_pinned() {
             None,
         ]
     );
+}
+
+/// The figures the E7 bench prints for the duty-cycled chip, pinned to
+/// the bit: the one-fix-per-second measurement duty, the average power
+/// with the enables gated at that duty, and the hiker and continuous
+/// battery lives. Floats are compared by their bits; the decimal value
+/// is in the comment.
+#[test]
+fn e7_power_figures_are_pinned() {
+    let duty = UsageProfile::continuous().measurement_duty();
+    assert_eq!(duty.to_bits(), 0x3f60_624d_d2f1_a9fc); // 0.002
+    let p5 = PowerModel::at_5v();
+    let gated = p5.average_power(&Schedule::duty_cycled(duty)).value();
+    assert_eq!(gated.to_bits(), 0x3f21_53e5_5a62_4c26); // 0.1322 mW
+    let cell = Battery::cr2025();
+    let hiker = battery_life_days(&p5, &UsageProfile::hiker(), &cell);
+    assert_eq!(hiker.to_bits(), 0x406f_3505_0c72_23b1); // 249.66 days
+    let continuous = battery_life_days(&p5, &UsageProfile::continuous(), &cell);
+    assert_eq!(continuous.to_bits(), 0x4062_e926_5787_2a37); // 151.29 days
 }
