@@ -9,7 +9,7 @@ use criterion::{criterion_group, Criterion};
 use fluxcomp_bench::banner;
 use fluxcomp_compass::calibration::Calibration;
 use fluxcomp_compass::evaluate::sweep_headings;
-use fluxcomp_compass::{Compass, CompassConfig, CompassDesign};
+use fluxcomp_compass::{CompassConfig, CompassDesign};
 use fluxcomp_exec::ExecPolicy;
 use fluxcomp_fluxgate::earth::{EarthField, Location, MagneticDisturbance};
 use fluxcomp_units::angle::Degrees;
@@ -63,14 +63,14 @@ fn print_experiment() {
     let mut cfg = CompassConfig::paper_design();
     cfg.pair.disturbance =
         MagneticDisturbance::hard(Tesla::from_microtesla(4.0), Tesla::from_microtesla(-2.0));
-    let mut compass = Compass::new(cfg).expect("valid");
-    let cal = Calibration::rotate(&mut compass, 16);
+    let compass = CompassDesign::new(cfg).expect("valid");
+    let cal = Calibration::rotate(&compass, 16);
     let mut worst_raw = 0.0f64;
     let mut worst_cal = 0.0f64;
     for deg in [20.0, 110.0, 200.0, 290.0] {
         let t = Degrees::new(deg);
         let raw = compass.measure_heading(t).heading;
-        let corrected = cal.corrected_heading(&mut compass, t);
+        let corrected = cal.corrected_heading(&compass, t);
         worst_raw = worst_raw.max(raw.angular_distance(t).value());
         worst_cal = worst_cal.max(corrected.angular_distance(t).value());
     }
@@ -84,7 +84,7 @@ fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("e4_field_magnitude");
     group.sample_size(10);
 
-    let mut compass = Compass::new(CompassConfig::paper_design()).expect("valid");
+    let compass = CompassDesign::new(CompassConfig::paper_design()).expect("valid");
     group.bench_function("full_compass_fix", |b| {
         b.iter(|| {
             black_box(
@@ -95,7 +95,7 @@ fn bench(c: &mut Criterion) {
         })
     });
 
-    let mut weak = Compass::new(CompassConfig::at_location(Location::SouthPole)).expect("valid");
+    let weak = CompassDesign::new(CompassConfig::at_location(Location::SouthPole)).expect("valid");
     group.bench_function("full_fix_weak_horizontal_field", |b| {
         b.iter(|| black_box(weak.measure_heading(black_box(Degrees::new(123.0))).heading))
     });

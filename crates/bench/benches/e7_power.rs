@@ -11,7 +11,6 @@ use criterion::{criterion_group, Criterion};
 use fluxcomp_afe::power::{PowerModel, Schedule};
 use fluxcomp_bench::banner;
 use fluxcomp_compass::energy::{battery_life_days, Battery, UsageProfile};
-use fluxcomp_compass::{Compass, CompassConfig};
 use fluxcomp_sog::power_grid::{isolation_report, SupplySpine};
 use fluxcomp_units::si::Ampere;
 use std::hint::black_box;
@@ -39,8 +38,7 @@ fn print_experiment() {
         p5.momentary_power(&sim).value() / p5.momentary_power(&mux).value()
     );
 
-    let compass = Compass::new(CompassConfig::paper_design()).expect("valid");
-    let fix_duty = compass.sequencer().analog_duty_per_fix(8_000.0);
+    let fix_duty = UsageProfile::continuous().measurement_duty();
     eprintln!("\n  average power (one fix per second, measurement duty {fix_duty:.4}):");
     eprintln!(
         "    always measuring:      {:.3} mW",

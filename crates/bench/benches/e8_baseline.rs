@@ -17,7 +17,7 @@ use fluxcomp_afe::second_harmonic::{
 };
 use fluxcomp_bench::banner;
 use fluxcomp_compass::baseline::SecondHarmonicCompass;
-use fluxcomp_compass::{Compass, CompassConfig};
+use fluxcomp_compass::{CompassConfig, CompassDesign};
 use fluxcomp_units::angle::Degrees;
 use fluxcomp_units::si::Hertz;
 use std::hint::black_box;
@@ -37,7 +37,7 @@ fn print_experiment() {
     );
 
     let headings = [15.0, 75.0, 160.0, 250.0, 340.0];
-    let mut pp = Compass::new(CompassConfig::paper_design()).expect("valid");
+    let pp = CompassDesign::new(CompassConfig::paper_design()).expect("valid");
     let pp_worst = worst_over(&headings, |t| pp.measure_heading(t).heading);
     eprintln!("  pulse-position (no ADC):        worst err {pp_worst:.2}°");
 
@@ -81,7 +81,7 @@ fn bench(c: &mut Criterion) {
         b.iter(|| black_box(sh.measure_heading(black_box(Degrees::new(123.0)))))
     });
 
-    let mut pp = Compass::new(CompassConfig::paper_design()).expect("valid");
+    let pp = CompassDesign::new(CompassConfig::paper_design()).expect("valid");
     group.bench_function("pulse_position_fix", |b| {
         b.iter(|| black_box(pp.measure_heading(black_box(Degrees::new(123.0))).heading))
     });

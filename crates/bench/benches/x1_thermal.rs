@@ -14,7 +14,7 @@
 use criterion::{criterion_group, Criterion};
 use fluxcomp_bench::{banner, microtesla_to_h};
 use fluxcomp_compass::evaluate::sweep_headings;
-use fluxcomp_compass::{Compass, CompassConfig, CompassDesign};
+use fluxcomp_compass::{CompassConfig, CompassDesign};
 use fluxcomp_exec::ExecPolicy;
 use fluxcomp_fluxgate::jiles_atherton::{JaParams, JilesAthertonCore};
 use fluxcomp_fluxgate::thermal::{
@@ -104,7 +104,7 @@ fn bench(c: &mut Criterion) {
     let derated = sensor_at_temperature(&cfg.pair.element, &coeffs, 60.0);
     cfg.pair.element = derated;
     cfg.frontend.sensor = derated;
-    let mut compass = Compass::new(cfg.clone()).expect("valid");
+    let compass = CompassDesign::new(cfg.clone()).expect("valid");
     group.bench_function("hot_compass_fix", |b| {
         b.iter(|| {
             black_box(

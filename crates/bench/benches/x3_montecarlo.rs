@@ -10,7 +10,7 @@
 
 use criterion::{criterion_group, Criterion};
 use fluxcomp_bench::banner;
-use fluxcomp_compass::{Compass, CompassConfig};
+use fluxcomp_compass::{CompassConfig, CompassDesign};
 use fluxcomp_exec::ExecPolicy;
 use fluxcomp_msim::montecarlo::{run_monte_carlo, Tolerance};
 use fluxcomp_units::angle::Degrees;
@@ -33,7 +33,7 @@ fn unit_worst_error(factors: &[f64]) -> f64 {
     cfg.frontend.detector.offset = Volt::new((factors[2] - 1.0) * 0.05); // ±mV-scale offsets
     cfg.pair.gain_mismatch = factors[3];
     cfg.pair.misalignment = Degrees::new((factors[4] - 1.0) * 20.0); // ±deg-scale
-    let mut compass = match Compass::new(cfg) {
+    let compass = match CompassDesign::new(cfg) {
         Ok(c) => c,
         Err(_) => return f64::INFINITY,
     };

@@ -37,9 +37,14 @@ impl SecondHarmonicCompass {
     /// # Errors
     ///
     /// Any [`BuildError`] from [`CompassConfig::validate`], the same one
-    /// [`crate::CompassDesign::new`] returns for the configuration.
+    /// [`crate::CompassDesign::new`] returns for the configuration, or
+    /// [`BuildError::BadAdcBits`] when `adc_bits` is outside the SAR
+    /// converter's 2..=24.
     pub fn new(config: CompassConfig, adc_bits: u32) -> Result<Self, BuildError> {
         config.validate()?;
+        if !(2..=24).contains(&adc_bits) {
+            return Err(BuildError::BadAdcBits { got: adc_bits });
+        }
         let frontend =
             FrontEnd::new(config.channel()).map_err(|reason| BuildError::BadFrontEnd { reason })?;
         let demod = SecondHarmonicDemodulator::new(config.frontend.excitation.frequency());
@@ -170,6 +175,19 @@ mod tests {
         let extra = b.extra_hardware_transistors();
         assert!(extra > 500, "extra hardware {extra}");
         assert!(baseline(12).extra_hardware_transistors() > extra);
+    }
+
+    #[test]
+    fn adc_width_outside_the_converter_is_an_error() {
+        for bits in [1, 25] {
+            assert_eq!(
+                SecondHarmonicCompass::new(CompassConfig::paper_design(), bits).unwrap_err(),
+                BuildError::BadAdcBits { got: bits },
+                "{bits} bits"
+            );
+        }
+        assert!(SecondHarmonicCompass::new(CompassConfig::paper_design(), 2).is_ok());
+        assert!(SecondHarmonicCompass::new(CompassConfig::paper_design(), 24).is_ok());
     }
 
     #[test]

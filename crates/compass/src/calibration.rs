@@ -10,7 +10,7 @@
 //! This module implements that procedure on top of the full pipeline and
 //! is exercised by the calibration ablation in the E4 bench.
 
-use crate::system::Compass;
+use crate::system::CompassDesign;
 use fluxcomp_units::angle::Degrees;
 
 /// A hard-iron offset in counter LSBs.
@@ -39,7 +39,7 @@ impl Calibration {
     ///
     /// Panics if `n < 4` (the min/max centre estimate needs all four
     /// cardinal regions).
-    pub fn rotate(compass: &mut Compass, n: usize) -> Self {
+    pub fn rotate(compass: &CompassDesign, n: usize) -> Self {
         assert!(n >= 4, "rotation calibration needs at least 4 points");
         let mut samples = Vec::with_capacity(n);
         for k in 0..n {
@@ -76,7 +76,7 @@ impl Calibration {
 
     /// A corrected heading measurement: one fix, offset-compensated,
     /// recomputed through the same CORDIC.
-    pub fn corrected_heading(&self, compass: &mut Compass, truth: Degrees) -> Degrees {
+    pub fn corrected_heading(&self, compass: &CompassDesign, truth: Degrees) -> Degrees {
         let r = compass.measure_heading(truth);
         let (cx, cy) = self.apply(-r.x.count, -r.y.count);
         fluxcomp_rtl::cordic::CordicArctan::new(compass.config().cordic_iterations)
@@ -93,19 +93,19 @@ mod tests {
     use fluxcomp_fluxgate::earth::MagneticDisturbance;
     use fluxcomp_units::Tesla;
 
-    fn disturbed_compass(offset_ut: f64) -> Compass {
+    fn disturbed_compass(offset_ut: f64) -> CompassDesign {
         let mut cfg = CompassConfig::paper_design();
         cfg.pair.disturbance = MagneticDisturbance::hard(
             Tesla::from_microtesla(offset_ut),
             Tesla::from_microtesla(-offset_ut / 2.0),
         );
-        Compass::new(cfg).unwrap()
+        CompassDesign::new(cfg).unwrap()
     }
 
     #[test]
     fn clean_compass_calibrates_to_zero_offset() {
-        let mut c = Compass::new(CompassConfig::paper_design()).unwrap();
-        let cal = Calibration::rotate(&mut c, 8);
+        let c = CompassDesign::new(CompassConfig::paper_design()).unwrap();
+        let cal = Calibration::rotate(&c, 8);
         assert!(cal.offset.x.abs() < 3.0, "x offset {}", cal.offset.x);
         assert!(cal.offset.y.abs() < 3.0, "y offset {}", cal.offset.y);
         assert_eq!(cal.samples.len(), 8);
@@ -113,8 +113,8 @@ mod tests {
 
     #[test]
     fn hard_iron_shows_up_as_circle_center() {
-        let mut c = disturbed_compass(4.0);
-        let cal = Calibration::rotate(&mut c, 16);
+        let c = disturbed_compass(4.0);
+        let cal = Calibration::rotate(&c, 16);
         // 4 µT on a 15 µT field ≈ 27 % of the radius — clearly nonzero.
         assert!(cal.offset.x > 10.0, "x offset {}", cal.offset.x);
         assert!(cal.offset.y < -5.0, "y offset {}", cal.offset.y);
@@ -122,14 +122,14 @@ mod tests {
 
     #[test]
     fn calibration_recovers_accuracy_under_hard_iron() {
-        let mut c = disturbed_compass(4.0);
-        let cal = Calibration::rotate(&mut c, 16);
+        let c = disturbed_compass(4.0);
+        let cal = Calibration::rotate(&c, 16);
         let mut worst_raw = 0.0f64;
         let mut worst_cal = 0.0f64;
         for deg in [20.0, 110.0, 200.0, 290.0] {
             let truth = Degrees::new(deg);
             let raw = c.measure_heading(truth).heading;
-            let corrected = cal.corrected_heading(&mut c, truth);
+            let corrected = cal.corrected_heading(&c, truth);
             worst_raw = worst_raw.max(raw.angular_distance(truth).value());
             worst_cal = worst_cal.max(corrected.angular_distance(truth).value());
         }
@@ -156,7 +156,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least 4")]
     fn too_few_points_rejected() {
-        let mut c = Compass::new(CompassConfig::paper_design()).unwrap();
-        let _ = Calibration::rotate(&mut c, 3);
+        let c = CompassDesign::new(CompassConfig::paper_design()).unwrap();
+        let _ = Calibration::rotate(&c, 3);
     }
 }

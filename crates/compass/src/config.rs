@@ -62,7 +62,7 @@ impl CompassConfig {
     /// on, returning the first problem as a [`BuildError`].
     ///
     /// Every constructor ([`crate::CompassDesign::new`],
-    /// [`crate::Compass::new`], [`crate::GateLevelCompass::new`] and
+    /// [`crate::GateLevelCompass::new`] and
     /// [`crate::SecondHarmonicCompass::new`]) routes through this, so an
     /// invalid configuration — including ones that used to panic deep
     /// inside the sensor or front-end constructors — is reported as the
@@ -95,7 +95,8 @@ impl Default for CompassConfig {
     }
 }
 
-/// Errors constructing a [`crate::Compass`].
+/// Errors constructing a [`crate::CompassDesign`],
+/// [`crate::GateLevelCompass`] or [`crate::SecondHarmonicCompass`].
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum BuildError {
@@ -125,6 +126,12 @@ pub enum BuildError {
         /// What the pair constructor would have panicked with.
         reason: &'static str,
     },
+    /// The second-harmonic baseline's ADC width is outside the SAR
+    /// converter's 2..=24 bits.
+    BadAdcBits {
+        /// The rejected width.
+        got: u32,
+    },
 }
 
 impl fmt::Display for BuildError {
@@ -139,6 +146,7 @@ impl fmt::Display for BuildError {
             ),
             BuildError::BadFrontEnd { reason } => write!(f, "front-end config invalid: {reason}"),
             BuildError::BadSensorPair { reason } => write!(f, "sensor pair invalid: {reason}"),
+            BuildError::BadAdcBits { got } => write!(f, "ADC bits must be in 2..=24, got {got}"),
         }
     }
 }
@@ -191,6 +199,8 @@ mod tests {
             reason: "gain mismatch must be positive and finite",
         };
         assert!(e.to_string().contains("gain mismatch"));
+        let e = BuildError::BadAdcBits { got: 25 };
+        assert!(e.to_string().contains("25"));
     }
 
     #[test]

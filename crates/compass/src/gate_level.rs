@@ -6,7 +6,7 @@
 //! the detector stream clocks the real up/down-counter netlist edge by
 //! edge, and the two integers go through the unrolled Fig. 8 kernel
 //! netlist plus a software quadrant fold. A test asserts the result is
-//! **bit-identical** to [`crate::Compass`] — the digital section's
+//! **bit-identical** to [`CompassDesign`] — the digital section's
 //! implementation is the specification.
 
 use crate::config::{BuildError, CompassConfig};
@@ -43,7 +43,7 @@ pub struct GateLevelReading {
 
 impl GateLevelCompass {
     /// Builds the gate-level system from the same configuration as the
-    /// behavioural [`Compass`](crate::Compass).
+    /// behavioural [`CompassDesign`].
     ///
     /// # Errors
     ///
@@ -120,11 +120,10 @@ impl GateLevelCompass {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::system::Compass;
 
     #[test]
     fn gate_level_fix_is_bit_identical_to_behavioral() {
-        let mut behavioral = Compass::new(CompassConfig::paper_design()).expect("valid");
+        let behavioral = CompassDesign::new(CompassConfig::paper_design()).expect("valid");
         let gate_level = GateLevelCompass::new(CompassConfig::paper_design()).expect("valid");
         for deg in [0.0, 33.0, 123.0, 200.0, 300.0, 359.0] {
             let truth = Degrees::new(deg);

@@ -5,11 +5,13 @@
 //!
 //! fluxgate sensor pair → triangular excitation + V-I converter →
 //! pulse-position detector → 4.194304 MHz up/down counter → Fig. 8
-//! CORDIC → LCD, under the multiplexing/power-gating sequencer, mapped
-//! onto the Sea-of-Gates array and MCM.
+//! CORDIC → LCD, with the two sensors multiplexed onto one excitation
+//! channel and the measurement chain duty-cycled, mapped onto the
+//! Sea-of-Gates array and MCM.
 //!
 //! * [`config`] — system configuration ([`CompassConfig::paper_design`]);
-//! * [`system`] — [`Compass`], the end-to-end mixed-signal pipeline;
+//! * [`system`] — [`CompassDesign`], the end-to-end mixed-signal
+//!   pipeline;
 //! * [`evaluate`] — heading sweeps and accuracy statistics (the 1°
 //!   claim);
 //! * [`calibration`] — rotation calibration against hard-iron
@@ -35,11 +37,11 @@
 //! ## Quickstart
 //!
 //! ```
-//! use fluxcomp_compass::{Compass, CompassConfig};
+//! use fluxcomp_compass::{CompassConfig, CompassDesign};
 //! use fluxcomp_units::Degrees;
 //!
 //! # fn main() -> Result<(), fluxcomp_compass::BuildError> {
-//! let mut compass = Compass::new(CompassConfig::paper_design())?;
+//! let compass = CompassDesign::new(CompassConfig::paper_design())?;
 //! let reading = compass.measure_heading(Degrees::new(123.0));
 //! assert!(reading.heading.angular_distance(Degrees::new(123.0)).value() <= 1.0);
 //! assert_eq!(reading.cordic_cycles, 8); // the paper's 8-cycle arctan
@@ -74,7 +76,5 @@ pub use gate_level::{GateLevelCompass, GateLevelReading};
 pub use mission::{square_route, walk_route, Leg, MissionResult, Position};
 pub use production::{production_test, ProductionResult, RejectReason};
 pub use selftest::{run_self_test, SelfTestReport};
-pub use system::{
-    AxisMeasurement, Compass, CompassDesign, FixField, FixInput, MeasureScratch, Reading,
-};
+pub use system::{AxisMeasurement, CompassDesign, FixField, FixInput, MeasureScratch, Reading};
 pub use tilt::{tilt_compensated_heading, two_axis_heading, worst_tilt_error, Attitude};

@@ -7,7 +7,7 @@
 //! error — a 1° systematic error displaces you by ~1.7 % of the distance
 //! walked, which is why the paper's accuracy target is what it is.
 
-use crate::system::Compass;
+use crate::system::CompassDesign;
 use fluxcomp_units::angle::Degrees;
 
 /// One leg of a planned route.
@@ -92,7 +92,7 @@ impl MissionResult {
 /// by the compass's heading error on that leg (the standard
 /// dead-reckoning model: you turn until the needle reads the planned
 /// value, so your true heading carries the negated instrument error).
-pub fn walk_route(compass: &mut Compass, route: &[Leg]) -> MissionResult {
+pub fn walk_route(compass: &CompassDesign, route: &[Leg]) -> MissionResult {
     let mut intended = Position::default();
     let mut reached = Position::default();
     let mut total = 0.0;
@@ -135,8 +135,8 @@ mod tests {
 
     #[test]
     fn square_route_nearly_closes_with_paper_compass() {
-        let mut compass = Compass::new(CompassConfig::paper_design()).expect("valid");
-        let result = walk_route(&mut compass, &square_route(1_000.0));
+        let compass = CompassDesign::new(CompassConfig::paper_design()).expect("valid");
+        let result = walk_route(&compass, &square_route(1_000.0));
         // 4 km walked; sub-degree headings → closing error well under
         // 2 % of distance (1° ≈ 1.75 %, and errors partly cancel).
         assert!(result.intended.distance_to(&Position::default()) < 1e-9);
@@ -155,11 +155,11 @@ mod tests {
         let mut cfg = CompassConfig::paper_design();
         cfg.pair.disturbance =
             MagneticDisturbance::hard(Tesla::from_microtesla(4.0), Tesla::from_microtesla(-2.0));
-        let mut bad = Compass::new(cfg).expect("valid");
-        let mut good = Compass::new(CompassConfig::paper_design()).expect("valid");
+        let bad = CompassDesign::new(cfg).expect("valid");
+        let good = CompassDesign::new(CompassConfig::paper_design()).expect("valid");
         let route = square_route(1_000.0);
-        let bad_err = walk_route(&mut bad, &route).position_error();
-        let good_err = walk_route(&mut good, &route).position_error();
+        let bad_err = walk_route(&bad, &route).position_error();
+        let good_err = walk_route(&good, &route).position_error();
         assert!(
             bad_err > 10.0 * good_err.max(1.0),
             "hard iron {bad_err} m vs clean {good_err} m"
@@ -168,17 +168,17 @@ mod tests {
 
     #[test]
     fn zero_length_route() {
-        let mut compass = Compass::new(CompassConfig::paper_design()).expect("valid");
-        let result = walk_route(&mut compass, &[]);
+        let compass = CompassDesign::new(CompassConfig::paper_design()).expect("valid");
+        let result = walk_route(&compass, &[]);
         assert_eq!(result.position_error(), 0.0);
         assert_eq!(result.relative_error(), 0.0);
     }
 
     #[test]
     fn single_leg_error_matches_heading_error() {
-        let mut compass = Compass::new(CompassConfig::paper_design()).expect("valid");
+        let compass = CompassDesign::new(CompassConfig::paper_design()).expect("valid");
         let leg = Leg::new(Degrees::new(123.0), 1_000.0);
-        let result = walk_route(&mut compass, &[leg]);
+        let result = walk_route(&compass, &[leg]);
         // Position error ≈ distance × heading error in radians.
         let heading_err = result.indicated_headings[0]
             .angular_distance(Degrees::new(123.0))

@@ -1,32 +1,31 @@
 //! The integrated compass system — the paper's contribution (Fig. 1).
 //!
-//! [`Compass`] wires the whole signal chain together and runs one compass
-//! fix exactly the way the silicon would:
+//! [`CompassDesign`] wires the whole signal chain together and runs one
+//! compass fix the way the silicon would:
 //!
-//! 1. the **sequencer** multiplexes the X sensor onto the single
-//!    excitation channel; the analogue front-end runs for the configured
-//!    number of 8 kHz periods;
+//! 1. the X sensor is multiplexed onto the single excitation channel;
+//!    the analogue front-end runs for the configured number of 8 kHz
+//!    periods;
 //! 2. the **pulse-position detector**'s digital output is sampled at the
 //!    4.194304 MHz counter clock and integrated by the **up/down
 //!    counter** into the integer `x`;
 //! 3. the same happens for the Y sensor (`y`);
-//! 4. the **CORDIC** computes `atan` of the pair in 8 cycles and the
-//!    heading is latched to the display driver.
+//! 4. the **CORDIC** computes `atan` of the pair in 8 cycles.
 //!
 //! Every stage is the actual substrate model — transient sensor physics,
 //! behavioural analogue blocks, cycle-level digital — so the end-to-end
 //! accuracy measured here *is* the reproduction of the paper's
 //! "accuracy of one degree" claim.
 //!
-//! The measurement core lives in [`CompassDesign`]: the immutable
-//! configuration-plus-derived-blocks bundle whose
-//! [`measure_heading`](CompassDesign::measure_heading) is a pure
+//! A design is the immutable configuration-plus-derived-blocks bundle,
+//! and [`measure_heading`](CompassDesign::measure_heading) is a pure
 //! function of the design and the true heading. That purity is what the
 //! parallel sweep engine (`fluxcomp-exec`) exploits — many worker
 //! threads can share one `&CompassDesign` and the results are
-//! bit-identical to a serial loop. [`Compass`] wraps a design together
-//! with the *stateful* silicon (sequencer walk, LCD latch) for the
-//! watch-level examples and the power schedule.
+//! bit-identical to a serial loop. A caller that shows a fix owns a
+//! [`DisplayDriver`](fluxcomp_rtl::lcd::DisplayDriver) and latches the
+//! heading itself; the power gating of the paper's control logic is the
+//! duty-cycled schedule of [`crate::energy`].
 
 use crate::config::{BuildError, CompassConfig};
 use fluxcomp_afe::detector::PulsePositionDetector;
@@ -34,8 +33,6 @@ use fluxcomp_afe::frontend::FrontEnd;
 use fluxcomp_fluxgate::pair::{Axis, SensorPair};
 use fluxcomp_rtl::cordic::CordicArctan;
 use fluxcomp_rtl::counter::{ClockSchedule, UpDownCounter};
-use fluxcomp_rtl::lcd::DisplayDriver;
-use fluxcomp_rtl::sequencer::{Sequencer, SequencerState};
 use fluxcomp_units::angle::Degrees;
 use fluxcomp_units::magnetics::AmperePerMeter;
 
@@ -344,8 +341,7 @@ impl CompassDesign {
             });
     }
 
-    /// CORDIC + polarity fold shared by every fix entry point, so the
-    /// design and watch-level paths cannot drift apart.
+    /// CORDIC + polarity fold shared by every fix entry point.
     fn fold_heading(&self, x: AxisMeasurement, y: AxisMeasurement) -> Reading {
         let _cordic_stage = fluxcomp_obs::span("compass.stage.cordic");
         let (heading, cycles) = match self.cordic.heading(-x.count, -y.count) {
@@ -397,115 +393,14 @@ fn fault_axis_index(axis: Axis) -> u32 {
     }
 }
 
-/// The integrated compass: an immutable [`CompassDesign`] plus the
-/// stateful silicon around it — the multiplexing/power-gating sequencer
-/// and the LCD driver.
-#[derive(Debug, Clone)]
-pub struct Compass {
-    design: CompassDesign,
-    sequencer: Sequencer,
-    display: DisplayDriver,
-}
-
-impl Compass {
-    /// Builds the system.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`CompassDesign::new`].
-    pub fn new(config: CompassConfig) -> Result<Self, BuildError> {
-        Ok(Self::from_design(CompassDesign::new(config)?))
-    }
-
-    /// Wraps an already-validated design with fresh sequencer/display
-    /// state.
-    fn from_design(design: CompassDesign) -> Self {
-        let periods = design.config().frontend.measure_periods as u32;
-        Self {
-            sequencer: Sequencer::new(periods, 8),
-            display: DisplayDriver::new(),
-            design,
-        }
-    }
-
-    /// The immutable measurement core — share this with the parallel
-    /// sweep engine.
-    pub fn design(&self) -> &CompassDesign {
-        &self.design
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &CompassConfig {
-        self.design.config()
-    }
-
-    /// The display driver (latched with the last heading after each fix).
-    pub fn display(&self) -> &DisplayDriver {
-        &self.display
-    }
-
-    /// Mutable display access (mode switching in the watch example).
-    pub fn display_mut(&mut self) -> &mut DisplayDriver {
-        &mut self.display
-    }
-
-    /// The sequencer (for power-schedule inspection).
-    pub fn sequencer(&self) -> &Sequencer {
-        &self.sequencer
-    }
-
-    /// The peak excitation field of the front-end — the `H_peak` of the
-    /// duty-cycle equation.
-    pub fn peak_excitation_field(&self) -> AmperePerMeter {
-        self.design.peak_excitation_field()
-    }
-
-    /// Runs one full multiplexed fix with the platform at `true_heading`
-    /// and latches the result onto the display.
-    pub fn measure_heading(&mut self, true_heading: Degrees) -> Reading {
-        let (hx, hy) = self.design.axial_fields(true_heading);
-        let seed = self.design.config.frontend.noise_seed;
-        let mut scratch = MeasureScratch::for_design(&self.design);
-        self.sequencer.start_fix();
-        let x = self
-            .design
-            .measure_axis(Axis::X, hx, seed, None, &mut scratch);
-        for _ in 0..self.sequencer.periods_per_axis() {
-            self.sequencer.advance();
-        }
-        let y = self
-            .design
-            .measure_axis(Axis::Y, hy, seed, None, &mut scratch);
-        for _ in 0..self.sequencer.periods_per_axis() {
-            self.sequencer.advance();
-        }
-        debug_assert_eq!(self.sequencer.state(), SequencerState::Compute);
-
-        let reading = self.design.fold_heading(x, y);
-        let _display_stage = fluxcomp_obs::span("compass.stage.display");
-        for _ in 0..8 {
-            self.sequencer.advance();
-        }
-        self.display.latch_heading(reading.heading);
-        reading
-    }
-
-    /// The floating-point reference heading for the current field and a
-    /// true heading — the oracle the digital pipeline is compared
-    /// against.
-    pub fn reference_heading(&self, true_heading: Degrees) -> Degrees {
-        self.design.reference_heading(true_heading)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::CompassConfig;
     use fluxcomp_rtl::counter::sample_at_clock;
 
-    fn compass() -> Compass {
-        Compass::new(CompassConfig::paper_design()).expect("valid config")
+    fn compass() -> CompassDesign {
+        CompassDesign::new(CompassConfig::paper_design()).expect("valid config")
     }
 
     /// The per-edge reference fix: each axis's traced front-end run, its
@@ -532,7 +427,7 @@ mod tests {
 
     #[test]
     fn cardinal_headings_within_one_degree() {
-        let mut c = compass();
+        let c = compass();
         for deg in [0.0, 90.0, 180.0, 270.0] {
             let r = c.measure_heading(Degrees::new(deg));
             let err = r.heading.angular_distance(Degrees::new(deg)).value();
@@ -543,29 +438,11 @@ mod tests {
 
     #[test]
     fn oblique_headings_within_one_degree() {
-        let mut c = compass();
+        let c = compass();
         for deg in [33.0, 123.0, 201.5, 287.25, 359.0] {
             let r = c.measure_heading(Degrees::new(deg));
             let err = r.heading.angular_distance(Degrees::new(deg)).value();
             assert!(err <= 1.0, "heading {deg}: got {}, err {err}", r.heading);
-        }
-    }
-
-    #[test]
-    fn design_and_wrapper_agree_bitwise() {
-        let design = CompassDesign::new(CompassConfig::paper_design()).unwrap();
-        let mut c = Compass::from_design(design.clone());
-        for deg in [0.0, 45.0, 123.0, 359.0] {
-            let truth = Degrees::new(deg);
-            let from_design = design.measure_heading(truth);
-            let from_compass = c.measure_heading(truth);
-            assert_eq!(
-                from_design.heading.value().to_bits(),
-                from_compass.heading.value().to_bits(),
-                "at {deg}"
-            );
-            assert_eq!(from_design.x.count, from_compass.x.count);
-            assert_eq!(from_design.y.count, from_compass.y.count);
         }
     }
 
@@ -778,7 +655,7 @@ mod tests {
 
     #[test]
     fn counts_have_expected_magnitude_and_sign() {
-        let mut c = compass();
+        let c = compass();
         // North: full field on X, none on Y.
         let r = c.measure_heading(Degrees::new(0.0));
         assert!(-r.x.count > 0, "x count should be positive: {}", r.x.count);
@@ -794,24 +671,12 @@ mod tests {
     }
 
     #[test]
-    fn display_latches_fix() {
-        let mut c = compass();
-        c.measure_heading(Degrees::new(90.0));
-        let frame = c.display().frame();
-        // "090 E" on the LCD.
-        use fluxcomp_rtl::lcd::SegmentPattern;
-        assert_eq!(frame.digits[0], SegmentPattern::digit(0));
-        assert_eq!(frame.digits[1], SegmentPattern::digit(9));
-        assert_eq!(frame.digits[2], SegmentPattern::digit(0));
-    }
-
-    #[test]
     fn zero_field_reads_zero_heading_without_panic() {
         let mut cfg = CompassConfig::paper_design();
         cfg.field = fluxcomp_fluxgate::earth::EarthField::horizontal(
             fluxcomp_units::Tesla::from_microtesla(0.0),
         );
-        let mut c = Compass::new(cfg).unwrap();
+        let c = CompassDesign::new(cfg).unwrap();
         let r = c.measure_heading(Degrees::new(45.0));
         assert_eq!(r.heading, Degrees::ZERO);
     }
@@ -830,13 +695,13 @@ mod tests {
         let mut cfg = CompassConfig::paper_design();
         cfg.cordic_iterations = 0;
         assert_eq!(
-            Compass::new(cfg).unwrap_err(),
+            CompassDesign::new(cfg).unwrap_err(),
             BuildError::BadCordicIterations { got: 0 }
         );
         let mut cfg = CompassConfig::paper_design();
         cfg.frontend.samples_per_period = 16; // 128 kHz ≪ 4.19 MHz
         assert!(matches!(
-            Compass::new(cfg).unwrap_err(),
+            CompassDesign::new(cfg).unwrap_err(),
             BuildError::SamplingTooCoarse { .. }
         ));
         // Field combos that used to panic inside the block constructors
@@ -844,7 +709,7 @@ mod tests {
         let mut cfg = CompassConfig::paper_design();
         cfg.pair.element.magnetic_length = 0.0;
         assert!(matches!(
-            Compass::new(cfg).unwrap_err(),
+            CompassDesign::new(cfg).unwrap_err(),
             BuildError::BadFrontEnd { .. }
         ));
         for rms in [-1e-3, f64::NAN, f64::INFINITY] {
@@ -865,7 +730,7 @@ mod tests {
             BuildError::BadSensorPair { .. }
         ));
         // Every constructor validates through `CompassConfig::validate`,
-        // so all four reject a bad configuration with the same typed
+        // so all three reject a bad configuration with the same typed
         // error instead of panicking in a block constructor.
         use crate::baseline::SecondHarmonicCompass;
         use crate::gate_level::GateLevelCompass;
@@ -919,7 +784,6 @@ mod tests {
             spoil(&mut cfg);
             let errors = [
                 CompassDesign::new(cfg.clone()).unwrap_err(),
-                Compass::new(cfg.clone()).unwrap_err(),
                 GateLevelCompass::new(cfg.clone()).unwrap_err(),
                 SecondHarmonicCompass::new(cfg, 10).unwrap_err(),
             ];
@@ -927,14 +791,5 @@ mod tests {
                 assert_eq!(err, &expected, "{what}: constructor {constructor}");
             }
         }
-    }
-
-    #[test]
-    fn sequencer_walks_through_fix() {
-        let mut c = compass();
-        c.measure_heading(Degrees::new(10.0));
-        assert_eq!(c.sequencer().state(), SequencerState::Display);
-        c.measure_heading(Degrees::new(20.0));
-        assert_eq!(c.sequencer().state(), SequencerState::Display);
     }
 }

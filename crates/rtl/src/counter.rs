@@ -19,7 +19,7 @@
 //!
 //! Like its gate-level netlist (`synth::updown_counter`), the counter has
 //! no count-enable: it counts on every edge it is clocked with, and the
-//! sequencer powers it only while an axis is measured.
+//! control logic powers it only while an axis is measured.
 
 use fluxcomp_units::si::Hertz;
 

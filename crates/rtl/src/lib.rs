@@ -10,8 +10,6 @@
 //!   detector's duty cycle;
 //! * [`atan_rom`] / [`cordic`] — the Fig. 8 greedy vectoring CORDIC that
 //!   computes the heading "with an accuracy of one degree" in 8 cycles;
-//! * [`sequencer`] — the control FSM (sensor multiplexing + power
-//!   enables);
 //! * [`watch`] / [`watch_extras`] / [`lcd`] — the "common watch
 //!   options" (time, alarm, stopwatch, calendar) and the display driver
 //!   selecting direction or time;
@@ -60,7 +58,6 @@ pub mod gates;
 pub mod lcd;
 pub mod netsim;
 pub mod scan;
-pub mod sequencer;
 pub mod synth;
 pub mod timing;
 pub mod watch;
@@ -76,7 +73,6 @@ pub use gates::{GateKind, NetId, Netlist, NetlistStats};
 pub use lcd::{DisplayDriver, DisplayFrame, DisplayMode};
 pub use netsim::GateSim;
 pub use scan::{insert_scan, ScanChain};
-pub use sequencer::{Sequencer, SequencerState};
 pub use timing::{analyze as timing_analyze, DelayModel, TimingReport};
 pub use watch::{TimeOfDay, Watch};
 pub use watch_extras::{Alarm, CalendarDate, Stopwatch};

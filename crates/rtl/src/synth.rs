@@ -180,7 +180,7 @@ pub fn full_compass_inventory() -> Vec<BlockInventory> {
     let mut inv = Vec::new();
 
     // Two 16-bit up/down counters (X and Y result registers share the
-    // counter in the paper via the sequencer, but a result latch of the
+    // counter in the paper via the control logic, but a result latch of the
     // same width is still needed — model as two counter-equivalents).
     let (counter, _, _) = updown_counter(16);
     let c = counter.stats().transistors;

@@ -10,134 +10,25 @@
 //! * in vacuum/air, `B = µ₀·H`, so `1 Oe ↔ 0.1 mT = 100 µT` exactly
 //!   (the CGS gauss).
 
+use crate::si::quantity;
 use std::fmt;
 use std::iter::Sum;
-use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
+use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssign};
 
 /// Vacuum permeability `µ₀` in H/m (SI 2019 exact-ish value).
 pub const MU_0: f64 = 1.256_637_061_27e-6;
 
-macro_rules! mag_quantity {
-    ($(#[$meta:meta])* $name:ident, $unit:literal) => {
-        $(#[$meta])*
-        #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
-        pub struct $name(f64);
-
-        impl $name {
-            /// The zero quantity.
-            pub const ZERO: Self = Self(0.0);
-
-            /// Wraps a raw value in the quantity's unit.
-            #[inline]
-            pub const fn new(value: f64) -> Self {
-                Self(value)
-            }
-
-            /// Raw value in the quantity's unit.
-            #[inline]
-            pub const fn value(self) -> f64 {
-                self.0
-            }
-
-            /// Absolute value.
-            #[inline]
-            pub fn abs(self) -> Self {
-                Self(self.0.abs())
-            }
-
-            /// Larger of the two values.
-            #[inline]
-            pub fn max(self, other: Self) -> Self {
-                Self(self.0.max(other.0))
-            }
-
-            /// Smaller of the two values.
-            #[inline]
-            pub fn min(self, other: Self) -> Self {
-                Self(self.0.min(other.0))
-            }
-
-            /// Sign of the value: `-1.0`, `0.0` or `1.0`.
-            #[inline]
-            pub fn signum(self) -> f64 {
-                if self.0 == 0.0 { 0.0 } else { self.0.signum() }
-            }
-
-            /// `true` when finite.
-            #[inline]
-            pub fn is_finite(self) -> bool {
-                self.0.is_finite()
-            }
-        }
-
-        impl fmt::Display for $name {
-            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-                write!(f, "{} {}", self.0, $unit)
-            }
-        }
-
-        impl Add for $name {
-            type Output = Self;
-            #[inline]
-            fn add(self, rhs: Self) -> Self { Self(self.0 + rhs.0) }
-        }
-        impl AddAssign for $name {
-            #[inline]
-            fn add_assign(&mut self, rhs: Self) { self.0 += rhs.0; }
-        }
-        impl Sub for $name {
-            type Output = Self;
-            #[inline]
-            fn sub(self, rhs: Self) -> Self { Self(self.0 - rhs.0) }
-        }
-        impl SubAssign for $name {
-            #[inline]
-            fn sub_assign(&mut self, rhs: Self) { self.0 -= rhs.0; }
-        }
-        impl Neg for $name {
-            type Output = Self;
-            #[inline]
-            fn neg(self) -> Self { Self(-self.0) }
-        }
-        impl Mul<f64> for $name {
-            type Output = Self;
-            #[inline]
-            fn mul(self, rhs: f64) -> Self { Self(self.0 * rhs) }
-        }
-        impl Mul<$name> for f64 {
-            type Output = $name;
-            #[inline]
-            fn mul(self, rhs: $name) -> $name { $name(self * rhs.0) }
-        }
-        impl Div<f64> for $name {
-            type Output = Self;
-            #[inline]
-            fn div(self, rhs: f64) -> Self { Self(self.0 / rhs) }
-        }
-        impl Div for $name {
-            type Output = f64;
-            #[inline]
-            fn div(self, rhs: Self) -> f64 { self.0 / rhs.0 }
-        }
-        impl Sum for $name {
-            fn sum<I: Iterator<Item = Self>>(iter: I) -> Self {
-                Self(iter.map(|q| q.0).sum())
-            }
-        }
-    };
-}
-
-mag_quantity!(
+quantity!(
     /// Magnetic flux density `B` in tesla.
     Tesla,
     "T"
 );
-mag_quantity!(
+quantity!(
     /// Magnetic field strength `H` in ampere per metre.
     AmperePerMeter,
     "A/m"
 );
-mag_quantity!(
+quantity!(
     /// Magnetic field strength in the CGS oersted, the unit the fluxgate
     /// literature (e.g. \[Kaw95\]'s `H_K = 1 Oe`) uses.
     Oersted,

@@ -14,7 +14,8 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssign};
 
-/// Generates an `f64` newtype quantity with standard arithmetic.
+/// Generates an `f64` newtype quantity with standard arithmetic — the SI
+/// quantities here and the magnetic ones of [`crate::magnetics`].
 macro_rules! quantity {
     ($(#[$meta:meta])* $name:ident, $unit:literal) => {
         $(#[$meta])*
@@ -22,7 +23,7 @@ macro_rules! quantity {
         pub struct $name(f64);
 
         impl $name {
-            /// Wraps a raw value expressed in the quantity's SI unit.
+            /// Wraps a raw value expressed in the quantity's unit.
             #[inline]
             pub const fn new(value: f64) -> Self {
                 Self(value)
@@ -31,7 +32,7 @@ macro_rules! quantity {
             /// The zero quantity.
             pub const ZERO: Self = Self(0.0);
 
-            /// Returns the raw value in the quantity's SI unit.
+            /// Returns the raw value in the quantity's unit.
             #[inline]
             pub const fn value(self) -> f64 {
                 self.0
@@ -183,6 +184,8 @@ macro_rules! quantity {
         }
     };
 }
+
+pub(crate) use quantity;
 
 quantity!(
     /// Electric potential in volts.

@@ -8,15 +8,16 @@
 //! ```
 
 use fluxcomp::afe::power::{PowerModel, Schedule};
-use fluxcomp::compass::{Compass, CompassConfig};
-use fluxcomp::rtl::lcd::DisplayMode;
+use fluxcomp::compass::{CompassConfig, CompassDesign, UsageProfile};
+use fluxcomp::rtl::lcd::{DisplayDriver, DisplayMode};
 use fluxcomp::rtl::watch::{TimeOfDay, Watch};
 use fluxcomp::rtl::watch_extras::{Alarm, CalendarDate, Stopwatch};
 use fluxcomp::units::Degrees;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let _obs = fluxcomp::obs::init_from_env();
-    let mut compass = Compass::new(CompassConfig::paper_design())?;
+    let compass = CompassDesign::new(CompassConfig::paper_design())?;
+    let mut display = DisplayDriver::new();
     let mut watch = Watch::new();
     watch.set_time(TimeOfDay::new(9, 41, 57));
     let mut date = CalendarDate::new(1997, 3, 17); // ED&TC week
@@ -34,8 +35,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         heading = (heading + 14.0) % 360.0;
         let reading = compass.measure_heading(Degrees::new(heading));
 
-        compass.display_mut().latch_time(watch.time());
-        compass.display_mut().set_mode(if second % 2 == 0 {
+        display.latch_heading(reading.heading);
+        display.latch_time(watch.time());
+        display.set_mode(if second % 2 == 0 {
             DisplayMode::Time
         } else {
             DisplayMode::Direction
@@ -55,17 +57,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             reading.heading.value(),
             stopwatch.elapsed_seconds()
         );
-        print!("{}", compass.display().frame().to_ascii());
+        print!("{}", display.frame().to_ascii());
         println!();
     }
 
     date.advance_day();
     println!("(next day on the calendar: {date})\n");
 
-    // The power story (paper §2/§4): the sequencer's duty-cycled
+    // The power story (paper §2/§4): the control logic's duty-cycled
     // schedule vs always-on.
     let pm = PowerModel::at_5v();
-    let fix_duty = compass.sequencer().analog_duty_per_fix(8_000.0); // one fix per second at 8 kHz
+    let fix_duty = UsageProfile::continuous().measurement_duty(); // one fix per second
     let always = pm.average_power(&Schedule::paper_multiplexed());
     let pulsed = pm.average_power(&Schedule::duty_cycled(fix_duty));
     println!(

@@ -7,7 +7,7 @@
 //! ```
 
 use fluxcomp::compass::mission::{square_route, walk_route, Leg};
-use fluxcomp::compass::{Compass, CompassConfig};
+use fluxcomp::compass::{CompassConfig, CompassDesign};
 use fluxcomp::fluxgate::earth::MagneticDisturbance;
 use fluxcomp::units::{Degrees, Tesla};
 
@@ -15,8 +15,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let _obs = fluxcomp::obs::init_from_env();
     println!("dead reckoning: 4 km square route (1 km per side)\n");
 
-    let mut compass = Compass::new(CompassConfig::paper_design())?;
-    let result = walk_route(&mut compass, &square_route(1_000.0));
+    let compass = CompassDesign::new(CompassConfig::paper_design())?;
+    let result = walk_route(&compass, &square_route(1_000.0));
     println!("clean compass:");
     println!(
         "  closing error: {:.1} m ({:.3} % of distance)",
@@ -27,8 +27,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut cfg = CompassConfig::paper_design();
     cfg.pair.disturbance =
         MagneticDisturbance::hard(Tesla::from_microtesla(4.0), Tesla::from_microtesla(-2.0));
-    let mut disturbed = Compass::new(cfg)?;
-    let result = walk_route(&mut disturbed, &square_route(1_000.0));
+    let disturbed = CompassDesign::new(cfg)?;
+    let result = walk_route(&disturbed, &square_route(1_000.0));
     println!("\nwith 4 µT of hard iron on the platform (no calibration):");
     println!(
         "  closing error: {:.1} m ({:.2} % of distance)",
@@ -62,8 +62,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     .into_iter()
     .map(|(h, d)| Leg::new(Degrees::new(h), d))
     .collect();
-    let mut compass = Compass::new(CompassConfig::paper_design())?;
-    let result = walk_route(&mut compass, &route);
+    let compass = CompassDesign::new(CompassConfig::paper_design())?;
+    let result = walk_route(&compass, &route);
     println!(
         "  intended endpoint: ({:+.0} m N, {:+.0} m E)",
         result.intended.north, result.intended.east

@@ -4,7 +4,8 @@
 //! cargo run --example quickstart
 //! ```
 
-use fluxcomp::compass::{Compass, CompassConfig};
+use fluxcomp::compass::{CompassConfig, CompassDesign};
+use fluxcomp::rtl::lcd::DisplayDriver;
 use fluxcomp::units::Degrees;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -12,7 +13,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The paper's design point: 12 mA p-p @ 8 kHz excitation, adapted
     // fluxgate sensors, pulse-position detector, 4.194304 MHz counter,
     // 8-iteration CORDIC.
-    let mut compass = Compass::new(CompassConfig::paper_design())?;
+    let compass = CompassDesign::new(CompassConfig::paper_design())?;
+    let mut display = DisplayDriver::new();
 
     println!("fluxcomp — the 1997 integrated fluxgate compass, in software\n");
     println!(
@@ -32,6 +34,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for deg in [0.0, 45.0, 123.0, 200.0, 300.0, 359.0] {
         let truth = Degrees::new(deg);
         let reading = compass.measure_heading(truth);
+        display.latch_heading(reading.heading);
         let err = reading.heading.signed_error_from(truth);
         println!(
             "{:>11}° {:>11.2}° {:>7.2}° {:>8} {:>8}",
@@ -45,6 +48,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // The display driver shows the last fix like the watch LCD would.
     println!("\nLCD after the last fix:");
-    print!("{}", compass.display().frame().to_ascii());
+    print!("{}", display.frame().to_ascii());
     Ok(())
 }

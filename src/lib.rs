@@ -42,13 +42,12 @@
 //! use fluxcomp::prelude::*;
 //!
 //! # fn main() -> Result<(), fluxcomp::compass::BuildError> {
-//! let mut compass = Compass::new(CompassConfig::default())?;
-//! let reading = compass.measure_heading(Degrees::new(123.0));
+//! let design = CompassDesign::new(CompassConfig::default())?;
+//! let reading = design.measure_heading(Degrees::new(123.0));
 //! assert!(reading.heading.angular_distance(Degrees::new(123.0)).value() <= 1.0);
 //!
 //! // Sweeps take an ExecPolicy: serial and parallel are the same
 //! // computation, bit for bit.
-//! let design = CompassDesign::new(CompassConfig::default())?;
 //! let stats = fluxcomp::compass::sweep_headings(&design, 12, &ExecPolicy::serial());
 //! assert!(stats.meets_one_degree_spec());
 //! # Ok(())
@@ -79,7 +78,7 @@ pub use fluxcomp_units as units;
 /// assert!(reading.heading.angular_distance(Degrees::new(45.0)).value() <= 1.0);
 /// ```
 pub mod prelude {
-    pub use fluxcomp_compass::{Compass, CompassConfig, CompassDesign};
+    pub use fluxcomp_compass::{CompassConfig, CompassDesign};
     pub use fluxcomp_exec::ExecPolicy;
     pub use fluxcomp_obs::Recorder;
     pub use fluxcomp_units::angle::Degrees;

@@ -2,11 +2,10 @@
 //! exercised across crate boundaries.
 
 use fluxcomp::compass::evaluate::sweep_headings;
-use fluxcomp::compass::CompassDesign;
-use fluxcomp::compass::{Compass, CompassConfig, SecondHarmonicCompass};
+use fluxcomp::compass::{CompassConfig, CompassDesign, SecondHarmonicCompass};
 use fluxcomp::exec::ExecPolicy;
 use fluxcomp::fluxgate::earth::{EarthField, Location};
-use fluxcomp::rtl::lcd::{DisplayMode, SegmentPattern};
+use fluxcomp::rtl::lcd::{DisplayDriver, DisplayMode, SegmentPattern};
 use fluxcomp::units::{Degrees, Tesla};
 
 /// The paper's headline claim, end to end: sensor physics → analogue
@@ -44,7 +43,7 @@ fn magnitude_insensitivity_25_to_65_microtesla() {
 /// `count = f_clk · T_window · H/H_peak` within quantisation.
 #[test]
 fn counter_transfer_function_matches_theory() {
-    let mut compass = Compass::new(CompassConfig::paper_design()).expect("valid");
+    let compass = CompassDesign::new(CompassConfig::paper_design()).expect("valid");
     let reading = compass.measure_heading(Degrees::new(0.0));
     let h = compass.config().field.horizontal_magnitude().value() / fluxcomp::units::MU_0;
     let h_peak = compass.peak_excitation_field().value();
@@ -61,7 +60,7 @@ fn counter_transfer_function_matches_theory() {
 /// single shared channel, and swapping the platform by 90° swaps them.
 #[test]
 fn ninety_degree_rotation_swaps_axes() {
-    let mut compass = Compass::new(CompassConfig::paper_design()).expect("valid");
+    let compass = CompassDesign::new(CompassConfig::paper_design()).expect("valid");
     let r0 = compass.measure_heading(Degrees::new(0.0));
     let r90 = compass.measure_heading(Degrees::new(90.0));
     assert_eq!(r0.x.count, r90.y.count, "X at north == Y at east");
@@ -73,7 +72,7 @@ fn ninety_degree_rotation_swaps_axes() {
 /// resolution — they measure the same physics.
 #[test]
 fn baselines_agree_on_the_field_direction() {
-    let mut pp = Compass::new(CompassConfig::paper_design()).expect("valid");
+    let pp = CompassDesign::new(CompassConfig::paper_design()).expect("valid");
     let sh = SecondHarmonicCompass::new(CompassConfig::paper_design(), 12).expect("valid");
     for deg in [40.0, 130.0, 220.0, 310.0] {
         let t = Degrees::new(deg);
@@ -90,20 +89,19 @@ fn baselines_agree_on_the_field_direction() {
 /// and renders the heading the pipeline produced.
 #[test]
 fn display_integration() {
-    let mut compass = Compass::new(CompassConfig::paper_design()).expect("valid");
-    compass.measure_heading(Degrees::new(270.0));
-    let frame = compass.display().frame();
+    let compass = CompassDesign::new(CompassConfig::paper_design()).expect("valid");
+    let mut display = DisplayDriver::new();
+    display.latch_heading(compass.measure_heading(Degrees::new(270.0)).heading);
+    let frame = display.frame();
     assert_eq!(frame.digits[0], SegmentPattern::digit(2));
     assert_eq!(frame.digits[1], SegmentPattern::digit(7));
     assert_eq!(frame.digits[2], SegmentPattern::digit(0));
     // 270° shows W (rendered as U).
     assert_eq!(frame.digits[4], SegmentPattern::letter('W').unwrap());
 
-    compass
-        .display_mut()
-        .latch_time(fluxcomp::rtl::watch::TimeOfDay::new(12, 0, 0));
-    compass.display_mut().set_mode(DisplayMode::Time);
-    assert!(compass.display().frame().colons);
+    display.latch_time(fluxcomp::rtl::watch::TimeOfDay::new(12, 0, 0));
+    display.set_mode(DisplayMode::Time);
+    assert!(display.frame().colons);
 }
 
 /// Steep-inclination stress: near the pole only ~5.7 µT horizontal
@@ -124,8 +122,8 @@ fn south_pole_degrades_gracefully() {
 /// Determinism: the whole mixed-signal pipeline is bit-reproducible.
 #[test]
 fn pipeline_is_deterministic() {
-    let mut a = Compass::new(CompassConfig::paper_design()).expect("valid");
-    let mut b = Compass::new(CompassConfig::paper_design()).expect("valid");
+    let a = CompassDesign::new(CompassConfig::paper_design()).expect("valid");
+    let b = CompassDesign::new(CompassConfig::paper_design()).expect("valid");
     for deg in [11.0, 97.0, 203.0] {
         let ra = a.measure_heading(Degrees::new(deg));
         let rb = b.measure_heading(Degrees::new(deg));

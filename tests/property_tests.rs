@@ -121,7 +121,7 @@ proptest! {
 /// Slow whole-pipeline property: keep case counts small — every case
 /// runs two transient front-end simulations.
 mod pipeline_props {
-    use fluxcomp::compass::{Compass, CompassConfig};
+    use fluxcomp::compass::{CompassConfig, CompassDesign};
     use fluxcomp::fluxgate::earth::EarthField;
     use fluxcomp::units::{Degrees, Tesla};
     use proptest::prelude::*;
@@ -138,7 +138,7 @@ mod pipeline_props {
         ) {
             let mut cfg = CompassConfig::paper_design();
             cfg.field = EarthField::horizontal(Tesla::from_microtesla(ut));
-            let mut compass = Compass::new(cfg).expect("valid config");
+            let compass = CompassDesign::new(cfg).expect("valid config");
             let truth = Degrees::new(heading);
             let got = compass.measure_heading(truth).heading;
             let err = got.angular_distance(truth).value();
