@@ -50,6 +50,7 @@ impl Comparator {
 
     /// Evaluates the comparator on a new input sample, returning the new
     /// output.
+    #[inline]
     pub fn step(&mut self, input: Volt) -> bool {
         self.state = self.verdict(input).unwrap_or(self.state);
         self.state

@@ -114,6 +114,10 @@ impl PulsePositionDetector {
     ///   releasing) **sets** the output;
     /// * trailing edge of a **negative** pulse (the `negative` comparator
     ///   releasing) **clears** it.
+    ///
+    /// `#[inline]`: the front-end kernel steps it once per analogue
+    /// sample.
+    #[inline]
     pub fn step(&mut self, pickup: Volt) -> bool {
         let pos = self.positive.step(pickup);
         let neg = self.negative.step(-pickup);

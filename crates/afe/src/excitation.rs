@@ -19,6 +19,7 @@ use crate::vi_converter::ViConverter;
 use fluxcomp_fluxgate::transducer::Fluxgate;
 use fluxcomp_units::magnetics::AmperePerMeter;
 use fluxcomp_units::si::Ampere;
+use std::sync::Arc;
 
 /// The heading-invariant drive state at one analogue grid sample.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -41,7 +42,8 @@ pub struct DriveSample {
 /// sampled on the front-end's analogue grid.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExcitationTable {
-    samples: Vec<DriveSample>,
+    /// Shared by every clone: the table never changes once built.
+    samples: Arc<[DriveSample]>,
     any_clips: bool,
 }
 
@@ -58,31 +60,27 @@ impl ExcitationTable {
         let period = 1.0 / excitation.frequency().value();
         let dt = period / samples as f64;
         let load = sensor.params().r_excitation;
-        let mut any_clips = false;
-        let mut table = Vec::with_capacity(samples);
-        for k in 0..samples {
-            let t = k as f64 * dt;
-            let demanded = excitation.value(t);
-            let i = vi.drive(demanded, load);
-            let clips = vi.clips(demanded, load);
-            any_clips |= clips;
-            let di_dt = if i == demanded {
-                excitation.slope(t)
-            } else {
-                0.0
-            };
-            table.push(DriveSample {
-                i,
-                di_dt,
-                h_drive: sensor.h_from_current(i),
-                dh_dt: sensor.dh_dt_from_current(di_dt),
-                clips,
-            });
-        }
-        Self {
-            samples: table,
-            any_clips,
-        }
+        let samples: Arc<[DriveSample]> = (0..samples)
+            .map(|k| {
+                let t = k as f64 * dt;
+                let demanded = excitation.value(t);
+                let i = vi.drive(demanded, load);
+                let di_dt = if i == demanded {
+                    excitation.slope(t)
+                } else {
+                    0.0
+                };
+                DriveSample {
+                    i,
+                    di_dt,
+                    h_drive: sensor.h_from_current(i),
+                    dh_dt: sensor.dh_dt_from_current(di_dt),
+                    clips: vi.clips(demanded, load),
+                }
+            })
+            .collect();
+        let any_clips = samples.iter().any(|d| d.clips);
+        Self { samples, any_clips }
     }
 
     /// The drive samples of one period, in grid order.

@@ -24,13 +24,25 @@
 //! evaluates the clean pickup EMF once per table sample, as one row
 //! that serves every period. On a noise-free channel it stops stepping
 //! once the detector state repeats from one excitation period to the
-//! next and replays the repeating period instead. On a noisy channel it
+//! next and replays the repeating period instead, and it evaluates the
+//! row only inside each pulse's window: outside it the EMF is provably
+//! too small to move either comparator, so zero stands in for it (see
+//! `windowed_row` for the proof). On a noisy channel it
 //! draws every noise sample in stream order but evaluates the Gaussian
 //! value only when the draw could move a comparator across a trip
 //! point; otherwise it steps the detector with the clean value, which
 //! leaves the same state (see [`FrontEnd::measure_into`]). The same
 //! bits as the traced run, less work; this module's tests pin the two
 //! against each other.
+//!
+//! A function this module or the compass calls once per analogue
+//! sample from another crate is `#[inline]` (`CoreModel::mu_diff`,
+//! `UpDownCounter::clock_n`, `ClockSchedule::edges_at`): the workspace
+//! builds without LTO, and the benchmark is a workspace of its own, so
+//! no profile setting reaches across crates and the attribute is the
+//! only way the call can be inlined. [`PulsePositionDetector::step`]
+//! and the comparator step it makes are `#[inline]` as well, because
+//! the kernel runs measurably slower when either is left out of line.
 //!
 //! The closed-form expectation, derived in the [`detector`](crate::detector)
 //! docs, is `duty = 1/2 − H_ext/(2·H_peak)`; the simulation reproduces it
@@ -41,6 +53,7 @@ use crate::detector::{DetectorConfig, PulsePositionDetector};
 use crate::excitation::ExcitationTable;
 use crate::oscillator::TriangleWave;
 use crate::vi_converter::ViConverter;
+use fluxcomp_fluxgate::core_model::Sweep;
 use fluxcomp_fluxgate::noise::GaussianNoise;
 use fluxcomp_fluxgate::transducer::{Fluxgate, FluxgateParams};
 use fluxcomp_msim::time::SimTime;
@@ -230,6 +243,62 @@ pub struct FrontEnd {
     config: FrontEndConfig,
     sensor: Fluxgate,
     table: ExcitationTable,
+    /// The table halves a noise-free clean row may be windowed over;
+    /// `None` when the table or the detector rules windows out.
+    windowing: Option<Windowing>,
+}
+
+/// What [`FrontEnd::windowed_row`] needs to know about a channel, found
+/// once when it is built.
+#[derive(Debug, Clone)]
+struct Windowing {
+    /// The two halves of the excitation table (the rising and the
+    /// falling sweep): each one run of samples with a single `dh_dt`,
+    /// along which `h_drive` strictly rises if `dh_dt > 0` and strictly
+    /// falls otherwise.
+    halves: [Range<usize>; 2],
+    /// A sample whose clean EMF is smaller in magnitude than this is
+    /// quiet: it, and every sample of its half farther from the pulse,
+    /// steps the detector exactly as [`Volt::ZERO`] does.
+    quiet: f64,
+}
+
+impl Windowing {
+    /// The windowing of `table` under `detector`, or `None` if the table
+    /// clips, does not split into two such halves, or zero does not step
+    /// the detector alike with every EMF up to its release point in
+    /// magnitude.
+    fn new(table: &ExcitationTable, detector: &DetectorConfig) -> Option<Self> {
+        let samples = table.samples();
+        let turn = samples.iter().position(|d| d.dh_dt != samples[0].dh_dt)?;
+        let halves = [0..turn, turn..samples.len()];
+        let strict_half = |half: &Range<usize>| {
+            let run = &samples[half.clone()];
+            let dh_dt = run[0].dh_dt;
+            run.iter().all(|d| d.dh_dt == dh_dt)
+                && run.windows(2).all(|w| {
+                    if dh_dt > 0.0 {
+                        w[0].h_drive < w[1].h_drive
+                    } else {
+                        w[0].h_drive > w[1].h_drive
+                    }
+                })
+        };
+        if table.any_clips() || !halves.iter().all(strict_half) {
+            return None;
+        }
+        // The positive comparator releases below `release` and the
+        // negative one above `−release`; check the band with the
+        // comparators' own arithmetic, a relative 1e-9 inside.
+        let release = trip_points(detector)[0];
+        let band = Volt::new(release * (1.0 - 1e-9));
+        let probe = PulsePositionDetector::new(*detector);
+        let alike = probe.steps_alike(band, Volt::ZERO) && probe.steps_alike(-band, Volt::ZERO);
+        (release > 0.0 && alike).then_some(Self {
+            halves,
+            quiet: release * (1.0 - 1e-6),
+        })
+    }
 }
 
 /// Output toggles one scanned period may record for folding; a period
@@ -313,10 +382,12 @@ impl FrontEnd {
             &sensor,
             config.samples_per_period,
         );
+        let windowing = Windowing::new(&table, &config.detector);
         Ok(Self {
             config,
             sensor,
             table,
+            windowing,
         })
     }
 
@@ -445,7 +516,10 @@ impl FrontEnd {
     /// the period's recorded output toggles are replayed instead of
     /// stepping the sensor and detector — same `on_sample` stream, same
     /// tallies, bit for bit. A noisy channel, a period with more than 16
-    /// toggles, or a state that never repeats keeps the plain scan.
+    /// toggles, or a state that never repeats keeps the plain scan. The
+    /// noise-free row holds the clean EMF only inside the two pulse
+    /// windows and zero elsewhere, which steps the detector alike; the
+    /// `afe.emf_evals` counter reports the EMF evaluations made.
     ///
     /// A noisy channel steps every sample, but most of its noise is not
     /// evaluated. Each sample draws its uniforms in stream order, as the
@@ -471,7 +545,9 @@ impl FrontEnd {
     /// The kernel run over the clean row of `h_ext` under `faults`,
     /// which must change no drive field: no dropout and no H_K ramp.
     ///
-    /// The noise-free row is folded when `fold` allows it. Otherwise each
+    /// The noise-free row is folded when `fold` allows it, and then, if
+    /// nothing struck, evaluated only inside its pulse windows (see
+    /// [`windowed_row`](Self::windowed_row)). Otherwise each
     /// sample draws its nominal noise and evaluates it only when the
     /// draw could move a comparator across a trip point (see
     /// [`skip_bound`]); inside a burst window both streams are always
@@ -486,7 +562,11 @@ impl FrontEnd {
         on_sample: impl FnMut(usize, bool),
     ) -> MeasureResult {
         let cfg = &self.config;
-        let row = self.clean_row(h_ext, faults.pickup_gain);
+        let windowed = fold && cfg.pickup_noise_rms == 0.0 && faults.is_none();
+        let row = windowed
+            .then(|| self.windowed_row(h_ext))
+            .flatten()
+            .unwrap_or_else(|| self.clean_row(h_ext, faults.pickup_gain));
         let stuck = faults.stuck_output;
         if cfg.pickup_noise_rms == 0.0 && faults.burst.is_none() {
             return self.measure_folded::<FOLD_TOGGLES>(
@@ -537,16 +617,98 @@ impl FrontEnd {
     /// external field `h_ext`, scaled by `gain` unless it is 1 (an open
     /// pickup). The drive repeats every period and the sensor is
     /// stateless, so this one row holds the clean EMF of every period.
+    ///
+    /// Built once per measurement and kept out of line, as is
+    /// [`windowed_row`](Self::windowed_row): left for the compiler to
+    /// inline into the kernel's caller, the two cost `sweep_clean` ~6 %
+    /// in paired runs.
+    #[inline(never)]
     fn clean_row(&self, h_ext: AmperePerMeter, gain: f64) -> Vec<Volt> {
         let mut row = Vec::with_capacity(self.table.len());
-        for drive in self.table.samples() {
-            let mut v_pickup = self.sensor.pickup_emf(drive.h_drive + h_ext, drive.dh_dt);
+        for j in 0..self.table.len() {
+            let mut v_pickup = self.clean_emf(h_ext, j);
             if gain != 1.0 {
                 v_pickup = Volt::new(v_pickup.value() * gain);
             }
             row.push(v_pickup);
         }
+        fluxcomp_obs::counter_add("afe.emf_evals", row.len() as u64);
         row
+    }
+
+    /// The noise-free pickup EMF of excitation-table sample `j` in
+    /// external field `h_ext`.
+    #[inline(always)]
+    fn clean_emf(&self, h_ext: AmperePerMeter, j: usize) -> Volt {
+        let drive = &self.table.samples()[j];
+        self.sensor.pickup_emf(drive.h_drive + h_ext, drive.dh_dt)
+    }
+
+    /// The clean row of `h_ext` with the EMF evaluated only inside the
+    /// two pulse windows and [`Volt::ZERO`] elsewhere, or `None` where
+    /// windows do not apply; the detector steps through it exactly as
+    /// through [`clean_row`](Self::clean_row).
+    ///
+    /// On each half of the table `dh_dt` is one constant and `h_drive`
+    /// is strictly monotone (checked when the channel is built), so the
+    /// EMF is a `sech²` bell of one sign, peaking where `h_drive + h_ext`
+    /// crosses the core's [`peak_field`](fluxcomp_fluxgate::CoreModel::peak_field).
+    /// Bisection finds that peak sample, then on each side of it the
+    /// nearest *quiet* sample, whose EMF magnitude is below the release
+    /// point less a relative 1e-6. Each window runs from one quiet
+    /// sample to the other, both excluded.
+    ///
+    /// Why a sample outside the windows may step with zero: exact `µ` is
+    /// monotone in `|h − peak_field|`, and the float `h_drive + h_ext` is
+    /// monotone along the half, so every sample farther from the peak
+    /// than a quiet one has an exact EMF no larger. The float EMF is
+    /// within ~1e-14 of the exact one, which the 1e-6 margin covers: its
+    /// magnitude is below the release point less 1e-9, and
+    /// [`Windowing::new`] checked that every value that close to zero
+    /// steps both comparators as zero does. This holds at whatever index
+    /// the bisection returns, even where rounding makes the float EMF
+    /// non-monotone, because the certificate is the quiet sample itself.
+    /// A half whose peak has no quiet sample on one side (a field near
+    /// ±H_peak) keeps the full row.
+    #[inline(never)]
+    fn windowed_row(&self, h_ext: AmperePerMeter) -> Option<Vec<Volt>> {
+        let windowing = self.windowing.as_ref()?;
+        let samples = self.table.samples();
+        let core = &self.config.sensor.core;
+        let mut evals = 0u64;
+        let mut quiet = |j: usize| {
+            evals += 1;
+            self.clean_emf(h_ext, j).value().abs() < windowing.quiet
+        };
+        let mut windows = [0..0, 0..0];
+        for (window, half) in windows.iter_mut().zip(&windowing.halves) {
+            let dh_dt = samples[half.start].dh_dt;
+            let peak_field = core.peak_field(Sweep::from_dh_dt(dh_dt));
+            let before_peak = |j: usize| {
+                let h = samples[j].h_drive + h_ext;
+                if dh_dt > 0.0 {
+                    h < peak_field
+                } else {
+                    h > peak_field
+                }
+            };
+            let start = half.start;
+            let peak = start + partition_point(half.len(), |i| before_peak(start + i));
+            let from = start + partition_point(peak - start, |i| quiet(start + i));
+            let until = peak + partition_point(half.end - peak, |i| !quiet(peak + i));
+            if from == half.start || until == half.end {
+                fluxcomp_obs::counter_add("afe.emf_evals", evals);
+                return None;
+            }
+            *window = from..until;
+        }
+        let mut row = vec![Volt::ZERO; samples.len()];
+        for j in windows.into_iter().flatten() {
+            row[j] = self.clean_emf(h_ext, j);
+            evals += 1;
+        }
+        fluxcomp_obs::counter_add("afe.emf_evals", evals);
+        Some(row)
     }
 
     /// For each clean row value, the least first uniform of a `noise`
@@ -766,6 +928,7 @@ impl FrontEnd {
             no_tap,
         );
         count_noise(&noise, total, total as u64);
+        fluxcomp_obs::counter_add("afe.emf_evals", total as u64);
         result
     }
 }
@@ -844,7 +1007,7 @@ fn window(total: usize, from: f64, until: f64) -> Range<usize> {
 
 /// The first `k` in `0..total` at which `before(k)` fails, for a
 /// `before` that holds on a prefix of the range.
-fn partition_point(total: usize, before: impl Fn(usize) -> bool) -> usize {
+fn partition_point(total: usize, mut before: impl FnMut(usize) -> bool) -> usize {
     let (mut lo, mut hi) = (0, total);
     while lo < hi {
         let mid = lo + (hi - lo) / 2;
@@ -1160,17 +1323,102 @@ mod tests {
     fn counted(
         measure: impl FnOnce(&mut dyn FnMut(usize, bool)) -> MeasureResult,
     ) -> (MeasureResult, Vec<bool>, u64) {
+        counted_by("msim.analog_steps", measure)
+    }
+
+    /// [`counted`], reporting the obs counter `name` instead.
+    fn counted_by(
+        name: &str,
+        measure: impl FnOnce(&mut dyn FnMut(usize, bool)) -> MeasureResult,
+    ) -> (MeasureResult, Vec<bool>, u64) {
         let session = fluxcomp_obs::init_scoped_for_test();
         let mut seen = Vec::new();
         let result = measure(&mut |index, out| {
             assert_eq!(index, seen.len(), "on_sample out of order");
             seen.push(out);
         });
-        let steps = session
-            .profile()
-            .and_then(|p| p.counter("msim.analog_steps"))
-            .unwrap_or(0);
-        (result, seen, steps)
+        let count = session.profile().and_then(|p| p.counter(name)).unwrap_or(0);
+        (result, seen, count)
+    }
+
+    /// The windows' contract: for every noise-free configuration, 720
+    /// headings in the paper's 15 µT field and fields out to ±1.2·H_peak,
+    /// the windowed clean row gives the same `MeasureResult` and
+    /// `on_sample` stream as the full row, bit for bit. Windows apply at
+    /// every heading except on the clipping drive, and fall back to the
+    /// full row near ±H_peak.
+    #[test]
+    fn windowed_row_matches_the_full_row_bitwise() {
+        std::thread::scope(|s| {
+            for (name, mut cfg) in noise_free_configs() {
+                s.spawn(move || {
+                    cfg.measure_periods = 8;
+                    let fe = FrontEnd::new(cfg).expect("valid config");
+                    let h_peak = fe.peak_excitation_field();
+                    let mut detector = PulsePositionDetector::new(fe.config().detector);
+                    let headings = (0..720).map(|k| {
+                        let angle = (k as f64 * 0.5).to_radians();
+                        (h_from_microtesla(15.0 * angle.cos()), true)
+                    });
+                    let sweep = (-120..=120).map(|k| (h_peak * (f64::from(k) / 100.0), false));
+                    let mut fell_back = 0;
+                    for (k, (h, heading)) in headings.chain(sweep).enumerate() {
+                        let row = fe.clean_row(h, 1.0);
+                        let (full, full_seen, _) = counted(|on_sample| {
+                            let pickup = |_, j| row[j];
+                            fe.measure_folded::<FOLD_TOGGLES>(
+                                &mut detector,
+                                pickup,
+                                None,
+                                true,
+                                on_sample,
+                                no_tap,
+                            )
+                        });
+                        let (windowed, seen, evals) = counted_by("afe.emf_evals", |on_sample| {
+                            fe.measure_into(h, 7, &mut detector, on_sample)
+                        });
+                        let at = format!("{name} at field {k} ({} A/m)", h.value());
+                        assert_eq!(windowed.duty.to_bits(), full.duty.to_bits(), "{at}");
+                        assert_eq!(windowed, full, "{at}");
+                        assert_eq!(seen, full_seen, "{at}");
+                        let windowed_here = evals < 4096;
+                        if heading {
+                            assert_eq!(windowed_here, name != "clipping", "{at}: {evals} evals");
+                        }
+                        fell_back += u32::from(!windowed_here);
+                    }
+                    if name != "clipping" {
+                        assert!(fell_back > 0, "{name}: windows never fell back");
+                    }
+                });
+            }
+        });
+    }
+
+    /// A paper-design axis evaluates the clean EMF at fewer than half of
+    /// its 4096 table samples: only inside the two pulse windows and at
+    /// the bisection probes that find them.
+    #[test]
+    fn paper_design_evaluates_under_half_the_row() {
+        let mut cfg = FrontEndConfig::paper_design();
+        cfg.measure_periods = 8;
+        let fe = FrontEnd::new(cfg).expect("valid config");
+        let mut detector = PulsePositionDetector::new(fe.config().detector);
+        for ut in [-15.0, -7.5, 0.0, 10.0, 15.0] {
+            let (_, _, evals) = counted_by("afe.emf_evals", |on_sample| {
+                fe.measure_into(h_from_microtesla(ut), 1, &mut detector, on_sample)
+            });
+            assert!(
+                evals > 0 && evals < 2048,
+                "{ut} µT: {evals} EMF evaluations"
+            );
+        }
+        // The traced run evaluates the whole row.
+        let session = fluxcomp_obs::init_scoped_for_test();
+        fe.run(h_from_microtesla(15.0));
+        let profile = session.profile().expect("recording");
+        assert_eq!(profile.counter("afe.emf_evals"), Some(4096));
     }
 
     /// The fold's contract: for every noise-free configuration, several

@@ -11,6 +11,7 @@ use criterion::{criterion_group, Criterion};
 use fluxcomp_afe::power::{PowerModel, Schedule};
 use fluxcomp_bench::banner;
 use fluxcomp_compass::energy::{battery_life_days, Battery, UsageProfile};
+use fluxcomp_compass::CompassConfig;
 use fluxcomp_sog::power_grid::{isolation_report, SupplySpine};
 use fluxcomp_units::si::Ampere;
 use std::hint::black_box;
@@ -38,8 +39,9 @@ fn print_experiment() {
         p5.momentary_power(&sim).value() / p5.momentary_power(&mux).value()
     );
 
-    let fix_duty = UsageProfile::continuous().measurement_duty();
-    eprintln!("\n  average power (one fix per second, measurement duty {fix_duty:.4}):");
+    let config = CompassConfig::paper_design();
+    let fix_duty = UsageProfile::continuous().measurement_duty(&config);
+    eprintln!("\n  average power (one fix per second, measurement duty {fix_duty:.5}):");
     eprintln!(
         "    always measuring:      {:.3} mW",
         p5.average_power(&mux).value() * 1e3
@@ -79,11 +81,16 @@ fn print_experiment() {
     eprintln!("\n  battery life (CR2025, 1728 J):");
     eprintln!(
         "    hiker profile (1000 fixes/day, gated): {:.0} days",
-        battery_life_days(&p5, &UsageProfile::hiker(), &Battery::cr2025())
+        battery_life_days(&p5, &UsageProfile::hiker(), &config, &Battery::cr2025())
     );
     eprintln!(
         "    continuous (1 fix/s, gated):           {:.0} days",
-        battery_life_days(&p5, &UsageProfile::continuous(), &Battery::cr2025())
+        battery_life_days(
+            &p5,
+            &UsageProfile::continuous(),
+            &config,
+            &Battery::cr2025()
+        )
     );
     eprintln!(
         "    no gating at all:                      {:.1} days",

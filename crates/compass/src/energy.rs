@@ -6,6 +6,7 @@
 //! into the number a product manager would ask for — years of battery
 //! life — and quantifies what each lever buys.
 
+use crate::config::CompassConfig;
 use fluxcomp_afe::power::{PowerModel, Schedule};
 use fluxcomp_units::si::Seconds;
 
@@ -33,15 +34,11 @@ impl Battery {
     }
 }
 
-/// The watch's usage profile.
+/// The watch's usage profile: how often it takes a fix.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct UsageProfile {
     /// Compass fixes per day.
     pub fixes_per_day: f64,
-    /// Excitation periods per fix per axis.
-    pub periods_per_axis: u32,
-    /// Excitation frequency (Hz).
-    pub excitation_hz: f64,
 }
 
 impl UsageProfile {
@@ -50,8 +47,6 @@ impl UsageProfile {
     pub fn hiker() -> Self {
         Self {
             fixes_per_day: 1_000.0,
-            periods_per_axis: 8,
-            excitation_hz: 8_000.0,
         }
     }
 
@@ -59,23 +54,32 @@ impl UsageProfile {
     pub fn continuous() -> Self {
         Self {
             fixes_per_day: 86_400.0,
-            ..Self::hiker()
         }
     }
 
-    /// The fraction of each day the measurement chain is active.
-    pub fn measurement_duty(&self) -> f64 {
-        let fix_seconds = 2.0 * self.periods_per_axis as f64 / self.excitation_hz;
+    /// The fraction of each day the measurement chain of `config` is
+    /// active. A fix powers the analogue section for both axes, each
+    /// for its settle and measurement excitation periods: 2 × (1 + 8)
+    /// periods of 8 kHz, 2.25 ms, on the paper design.
+    pub fn measurement_duty(&self, config: &CompassConfig) -> f64 {
+        let fe = &config.frontend;
+        let periods = 2 * (fe.settle_periods + fe.measure_periods);
+        let fix_seconds = periods as f64 / fe.excitation.frequency().value();
         (self.fixes_per_day * fix_seconds / 86_400.0).min(1.0)
     }
 }
 
-/// Estimated battery life for a power model, schedule template and
-/// usage profile.
+/// Estimated battery life for a power model and a usage profile of the
+/// compass `config`.
 ///
 /// Returns the life in days.
-pub fn battery_life_days(power: &PowerModel, profile: &UsageProfile, battery: &Battery) -> f64 {
-    let schedule = Schedule::duty_cycled(profile.measurement_duty());
+pub fn battery_life_days(
+    power: &PowerModel,
+    profile: &UsageProfile,
+    config: &CompassConfig,
+    battery: &Battery,
+) -> f64 {
+    let schedule = Schedule::duty_cycled(profile.measurement_duty(config));
     let avg_watts = power.average_power(&schedule).value();
     let seconds = battery.energy_joules() / avg_watts;
     Seconds::new(seconds).value() / 86_400.0
@@ -94,10 +98,38 @@ mod tests {
 
     #[test]
     fn hiker_profile_duty_is_tiny() {
-        let duty = UsageProfile::hiker().measurement_duty();
-        // 1000 fixes × 2 ms / 86400 s ≈ 2.3e-5.
-        assert!((duty - 1_000.0 * 2e-3 / 86_400.0).abs() < 1e-9);
+        let duty = UsageProfile::hiker().measurement_duty(&CompassConfig::paper_design());
+        // 1000 fixes × 2.25 ms / 86400 s ≈ 2.6e-5.
+        assert!((duty - 1_000.0 * 2.25e-3 / 86_400.0).abs() < 1e-12);
         assert!(duty < 1e-4);
+    }
+
+    /// The on-time per fix is both axes' settle and measurement periods:
+    /// 2 × (1 + m) excitation periods for `m` measurement periods.
+    #[test]
+    fn duty_scales_with_measure_periods() {
+        let profile = UsageProfile::continuous();
+        for (measure, settle) in [(1, 1), (8, 1), (16, 1), (32, 1), (8, 0), (8, 3)] {
+            let mut config = CompassConfig::paper_design();
+            config.frontend.measure_periods = measure;
+            config.frontend.settle_periods = settle;
+            let periods = 2.0 * (settle + measure) as f64;
+            let expected = periods / 8_000.0;
+            let duty = profile.measurement_duty(&config);
+            assert!(
+                (duty - expected).abs() < 1e-15,
+                "{settle}+{measure}: {duty}"
+            );
+        }
+        let mut slow = CompassConfig::paper_design();
+        let paper_wave = slow.frontend.excitation;
+        slow.frontend.excitation = fluxcomp_afe::oscillator::TriangleWave::new(
+            fluxcomp_units::si::Hertz::new(4_000.0),
+            paper_wave.amplitude_pp(),
+            paper_wave.dc_offset(),
+        );
+        let paper = profile.measurement_duty(&CompassConfig::paper_design());
+        assert_eq!(profile.measurement_duty(&slow), 2.0 * paper);
     }
 
     #[test]
@@ -106,7 +138,8 @@ mod tests {
         // the life is set by the always-on watch/LCD floor (~80 µW at
         // 5 V), not by the compass — months on a small cell.
         let pm = PowerModel::at_5v();
-        let small = battery_life_days(&pm, &UsageProfile::hiker(), &Battery::cr2025());
+        let config = CompassConfig::paper_design();
+        let small = battery_life_days(&pm, &UsageProfile::hiker(), &config, &Battery::cr2025());
         assert!(small > 180.0, "hiker life {small} days on CR2025");
     }
 
@@ -114,8 +147,9 @@ mod tests {
     fn continuous_mode_sits_in_between() {
         let pm = PowerModel::at_5v();
         let battery = Battery::cr2025();
-        let hiker = battery_life_days(&pm, &UsageProfile::hiker(), &battery);
-        let continuous = battery_life_days(&pm, &UsageProfile::continuous(), &battery);
+        let config = CompassConfig::paper_design();
+        let hiker = battery_life_days(&pm, &UsageProfile::hiker(), &config, &battery);
+        let continuous = battery_life_days(&pm, &UsageProfile::continuous(), &config, &battery);
         // Without the enable gating the analogue section and counter are
         // always on: ~26 mW kills a 1728 J cell in under a day — the
         // quantitative version of §4's justification.
@@ -130,8 +164,9 @@ mod tests {
     fn low_voltage_supply_extends_life() {
         let battery = Battery::cr2025();
         let profile = UsageProfile::continuous();
-        let life_5v = battery_life_days(&PowerModel::at_5v(), &profile, &battery);
-        let life_35 = battery_life_days(&PowerModel::at_3v5(), &profile, &battery);
+        let config = CompassConfig::paper_design();
+        let life_5v = battery_life_days(&PowerModel::at_5v(), &profile, &config, &battery);
+        let life_35 = battery_life_days(&PowerModel::at_3v5(), &profile, &config, &battery);
         assert!(life_35 > life_5v, "{life_35} vs {life_5v}");
     }
 
@@ -139,6 +174,6 @@ mod tests {
     fn duty_clamps_at_continuous_measurement() {
         let mut p = UsageProfile::continuous();
         p.fixes_per_day = 1e9; // absurd
-        assert_eq!(p.measurement_duty(), 1.0);
+        assert_eq!(p.measurement_duty(&CompassConfig::paper_design()), 1.0);
     }
 }

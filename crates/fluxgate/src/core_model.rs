@@ -89,6 +89,7 @@ impl CoreModel {
     }
 
     /// The saturation flux density parameter.
+    #[inline]
     pub fn bsat(&self) -> Tesla {
         match *self {
             CoreModel::Anhysteretic { bsat, .. } | CoreModel::Hysteretic { bsat, .. } => bsat,
@@ -96,26 +97,31 @@ impl CoreModel {
     }
 
     /// The saturation field scale `H_K`.
+    #[inline]
     pub fn hk(&self) -> AmperePerMeter {
         match *self {
             CoreModel::Anhysteretic { hk, .. } | CoreModel::Hysteretic { hk, .. } => hk,
         }
     }
 
+    /// The core field at which [`mu_diff`](Self::mu_diff) peaks on the
+    /// `sweep` branch: zero for the anhysteretic curve, and `+h_c` on the
+    /// up-sweep (the magnetisation lags, so the curve is shifted to the
+    /// right by the coercive field) or `−h_c` on the down-sweep for the
+    /// hysteretic one. Both curves are the anhysteretic one evaluated at
+    /// `h − peak_field`.
+    #[inline]
+    pub fn peak_field(&self, sweep: Sweep) -> AmperePerMeter {
+        match (*self, sweep) {
+            (CoreModel::Anhysteretic { .. }, _) => AmperePerMeter::ZERO,
+            (CoreModel::Hysteretic { hc, .. }, Sweep::Up) => hc,
+            (CoreModel::Hysteretic { hc, .. }, Sweep::Down) => -hc,
+        }
+    }
+
     /// Flux density at core field `h`, for the given sweep direction.
     pub fn b(&self, h: AmperePerMeter, sweep: Sweep) -> Tesla {
-        match *self {
-            CoreModel::Anhysteretic { bsat, hk } => anhysteretic_b(h, bsat, hk),
-            CoreModel::Hysteretic { bsat, hk, hc } => {
-                let shift = match sweep {
-                    // On the up-sweep the magnetisation lags: the curve is
-                    // shifted to the right by the coercive field.
-                    Sweep::Up => -hc,
-                    Sweep::Down => hc,
-                };
-                anhysteretic_b(h + shift, bsat, hk)
-            }
-        }
+        anhysteretic_b(h - self.peak_field(sweep), self.bsat(), self.hk())
     }
 
     /// Differential permeability `dB/dH` (units H/m) at field `h`.
@@ -123,17 +129,13 @@ impl CoreModel {
     /// This is what the pickup coil "sees": the EMF is
     /// `-N·A·(dB/dH)·(dH/dt)`, so the sharp peak of `dB/dH` around the
     /// (shifted) zero crossing of `H` *is* the output pulse of Fig. 3.
+    /// It falls monotonically with `|h − peak_field|`.
+    ///
+    /// `#[inline]`: the front-end evaluates it once per analogue sample
+    /// from another crate.
+    #[inline]
     pub fn mu_diff(&self, h: AmperePerMeter, sweep: Sweep) -> f64 {
-        match *self {
-            CoreModel::Anhysteretic { bsat, hk } => anhysteretic_mu(h, bsat, hk),
-            CoreModel::Hysteretic { bsat, hk, hc } => {
-                let shift = match sweep {
-                    Sweep::Up => -hc,
-                    Sweep::Down => hc,
-                };
-                anhysteretic_mu(h + shift, bsat, hk)
-            }
-        }
+        anhysteretic_mu(h - self.peak_field(sweep), self.bsat(), self.hk())
     }
 
     /// The field at which `tanh` has effectively saturated (≈ 3·H_K,

@@ -22,6 +22,7 @@
 //! control logic powers it only while an axis is measured.
 
 use fluxcomp_units::si::Hertz;
+use std::sync::Arc;
 
 /// A synchronous up/down counter with saturating width limits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -84,6 +85,10 @@ impl UpDownCounter {
     /// This is what makes the zero-order-hold resampling free on the fast
     /// measurement path: the edges within one analogue sample all see the
     /// same detector output, so a [`ClockSchedule`] can batch them.
+    ///
+    /// `#[inline]`: the compass calls it once per analogue sample from
+    /// another crate.
+    #[inline]
     pub fn clock_n(&mut self, up: bool, edges: u32) {
         if edges == 0 {
             return;
@@ -148,7 +153,8 @@ pub fn sample_at_clock(detector: &[bool], window_seconds: f64, clock: Hertz) -> 
 /// [`sample_at_clock`]'s stream — including counter saturation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ClockSchedule {
-    edges_per_sample: Vec<u32>,
+    /// Shared by every clone: the schedule never changes once built.
+    edges_per_sample: Arc<[u32]>,
     total_edges: usize,
 }
 
@@ -160,18 +166,19 @@ impl ClockSchedule {
     pub fn new(n_samples: usize, window_seconds: f64, clock: Hertz) -> Self {
         if n_samples == 0 || window_seconds <= 0.0 {
             return Self {
-                edges_per_sample: Vec::new(),
+                edges_per_sample: Arc::new([]),
                 total_edges: 0,
             };
         }
         let edges = (window_seconds * clock.value()) as usize;
-        let mut edges_per_sample = vec![0u32; n_samples];
+        let mut edges_per_sample: Arc<[u32]> = std::iter::repeat_n(0, n_samples).collect();
+        let counts = Arc::get_mut(&mut edges_per_sample).expect("a new Arc is unique");
         // Mirror sample_at_clock's mapping expression exactly so the
         // fast path quantises like the traced path, bit for bit.
         for e in 0..edges {
             let t = e as f64 / clock.value();
             let idx = ((t / window_seconds) * n_samples as f64) as usize;
-            edges_per_sample[idx.min(n_samples - 1)] += 1;
+            counts[idx.min(n_samples - 1)] += 1;
         }
         Self {
             edges_per_sample,
@@ -180,6 +187,10 @@ impl ClockSchedule {
     }
 
     /// Master-clock edges landing on analogue sample `index`.
+    ///
+    /// `#[inline]`: the compass calls it once per analogue sample from
+    /// another crate.
+    #[inline]
     pub fn edges_at(&self, index: usize) -> u32 {
         self.edges_per_sample[index]
     }

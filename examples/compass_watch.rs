@@ -67,7 +67,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The power story (paper §2/§4): the control logic's duty-cycled
     // schedule vs always-on.
     let pm = PowerModel::at_5v();
-    let fix_duty = UsageProfile::continuous().measurement_duty(); // one fix per second
+    let fix_duty = UsageProfile::continuous().measurement_duty(compass.config()); // one fix per second
     let always = pm.average_power(&Schedule::paper_multiplexed());
     let pulsed = pm.average_power(&Schedule::duty_cycled(fix_duty));
     println!(

@@ -5,6 +5,7 @@
 use fluxcomp::afe::power::{PowerModel, Schedule};
 use fluxcomp::compass::chip::{build_chip, paper_chip};
 use fluxcomp::compass::energy::{battery_life_days, Battery, UsageProfile};
+use fluxcomp::compass::CompassConfig;
 use fluxcomp::rtl::atan_rom::AtanRom;
 use fluxcomp::rtl::cordic::CordicArctan;
 use fluxcomp::rtl::netsim::GateSim;
@@ -212,18 +213,20 @@ fn e6_report_figures_are_pinned() {
 /// The figures the E7 bench prints for the duty-cycled chip, pinned to
 /// the bit: the one-fix-per-second measurement duty, the average power
 /// with the enables gated at that duty, and the hiker and continuous
-/// battery lives. Floats are compared by their bits; the decimal value
-/// is in the comment.
+/// battery lives. The duty counts the 2 × (1 settle + 8 measurement)
+/// excitation periods the paper design runs per fix. Floats are
+/// compared by their bits; the decimal value is in the comment.
 #[test]
 fn e7_power_figures_are_pinned() {
-    let duty = UsageProfile::continuous().measurement_duty();
-    assert_eq!(duty.to_bits(), 0x3f60_624d_d2f1_a9fc); // 0.002
+    let config = CompassConfig::paper_design();
+    let duty = UsageProfile::continuous().measurement_duty(&config);
+    assert_eq!(duty.to_bits(), 0x3f62_6e97_8d4f_df3b); // 0.00225
     let p5 = PowerModel::at_5v();
     let gated = p5.average_power(&Schedule::duty_cycled(duty)).value();
-    assert_eq!(gated.to_bits(), 0x3f21_53e5_5a62_4c26); // 0.1322 mW
+    assert_eq!(gated.to_bits(), 0x3f22_30ef_8c14_75d9); // 0.1388 mW
     let cell = Battery::cr2025();
-    let hiker = battery_life_days(&p5, &UsageProfile::hiker(), &cell);
-    assert_eq!(hiker.to_bits(), 0x406f_3505_0c72_23b1); // 249.66 days
-    let continuous = battery_life_days(&p5, &UsageProfile::continuous(), &cell);
-    assert_eq!(continuous.to_bits(), 0x4062_e926_5787_2a37); // 151.29 days
+    let hiker = battery_life_days(&p5, &UsageProfile::hiker(), &config, &cell);
+    assert_eq!(hiker.to_bits(), 0x406f_2d6c_66e0_91a7); // 249.42 days
+    let continuous = battery_life_days(&p5, &UsageProfile::continuous(), &config, &cell);
+    assert_eq!(continuous.to_bits(), 0x4062_035d_c5aa_8d27); // 144.11 days
 }
