@@ -1346,11 +1346,18 @@ mod tests {
     /// the windowed clean row gives the same `MeasureResult` and
     /// `on_sample` stream as the full row, bit for bit. Windows apply at
     /// every heading except on the clipping drive, and fall back to the
-    /// full row near ±H_peak.
+    /// full row near ±H_peak. A wide-loop core (`h_c = 1.5·H_K`) moves
+    /// each pulse's peak farther than its window reaches, so a window
+    /// placed around the wrong peak shows.
     #[test]
     fn windowed_row_matches_the_full_row_bitwise() {
+        let wide_loop = {
+            let mut cfg = FrontEndConfig::paper_design();
+            cfg.sensor = FluxgateParams::adapted_hysteretic(1.5);
+            ("wide_loop", cfg)
+        };
         std::thread::scope(|s| {
-            for (name, mut cfg) in noise_free_configs() {
+            for (name, mut cfg) in noise_free_configs().into_iter().chain([wide_loop]) {
                 s.spawn(move || {
                     cfg.measure_periods = 8;
                     let fe = FrontEnd::new(cfg).expect("valid config");
