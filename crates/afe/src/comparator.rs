@@ -49,31 +49,56 @@ impl Comparator {
     }
 
     /// Evaluates the comparator on a new input sample, returning the new
-    /// output.
+    /// output: cleared below the release point, set above the set point,
+    /// held between them.
     #[inline]
     pub fn step(&mut self, input: Volt) -> bool {
-        self.state = self.verdict(input).unwrap_or(self.state);
+        let (below, above) = self.compares(input);
+        if below {
+            self.state = false;
+        } else if above {
+            self.state = true;
+        }
         self.state
     }
 
-    /// The output a step to `input` leaves from either state:
-    /// `Some(false)` below the release point, `Some(true)` above the set
-    /// point and `None` inside the hold band, where the output keeps its
-    /// state. It is monotone in `input`: if two inputs get the same
-    /// verdict, so does every input between them.
+    /// [`step`](Self::step) with bit operations in place of branches: the
+    /// same state, faster on input that crosses the trip points at random,
+    /// where the branches mispredict, and slower on quiet input, where
+    /// they never do.
     #[inline]
-    pub(crate) fn verdict(&self, input: Volt) -> Option<bool> {
+    pub(crate) fn step_loud(&mut self, input: Volt) -> bool {
+        let verdict = self.verdict(input);
+        self.state = (verdict & ABOVE != 0) | (self.state & (verdict & BELOW == 0));
+        self.state
+    }
+
+    /// The compare bits of a step to `input`, which fix the output it
+    /// leaves from either state: with [`BELOW`] the output clears, with
+    /// [`ABOVE`] it sets, and with neither, inside the hold band, it
+    /// keeps its state. It is monotone in `input`: if two inputs get the
+    /// same verdict, so does every input between them.
+    #[inline]
+    pub(crate) fn verdict(&self, input: Volt) -> u8 {
+        let (below, above) = self.compares(input);
+        (u8::from(below) * BELOW) | (u8::from(above) * ABOVE)
+    }
+
+    /// Whether `input` is below the release point and whether it is
+    /// above the set point: the one float expression that every step and
+    /// verdict is made of.
+    #[inline]
+    fn compares(&self, input: Volt) -> (bool, bool) {
         let half = self.hysteresis / 2.0;
         let eff = input + self.offset;
-        if eff < self.threshold - half {
-            Some(false)
-        } else if eff > self.threshold + half {
-            Some(true)
-        } else {
-            None
-        }
+        (eff < self.threshold - half, eff > self.threshold + half)
     }
 }
+
+/// The [`Comparator::verdict`] bit of an input below the release point.
+pub(crate) const BELOW: u8 = 1;
+/// The [`Comparator::verdict`] bit of an input above the set point.
+pub(crate) const ABOVE: u8 = 2;
 
 #[cfg(test)]
 mod tests {

@@ -132,12 +132,37 @@ impl PulsePositionDetector {
         self.output
     }
 
+    /// [`step`](Self::step) with bit operations in place of branches, in
+    /// the comparators and in the latch: the same state and output, for
+    /// input such as a noise burst that crosses the trip points at
+    /// random. On quiet input the branches never mispredict and `step` is
+    /// the faster of the two.
+    #[inline]
+    pub(crate) fn step_loud(&mut self, pickup: Volt) -> bool {
+        let pos = self.positive.step_loud(pickup);
+        let neg = self.negative.step_loud(-pickup);
+        let set = self.prev_positive & !pos;
+        let clear = self.prev_negative & !neg;
+        self.output = (self.output | set) & !clear;
+        self.prev_positive = pos;
+        self.prev_negative = neg;
+        self.output
+    }
+
     /// Whether a step to `a` and a step to `b` leave the detector in the
     /// same state, whatever state it is in: each comparator gives both
-    /// inputs the same [`verdict`](Comparator::verdict).
+    /// inputs the same [`verdict`](Comparator::verdict). One compare of
+    /// the four verdict bits of each input, with no branch.
+    #[inline]
     pub(crate) fn steps_alike(&self, a: Volt, b: Volt) -> bool {
-        self.positive.verdict(a) == self.positive.verdict(b)
-            && self.negative.verdict(-a) == self.negative.verdict(-b)
+        self.verdicts(a) == self.verdicts(b)
+    }
+
+    /// Both comparators' verdict bits on `pickup`, the negative one's
+    /// shifted above the positive one's.
+    #[inline]
+    fn verdicts(&self, pickup: Volt) -> u8 {
+        self.positive.verdict(pickup) | self.negative.verdict(-pickup) << 2
     }
 }
 
@@ -214,6 +239,44 @@ mod tests {
             any_high |= det.step(v);
         }
         assert!(!any_high);
+    }
+
+    /// The branch-free step leaves the state the branchy one does, on
+    /// random input around every trip point and on NaN, for designs with
+    /// and without hysteresis and offset.
+    #[test]
+    fn loud_step_matches_step() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x10AD);
+        let designs = [
+            DetectorConfig::paper_design(),
+            DetectorConfig {
+                hysteresis: Volt::ZERO,
+                ..DetectorConfig::paper_design()
+            },
+            DetectorConfig {
+                offset: Volt::new(0.003),
+                ..DetectorConfig::paper_design()
+            },
+        ];
+        for config in designs {
+            let mut branchy = PulsePositionDetector::new(config);
+            let mut loud = branchy.clone();
+            for index in 0..20_000 {
+                let v = if index % 997 == 0 {
+                    f64::NAN
+                } else {
+                    rng.gen_range(-0.03..0.03)
+                };
+                let out = branchy.step(Volt::new(v));
+                assert_eq!(
+                    loud.step_loud(Volt::new(v)),
+                    out,
+                    "{config:?} sample {index}"
+                );
+                assert_eq!(loud, branchy, "{config:?} sample {index}");
+            }
+        }
     }
 
     #[test]

@@ -31,9 +31,12 @@
 //! draws every noise sample in stream order but evaluates the Gaussian
 //! value only when the draw could move a comparator across a trip
 //! point; otherwise it steps the detector with the clean value, which
-//! leaves the same state (see [`FrontEnd::measure_into`]). The same
-//! bits as the traced run, less work; this module's tests pin the two
-//! against each other.
+//! leaves the same state (see [`FrontEnd::measure_into`]). Inside a
+//! noise burst's window it brackets both streams' values from table
+//! lookups and evaluates them only when the bracketed sum straddles a
+//! trip point, and it steps the detector there with its branch-free
+//! step. The same bits as the traced run, less work; this module's
+//! tests pin the two against each other.
 //!
 //! A function this module or the compass calls once per analogue
 //! sample from another crate is `#[inline]` (`CoreModel::mu_diff`,
@@ -306,6 +309,18 @@ impl Windowing {
 /// twice per period.
 const FOLD_TOGGLES: usize = 16;
 
+/// How the measurement kernel steps the detector.
+#[derive(Debug, Clone, Default)]
+struct Stepping {
+    /// When set, overrides the detector output; the detector is still
+    /// stepped.
+    stuck: Option<bool>,
+    /// The run samples on which the detector takes its branch-free
+    /// [`step_loud`](PulsePositionDetector::step_loud): a noise burst
+    /// drives them across the trip points at random.
+    loud: Range<usize>,
+}
+
 /// The detector output of one excitation period: its toggles (the
 /// sample index within the period and the new level, in time order)
 /// and the level the period ends at, which the next period starts from.
@@ -361,6 +376,48 @@ impl<const CAP: usize> Toggles<CAP> {
             from = at;
         }
         (from..samples).for_each(|_| emit(level));
+    }
+}
+
+/// What [`FrontEnd::scan_period`] threads through the samples of one
+/// period: where the period starts, how each sample is formed and
+/// stepped, the output level so far, and where each sample goes.
+struct Scan<'a, P, S, const CAP: usize> {
+    first: usize,
+    pickup: &'a mut P,
+    stuck: Option<bool>,
+    detector: &'a mut PulsePositionDetector,
+    level: bool,
+    toggles: &'a mut Toggles<CAP>,
+    sample: S,
+}
+
+impl<P, S, const CAP: usize> Scan<'_, P, S, CAP>
+where
+    P: FnMut(usize, usize) -> Volt,
+    S: FnMut(usize, usize, Volt, bool),
+{
+    /// Steps the period's samples `js`, with the detector's branch-free
+    /// [`step_loud`](PulsePositionDetector::step_loud) if `LOUD`.
+    #[inline(always)]
+    fn samples<const LOUD: bool>(&mut self, js: Range<usize>) {
+        for j in js {
+            let run_sample = self.first + j;
+            let v_pickup = (self.pickup)(run_sample, j);
+            let mut out = if LOUD {
+                self.detector.step_loud(v_pickup)
+            } else {
+                self.detector.step(v_pickup)
+            };
+            if let Some(stuck) = self.stuck {
+                out = stuck;
+            }
+            if out != self.level {
+                self.toggles.push(j, out);
+                self.level = out;
+            }
+            (self.sample)(run_sample, j, v_pickup, out);
+        }
     }
 }
 
@@ -468,7 +525,7 @@ impl FrontEnd {
         let result = self.measure_folded::<FOLD_TOGGLES>(
             &mut PulsePositionDetector::new(cfg.detector),
             |_, j| row[j] + Volt::new(noise.sample()),
-            None,
+            Stepping::default(),
             false,
             |_, out| detector_samples.push(out),
             tap,
@@ -529,7 +586,8 @@ impl FrontEnd {
     /// cannot change the detector's step, so the detector is stepped with
     /// the clean value instead; only the rest pay for `ln`, `sqrt` and
     /// `sin`/`cos`. On the paper design at 2 mV that is about 4 % of the
-    /// samples (the `afe.noise_evals` and `afe.noise_draws` counters).
+    /// samples (the `afe.noise_evals` and `afe.noise_draws` counters,
+    /// which count the draws and the full evaluations of every stream).
     pub fn measure_into(
         &self,
         h_ext: AmperePerMeter,
@@ -550,8 +608,10 @@ impl FrontEnd {
     /// [`windowed_row`](Self::windowed_row)). Otherwise each
     /// sample draws its nominal noise and evaluates it only when the
     /// draw could move a comparator across a trip point (see
-    /// [`skip_bound`]); inside a burst window both streams are always
-    /// evaluated.
+    /// [`skip_bound`]). Inside a burst window each sample draws both
+    /// streams and evaluates them only when their brackets leave the
+    /// step in doubt (see [`add_burst`]); the detector takes its
+    /// branch-free step there.
     fn measure_row(
         &self,
         h_ext: AmperePerMeter,
@@ -572,7 +632,7 @@ impl FrontEnd {
             return self.measure_folded::<FOLD_TOGGLES>(
                 detector,
                 |_, j| row[j],
-                stuck,
+                Stepping { stuck, loud: 0..0 },
                 fold,
                 on_sample,
                 no_tap,
@@ -581,18 +641,23 @@ impl FrontEnd {
         let mut noise = GaussianNoise::new(cfg.pickup_noise_rms, noise_seed);
         let floors = self.skip_floors(&row, &noise);
         let (burst, mut stream) = self.burst(faults);
+        let probe = PulsePositionDetector::new(cfg.detector);
         let mut evals = 0;
         let pickup = |run_sample: usize, j: usize| {
             if burst.contains(&run_sample) {
-                add_noise(row[j], f64::INFINITY, &mut noise, &mut evals)
-                    + Volt::new(stream.sample())
+                add_burst(row[j], &mut noise, &mut stream, &probe, &mut evals)
             } else {
                 add_noise(row[j], floors[j], &mut noise, &mut evals)
             }
         };
-        let result =
-            self.measure_folded::<FOLD_TOGGLES>(detector, pickup, stuck, false, on_sample, no_tap);
-        count_noise(&noise, self.run_samples(), evals);
+        let stepping = Stepping {
+            stuck,
+            loud: burst.clone(),
+        };
+        let result = self
+            .measure_folded::<FOLD_TOGGLES>(detector, pickup, stepping, false, on_sample, no_tap);
+        let draws = drawn(&noise, self.run_samples()) + drawn(&stream, burst.len());
+        count_noise(draws, evals);
         result
     }
 
@@ -730,8 +795,8 @@ impl FrontEnd {
     /// `pickup(run_sample, j)` forms the EMF of table sample `j` at run
     /// sample `run_sample`, noise included; `run_sample` counts from the
     /// first settle sample.
-    /// `stuck`, when set, overrides the detector output (the detector is
-    /// still stepped). `fold` allows period folding and must only be set
+    /// `stepping` says how the detector is stepped (see [`Stepping`]).
+    /// `fold` allows period folding and must only be set
     /// when every period sees the same inputs. `tap(run_sample, j,
     /// pickup, output)` sees every stepped sample, settle periods
     /// included; a measurement that records nothing passes [`no_tap`].
@@ -739,7 +804,7 @@ impl FrontEnd {
         &self,
         detector: &mut PulsePositionDetector,
         mut pickup: impl FnMut(usize, usize) -> Volt,
-        stuck: Option<bool>,
+        stepping: Stepping,
         fold: bool,
         mut on_sample: impl FnMut(usize, bool),
         mut tap: impl FnMut(usize, usize, Volt, bool),
@@ -766,13 +831,27 @@ impl FrontEnd {
             toggles.clear();
             let first = stepped * n;
             if stepped < cfg.settle_periods {
-                self.scan_period(first, &mut pickup, stuck, detector, &mut toggles, &mut tap);
+                self.scan_period(
+                    first,
+                    &mut pickup,
+                    &stepping,
+                    detector,
+                    &mut toggles,
+                    &mut tap,
+                );
             } else {
                 let sample = |run_sample, j, v_pickup, out| {
                     tap(run_sample, j, v_pickup, out);
                     emit(out);
                 };
-                self.scan_period(first, &mut pickup, stuck, detector, &mut toggles, sample);
+                self.scan_period(
+                    first,
+                    &mut pickup,
+                    &stepping,
+                    detector,
+                    &mut toggles,
+                    sample,
+                );
             }
             pulse_edges += toggles.len() as u64;
             stepped += 1;
@@ -811,30 +890,36 @@ impl FrontEnd {
     /// Steps the sensor and detector through the excitation period
     /// starting at run sample `first`, recording its toggles and passing
     /// each sample to `sample(run_sample, j, pickup, output)`.
+    ///
+    /// The samples before, inside and after the period's share of the
+    /// loud run samples are three loops, so a quiet sample pays no test
+    /// for which step to take.
     #[inline(always)]
     fn scan_period<const CAP: usize>(
         &self,
         first: usize,
         pickup: &mut impl FnMut(usize, usize) -> Volt,
-        stuck: Option<bool>,
+        stepping: &Stepping,
         detector: &mut PulsePositionDetector,
         toggles: &mut Toggles<CAP>,
-        mut sample: impl FnMut(usize, usize, Volt, bool),
+        sample: impl FnMut(usize, usize, Volt, bool),
     ) {
-        let mut level = toggles.level;
-        for j in 0..self.table.len() {
-            let v_pickup = pickup(first + j, j);
-            let mut out = detector.step(v_pickup);
-            if let Some(stuck) = stuck {
-                out = stuck;
-            }
-            if out != level {
-                toggles.push(j, out);
-                level = out;
-            }
-            sample(first + j, j, v_pickup, out);
-        }
-        toggles.level = level;
+        let n = self.table.len();
+        let within = |k: usize| k.clamp(first, first + n) - first;
+        let loud = within(stepping.loud.start)..within(stepping.loud.end);
+        let mut scan = Scan {
+            first,
+            pickup,
+            stuck: stepping.stuck,
+            detector,
+            level: toggles.level,
+            toggles,
+            sample,
+        };
+        scan.samples::<false>(0..loud.start);
+        scan.samples::<true>(loud.clone());
+        scan.samples::<false>(loud.end..n);
+        scan.toggles.level = scan.level;
     }
 
     /// [`measure_into`](Self::measure_into) under injected faults.
@@ -846,8 +931,9 @@ impl FrontEnd {
     /// drift ramp makes every period different) and the fault effects
     /// applied in physical order. Without a dropout or a drift ramp the
     /// field is unchanged, so the clean row and the lazy noise of
-    /// [`measure_into`](Self::measure_into) still apply outside a burst
-    /// window:
+    /// [`measure_into`](Self::measure_into) still apply, and inside a
+    /// burst window both streams are bracketed and evaluated only when
+    /// the brackets leave the step in doubt:
     ///
     /// 1. excitation dropout zeroes the drive field over its window;
     /// 2. the H_K drift ramp adds a linearly growing field offset;
@@ -922,12 +1008,16 @@ impl FrontEnd {
         let result = self.measure_folded::<FOLD_TOGGLES>(
             detector,
             pickup,
-            faults.stuck_output,
+            Stepping {
+                stuck: faults.stuck_output,
+                loud: burst.clone(),
+            },
             false,
             on_sample,
             no_tap,
         );
-        count_noise(&noise, total, total as u64);
+        let draws = drawn(&noise, total) + drawn(&stream, burst.len());
+        count_noise(draws, draws);
         fluxcomp_obs::counter_add("afe.emf_evals", total as u64);
         result
     }
@@ -948,11 +1038,54 @@ fn add_noise(v: Volt, floor: f64, noise: &mut GaussianNoise, evals: &mut u64) ->
     v + Volt::new(noise.value())
 }
 
-/// Counts one measurement's nominal noise draws and how many of them
-/// were evaluated; a silent source draws nothing.
-fn count_noise(noise: &GaussianNoise, draws: usize, evals: u64) {
-    if noise.std_dev() != 0.0 {
-        fluxcomp_obs::counter_add("afe.noise_draws", draws as u64);
+/// `(v + x₁) + x₂` for the next draws `x₁` of `noise` and `x₂` of
+/// `burst`, the sum a sample inside a burst window steps with, or a value
+/// that steps the detector alike.
+///
+/// Both draws are bracketed first ([`GaussianNoise::bracket`]). Float
+/// addition is monotone in each argument, so the sum lies between
+/// `(v + lo₁) + lo₂` and `(v + hi₁) + hi₂`; if `probe` steps those two
+/// alike, it steps every value between them alike, and the lower one
+/// stands in for the sum. Otherwise both values are evaluated.
+///
+/// Kept out of line: inlined into the kernel, it slowed the quiet
+/// samples of every noisy axis by ~5 % in paired runs.
+#[inline(never)]
+fn add_burst(
+    v: Volt,
+    noise: &mut GaussianNoise,
+    burst: &mut GaussianNoise,
+    probe: &PulsePositionDetector,
+    evals: &mut u64,
+) -> Volt {
+    noise.draw();
+    burst.draw();
+    let [lo_1, hi_1] = noise.bracket();
+    let [lo_2, hi_2] = burst.bracket();
+    let lo = (v + Volt::new(lo_1)) + Volt::new(lo_2);
+    let hi = (v + Volt::new(hi_1)) + Volt::new(hi_2);
+    if probe.steps_alike(lo, hi) {
+        return lo;
+    }
+    *evals += drawn(noise, 1) + drawn(burst, 1);
+    (v + Volt::new(noise.value())) + Volt::new(burst.value())
+}
+
+/// `draws` if `noise` is not silent, else 0: a silent source draws and
+/// evaluates nothing.
+fn drawn(noise: &GaussianNoise, draws: usize) -> u64 {
+    if noise.std_dev() == 0.0 {
+        0
+    } else {
+        draws as u64
+    }
+}
+
+/// Counts one measurement's noise draws on both streams and how many of
+/// them were evaluated in full.
+fn count_noise(draws: u64, evals: u64) {
+    if draws != 0 {
+        fluxcomp_obs::counter_add("afe.noise_draws", draws);
         fluxcomp_obs::counter_add("afe.noise_evals", evals);
     }
 }
@@ -1376,7 +1509,7 @@ mod tests {
                             fe.measure_folded::<FOLD_TOGGLES>(
                                 &mut detector,
                                 pickup,
-                                None,
+                                Stepping::default(),
                                 true,
                                 on_sample,
                                 no_tap,
@@ -1497,7 +1630,15 @@ mod tests {
         let h = h_from_microtesla(15.0);
         let row = fe.clean_row(h, 1.0);
         let (scanned, seen, steps) = counted(|on_sample| {
-            fe.measure_folded::<1>(&mut detector, |_, j| row[j], None, true, on_sample, no_tap)
+            let pickup = |_, j| row[j];
+            fe.measure_folded::<1>(
+                &mut detector,
+                pickup,
+                Stepping::default(),
+                true,
+                on_sample,
+                no_tap,
+            )
         });
         assert_eq!(steps, 9 * 4096);
         let traced = fe.run_with_seed(h, 1);
@@ -1754,6 +1895,180 @@ mod tests {
                 "{ut} µT: {evals} of {draws} draws evaluated"
             );
         }
+    }
+
+    /// What a plain per-sample loop measures under `faults`: the EMF of
+    /// every sample with the fault effects in physical order, plus every
+    /// draw of the nominal stream and, inside the burst window, of the
+    /// burst stream, all evaluated; returns the result and the
+    /// measurement-window outputs.
+    fn eager_faulted(
+        fe: &FrontEnd,
+        h_ext: AmperePerMeter,
+        seed: u64,
+        faults: &fluxcomp_faults::FixFaults,
+    ) -> (MeasureResult, Vec<bool>) {
+        let cfg = fe.config();
+        let table = fe.excitation_table().samples();
+        let mut detector = PulsePositionDetector::new(cfg.detector);
+        let mut noise = GaussianNoise::new(cfg.pickup_noise_rms, seed);
+        let mut burst = faults.burst.map(|b| (b, GaussianNoise::new(b.rms, b.seed)));
+        let total = fe.run_samples();
+        let settle = cfg.settle_periods * cfg.samples_per_period;
+        let (mut level, mut pulse_edges, mut seen) = (false, 0, Vec::new());
+        for g in 0..total {
+            let drive = &table[g % table.len()];
+            let frac = g as f64 * (1.0 / total as f64);
+            let dropped = faults
+                .dropout
+                .is_some_and(|(from, until)| frac >= from && frac < until);
+            let (h_drive, dh_dt) = if dropped {
+                (AmperePerMeter::ZERO, 0.0)
+            } else {
+                (drive.h_drive, drive.dh_dt)
+            };
+            let h = h_drive + h_ext + AmperePerMeter::new(faults.hk_ramp * frac);
+            let mut v = fe.sensor().pickup_emf(h, dh_dt);
+            if faults.pickup_gain != 1.0 {
+                v = Volt::new(v.value() * faults.pickup_gain);
+            }
+            v += Volt::new(noise.sample());
+            if let Some((b, stream)) = burst.as_mut() {
+                if frac >= b.from && frac < b.until {
+                    v += Volt::new(stream.sample());
+                }
+            }
+            let out = faults.stuck_output.unwrap_or(detector.step(v));
+            pulse_edges += u64::from(out != level);
+            level = out;
+            if g >= settle {
+                seen.push(out);
+            }
+        }
+        let high_samples = seen.iter().filter(|&&out| out).count() as u64;
+        let measure_samples = seen.len() as u64;
+        let result = MeasureResult {
+            duty: high_samples as f64 / measure_samples as f64,
+            clipped: fe.excitation_table().any_clips(),
+            pulse_edges,
+            high_samples,
+            measure_samples,
+        };
+        (result, seen)
+    }
+
+    /// The burst kernel's contract: bracketed noise and the branch-free
+    /// step change no bit. Over burst RMS from well under the hysteresis
+    /// to far above the pulses, with and without nominal noise, on the
+    /// paper detector, one without hysteresis and one with an offset, an
+    /// open pickup, a dropout and a drift ramp among them, several seeds
+    /// and fields, the faulted measurement gives the `MeasureResult` and
+    /// `on_sample` stream of the eager per-sample loop, bit for bit.
+    #[test]
+    fn burst_kernel_matches_the_eager_loop() {
+        use fluxcomp_faults::{BurstFault, FixFaults};
+        let detectors = [
+            ("paper", DetectorConfig::paper_design()),
+            (
+                "no_hysteresis",
+                DetectorConfig {
+                    hysteresis: Volt::ZERO,
+                    ..DetectorConfig::paper_design()
+                },
+            ),
+            (
+                "offset",
+                DetectorConfig {
+                    offset: Volt::new(3e-3),
+                    ..DetectorConfig::paper_design()
+                },
+            ),
+        ];
+        std::thread::scope(|s| {
+            for (name, detector_config) in detectors {
+                s.spawn(move || {
+                    for nominal in [0.0, 2e-3] {
+                        let mut cfg = FrontEndConfig::paper_design();
+                        cfg.detector = detector_config;
+                        cfg.pickup_noise_rms = nominal;
+                        let fe = FrontEnd::new(cfg).expect("valid config");
+                        let mut detector = PulsePositionDetector::new(detector_config);
+                        for (case, rms) in [5e-4, 5e-3, 5e-2, 0.5].into_iter().enumerate() {
+                            for (seed, ut) in [(11u64, -12.0), (12, 3.0), (13, 15.0), (14, 7.0)] {
+                                let faults = FixFaults {
+                                    dropout: (seed == 13).then_some((0.5, 0.6)),
+                                    hk_ramp: if seed == 14 { 8.0 } else { 0.0 },
+                                    pickup_gain: if seed == 12 {
+                                        fluxcomp_faults::OPEN_PICKUP_GAIN
+                                    } else {
+                                        1.0
+                                    },
+                                    burst: Some(BurstFault {
+                                        rms,
+                                        from: 0.15 + 0.1 * case as f64,
+                                        until: 0.75,
+                                        seed: seed ^ 0xB0B5,
+                                    }),
+                                    injected: 1,
+                                    ..FixFaults::none()
+                                };
+                                let h = h_from_microtesla(ut);
+                                let (expected, expected_seen) =
+                                    eager_faulted(&fe, h, seed, &faults);
+                                let (got, seen, _) = counted(|on_sample| {
+                                    fe.measure_into_faulted(
+                                        h,
+                                        seed,
+                                        &mut detector,
+                                        &faults,
+                                        on_sample,
+                                    )
+                                });
+                                let at =
+                                    format!("{name}, nominal {nominal}, burst {rms}, seed {seed}");
+                                assert_eq!(got.duty.to_bits(), expected.duty.to_bits(), "{at}");
+                                assert_eq!(got, expected, "{at}");
+                                assert!(seen == expected_seen, "{at}: on_sample streams differ");
+                            }
+                        }
+                    }
+                });
+            }
+        });
+    }
+
+    /// Inside a 50 mV burst on top of 2 mV nominal noise, fewer than one
+    /// sample in ten evaluates its draws: `afe.noise_evals` counts the
+    /// exact evaluations of both streams and `afe.noise_draws` their
+    /// draws.
+    #[test]
+    fn burst_window_evaluates_under_a_tenth_of_its_draws() {
+        use fluxcomp_faults::{BurstFault, FixFaults};
+        let mut cfg = FrontEndConfig::paper_design();
+        cfg.pickup_noise_rms = 2e-3;
+        cfg.measure_periods = 8;
+        let fe = FrontEnd::new(cfg).expect("valid config");
+        let mut detector = PulsePositionDetector::new(fe.config().detector);
+        let faults = FixFaults {
+            burst: Some(BurstFault {
+                rms: 0.05,
+                from: 0.0,
+                until: 1.0,
+                seed: 7,
+            }),
+            injected: 1,
+            ..FixFaults::none()
+        };
+        let session = fluxcomp_obs::init_scoped_for_test();
+        fe.measure_into_faulted(h_from_microtesla(7.5), 3, &mut detector, &faults, |_, _| {});
+        let profile = session.profile().expect("recording");
+        let draws = profile.counter("afe.noise_draws").unwrap_or(0);
+        let evals = profile.counter("afe.noise_evals").unwrap_or(0);
+        assert_eq!(draws, 2 * 9 * 4096, "both streams draw on every sample");
+        assert!(
+            evals > 0 && evals * 10 < draws,
+            "{evals} of {draws} draws evaluated"
+        );
     }
 
     /// The skip is exact. Over random detector designs, states, noise
