@@ -1,11 +1,16 @@
 //! Chip-level integration: the synthesised netlists, the Sea-of-Gates
 //! mapping and the gate-level simulator agree with the behavioural RTL,
-//! and the E6 occupancy and E7 power figures are pinned to the bit.
+//! and the E6 occupancy, E7 power and E10 boundary-scan figures are
+//! pinned to the bit.
 
 use fluxcomp::afe::power::{PowerModel, Schedule};
 use fluxcomp::compass::chip::{build_chip, paper_chip};
 use fluxcomp::compass::energy::{battery_life_days, Battery, UsageProfile};
 use fluxcomp::compass::CompassConfig;
+use fluxcomp::mcm::diagnosis::FaultDictionary;
+use fluxcomp::mcm::interconnect_test::{InterconnectTester, TestReport};
+use fluxcomp::mcm::substrate::{Fault, McmAssembly};
+use fluxcomp::mcm::{generate_bsdl, parse_bsdl, Instruction, TapChain};
 use fluxcomp::rtl::atan_rom::AtanRom;
 use fluxcomp::rtl::cordic::CordicArctan;
 use fluxcomp::rtl::netsim::GateSim;
@@ -229,4 +234,101 @@ fn e7_power_figures_are_pinned() {
     assert_eq!(hiker.to_bits(), 0x406f_2d6c_66e0_91a7); // 249.42 days
     let continuous = battery_life_days(&p5, &UsageProfile::continuous(), &config, &cell);
     assert_eq!(continuous.to_bits(), 0x4062_035d_c5aa_8d27); // 144.11 days
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Extends an FNV-1a digest by `bytes`.
+fn fnv(digest: u64, bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes.into_iter().fold(digest, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// Extends `digest` by every bit of an interconnect test report: each
+/// pattern's driven and observed values and mismatching nets, then the
+/// failing nets.
+fn report_digest(digest: u64, report: &TestReport) -> u64 {
+    let digest = report.patterns.iter().fold(digest, |h, p| {
+        let h = fnv(h, p.driven.iter().chain(&p.observed).map(|&b| u8::from(b)));
+        fnv(h, p.mismatches.iter().map(|&net| net as u8).chain([0xFF]))
+    });
+    fnv(
+        digest,
+        report
+            .failing_nets
+            .iter()
+            .map(|&net| net as u8)
+            .chain([0xFE]),
+    )
+}
+
+/// Every figure the E10 bench prints about the module: the inventory, the
+/// pattern count and clean verdict, the single-fault coverage, the
+/// example diagnoses, the fault dictionary, the TAP chain's scan path
+/// and the BSDL summary. The digest covers the whole interconnect test
+/// report on the clean module, every single fault, every ordered short
+/// and every short paired with every open.
+#[test]
+fn e10_bscan_figures_are_pinned() {
+    let run = |m: &McmAssembly| InterconnectTester::new(m.nets().len()).run(m);
+    let module = McmAssembly::paper_module();
+    assert_eq!((module.nets().len(), module.passives().len()), (9, 2));
+    let clean = run(&module);
+    assert_eq!(clean.pattern_count(), 10);
+    assert!(clean.passed());
+    assert_eq!(module.all_single_faults().len(), 9 + 8);
+    let coverage = InterconnectTester::new(9).coverage(&module);
+    assert_eq!(coverage.to_bits(), 1.0f64.to_bits());
+
+    let with = |faults: &[Fault]| {
+        let mut dut = module.clone();
+        faults.iter().for_each(|&f| dut.inject(f));
+        dut
+    };
+    let failing = |faults: &[Fault]| run(&with(faults)).failing_nets;
+    assert_eq!(failing(&[Fault::Short { a: 0, b: 1 }]), [0, 1]);
+    assert_eq!(failing(&[Fault::Open { net: 2 }]), [2]);
+    assert_eq!(failing(&[Fault::Short { a: 4, b: 5 }]), [4, 5]);
+
+    let dict = FaultDictionary::build(&module);
+    assert_eq!(dict.len(), 17);
+    assert_eq!(dict.resolution().to_bits(), 1.0f64.to_bits());
+
+    let mut chain = TapChain::new(&[9, 4, 4]);
+    chain.reset();
+    chain.load_instructions(&[
+        Instruction::Extest,
+        Instruction::Bypass,
+        Instruction::Bypass,
+    ]);
+    assert_eq!(chain.scan_path_bits(), 11);
+    assert_eq!(chain.measure_scan_path(), 11);
+
+    let bsdl = generate_bsdl(&module, "FLUXCOMP_MCM");
+    assert_eq!(bsdl.lines().count(), 28);
+    assert!(parse_bsdl(&bsdl).is_some());
+
+    let n = module.nets().len();
+    let shorts: Vec<Fault> = (0..n)
+        .flat_map(|a| {
+            (0..n)
+                .filter(move |&b| b != a)
+                .map(move |b| Fault::Short { a, b })
+        })
+        .collect();
+    assert_eq!(shorts.len(), 72);
+    let mut fault_sets: Vec<Vec<Fault>> = vec![Vec::new()];
+    fault_sets.extend(module.all_single_faults().into_iter().map(|f| vec![f]));
+    fault_sets.extend(shorts.iter().map(|&s| vec![s]));
+    fault_sets.extend(
+        shorts
+            .iter()
+            .flat_map(|&s| (0..n).map(move |net| vec![s, Fault::Open { net }])),
+    );
+    assert_eq!(fault_sets.len(), 1 + 17 + 72 + 648);
+    let digest = fault_sets.iter().fold(FNV_OFFSET, |h, faults| {
+        report_digest(h, &run(&with(faults)))
+    });
+    assert_eq!(digest, 0xd202_4fc3_4fdd_0b0f);
 }
