@@ -1,17 +1,18 @@
 //! E10 — claim C12: MCM boundary-scan interconnect test (\[Oli96\]).
 //!
 //! Regenerates the testability result: counting-sequence EXTEST patterns
-//! over the module's nine substrate nets, with single-fault coverage
-//! over all opens and adjacent shorts, plus the large-passive placement
-//! rule. Times the tester and the TAP machinery.
+//! over the module's nine substrate nets, applied through the three
+//! dies' TAP chain, with single-fault coverage over all opens and
+//! adjacent shorts, plus the large-passive placement rule. Times the
+//! tester and the TAP machinery.
 
 use criterion::{criterion_group, Criterion};
 use fluxcomp_bench::banner;
 use fluxcomp_mcm::chain::TapChain;
 use fluxcomp_mcm::diagnosis::FaultDictionary;
-use fluxcomp_mcm::interconnect_test::InterconnectTester;
+use fluxcomp_mcm::interconnect_test;
 use fluxcomp_mcm::substrate::{Fault, McmAssembly};
-use fluxcomp_mcm::{generate_bsdl, Instruction, TapController};
+use fluxcomp_mcm::{generate_bsdl, Instruction};
 use fluxcomp_sog::fabric::CapacitorPlan;
 use fluxcomp_units::si::Farad;
 use std::hint::black_box;
@@ -24,8 +25,7 @@ fn print_experiment() {
     );
 
     let module = McmAssembly::paper_module();
-    let tester = InterconnectTester::new(module.nets().len());
-    let clean = tester.run(&module);
+    let clean = interconnect_test::run(&module);
     eprintln!(
         "  module: {} nets, {} substrate passives; {} EXTEST patterns; clean run: {}",
         module.nets().len(),
@@ -34,7 +34,7 @@ fn print_experiment() {
         if clean.passed() { "PASS" } else { "FAIL" }
     );
 
-    let coverage = tester.coverage(&module);
+    let coverage = interconnect_test::coverage(&module);
     eprintln!(
         "  single-fault coverage ({} opens + {} adjacent shorts): {:.0} %",
         module.nets().len(),
@@ -44,7 +44,7 @@ fn print_experiment() {
 
     let mut faulty = module.clone();
     faulty.inject(Fault::Short { a: 0, b: 1 });
-    let report = tester.run(&faulty);
+    let report = interconnect_test::run(&faulty);
     eprintln!(
         "  example diagnosis, short exc_x_p/exc_x_n: failing nets {:?}",
         report.failing_nets
@@ -57,7 +57,7 @@ fn print_experiment() {
         dict.resolution() * 100.0
     );
 
-    let mut chain = TapChain::new(&[9, 4, 4]); // SoG die + 2 sensor dies
+    let mut chain = TapChain::new(&module); // SoG die + 2 sensor dies
     chain.reset();
     chain.load_instructions(&[
         Instruction::Extest,
@@ -89,30 +89,25 @@ fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("e10_bscan");
 
     let module = McmAssembly::paper_module();
-    let tester = InterconnectTester::new(module.nets().len());
     group.bench_function("extest_interconnect_test", |b| {
-        b.iter(|| black_box(tester.run(black_box(&module)).passed()))
+        b.iter(|| black_box(interconnect_test::run(black_box(&module)).passed()))
     });
     group.bench_function("single_fault_coverage_sweep", |b| {
-        b.iter(|| black_box(tester.coverage(black_box(&module))))
+        b.iter(|| black_box(interconnect_test::coverage(black_box(&module))))
     });
 
     group.bench_function("tap_idcode_readout", |b| {
         b.iter(|| {
-            let mut tap = TapController::new(9);
-            tap.reset();
-            let obs = vec![false; 9];
-            tap.clock(false, false, &obs);
-            tap.clock(true, false, &obs);
-            tap.clock(false, false, &obs);
-            tap.clock(false, false, &obs);
-            let mut code = 0u32;
-            for bit in 0..32 {
-                if let Some(tdo) = tap.clock(false, false, &obs) {
-                    code |= (tdo as u32) << bit;
-                }
-            }
-            black_box(code)
+            // Reset selects IDCODE on every die; the SoG die's code
+            // leaves last, MSB first.
+            let mut chain = TapChain::new(&module);
+            chain.reset();
+            let bits = chain.scan_dr(&[false; 96]);
+            black_box(
+                bits[..32]
+                    .iter()
+                    .fold(0u32, |code, &b| code << 1 | u32::from(b)),
+            )
         })
     });
     group.finish();

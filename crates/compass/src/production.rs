@@ -17,7 +17,7 @@ use crate::config::CompassConfig;
 use crate::selftest::{run_self_test, SelfTestReport};
 use crate::system::CompassDesign;
 use fluxcomp_mcm::diagnosis::diagnose_module;
-use fluxcomp_mcm::interconnect_test::InterconnectTester;
+use fluxcomp_mcm::interconnect_test;
 use fluxcomp_mcm::substrate::{Fault, McmAssembly};
 use fluxcomp_units::angle::Degrees;
 use fluxcomp_units::si::Ampere;
@@ -61,8 +61,7 @@ pub const FUNCTIONAL_LIMIT_DEGREES: f64 = 1.2;
 pub fn production_test(assembly: &McmAssembly, config: &CompassConfig) -> ProductionResult {
     // Stage 1: interconnect.
     let golden = McmAssembly::paper_module();
-    let tester = InterconnectTester::new(golden.nets().len());
-    if !tester.run(assembly).passed() {
+    if !interconnect_test::run(assembly).passed() {
         let candidates = diagnose_module(&golden, assembly);
         return ProductionResult {
             reject: Some(RejectReason::Interconnect { candidates }),

@@ -5,10 +5,12 @@
 //! die-to-die interconnect can be tested after assembly. This module
 //! implements the standard's machinery:
 //!
-//! * [`TapController`] — the full 16-state TAP FSM driven by TMS/TCK;
-//! * [`Instruction`] — BYPASS / EXTEST / SAMPLE / IDCODE;
-//! * [`BoundaryScanChain`] — the shift/update boundary register whose
-//!   update stage drives (EXTEST) or observes the MCM nets.
+//! * [`TapController`] — the full 16-state TAP FSM driven by TMS/TCK,
+//!   with its instruction and data registers. The boundary register's
+//!   update latches drive the MCM nets under EXTEST, and its shift
+//!   stages capture them;
+//! * [`Instruction`] — the IR table: BYPASS, EXTEST, SAMPLE/PRELOAD,
+//!   IDCODE, CLAMP and HIGHZ.
 
 use std::fmt;
 
@@ -105,29 +107,34 @@ pub enum Instruction {
 }
 
 impl Instruction {
-    /// 4-bit opcodes (BYPASS must be all ones per the standard).
+    /// The IR table: every instruction with its BSDL name and 4-bit
+    /// opcode, in BSDL listing order. BYPASS is all ones, as the standard
+    /// requires.
+    pub const TABLE: [(Instruction, &'static str, u8); 6] = [
+        (Instruction::Bypass, "BYPASS", 0b1111),
+        (Instruction::Extest, "EXTEST", 0b0000),
+        (Instruction::Sample, "SAMPLE", 0b0001),
+        (Instruction::Idcode, "IDCODE", 0b0010),
+        (Instruction::Clamp, "CLAMP", 0b0011),
+        (Instruction::Highz, "HIGHZ", 0b0100),
+    ];
+
+    /// The 4-bit opcode.
     pub fn opcode(self) -> u8 {
-        match self {
-            Instruction::Extest => 0b0000,
-            Instruction::Sample => 0b0001,
-            Instruction::Idcode => 0b0010,
-            Instruction::Clamp => 0b0011,
-            Instruction::Highz => 0b0100,
-            Instruction::Bypass => 0b1111,
-        }
+        Self::TABLE
+            .iter()
+            .find(|e| e.0 == self)
+            .map(|e| e.2)
+            .expect("every instruction is in the IR table")
     }
 
     /// Decodes an opcode; unknown opcodes select BYPASS, as the standard
     /// requires.
     pub fn decode(op: u8) -> Self {
-        match op & 0xF {
-            0b0000 => Instruction::Extest,
-            0b0001 => Instruction::Sample,
-            0b0010 => Instruction::Idcode,
-            0b0011 => Instruction::Clamp,
-            0b0100 => Instruction::Highz,
-            _ => Instruction::Bypass,
-        }
+        Self::TABLE
+            .iter()
+            .find(|e| e.2 == op & 0xF)
+            .map_or(Instruction::Bypass, |e| e.0)
     }
 }
 
@@ -135,90 +142,7 @@ impl Instruction {
 /// part number, the mandatory trailing 1).
 pub const IDCODE: u32 = 0x1_C0_4A_5F | 1;
 
-/// A boundary-scan cell: shift stage plus update latch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct BoundaryCell {
-    /// Shift-register stage.
-    pub shift: bool,
-    /// Update (output) latch — what EXTEST drives onto the net.
-    pub update: bool,
-}
-
-/// The boundary register of the module: one cell per MCM net.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BoundaryScanChain {
-    cells: Vec<BoundaryCell>,
-}
-
-impl BoundaryScanChain {
-    /// A chain with `length` cells, all low.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `length` is zero.
-    pub fn new(length: usize) -> Self {
-        assert!(length > 0, "a boundary chain needs at least one cell");
-        Self {
-            cells: vec![BoundaryCell::default(); length],
-        }
-    }
-
-    /// Chain length.
-    pub fn len(&self) -> usize {
-        self.cells.len()
-    }
-
-    /// `true` if the chain has no cells (never, by construction).
-    pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
-    }
-
-    /// One TCK in Shift-DR: shifts `tdi` in at cell 0, returns TDO (the
-    /// last cell's previous shift value).
-    pub fn shift(&mut self, tdi: bool) -> bool {
-        let tdo = self.cells.last().expect("nonempty").shift;
-        for i in (1..self.cells.len()).rev() {
-            self.cells[i].shift = self.cells[i - 1].shift;
-        }
-        self.cells[0].shift = tdi;
-        tdo
-    }
-
-    /// Capture-DR: loads the observed net values into the shift stages.
-    pub fn capture(&mut self, observed: &[bool]) {
-        assert_eq!(observed.len(), self.cells.len(), "one value per cell");
-        for (c, &v) in self.cells.iter_mut().zip(observed) {
-            c.shift = v;
-        }
-    }
-
-    /// Update-DR: transfers shift stages to the update latches (the
-    /// values EXTEST drives).
-    pub fn update(&mut self) {
-        for c in &mut self.cells {
-            c.update = c.shift;
-        }
-    }
-
-    /// The currently driven values.
-    pub fn driven(&self) -> Vec<bool> {
-        self.cells.iter().map(|c| c.update).collect()
-    }
-
-    /// Shifts a whole pattern in (so that `pattern[i]` lands in cell `i`)
-    /// and returns the bits shifted out, re-ordered so that element `i`
-    /// is what cell `i` held before the scan.
-    pub fn shift_pattern(&mut self, pattern: &[bool]) -> Vec<bool> {
-        // Feeding the pattern in reverse makes pattern[i] land in cell i;
-        // TDO emits the old contents last-cell-first, so reverse the
-        // collected bits back into cell order.
-        let mut out: Vec<bool> = pattern.iter().rev().map(|&b| self.shift(b)).collect();
-        out.reverse();
-        out
-    }
-}
-
-/// The TAP controller plus instruction and data registers of the MCM.
+/// One die's TAP controller plus its instruction and data registers.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TapController {
     state: TapState,
@@ -226,21 +150,34 @@ pub struct TapController {
     instruction: Instruction,
     bypass: bool,
     idcode_shift: u32,
-    /// The boundary register (shared by EXTEST/SAMPLE).
-    pub boundary: BoundaryScanChain,
+    /// The boundary register's shift stages, TDI end first (shared by
+    /// EXTEST and SAMPLE).
+    boundary_shift: Vec<bool>,
+    /// The boundary register's update latches: what EXTEST and CLAMP
+    /// drive onto the pins.
+    boundary_update: Vec<bool>,
 }
 
 impl TapController {
-    /// A TAP with a boundary chain of `boundary_cells` cells, held in
-    /// Test-Logic-Reset.
+    /// A TAP with a boundary register of `boundary_cells` cells, all
+    /// low, held in Test-Logic-Reset.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `boundary_cells` is zero.
     pub fn new(boundary_cells: usize) -> Self {
+        assert!(
+            boundary_cells > 0,
+            "a boundary register needs at least one cell"
+        );
         Self {
             state: TapState::TestLogicReset,
             ir_shift: 0,
             instruction: Instruction::Idcode, // reset selects IDCODE/BYPASS
             bypass: false,
             idcode_shift: IDCODE,
-            boundary: BoundaryScanChain::new(boundary_cells),
+            boundary_shift: vec![false; boundary_cells],
+            boundary_update: vec![false; boundary_cells],
         }
     }
 
@@ -254,8 +191,25 @@ impl TapController {
         self.instruction
     }
 
-    /// One TCK rising edge. `observed` supplies the net values for a
-    /// Capture-DR in EXTEST/SAMPLE. Returns TDO where defined.
+    /// The length of the data register the current instruction selects.
+    pub(crate) fn dr_len(&self) -> usize {
+        match self.instruction {
+            Instruction::Bypass | Instruction::Clamp | Instruction::Highz => 1,
+            Instruction::Extest | Instruction::Sample => self.boundary_shift.len(),
+            Instruction::Idcode => 32,
+        }
+    }
+
+    /// What the boundary cells drive onto the pins: the update latches
+    /// under EXTEST and CLAMP, `None` while the pins are not under test.
+    pub(crate) fn launched(&self) -> Option<&[bool]> {
+        matches!(self.instruction, Instruction::Extest | Instruction::Clamp)
+            .then_some(&self.boundary_update[..])
+    }
+
+    /// One TCK rising edge. `observed` supplies the pin values, one per
+    /// boundary cell, for a Capture-DR in EXTEST/SAMPLE; no other edge
+    /// reads it. Returns TDO where defined.
     pub fn clock(&mut self, tms: bool, tdi: bool, observed: &[bool]) -> Option<bool> {
         let mut tdo = None;
         // Actions happen in the state being *exited* for shift, per the
@@ -277,7 +231,10 @@ impl TapController {
                     self.idcode_shift = (self.idcode_shift >> 1) | ((tdi as u32) << 31);
                 }
                 Instruction::Extest | Instruction::Sample => {
-                    tdo = Some(self.boundary.shift(tdi));
+                    // The last cell leaves at TDO; `tdi` enters cell 0.
+                    self.boundary_shift.rotate_right(1);
+                    tdo = Some(self.boundary_shift[0]);
+                    self.boundary_shift[0] = tdi;
                 }
             },
             _ => {}
@@ -294,7 +251,9 @@ impl TapController {
             }
             TapState::CaptureDr => match self.instruction {
                 Instruction::Idcode => self.idcode_shift = IDCODE,
-                Instruction::Extest | Instruction::Sample => self.boundary.capture(observed),
+                Instruction::Extest | Instruction::Sample => {
+                    self.boundary_shift.copy_from_slice(observed)
+                }
                 Instruction::Bypass | Instruction::Clamp | Instruction::Highz => {
                     self.bypass = false
                 }
@@ -302,21 +261,17 @@ impl TapController {
             TapState::UpdateIr => {
                 self.instruction = Instruction::decode(self.ir_shift);
             }
-            TapState::UpdateDr if self.instruction == Instruction::Extest => {
-                self.boundary.update();
+            // SAMPLE/PRELOAD loads the latches too, so EXTEST launches a
+            // known pattern the moment it is selected.
+            TapState::UpdateDr
+                if matches!(self.instruction, Instruction::Extest | Instruction::Sample) =>
+            {
+                self.boundary_update.clone_from(&self.boundary_shift);
             }
             _ => {}
         }
         self.state = next;
         tdo
-    }
-
-    /// Drives the FSM to Test-Logic-Reset (five TMS-high clocks, per the
-    /// standard's guarantee).
-    pub fn reset(&mut self) {
-        for _ in 0..5 {
-            self.clock(true, false, &vec![false; self.boundary.len()]);
-        }
     }
 }
 
@@ -378,52 +333,62 @@ mod tests {
 
     #[test]
     fn opcode_round_trip_and_bypass_default() {
-        for i in [
-            Instruction::Bypass,
-            Instruction::Extest,
-            Instruction::Sample,
-            Instruction::Idcode,
-            Instruction::Clamp,
-            Instruction::Highz,
-        ] {
-            assert_eq!(Instruction::decode(i.opcode()), i);
+        for (i, _, op) in Instruction::TABLE {
+            assert_eq!(i.opcode(), op);
+            assert_eq!(Instruction::decode(op), i);
         }
         // Unknown opcodes fall back to BYPASS.
         assert_eq!(Instruction::decode(0b0111), Instruction::Bypass);
         assert_eq!(Instruction::Bypass.opcode(), 0b1111);
     }
 
+    /// A TAP in Shift-DR under SAMPLE, with its boundary register
+    /// holding `cells`.
+    fn shifting(cells: &[bool]) -> TapController {
+        let mut tap = TapController::new(cells.len());
+        tap.instruction = Instruction::Sample;
+        tap.state = TapState::ShiftDr;
+        tap.boundary_shift = cells.to_vec();
+        tap
+    }
+
     #[test]
-    fn chain_shift_is_a_shift_register() {
-        let mut chain = BoundaryScanChain::new(3);
-        assert!(!chain.shift(true));
-        assert!(!chain.shift(false));
-        assert!(!chain.shift(true));
+    fn boundary_shift_is_a_shift_register() {
+        let mut tap = shifting(&[false; 3]);
+        assert_eq!(tap.clock(false, true, &[]), Some(false));
+        assert_eq!(tap.clock(false, false, &[]), Some(false));
+        assert_eq!(tap.clock(false, true, &[]), Some(false));
         // First bit now reaches the end.
-        assert!(chain.shift(false));
+        assert_eq!(tap.clock(false, false, &[]), Some(true));
     }
 
     #[test]
-    fn shift_pattern_lands_in_order() {
-        let mut chain = BoundaryScanChain::new(4);
-        chain.shift_pattern(&[true, false, true, true]);
-        chain.update();
-        assert_eq!(chain.driven(), vec![true, false, true, true]);
+    fn update_loads_the_latches_only_under_extest_and_sample() {
+        for (inst, _, _) in Instruction::TABLE {
+            let mut tap = shifting(&[true]);
+            tap.instruction = inst;
+            tap.state = TapState::Exit1Dr;
+            tap.clock(true, false, &[]); // UpdateDr
+            let loaded = matches!(inst, Instruction::Extest | Instruction::Sample);
+            assert_eq!(tap.boundary_update, [loaded], "{inst:?}");
+        }
     }
 
     #[test]
-    fn capture_then_shift_out_reads_nets() {
-        let mut chain = BoundaryScanChain::new(4);
-        // Deliberately non-palindromic to pin the ordering.
-        chain.capture(&[true, true, false, true]);
-        let out = chain.shift_pattern(&[false; 4]);
-        assert_eq!(out, vec![true, true, false, true]);
+    fn capture_then_shift_out_reads_pins() {
+        let mut tap = shifting(&[false; 4]);
+        tap.state = TapState::SelectDrScan;
+        // Deliberately non-palindromic to pin the ordering: the last cell
+        // leaves first.
+        tap.clock(false, false, &[true, true, false, true]); // CaptureDr
+        tap.clock(false, false, &[]); // ShiftDr
+        let out: Vec<bool> = (0..4).flat_map(|_| tap.clock(false, false, &[])).collect();
+        assert_eq!(out, vec![true, false, true, true]);
     }
 
     #[test]
     fn idcode_reads_out_after_reset() {
         let mut tap = TapController::new(4);
-        tap.reset();
         assert_eq!(tap.instruction(), Instruction::Idcode);
         // Walk to Shift-DR.
         let obs = vec![false; 4];
@@ -444,7 +409,6 @@ mod tests {
     #[test]
     fn ir_scan_loads_extest() {
         let mut tap = TapController::new(4);
-        tap.reset();
         let obs = vec![false; 4];
         // Navigate: RTI → SelectDR → SelectIR → CaptureIR → ShiftIR ×4 →
         // Exit1IR → UpdateIR.
@@ -463,7 +427,7 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "at least one cell")]
-    fn empty_chain_rejected() {
-        let _ = BoundaryScanChain::new(0);
+    fn empty_boundary_register_rejected() {
+        let _ = TapController::new(0);
     }
 }

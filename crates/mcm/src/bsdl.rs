@@ -11,7 +11,8 @@ use crate::bscan::{Instruction, IDCODE};
 use crate::substrate::{Die, McmAssembly};
 use std::fmt::Write as _;
 
-/// Generates the BSDL-like description of the module.
+/// Generates the BSDL-like description of the module's Sea-of-Gates die:
+/// the IR table, the IDCODE and the die's boundary register.
 pub fn generate_bsdl(module: &McmAssembly, entity: &str) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "entity {entity} is");
@@ -27,25 +28,20 @@ pub fn generate_bsdl(module: &McmAssembly, entity: &str) -> String {
         "attribute INSTRUCTION_LENGTH of {entity}: entity is 4;"
     );
     let _ = writeln!(out, "attribute INSTRUCTION_OPCODE of {entity}: entity is");
-    for (name, inst) in [
-        ("BYPASS", Instruction::Bypass),
-        ("EXTEST", Instruction::Extest),
-        ("SAMPLE", Instruction::Sample),
-        ("IDCODE", Instruction::Idcode),
-        ("CLAMP", Instruction::Clamp),
-        ("HIGHZ", Instruction::Highz),
-    ] {
-        let _ = writeln!(out, "  \"{name} ({:04b})\" &", inst.opcode());
+    for (_, name, opcode) in Instruction::TABLE {
+        let _ = writeln!(out, "  \"{name} ({opcode:04b})\" &");
     }
     let _ = writeln!(out, "  \"\";");
     let _ = writeln!(
         out,
         "attribute IDCODE_REGISTER of {entity}: entity is \"{IDCODE:032b}\";"
     );
-    let n = module.nets().len();
+    let register = module.boundary_register(Die::SeaOfGates);
+    let n = register.len();
     let _ = writeln!(out, "attribute BOUNDARY_LENGTH of {entity}: entity is {n};");
     let _ = writeln!(out, "attribute BOUNDARY_REGISTER of {entity}: entity is");
-    for (i, net) in module.nets().iter().enumerate() {
+    for (i, &net) in register.iter().enumerate() {
+        let net = &module.nets()[net];
         let function = match net.driver {
             Die::SeaOfGates => "output3",
             _ => "input",
@@ -88,10 +84,9 @@ pub fn parse_bsdl(text: &str) -> Option<BsdlSummary> {
             let digits: String = rest.chars().filter(|c| c.is_ascii_digit()).collect();
             instruction_length = digits.parse().ok();
         } else if line.starts_with("attribute IDCODE_REGISTER") {
+            // Entity names are alphabetic, so the only binary digits on
+            // the line are the 32-bit code.
             let bin: String = line.chars().filter(|c| *c == '0' || *c == '1').collect();
-            // The attribute line contains stray digits from the entity
-            // name? No — entity names here are alphabetic; the filtered
-            // string is the 32-bit code.
             if bin.len() >= 32 {
                 idcode = u32::from_str_radix(&bin[bin.len() - 32..], 2).ok();
             }
@@ -121,19 +116,20 @@ mod tests {
         let module = McmAssembly::paper_module();
         let text = generate_bsdl(&module, "FLUXCOMP_MCM");
         let summary = parse_bsdl(&text).expect("parsable");
-        assert_eq!(summary.boundary_length, module.nets().len());
+        let register = module.boundary_register(Die::SeaOfGates);
+        assert_eq!(summary.boundary_length, register.len());
         assert_eq!(summary.instruction_length, 4);
         assert_eq!(summary.idcode, IDCODE);
-        assert_eq!(summary.cell_names.len(), module.nets().len());
-        for (net, name) in module.nets().iter().zip(&summary.cell_names) {
-            assert_eq!(&net.name, name);
+        assert_eq!(summary.cell_names.len(), register.len());
+        for (&net, name) in register.iter().zip(&summary.cell_names) {
+            assert_eq!(&module.nets()[net].name, name);
         }
     }
 
     #[test]
     fn description_lists_all_instructions() {
         let text = generate_bsdl(&McmAssembly::paper_module(), "X");
-        for name in ["BYPASS", "EXTEST", "SAMPLE", "IDCODE", "CLAMP", "HIGHZ"] {
+        for (_, name, _) in Instruction::TABLE {
             assert!(text.contains(name), "{name} missing");
         }
         // BYPASS must advertise the all-ones opcode.

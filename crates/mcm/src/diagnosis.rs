@@ -8,7 +8,7 @@
 //! patterns). Diagnosis is then signature lookup; faults with identical
 //! signatures are equivalence classes the test cannot distinguish.
 
-use crate::interconnect_test::InterconnectTester;
+use crate::interconnect_test;
 use crate::substrate::{Fault, McmAssembly};
 
 /// The failure signature of one test run: for every pattern, the set of
@@ -44,7 +44,6 @@ impl FaultDictionary {
     /// Builds the dictionary by simulating every single fault of the
     /// (assumed fault-free) `golden` module.
     pub fn build(golden: &McmAssembly) -> Self {
-        let tester = InterconnectTester::new(golden.nets().len());
         let entries = golden
             .all_single_faults()
             .into_iter()
@@ -52,8 +51,7 @@ impl FaultDictionary {
                 let mut dut = golden.clone();
                 dut.clear_faults();
                 dut.inject(fault);
-                let report = tester.run(&dut);
-                (fault, Signature::from_report(&report))
+                (fault, Signature::from_report(&interconnect_test::run(&dut)))
             })
             .collect();
         Self { entries }
@@ -107,9 +105,7 @@ impl FaultDictionary {
 /// End-to-end diagnosis: runs the test on a DUT and looks up the
 /// candidates. Returns an empty vector for a passing module.
 pub fn diagnose_module(golden: &McmAssembly, dut: &McmAssembly) -> Vec<Fault> {
-    let tester = InterconnectTester::new(golden.nets().len());
-    let report = tester.run(dut);
-    let sig = Signature::from_report(&report);
+    let sig = Signature::from_report(&interconnect_test::run(dut));
     if sig.is_clean() {
         return Vec::new();
     }
@@ -175,8 +171,7 @@ mod tests {
     #[test]
     fn signature_clean_check() {
         let g = golden();
-        let tester = InterconnectTester::new(g.nets().len());
-        let sig = Signature::from_report(&tester.run(&g));
+        let sig = Signature::from_report(&interconnect_test::run(&g));
         assert!(sig.is_clean());
     }
 }

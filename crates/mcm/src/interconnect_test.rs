@@ -8,11 +8,15 @@
 //! produces a mismatch at the receivers. All-zeros and all-ones patterns
 //! are appended to catch stuck-style behaviour of the wired-AND short
 //! model and opens on nets whose counting code happens to be benign.
+//!
+//! The patterns go through the module's TAP chain as a tester would
+//! apply them: a SAMPLE/PRELOAD scan loads the first pattern, one IR scan
+//! selects EXTEST on every die, and each DR scan then captures the
+//! response to one pattern while it shifts in the next.
 
-use crate::bscan::BoundaryScanChain;
-#[cfg(test)]
-use crate::substrate::Fault;
-use crate::substrate::McmAssembly;
+use crate::bscan::Instruction;
+use crate::chain::TapChain;
+use crate::substrate::{Die, McmAssembly};
 
 /// One pattern's outcome.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -46,138 +50,122 @@ impl TestReport {
     }
 }
 
-/// The interconnect tester: generates counting-sequence patterns, drives
-/// them through the boundary-scan chain and diagnoses mismatches.
-#[derive(Debug, Clone)]
-pub struct InterconnectTester {
-    net_count: usize,
+/// The counting-sequence pattern set for `assembly`'s nets:
+/// `ceil(log2(n+2))` code bits, each applied true and complemented, plus
+/// all-zeros and all-ones.
+///
+/// Codes start at 1 so no net carries the all-zeros code (which the
+/// open model would alias).
+pub fn patterns(assembly: &McmAssembly) -> Vec<Vec<bool>> {
+    let n = assembly.nets().len();
+    let bits = usize::BITS - (n + 1).leading_zeros();
+    let mut out = Vec::new();
+    for b in 0..bits {
+        let p: Vec<bool> = (0..n).map(|i| ((i + 1) >> b) & 1 == 1).collect();
+        let q: Vec<bool> = p.iter().map(|&v| !v).collect();
+        out.push(p);
+        out.push(q);
+    }
+    out.push(vec![false; n]);
+    out.push(vec![true; n]);
+    out
 }
 
-impl InterconnectTester {
-    /// A tester for a module with `net_count` boundary-connected nets.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `net_count` is zero.
-    pub fn new(net_count: usize) -> Self {
-        assert!(net_count > 0, "need at least one net");
-        Self { net_count }
-    }
-
-    /// The counting-sequence pattern set: `ceil(log2(n+2))` code bits,
-    /// each applied true and complemented, plus all-zeros and all-ones.
-    ///
-    /// Codes start at 1 so no net carries the all-zeros code (which the
-    /// open model would alias).
-    pub fn patterns(&self) -> Vec<Vec<bool>> {
-        let n = self.net_count;
-        let bits = usize::BITS - (n + 1).leading_zeros();
-        let mut out = Vec::new();
-        for b in 0..bits {
-            let p: Vec<bool> = (0..n).map(|i| ((i + 1) >> b) & 1 == 1).collect();
-            let q: Vec<bool> = p.iter().map(|&v| !v).collect();
-            out.push(p);
-            out.push(q);
-        }
-        out.push(vec![false; n]);
-        out.push(vec![true; n]);
-        out
-    }
-
-    /// Runs the test against an assembly, exercising the real
-    /// boundary-scan shift/update/capture mechanics for every pattern.
-    pub fn run(&self, assembly: &McmAssembly) -> TestReport {
-        assert_eq!(
-            assembly.nets().len(),
-            self.net_count,
-            "tester sized for a different module"
-        );
-        let _test = fluxcomp_obs::span("mcm.interconnect_test");
-        let mut chain = BoundaryScanChain::new(self.net_count);
-        let mut patterns = Vec::new();
-        let mut failing: Vec<usize> = Vec::new();
-        for driven in self.patterns() {
-            fluxcomp_obs::counter_add("mcm.test_vectors", 1);
-            // Shift the pattern into the chain and update (EXTEST drive).
-            chain.shift_pattern(&driven);
-            chain.update();
-            let launched = chain.driven();
-            // The substrate propagates the driven values (with faults).
-            let observed = assembly.propagate(&launched);
-            // Capture and shift out — the receiving cells observe.
-            chain.capture(&observed);
-            let read_back = chain.shift_pattern(&vec![false; self.net_count]);
-            let mismatches: Vec<usize> = (0..self.net_count)
-                .filter(|&i| read_back[i] != driven[i])
-                .collect();
-            for &m in &mismatches {
-                if !failing.contains(&m) {
-                    failing.push(m);
-                }
-            }
-            patterns.push(PatternResult {
-                driven,
-                observed,
-                mismatches,
-            });
-        }
-        failing.sort_unstable();
-        TestReport {
-            patterns,
-            failing_nets: failing,
-        }
-    }
-
-    /// Fault-coverage experiment: injects every single fault in turn and
-    /// reports the fraction the test detects.
-    pub fn coverage(&self, assembly: &McmAssembly) -> f64 {
-        let faults = assembly.all_single_faults();
-        let mut detected = 0;
-        for f in &faults {
-            let mut dut = assembly.clone();
-            dut.clear_faults();
-            dut.inject(*f);
-            if !self.run(&dut).passed() {
-                detected += 1;
+/// Runs the interconnect test on an assembly through its TAP chain.
+/// Each net is launched from its driver die's cell and observed at its
+/// first receiver's.
+pub fn run(assembly: &McmAssembly) -> TestReport {
+    let _test = fluxcomp_obs::span("mcm.interconnect_test");
+    let nets = assembly.nets();
+    let mut chain = TapChain::new(assembly);
+    let cells: Vec<_> = chain.cells().collect();
+    let patterns = patterns(assembly);
+    // Each pattern as a scan: every net's value in its driver's cell.
+    let mut loads: Vec<Vec<bool>> = patterns
+        .iter()
+        .map(|p| {
+            cells
+                .iter()
+                .map(|&(die, net)| die == nets[net].driver && p[net])
+                .collect()
+        })
+        .collect();
+    loads.push(vec![false; cells.len()]); // the last scan launches all-low
+    chain.reset();
+    chain.load_instructions(&[Instruction::Sample; Die::CHAIN.len()]);
+    chain.scan_dr(&loads[0]);
+    chain.load_instructions(&[Instruction::Extest; Die::CHAIN.len()]);
+    // Each scan captures one pattern's response and launches the next.
+    let mut results = Vec::new();
+    for (driven, next) in patterns.into_iter().zip(&loads[1..]) {
+        fluxcomp_obs::counter_add("mcm.test_vectors", 1);
+        let captured = chain.scan_dr(next);
+        let mut observed = vec![false; nets.len()];
+        for (&(die, net), &bit) in cells.iter().zip(&captured) {
+            if die == nets[net].receivers[0] {
+                observed[net] = bit;
             }
         }
-        detected as f64 / faults.len() as f64
+        let mismatches: Vec<usize> = (0..nets.len())
+            .filter(|&i| observed[i] != driven[i])
+            .collect();
+        results.push(PatternResult {
+            driven,
+            observed,
+            mismatches,
+        });
     }
+    let mut failing: Vec<usize> = results.iter().flat_map(|r| r.mismatches.clone()).collect();
+    failing.sort_unstable();
+    failing.dedup();
+    TestReport {
+        patterns: results,
+        failing_nets: failing,
+    }
+}
+
+/// Fault-coverage experiment: injects every single fault in turn and
+/// reports the fraction the test detects.
+pub fn coverage(assembly: &McmAssembly) -> f64 {
+    let faults = assembly.all_single_faults();
+    let detected = faults.iter().filter(|&&fault| {
+        let mut dut = assembly.clone();
+        dut.clear_faults();
+        dut.inject(fault);
+        !run(&dut).passed()
+    });
+    detected.count() as f64 / faults.len() as f64
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::substrate::Fault;
 
     fn module() -> McmAssembly {
         McmAssembly::paper_module()
     }
 
-    fn tester() -> InterconnectTester {
-        InterconnectTester::new(module().nets().len())
-    }
-
     #[test]
     fn fault_free_module_passes() {
-        let report = tester().run(&module());
+        let report = run(&module());
         assert!(report.passed());
         assert!(report.failing_nets.is_empty());
     }
 
     #[test]
     fn pattern_count_is_logarithmic() {
-        let t = tester(); // 9 nets → codes 1..=9 need 4 bits → 8+2 patterns
-        let report = t.run(&module());
+        // 9 nets → codes 1..=9 need 4 bits → 8+2 patterns
+        let report = run(&module());
         assert_eq!(report.pattern_count(), 10);
     }
 
     #[test]
     fn every_open_is_detected_and_diagnosed() {
-        let t = tester();
         for net in 0..module().nets().len() {
             let mut dut = module();
             dut.inject(Fault::Open { net });
-            let report = t.run(&dut);
+            let report = run(&dut);
             assert!(!report.passed(), "open on net {net} undetected");
             assert!(
                 report.failing_nets.contains(&net),
@@ -189,12 +177,11 @@ mod tests {
 
     #[test]
     fn every_adjacent_short_is_detected() {
-        let t = tester();
         let n = module().nets().len();
         for a in 0..n - 1 {
             let mut dut = module();
             dut.inject(Fault::Short { a, b: a + 1 });
-            let report = t.run(&dut);
+            let report = run(&dut);
             assert!(!report.passed(), "short {a}-{} undetected", a + 1);
             // At least one of the bridged nets shows up.
             assert!(
@@ -207,24 +194,22 @@ mod tests {
 
     #[test]
     fn non_adjacent_shorts_also_detected() {
-        let t = tester();
         let mut dut = module();
         dut.inject(Fault::Short { a: 0, b: 7 });
-        assert!(!t.run(&dut).passed());
+        assert!(!run(&dut).passed());
     }
 
     #[test]
     fn full_single_fault_coverage() {
         // The E10 headline: 100 % single-fault coverage on the paper's
         // module.
-        let cov = tester().coverage(&module());
+        let cov = coverage(&module());
         assert_eq!(cov, 1.0, "coverage {cov}");
     }
 
     #[test]
     fn counting_codes_are_distinct() {
-        let t = tester();
-        let pats = t.patterns();
+        let pats = patterns(&module());
         let n = module().nets().len();
         // Reconstruct each net's code from the non-complement patterns
         // (even indices) and check pairwise distinctness.
@@ -244,12 +229,5 @@ mod tests {
         }
         // No all-zeros code.
         assert!(codes.iter().all(|&c| c != 0));
-    }
-
-    #[test]
-    #[should_panic(expected = "different module")]
-    fn size_mismatch_rejected() {
-        let t = InterconnectTester::new(3);
-        let _ = t.run(&module());
     }
 }

@@ -22,6 +22,12 @@ pub enum Die {
     SensorY,
 }
 
+impl Die {
+    /// Every die, in scan-chain order: the Sea-of-Gates die is nearest
+    /// TDI.
+    pub const CHAIN: [Die; 3] = [Die::SeaOfGates, Die::SensorX, Die::SensorY];
+}
+
 /// A passive component realised on the substrate.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SubstratePassive {
@@ -131,6 +137,16 @@ impl McmAssembly {
     /// The substrate passives.
     pub fn passives(&self) -> &[(String, SubstratePassive)] {
         &self.passives
+    }
+
+    /// Die `die`'s boundary register: one cell per net the die drives or
+    /// receives, in net order, so cell `k` sits on net `register[k]`.
+    /// This one map sizes each die's TAP, lists the BSDL boundary
+    /// register and places each net's launch and capture cells.
+    pub fn boundary_register(&self, die: Die) -> Vec<usize> {
+        (0..self.nets.len())
+            .filter(|&i| self.nets[i].driver == die || self.nets[i].receivers.contains(&die))
+            .collect()
     }
 
     /// Injects a fault.
@@ -279,6 +295,14 @@ mod tests {
         driven[2] = false;
         let seen = m.propagate(&driven);
         assert!(!seen[0] && !seen[1] && !seen[2]);
+    }
+
+    #[test]
+    fn boundary_registers_cover_each_die_pads() {
+        let m = McmAssembly::paper_module();
+        let lengths = Die::CHAIN.map(|die| m.boundary_register(die).len());
+        assert_eq!(lengths, [9, 4, 4]);
+        assert_eq!(m.boundary_register(Die::SensorY), [4, 5, 6, 7]);
     }
 
     #[test]

@@ -1,9 +1,24 @@
 //! Property tests for the MCM substrate and boundary-scan machinery.
 
-use fluxcomp_mcm::bscan::{BoundaryScanChain, Instruction, TapController, TapState};
+use fluxcomp_mcm::bscan::{Instruction, TapController, TapState};
 use fluxcomp_mcm::chain::TapChain;
 use fluxcomp_mcm::substrate::{Fault, McmAssembly};
 use proptest::prelude::*;
+
+/// From Shift-DR: shifts `bits` in, stage 0 (nearest TDI) last, and parks
+/// in Pause-DR. Returns what the stages held, in stage order.
+fn shift_and_pause(chain: &mut TapChain, bits: &[bool]) -> Vec<bool> {
+    let last = bits.len() - 1;
+    let mut out: Vec<bool> = bits
+        .iter()
+        .rev()
+        .enumerate()
+        .map(|(k, &b)| chain.clock(k == last, b).expect("Shift-DR drives TDO"))
+        .collect();
+    chain.clock(false, false); // PauseDr
+    out.reverse();
+    out
+}
 
 proptest! {
     /// A fault-free substrate is transparent for any drive pattern.
@@ -45,17 +60,23 @@ proptest! {
         }
     }
 
-    /// The boundary chain is a bijection: shifting N bits through an
-    /// N-cell chain returns exactly what was loaded before.
+    /// The boundary scan path is a bijection: shifting the 17 bits of a
+    /// second pattern through the chain's SAMPLE path shifts out exactly
+    /// the first, when a Pause-DR between them keeps Capture-DR away.
     #[test]
-    fn chain_shift_bijection(first in prop::collection::vec(any::<bool>(), 1..48),
-                             second_seed in any::<u64>()) {
-        let n = first.len();
-        let second: Vec<bool> = (0..n).map(|k| (second_seed >> (k % 60)) & 1 == 1).collect();
-        let mut chain = BoundaryScanChain::new(n);
-        chain.shift_pattern(&first);
-        let out = chain.shift_pattern(&second);
-        prop_assert_eq!(out, first);
+    fn chain_shift_bijection(first in prop::collection::vec(any::<bool>(), 17),
+                             second in prop::collection::vec(any::<bool>(), 17)) {
+        let module = McmAssembly::paper_module();
+        let mut chain = TapChain::new(&module);
+        chain.reset();
+        chain.load_instructions(&[Instruction::Sample; 3]);
+        chain.clock(true, false); // SelectDrScan
+        chain.clock(false, false); // CaptureDr
+        chain.clock(false, false); // ShiftDr
+        shift_and_pause(&mut chain, &first);
+        chain.clock(true, false); // Exit2Dr
+        chain.clock(false, false); // ShiftDr
+        prop_assert_eq!(shift_and_pause(&mut chain, &second), first);
     }
 
     /// Five TMS-high clocks reach Test-Logic-Reset from any state the
@@ -80,45 +101,42 @@ proptest! {
         let obs = vec![false; 4];
         for (tms, tdi) in stimuli {
             tap.clock(tms, tdi, &obs);
-            // Any reachable instruction is one of the defined set.
+            // Any reachable instruction is one of the IR table's.
             let inst = tap.instruction();
-            let defined = matches!(
-                inst,
-                Instruction::Bypass
-                    | Instruction::Extest
-                    | Instruction::Sample
-                    | Instruction::Idcode
-                    | Instruction::Clamp
-                    | Instruction::Highz
-            );
+            let defined = Instruction::TABLE.iter().any(|e| e.0 == inst);
             prop_assert!(defined, "undefined instruction {inst:?}");
         }
     }
+}
 
-    /// Chain scan-path measurement equals the computed length for any
-    /// per-die instruction assignment, and both equal the sum of one bit
-    /// per bypassed die and the boundary length of every other die. (That
-    /// each die holds its own opcode is checked in the `chain` unit tests.)
-    #[test]
-    fn chain_path_measurement(assignments in prop::collection::vec(0u8..3, 1..5)) {
-        let lengths: Vec<usize> = (0..assignments.len()).map(|k| 3 + k).collect();
-        let mut chain = TapChain::new(&lengths);
-        chain.reset();
-        let instructions: Vec<Instruction> = assignments
-            .iter()
-            .map(|&a| match a {
-                0 => Instruction::Bypass,
-                1 => Instruction::Extest,
-                _ => Instruction::Sample,
-            })
-            .collect();
-        chain.load_instructions(&instructions);
-        let expected: usize = assignments
-            .iter()
-            .zip(&lengths)
-            .map(|(&a, &len)| if a == 0 { 1 } else { len })
-            .sum();
-        prop_assert_eq!(chain.scan_path_bits(), expected);
-        prop_assert_eq!(chain.measure_scan_path(), expected);
+/// Chain scan-path measurement equals the computed length for every one
+/// of the 6³ per-die instruction assignments on the paper chain, and both
+/// equal one bit per bypassing die, 32 per IDCODE die and the boundary
+/// length of every other die. (That each die holds its own opcode is
+/// checked in the `chain` unit tests.)
+#[test]
+fn chain_path_measurement() {
+    let module = McmAssembly::paper_module();
+    let lengths = [9, 4, 4];
+    for a in Instruction::TABLE {
+        for b in Instruction::TABLE {
+            for c in Instruction::TABLE {
+                let instructions = [a.0, b.0, c.0];
+                let mut chain = TapChain::new(&module);
+                chain.reset();
+                chain.load_instructions(&instructions);
+                let expected: usize = instructions
+                    .iter()
+                    .zip(lengths)
+                    .map(|(inst, len)| match inst {
+                        Instruction::Extest | Instruction::Sample => len,
+                        Instruction::Idcode => 32,
+                        _ => 1,
+                    })
+                    .sum();
+                assert_eq!(chain.scan_path_bits(), expected, "{instructions:?}");
+                assert_eq!(chain.measure_scan_path(), expected, "{instructions:?}");
+            }
+        }
     }
 }

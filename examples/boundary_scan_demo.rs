@@ -1,15 +1,16 @@
 //! MCM boundary-scan interconnect test (paper §2 / [Oli96] /
 //! experiment E10): assemble the module, read its IDCODE through the
-//! TAP, run the EXTEST counting-sequence test, then break a trace and a
-//! pair of traces and watch the test find them.
+//! three dies' TAP chain, run the EXTEST counting-sequence test through
+//! that chain, then break a trace and a pair of traces and watch the
+//! test find them.
 //!
 //! ```text
 //! cargo run --example boundary_scan_demo
 //! ```
 
-use fluxcomp::mcm::interconnect_test::InterconnectTester;
+use fluxcomp::mcm::interconnect_test;
 use fluxcomp::mcm::substrate::{Fault, McmAssembly};
-use fluxcomp::mcm::TapController;
+use fluxcomp::mcm::TapChain;
 
 fn main() {
     let _obs = fluxcomp::obs::init_from_env();
@@ -28,24 +29,18 @@ fn main() {
         println!("  substrate passive: {name} = {p:?}");
     }
 
-    // Read the IDCODE through the TAP like a tester would.
-    let mut tap = TapController::new(module.nets().len());
-    tap.reset();
-    let obs = vec![false; module.nets().len()];
-    tap.clock(false, false, &obs);
-    tap.clock(true, false, &obs);
-    tap.clock(false, false, &obs);
-    tap.clock(false, false, &obs);
-    let mut idcode: u32 = 0;
-    for bit in 0..32 {
-        if let Some(tdo) = tap.clock(false, false, &obs) {
-            idcode |= (tdo as u32) << bit;
-        }
-    }
+    // Read the IDCODE like a tester would: reset selects IDCODE on every
+    // die, and one DR scan shifts the codes out. The SoG die's, nearest
+    // TDI, arrives last, MSB first.
+    let mut chain = TapChain::new(&module);
+    chain.reset();
+    let bits = chain.scan_dr(&vec![false; chain.scan_path_bits()]);
+    let idcode = bits[..32]
+        .iter()
+        .fold(0u32, |code, &b| code << 1 | u32::from(b));
     println!("\nIDCODE read through TAP: 0x{idcode:08X}");
 
-    let tester = InterconnectTester::new(module.nets().len());
-    let report = tester.run(&module);
+    let report = interconnect_test::run(&module);
     println!(
         "\nfault-free module: {} patterns, result: {}",
         report.pattern_count(),
@@ -54,7 +49,7 @@ fn main() {
 
     let mut broken = module.clone();
     broken.inject(Fault::Open { net: 2 });
-    let report = tester.run(&broken);
+    let report = interconnect_test::run(&broken);
     println!(
         "open on net 2 ({}): result {}, failing nets {:?}",
         broken.nets()[2].name,
@@ -64,14 +59,14 @@ fn main() {
 
     let mut shorted = module.clone();
     shorted.inject(Fault::Short { a: 4, b: 5 });
-    let report = tester.run(&shorted);
+    let report = interconnect_test::run(&shorted);
     println!(
         "short between nets 4 and 5: result {}, failing nets {:?}",
         if report.passed() { "PASS" } else { "FAIL" },
         report.failing_nets
     );
 
-    let coverage = tester.coverage(&module);
+    let coverage = interconnect_test::coverage(&module);
     println!(
         "\nsingle-fault coverage over all opens + adjacent shorts: {:.0} %",
         coverage * 100.0

@@ -8,7 +8,7 @@ use fluxcomp::compass::chip::{build_chip, paper_chip};
 use fluxcomp::compass::energy::{battery_life_days, Battery, UsageProfile};
 use fluxcomp::compass::CompassConfig;
 use fluxcomp::mcm::diagnosis::FaultDictionary;
-use fluxcomp::mcm::interconnect_test::{InterconnectTester, TestReport};
+use fluxcomp::mcm::interconnect_test::{self, TestReport};
 use fluxcomp::mcm::substrate::{Fault, McmAssembly};
 use fluxcomp::mcm::{generate_bsdl, parse_bsdl, Instruction, TapChain};
 use fluxcomp::rtl::atan_rom::AtanRom;
@@ -271,14 +271,14 @@ fn report_digest(digest: u64, report: &TestReport) -> u64 {
 /// and every short paired with every open.
 #[test]
 fn e10_bscan_figures_are_pinned() {
-    let run = |m: &McmAssembly| InterconnectTester::new(m.nets().len()).run(m);
+    let run = interconnect_test::run;
     let module = McmAssembly::paper_module();
     assert_eq!((module.nets().len(), module.passives().len()), (9, 2));
     let clean = run(&module);
     assert_eq!(clean.pattern_count(), 10);
     assert!(clean.passed());
     assert_eq!(module.all_single_faults().len(), 9 + 8);
-    let coverage = InterconnectTester::new(9).coverage(&module);
+    let coverage = interconnect_test::coverage(&module);
     assert_eq!(coverage.to_bits(), 1.0f64.to_bits());
 
     let with = |faults: &[Fault]| {
@@ -295,7 +295,7 @@ fn e10_bscan_figures_are_pinned() {
     assert_eq!(dict.len(), 17);
     assert_eq!(dict.resolution().to_bits(), 1.0f64.to_bits());
 
-    let mut chain = TapChain::new(&[9, 4, 4]);
+    let mut chain = TapChain::new(&module);
     chain.reset();
     chain.load_instructions(&[
         Instruction::Extest,

@@ -1,8 +1,9 @@
 //! Property-based tests on the workspace's core data structures and
 //! invariants, spanning crates.
 
-use fluxcomp::mcm::substrate::{Fault, McmAssembly};
-use fluxcomp::mcm::{BoundaryScanChain, InterconnectTester};
+use fluxcomp::mcm::interconnect_test;
+use fluxcomp::mcm::substrate::{Die, Fault, McmAssembly};
+use fluxcomp::mcm::{Instruction, TapChain};
 use fluxcomp::rtl::adc::SarAdc;
 use fluxcomp::rtl::cordic::CordicArctan;
 use fluxcomp::rtl::counter::UpDownCounter;
@@ -82,14 +83,24 @@ proptest! {
         prop_assert!((back - lo).abs() <= adc.lsb().value());
     }
 
-    /// A boundary-scan chain is a faithful shift register: whatever is
-    /// captured comes out unchanged and in order.
+    /// What the SoG die launches in EXTEST, every die captures (the
+    /// sensors under SAMPLE) and shifts out unchanged and in order. Nets
+    /// the sensors drive float low, since their pins are not under test.
     #[test]
-    fn boundary_chain_round_trip(bits in prop::collection::vec(any::<bool>(), 1..64)) {
-        let mut chain = BoundaryScanChain::new(bits.len());
-        chain.capture(&bits);
-        let out = chain.shift_pattern(&vec![false; bits.len()]);
-        prop_assert_eq!(out, bits);
+    fn boundary_chain_round_trip(bits in prop::collection::vec(any::<bool>(), 17)) {
+        let module = McmAssembly::paper_module();
+        let mut chain = TapChain::new(&module);
+        chain.reset();
+        chain.load_instructions(&[Instruction::Sample; 3]);
+        chain.scan_dr(&bits); // preloads every update latch
+        chain.load_instructions(&[Instruction::Extest, Instruction::Sample, Instruction::Sample]);
+        let out = chain.scan_dr(&[false; 17]);
+        // The SoG die's cell k sits on net k.
+        let expected: Vec<bool> = chain
+            .cells()
+            .map(|(_, net)| module.nets()[net].driver == Die::SeaOfGates && bits[net])
+            .collect();
+        prop_assert_eq!(out, expected);
     }
 
     /// Any single open or adjacent short on the paper's MCM is caught by
@@ -101,8 +112,7 @@ proptest! {
         let fault = faults[pick % faults.len()];
         let mut dut = module.clone();
         dut.inject(fault);
-        let tester = InterconnectTester::new(module.nets().len());
-        prop_assert!(!tester.run(&dut).passed(), "{fault:?} escaped");
+        prop_assert!(!interconnect_test::run(&dut).passed(), "{fault:?} escaped");
     }
 
     /// Shorting two arbitrary distinct nets is also detected (beyond the
@@ -113,8 +123,7 @@ proptest! {
         let module = McmAssembly::paper_module();
         let mut dut = module.clone();
         dut.inject(Fault::Short { a, b });
-        let tester = InterconnectTester::new(module.nets().len());
-        prop_assert!(!tester.run(&dut).passed());
+        prop_assert!(!interconnect_test::run(&dut).passed());
     }
 }
 
