@@ -27,16 +27,19 @@
 //! next and replays the repeating period instead, and it evaluates the
 //! row only inside each pulse's window: outside it the EMF is provably
 //! too small to move either comparator, so zero stands in for it (see
-//! `windowed_row` for the proof). On a noisy channel it
-//! draws every noise sample in stream order but evaluates the Gaussian
-//! value only when the draw could move a comparator across a trip
-//! point; otherwise it steps the detector with the clean value, which
-//! leaves the same state (see [`FrontEnd::measure_into`]). Inside a
-//! noise burst's window it brackets both streams' values from table
-//! lookups and evaluates them only when the bracketed sum straddles a
-//! trip point, and it steps the detector there with its branch-free
-//! step. The same bits as the traced run, less work; this module's
-//! tests pin the two against each other.
+//! `windows` for the proof). A noisy channel takes each excitation
+//! period in two phases. It first draws the period's noise, in stream
+//! order, into one reusable buffer of stepping values, evaluating the
+//! Gaussian value only when the draw could move a comparator across a
+//! trip point and leaving a value that steps the detector alike
+//! otherwise (see [`FrontEnd::measure_into`]); then it steps the
+//! detector through the buffer. Its row holds the EMF only inside
+//! windows cut at half the release point where one noise floor covers
+//! every sample outside them. Inside a noise burst's window it brackets
+//! both streams' values from table lookups and evaluates them only when
+//! the bracketed sum straddles a trip point, and it steps the detector
+//! there with its branch-free step. The same bits as the traced run,
+//! less work; this module's tests pin the two against each other.
 //!
 //! A function this module or the compass calls once per analogue
 //! sample from another crate is `#[inline]` (`CoreModel::mu_diff`,
@@ -251,8 +254,8 @@ pub struct FrontEnd {
     windowing: Option<Windowing>,
 }
 
-/// What [`FrontEnd::windowed_row`] needs to know about a channel, found
-/// once when it is built.
+/// What [`FrontEnd::windows`] needs to know about a channel, found once
+/// when it is built.
 #[derive(Debug, Clone)]
 struct Windowing {
     /// The two halves of the excitation table (the rising and the
@@ -260,10 +263,15 @@ struct Windowing {
     /// along which `h_drive` strictly rises if `dh_dt > 0` and strictly
     /// falls otherwise.
     halves: [Range<usize>; 2],
-    /// A sample whose clean EMF is smaller in magnitude than this is
-    /// quiet: it, and every sample of its half farther from the pulse,
-    /// steps the detector exactly as [`Volt::ZERO`] does.
-    quiet: f64,
+    /// The comparators' release point `release > 0`: every value within
+    /// `±band`, `band = release·(1 − 1e-9)`, steps the detector exactly
+    /// as [`Volt::ZERO`] does.
+    release: f64,
+    /// The noise bound `b = (band − release/2)·(1 − 1e-9)` outside the
+    /// windows of a noisy row: for every `|v| ≤ release/2` and `|x| ≤ b`,
+    /// `v + x` steps the detector as zero does. `None` if the
+    /// comparators' arithmetic does not bear that out at `±(release/2 + b)`.
+    outside: Option<f64>,
 }
 
 impl Windowing {
@@ -291,18 +299,31 @@ impl Windowing {
             return None;
         }
         // The positive comparator releases below `release` and the
-        // negative one above `−release`; check the band with the
-        // comparators' own arithmetic, a relative 1e-9 inside.
+        // negative one above `−release`; check the bands with the
+        // comparators' own arithmetic.
         let release = trip_points(detector)[0];
-        let band = Volt::new(release * (1.0 - 1e-9));
+        let band = release * (1.0 - 1e-9);
         let probe = PulsePositionDetector::new(*detector);
-        let alike = probe.steps_alike(band, Volt::ZERO) && probe.steps_alike(-band, Volt::ZERO);
-        (release > 0.0 && alike).then_some(Self {
+        let alike = |v: Volt| probe.steps_alike(v, Volt::ZERO) && probe.steps_alike(-v, Volt::ZERO);
+        if !(release > 0.0 && alike(Volt::new(band))) {
+            return None;
+        }
+        let level = release / 2.0;
+        let b = (band - level) * (1.0 - 1e-9);
+        let outside = alike(Volt::new(level) + Volt::new(b)).then_some(b);
+        Some(Self {
             halves,
-            quiet: release * (1.0 - 1e-6),
+            release,
+            outside,
         })
     }
 }
+
+/// The most draws outside its windows a noisy row may evaluate, as a
+/// share of those draws: at the outside floor's share or above, the full
+/// row is cheaper to build and keeps its per-sample floors. The paper
+/// design at 2 mV evaluates ~4e-5 of them.
+const LAZY_SHARE: f64 = 1e-3;
 
 /// Output toggles one scanned period may record for folding; a period
 /// with more falls back to the plain scan. The paper design toggles
@@ -379,12 +400,51 @@ impl<const CAP: usize> Toggles<CAP> {
     }
 }
 
+/// Where the kernel takes each excitation period's stepping values
+/// from: the pickup EMF of every sample, noise included.
+trait Periods {
+    /// The values the detector steps with through the period that starts
+    /// at run sample `first`, one per table sample; `first` counts from
+    /// the first settle sample.
+    fn period(&mut self, first: usize) -> &[Volt];
+}
+
+/// A noise-free row: every period steps through the same values.
+impl Periods for &[Volt] {
+    fn period(&mut self, _: usize) -> &[Volt] {
+        self
+    }
+}
+
+/// One period's buffer, which `fill(first, buffer)` refills for each
+/// period in turn.
+struct Filled<F> {
+    buffer: Vec<Volt>,
+    fill: F,
+}
+
+impl<F: FnMut(usize, &mut [Volt])> Filled<F> {
+    fn new(samples: usize, fill: F) -> Self {
+        Self {
+            buffer: vec![Volt::ZERO; samples],
+            fill,
+        }
+    }
+}
+
+impl<F: FnMut(usize, &mut [Volt])> Periods for Filled<F> {
+    fn period(&mut self, first: usize) -> &[Volt] {
+        (self.fill)(first, &mut self.buffer);
+        &self.buffer
+    }
+}
+
 /// What [`FrontEnd::scan_period`] threads through the samples of one
-/// period: where the period starts, how each sample is formed and
-/// stepped, the output level so far, and where each sample goes.
-struct Scan<'a, P, S, const CAP: usize> {
+/// period: where the period starts, the values its samples step with,
+/// the output level so far, and where each sample goes.
+struct Scan<'a, S, const CAP: usize> {
     first: usize,
-    pickup: &'a mut P,
+    values: &'a [Volt],
     stuck: Option<bool>,
     detector: &'a mut PulsePositionDetector,
     level: bool,
@@ -392,18 +452,17 @@ struct Scan<'a, P, S, const CAP: usize> {
     sample: S,
 }
 
-impl<P, S, const CAP: usize> Scan<'_, P, S, CAP>
+impl<S, const CAP: usize> Scan<'_, S, CAP>
 where
-    P: FnMut(usize, usize) -> Volt,
     S: FnMut(usize, usize, Volt, bool),
 {
     /// Steps the period's samples `js`, with the detector's branch-free
     /// [`step_loud`](PulsePositionDetector::step_loud) if `LOUD`.
     #[inline(always)]
     fn samples<const LOUD: bool>(&mut self, js: Range<usize>) {
-        for j in js {
+        let values = self.values;
+        for (j, &v_pickup) in js.clone().zip(&values[js]) {
             let run_sample = self.first + j;
-            let v_pickup = (self.pickup)(run_sample, j);
             let mut out = if LOUD {
                 self.detector.step_loud(v_pickup)
             } else {
@@ -522,9 +581,14 @@ impl FrontEnd {
         let mut detector_samples = Vec::with_capacity(cfg.measure_periods * cfg.samples_per_period);
         let row = self.clean_row(h_ext, 1.0);
         let mut noise = GaussianNoise::new(cfg.pickup_noise_rms, noise_seed);
+        let mut periods = Filled::new(row.len(), |_, values: &mut [Volt]| {
+            for (value, &v) in values.iter_mut().zip(&row) {
+                *value = v + Volt::new(noise.sample());
+            }
+        });
         let result = self.measure_folded::<FOLD_TOGGLES>(
             &mut PulsePositionDetector::new(cfg.detector),
-            |_, j| row[j] + Volt::new(noise.sample()),
+            &mut periods,
             Stepping::default(),
             false,
             |_, out| detector_samples.push(out),
@@ -578,16 +642,20 @@ impl FrontEnd {
     /// windows and zero elsewhere, which steps the detector alike; the
     /// `afe.emf_evals` counter reports the EMF evaluations made.
     ///
-    /// A noisy channel steps every sample, but most of its noise is not
-    /// evaluated. Each sample draws its uniforms in stream order, as the
-    /// traced run does when it evaluates every draw.
-    /// A draw whose first uniform shows that the noise is smaller than
-    /// the clean value's distance to the nearest comparator trip point
-    /// cannot change the detector's step, so the detector is stepped with
-    /// the clean value instead; only the rest pay for `ln`, `sqrt` and
+    /// A noisy channel steps every sample, in two phases per period.
+    /// First it draws the period's noise in stream order into one
+    /// reusable buffer of stepping values, as the traced run draws it,
+    /// and evaluates only what can change a step: a draw whose first
+    /// uniform shows that the noise is smaller than the clean value's
+    /// distance to the nearest comparator trip point leaves the clean
+    /// value in the buffer; only the rest pay for `ln`, `sqrt` and
     /// `sin`/`cos`. On the paper design at 2 mV that is about 4 % of the
     /// samples (the `afe.noise_evals` and `afe.noise_draws` counters,
     /// which count the draws and the full evaluations of every stream).
+    /// Where one noise floor covers every sample outside the pulse
+    /// windows cut at half the release point, the row holds the clean
+    /// EMF only inside them, and a draw below that floor evaluates its
+    /// EMF when it is drawn. Then the detector steps through the buffer.
     pub fn measure_into(
         &self,
         h_ext: AmperePerMeter,
@@ -605,13 +673,8 @@ impl FrontEnd {
     ///
     /// The noise-free row is folded when `fold` allows it, and then, if
     /// nothing struck, evaluated only inside its pulse windows (see
-    /// [`windowed_row`](Self::windowed_row)). Otherwise each
-    /// sample draws its nominal noise and evaluates it only when the
-    /// draw could move a comparator across a trip point (see
-    /// [`skip_bound`]). Inside a burst window each sample draws both
-    /// streams and evaluates them only when their brackets leave the
-    /// step in doubt (see [`add_burst`]); the detector takes its
-    /// branch-free step there.
+    /// [`windowed_row`](Self::windowed_row)). Otherwise each period's
+    /// stepping values are drawn first (see [`Noisy`]), then stepped.
     fn measure_row(
         &self,
         h_ext: AmperePerMeter,
@@ -622,42 +685,45 @@ impl FrontEnd {
         on_sample: impl FnMut(usize, bool),
     ) -> MeasureResult {
         let cfg = &self.config;
-        let windowed = fold && cfg.pickup_noise_rms == 0.0 && faults.is_none();
-        let row = windowed
-            .then(|| self.windowed_row(h_ext))
-            .flatten()
-            .unwrap_or_else(|| self.clean_row(h_ext, faults.pickup_gain));
         let stuck = faults.stuck_output;
         if cfg.pickup_noise_rms == 0.0 && faults.burst.is_none() {
+            let row = (fold && faults.is_none())
+                .then(|| self.windowed_row(h_ext))
+                .flatten()
+                .unwrap_or_else(|| self.clean_row(h_ext, faults.pickup_gain));
             return self.measure_folded::<FOLD_TOGGLES>(
                 detector,
-                |_, j| row[j],
+                &mut row.as_slice(),
                 Stepping { stuck, loud: 0..0 },
                 fold,
                 on_sample,
                 no_tap,
             );
         }
-        let mut noise = GaussianNoise::new(cfg.pickup_noise_rms, noise_seed);
-        let floors = self.skip_floors(&row, &noise);
-        let (burst, mut stream) = self.burst(faults);
-        let probe = PulsePositionDetector::new(cfg.detector);
-        let mut evals = 0;
-        let pickup = |run_sample: usize, j: usize| {
-            if burst.contains(&run_sample) {
-                add_burst(row[j], &mut noise, &mut stream, &probe, &mut evals)
-            } else {
-                add_noise(row[j], floors[j], &mut noise, &mut evals)
-            }
+        let noise = GaussianNoise::new(cfg.pickup_noise_rms, noise_seed);
+        let (burst, stream) = self.burst(faults);
+        let row = self.noisy_row(h_ext, faults.pickup_gain, &noise, burst.is_empty());
+        let mut noisy = Noisy {
+            front_end: self,
+            h_ext,
+            gain: faults.pickup_gain,
+            row,
+            noise,
+            burst: burst.clone(),
+            stream,
+            probe: PulsePositionDetector::new(cfg.detector),
+            values: vec![Volt::ZERO; self.table.len()],
+            noise_evals: 0,
+            emf_evals: 0,
         };
-        let stepping = Stepping {
-            stuck,
-            loud: burst.clone(),
-        };
-        let result = self
-            .measure_folded::<FOLD_TOGGLES>(detector, pickup, stepping, false, on_sample, no_tap);
-        let draws = drawn(&noise, self.run_samples()) + drawn(&stream, burst.len());
-        count_noise(draws, evals);
+        let stepping = Stepping { stuck, loud: burst };
+        let result = self.measure_folded::<FOLD_TOGGLES>(
+            detector, &mut noisy, stepping, false, on_sample, no_tap,
+        );
+        let draws =
+            drawn(&noisy.noise, self.run_samples()) + drawn(&noisy.stream, noisy.burst.len());
+        count_noise(draws, noisy.noise_evals);
+        fluxcomp_obs::counter_add("afe.emf_evals", noisy.emf_evals);
         result
     }
 
@@ -689,61 +755,113 @@ impl FrontEnd {
     /// in paired runs.
     #[inline(never)]
     fn clean_row(&self, h_ext: AmperePerMeter, gain: f64) -> Vec<Volt> {
-        let mut row = Vec::with_capacity(self.table.len());
-        for j in 0..self.table.len() {
-            let mut v_pickup = self.clean_emf(h_ext, j);
-            if gain != 1.0 {
-                v_pickup = Volt::new(v_pickup.value() * gain);
-            }
-            row.push(v_pickup);
-        }
+        let row: Vec<Volt> = (0..self.table.len())
+            .map(|j| self.clean_emf(h_ext, j, gain))
+            .collect();
         fluxcomp_obs::counter_add("afe.emf_evals", row.len() as u64);
         row
     }
 
     /// The noise-free pickup EMF of excitation-table sample `j` in
-    /// external field `h_ext`.
+    /// external field `h_ext`, scaled by `gain` unless it is 1.
     #[inline(always)]
-    fn clean_emf(&self, h_ext: AmperePerMeter, j: usize) -> Volt {
+    fn clean_emf(&self, h_ext: AmperePerMeter, j: usize, gain: f64) -> Volt {
         let drive = &self.table.samples()[j];
-        self.sensor.pickup_emf(drive.h_drive + h_ext, drive.dh_dt)
+        let v_pickup = self.sensor.pickup_emf(drive.h_drive + h_ext, drive.dh_dt);
+        if gain == 1.0 {
+            v_pickup
+        } else {
+            Volt::new(v_pickup.value() * gain)
+        }
     }
 
     /// The clean row of `h_ext` with the EMF evaluated only inside the
-    /// two pulse windows and [`Volt::ZERO`] elsewhere, or `None` where
-    /// windows do not apply; the detector steps through it exactly as
-    /// through [`clean_row`](Self::clean_row).
+    /// two pulse [`windows`](Self::windows) cut at the release point and
+    /// [`Volt::ZERO`] elsewhere, or `None` where windows do not apply;
+    /// the detector steps through it exactly as through
+    /// [`clean_row`](Self::clean_row).
+    ///
+    /// Why a sample outside the windows may step with zero: its float
+    /// EMF is below the release point less 1e-9 in magnitude, and
+    /// [`Windowing::new`] checked that every value that close to zero
+    /// steps both comparators as zero does.
+    #[inline(never)]
+    fn windowed_row(&self, h_ext: AmperePerMeter) -> Option<Vec<Volt>> {
+        let release = self.windowing.as_ref()?.release;
+        let mut evals = 0;
+        let windows = self.windows(h_ext, 1.0, release, &mut evals);
+        let row = windows.map(|windows| {
+            let mut row = vec![Volt::ZERO; self.table.len()];
+            for j in windows.into_iter().flatten() {
+                row[j] = self.clean_emf(h_ext, j, 1.0);
+                evals += 1;
+            }
+            row
+        });
+        fluxcomp_obs::counter_add("afe.emf_evals", evals);
+        row
+    }
+
+    /// The two pulse windows of the clean row of `h_ext` scaled by `gain`
+    /// at `level`, or `None` where windows do not apply: outside them
+    /// every sample's float EMF is below `level` less a relative 1e-9 in
+    /// magnitude. Counts the EMF evaluations it makes into `evals`.
     ///
     /// On each half of the table `dh_dt` is one constant and `h_drive`
     /// is strictly monotone (checked when the channel is built), so the
     /// EMF is a `sech²` bell of one sign, peaking where `h_drive + h_ext`
     /// crosses the core's [`peak_field`](fluxcomp_fluxgate::CoreModel::peak_field).
     /// Bisection finds that peak sample, then on each side of it the
-    /// nearest *quiet* sample, whose EMF magnitude is below the release
-    /// point less a relative 1e-6. Each window runs from one quiet
-    /// sample to the other, both excluded.
+    /// nearest *quiet* sample, whose EMF magnitude is below `level` less
+    /// a relative 1e-6. Each window runs from one quiet sample to the
+    /// other, both excluded; it is empty where the peak sample and the one
+    /// before it are both quiet, as on an open pickup.
     ///
-    /// Why a sample outside the windows may step with zero: exact `µ` is
+    /// Why every sample outside is below `level` less 1e-9: exact `µ` is
     /// monotone in `|h − peak_field|`, and the float `h_drive + h_ext` is
     /// monotone along the half, so every sample farther from the peak
-    /// than a quiet one has an exact EMF no larger. The float EMF is
-    /// within ~1e-14 of the exact one, which the 1e-6 margin covers: its
-    /// magnitude is below the release point less 1e-9, and
-    /// [`Windowing::new`] checked that every value that close to zero
-    /// steps both comparators as zero does. This holds at whatever index
-    /// the bisection returns, even where rounding makes the float EMF
-    /// non-monotone, because the certificate is the quiet sample itself.
-    /// A half whose peak has no quiet sample on one side (a field near
-    /// ±H_peak) keeps the full row.
-    #[inline(never)]
-    fn windowed_row(&self, h_ext: AmperePerMeter) -> Option<Vec<Volt>> {
+    /// than a quiet one has an exact EMF no larger, and so, scaled by the
+    /// same `gain`, no larger in magnitude. The float EMF is within
+    /// ~1e-14 of the exact one, which the 1e-6 margin covers. This holds
+    /// at whatever index the bisection returns, even where rounding makes
+    /// the float EMF non-monotone, because the certificate is the quiet
+    /// sample itself. A half whose peak has no quiet sample on one side
+    /// (a field near ±H_peak) gives `None`.
+    ///
+    /// Two rows rest on this. [`windowed_row`](Self::windowed_row) cuts
+    /// at the release point, where zero steps the detector as the EMF
+    /// does. [`noisy_row`](Self::noisy_row) cuts at half of it, and one
+    /// noise floor covers every sample outside, with the bound
+    /// `b = (band − level)·(1 − 1e-9)` of [`Windowing::outside`]. Where
+    /// the full row steps with `v` or with the traced run's `v + x`, the
+    /// windowed one steps with a value that leaves the same detector
+    /// state, in each of the three cases of a draw outside the windows:
+    ///
+    /// * at or above the outside floor, whether or not the draw is below
+    ///   `v`'s own floor: `|x| ≤ b` and `|v| ≤ level`, so `v + x` lies
+    ///   between `−(level + b)` and `level + b` (float addition is
+    ///   monotone), which step the detector as zero does (checked with
+    ///   the comparators' own arithmetic when the channel is built). The
+    ///   verdicts are monotone, so zero stands in for `v + x`, and for `v`
+    ///   too, which steps alike `v + x` where `v`'s own floor skips;
+    /// * below the outside floor only: the full row steps with `v`, which
+    ///   steps alike `v + x` (see [`skip_bound`]); the windowed row
+    ///   evaluates `v` and `x` and steps with `v + x`;
+    /// * below both floors: both rows step with `v + x`.
+    fn windows(
+        &self,
+        h_ext: AmperePerMeter,
+        gain: f64,
+        level: f64,
+        evals: &mut u64,
+    ) -> Option<[Range<usize>; 2]> {
         let windowing = self.windowing.as_ref()?;
         let samples = self.table.samples();
         let core = &self.config.sensor.core;
-        let mut evals = 0u64;
+        let quiet_below = level * (1.0 - 1e-6);
         let mut quiet = |j: usize| {
-            evals += 1;
-            self.clean_emf(h_ext, j).value().abs() < windowing.quiet
+            *evals += 1;
+            self.clean_emf(h_ext, j, gain).value().abs() < quiet_below
         };
         let mut windows = [0..0, 0..0];
         for (window, half) in windows.iter_mut().zip(&windowing.halves) {
@@ -762,39 +880,71 @@ impl FrontEnd {
             let from = start + partition_point(peak - start, |i| quiet(start + i));
             let until = peak + partition_point(half.end - peak, |i| !quiet(peak + i));
             if from == half.start || until == half.end {
-                fluxcomp_obs::counter_add("afe.emf_evals", evals);
                 return None;
             }
             *window = from..until;
         }
-        let mut row = vec![Volt::ZERO; samples.len()];
-        for j in windows.into_iter().flatten() {
-            row[j] = self.clean_emf(h_ext, j);
-            evals += 1;
-        }
-        fluxcomp_obs::counter_add("afe.emf_evals", evals);
-        Some(row)
+        Some(windows)
     }
 
-    /// For each clean row value, the least first uniform of a `noise`
-    /// draw at which the detector may be stepped with the clean value:
-    /// the draw is then within the value's [`skip_bound`].
-    fn skip_floors(&self, row: &[Volt], noise: &GaussianNoise) -> Vec<f64> {
+    /// The clean row of `h_ext` scaled by `gain` that a noisy measurement
+    /// draws its noise against, with each sample's noise floor.
+    ///
+    /// Where `may_window` (no burst, whose brackets need every sample's
+    /// EMF) and one floor, that of [`Windowing::outside`], covers every
+    /// sample outside the [`windows`](Self::windows) cut at half the
+    /// release point at no more than [`LAZY_SHARE`] of their draws, the
+    /// row holds the EMF only inside those windows and zero outside, and
+    /// the samples outside take that one floor. Otherwise the full row is
+    /// evaluated, and every sample takes the floor of its own value's
+    /// [`skip_bound`].
+    fn noisy_row(
+        &self,
+        h_ext: AmperePerMeter,
+        gain: f64,
+        noise: &GaussianNoise,
+        may_window: bool,
+    ) -> NoisyRow {
         let detector = PulsePositionDetector::new(self.config.detector);
         let trips = trip_points(&self.config.detector);
-        let mut floors = Vec::with_capacity(row.len());
-        for &v in row {
-            floors.push(noise.floor_within(skip_bound(&detector, &trips, v)));
-        }
-        floors
+        let floor = |v: Volt| noise.floor_within(skip_bound(&detector, &trips, v));
+        let mut evals = 0;
+        let windowing = self.windowing.as_ref().filter(|_| may_window);
+        let windowed = windowing.and_then(|windowing| {
+            let outside = noise.floor_within(windowing.outside?);
+            if outside > LAZY_SHARE {
+                return None;
+            }
+            let windows = self.windows(h_ext, gain, windowing.release / 2.0, &mut evals)?;
+            let mut row = vec![Volt::ZERO; self.table.len()];
+            let mut floors = vec![outside; self.table.len()];
+            for j in windows.clone().into_iter().flatten() {
+                row[j] = self.clean_emf(h_ext, j, gain);
+                floors[j] = floor(row[j]);
+                evals += 1;
+            }
+            Some(NoisyRow {
+                row,
+                floors,
+                windows: Some(windows),
+            })
+        });
+        fluxcomp_obs::counter_add("afe.emf_evals", evals);
+        windowed.unwrap_or_else(|| {
+            let row = self.clean_row(h_ext, gain);
+            let floors = row.iter().map(|&v| floor(v)).collect();
+            NoisyRow {
+                row,
+                floors,
+                windows: None,
+            }
+        })
     }
 
     /// The one measurement kernel, with a toggle buffer of `CAP` entries
     /// per period.
     ///
-    /// `pickup(run_sample, j)` forms the EMF of table sample `j` at run
-    /// sample `run_sample`, noise included; `run_sample` counts from the
-    /// first settle sample.
+    /// `periods` gives each period's stepping values (see [`Periods`]).
     /// `stepping` says how the detector is stepped (see [`Stepping`]).
     /// `fold` allows period folding and must only be set
     /// when every period sees the same inputs. `tap(run_sample, j,
@@ -803,7 +953,7 @@ impl FrontEnd {
     fn measure_folded<const CAP: usize>(
         &self,
         detector: &mut PulsePositionDetector,
-        mut pickup: impl FnMut(usize, usize) -> Volt,
+        periods: &mut impl Periods,
         stepping: Stepping,
         fold: bool,
         mut on_sample: impl FnMut(usize, bool),
@@ -830,28 +980,15 @@ impl FrontEnd {
         while stepped < total_periods {
             toggles.clear();
             let first = stepped * n;
+            let values = periods.period(first);
             if stepped < cfg.settle_periods {
-                self.scan_period(
-                    first,
-                    &mut pickup,
-                    &stepping,
-                    detector,
-                    &mut toggles,
-                    &mut tap,
-                );
+                self.scan_period(first, values, &stepping, detector, &mut toggles, &mut tap);
             } else {
                 let sample = |run_sample, j, v_pickup, out| {
                     tap(run_sample, j, v_pickup, out);
                     emit(out);
                 };
-                self.scan_period(
-                    first,
-                    &mut pickup,
-                    &stepping,
-                    detector,
-                    &mut toggles,
-                    sample,
-                );
+                self.scan_period(first, values, &stepping, detector, &mut toggles, sample);
             }
             pulse_edges += toggles.len() as u64;
             stepped += 1;
@@ -887,9 +1024,9 @@ impl FrontEnd {
         }
     }
 
-    /// Steps the sensor and detector through the excitation period
-    /// starting at run sample `first`, recording its toggles and passing
-    /// each sample to `sample(run_sample, j, pickup, output)`.
+    /// Steps the detector through the excitation period starting at run
+    /// sample `first` with its stepping `values`, recording its toggles
+    /// and passing each sample to `sample(run_sample, j, pickup, output)`.
     ///
     /// The samples before, inside and after the period's share of the
     /// loud run samples are three loops, so a quiet sample pays no test
@@ -898,18 +1035,17 @@ impl FrontEnd {
     fn scan_period<const CAP: usize>(
         &self,
         first: usize,
-        pickup: &mut impl FnMut(usize, usize) -> Volt,
+        values: &[Volt],
         stepping: &Stepping,
         detector: &mut PulsePositionDetector,
         toggles: &mut Toggles<CAP>,
         sample: impl FnMut(usize, usize, Volt, bool),
     ) {
-        let n = self.table.len();
-        let within = |k: usize| k.clamp(first, first + n) - first;
-        let loud = within(stepping.loud.start)..within(stepping.loud.end);
+        let n = values.len();
+        let loud = within(&stepping.loud, first, n);
         let mut scan = Scan {
             first,
-            pickup,
+            values,
             stuck: stepping.stuck,
             detector,
             level: toggles.level,
@@ -987,27 +1123,30 @@ impl FrontEnd {
             .map_or(0..0, |(from, until)| window(total, from, until));
         let (burst, mut stream) = self.burst(faults);
         let table = self.table.samples();
-        let pickup = |run_sample: usize, j: usize| {
-            let (h_drive, dh_dt) = if dropout.contains(&run_sample) {
-                (AmperePerMeter::ZERO, 0.0)
-            } else {
-                (table[j].h_drive, table[j].dh_dt)
-            };
-            let frac = run_sample as f64 * inv_total;
-            let h = h_drive + h_ext + AmperePerMeter::new(faults.hk_ramp * frac);
-            let mut v_pickup = self.sensor.pickup_emf(h, dh_dt);
-            if faults.pickup_gain != 1.0 {
-                v_pickup = Volt::new(v_pickup.value() * faults.pickup_gain);
+        let mut periods = Filled::new(table.len(), |first, values: &mut [Volt]| {
+            for (j, value) in values.iter_mut().enumerate() {
+                let run_sample = first + j;
+                let (h_drive, dh_dt) = if dropout.contains(&run_sample) {
+                    (AmperePerMeter::ZERO, 0.0)
+                } else {
+                    (table[j].h_drive, table[j].dh_dt)
+                };
+                let frac = run_sample as f64 * inv_total;
+                let h = h_drive + h_ext + AmperePerMeter::new(faults.hk_ramp * frac);
+                let mut v_pickup = self.sensor.pickup_emf(h, dh_dt);
+                if faults.pickup_gain != 1.0 {
+                    v_pickup = Volt::new(v_pickup.value() * faults.pickup_gain);
+                }
+                v_pickup += Volt::new(noise.sample());
+                if burst.contains(&run_sample) {
+                    v_pickup += Volt::new(stream.sample());
+                }
+                *value = v_pickup;
             }
-            v_pickup += Volt::new(noise.sample());
-            if burst.contains(&run_sample) {
-                v_pickup += Volt::new(stream.sample());
-            }
-            v_pickup
-        };
+        });
         let result = self.measure_folded::<FOLD_TOGGLES>(
             detector,
-            pickup,
+            &mut periods,
             Stepping {
                 stuck: faults.stuck_output,
                 loud: burst.clone(),
@@ -1026,49 +1165,124 @@ impl FrontEnd {
 /// The tap of a measurement that records no sample.
 fn no_tap(_: usize, _: usize, _: Volt, _: bool) {}
 
-/// `v` plus the next draw of `noise`, evaluated only when the draw's
-/// first uniform is below `floor`. At or above it, the draw cannot
-/// change the detector's step, so `v` stands in for the sum.
-#[inline(always)]
-fn add_noise(v: Volt, floor: f64, noise: &mut GaussianNoise, evals: &mut u64) -> Volt {
-    if noise.draw() >= floor {
-        return v;
-    }
-    *evals += 1;
-    v + Volt::new(noise.value())
+/// The clean row a noisy measurement draws its noise against (see
+/// [`FrontEnd::noisy_row`]).
+struct NoisyRow {
+    /// The clean EMF of each table sample, or zero outside `windows`.
+    row: Vec<Volt>,
+    /// The least first uniform of a draw at which a sample may step
+    /// with its row value.
+    floors: Vec<f64>,
+    /// The windows outside which the row holds zero for the EMF, if it
+    /// is windowed.
+    windows: Option<[Range<usize>; 2]>,
 }
 
-/// `(v + x₁) + x₂` for the next draws `x₁` of `noise` and `x₂` of
-/// `burst`, the sum a sample inside a burst window steps with, or a value
-/// that steps the detector alike.
-///
-/// Both draws are bracketed first ([`GaussianNoise::bracket`]). Float
-/// addition is monotone in each argument, so the sum lies between
-/// `(v + lo₁) + lo₂` and `(v + hi₁) + hi₂`; if `probe` steps those two
-/// alike, it steps every value between them alike, and the lower one
-/// stands in for the sum. Otherwise both values are evaluated.
-///
-/// Kept out of line: inlined into the kernel, it slowed the quiet
-/// samples of every noisy axis by ~5 % in paired runs.
-#[inline(never)]
-fn add_burst(
-    v: Volt,
-    noise: &mut GaussianNoise,
-    burst: &mut GaussianNoise,
-    probe: &PulsePositionDetector,
-    evals: &mut u64,
-) -> Volt {
-    noise.draw();
-    burst.draw();
-    let [lo_1, hi_1] = noise.bracket();
-    let [lo_2, hi_2] = burst.bracket();
-    let lo = (v + Volt::new(lo_1)) + Volt::new(lo_2);
-    let hi = (v + Volt::new(hi_1)) + Volt::new(hi_2);
-    if probe.steps_alike(lo, hi) {
-        return lo;
+impl NoisyRow {
+    /// Whether table sample `j`'s EMF is left out of the row, to be
+    /// evaluated when a draw falls below its floor.
+    fn lazy(&self, j: usize) -> bool {
+        self.windows
+            .as_ref()
+            .is_some_and(|windows| !windows.iter().any(|w| w.contains(&j)))
     }
-    *evals += drawn(noise, 1) + drawn(burst, 1);
-    (v + Volt::new(noise.value())) + Volt::new(burst.value())
+}
+
+/// A noisy measurement's stepping values, drawn one excitation period at
+/// a time into one reusable buffer before the detector steps through
+/// them. The nominal stream is drawn in stream order, as the traced run
+/// draws it, but only what can change a step is evaluated:
+///
+/// * outside the burst window, one [`GaussianNoise::draw_below`] per run
+///   of samples compares each draw against its sample's floor and
+///   evaluates only the draws below it; the others leave the row value,
+///   which steps the detector as the noisy one would (see [`skip_bound`],
+///   and [`FrontEnd::windows`] for a windowed row's zeros);
+/// * inside it, each sample draws both streams and brackets them
+///   ([`GaussianNoise::bracket`]). Float addition is monotone in each
+///   argument, so the sum `(v + x₁) + x₂` lies between `(v + lo₁) + lo₂`
+///   and `(v + hi₁) + hi₂`; if the detector steps those two alike, it
+///   steps every value between them alike, and the lower one stands in
+///   for the sum. Otherwise both values are evaluated.
+struct Noisy<'a> {
+    front_end: &'a FrontEnd,
+    h_ext: AmperePerMeter,
+    gain: f64,
+    row: NoisyRow,
+    noise: GaussianNoise,
+    /// The run samples the burst covers.
+    burst: Range<usize>,
+    /// The burst's stream; silent without a burst.
+    stream: GaussianNoise,
+    probe: PulsePositionDetector,
+    /// One period's stepping values.
+    values: Vec<Volt>,
+    /// Draws of either stream evaluated in full.
+    noise_evals: u64,
+    /// EMFs evaluated for draws below the floor outside a windowed row.
+    emf_evals: u64,
+}
+
+impl Noisy<'_> {
+    /// Draws the nominal noise of the period's samples `js`, none of them
+    /// in the burst window, into the values, which hold their row values.
+    fn draw_quiet(&mut self, js: Range<usize>) {
+        let Self {
+            front_end,
+            h_ext,
+            gain,
+            row,
+            noise,
+            values,
+            noise_evals,
+            emf_evals,
+            ..
+        } = self;
+        noise.draw_below(&row.floors[js.clone()], |i, x| {
+            let j = js.start + i;
+            let v = if row.lazy(j) {
+                *emf_evals += 1;
+                front_end.clean_emf(*h_ext, j, *gain)
+            } else {
+                row.row[j]
+            };
+            values[j] = v + Volt::new(x);
+            *noise_evals += 1;
+        });
+    }
+}
+
+impl Periods for Noisy<'_> {
+    fn period(&mut self, first: usize) -> &[Volt] {
+        let n = self.values.len();
+        let loud = within(&self.burst, first, n);
+        self.values.copy_from_slice(&self.row.row);
+        self.draw_quiet(0..loud.start);
+        for j in loud.clone() {
+            let v = self.row.row[j];
+            self.noise.draw();
+            self.stream.draw();
+            let [lo_1, hi_1] = self.noise.bracket();
+            let [lo_2, hi_2] = self.stream.bracket();
+            let lo = (v + Volt::new(lo_1)) + Volt::new(lo_2);
+            let hi = (v + Volt::new(hi_1)) + Volt::new(hi_2);
+            self.values[j] = if self.probe.steps_alike(lo, hi) {
+                lo
+            } else {
+                self.noise_evals += drawn(&self.noise, 1) + drawn(&self.stream, 1);
+                (v + Volt::new(self.noise.value())) + Volt::new(self.stream.value())
+            };
+        }
+        self.draw_quiet(loud.end..n);
+        &self.values
+    }
+}
+
+/// The samples of `run` within the `n`-sample period that starts at run
+/// sample `first`, as indices into the period.
+fn within(run: &Range<usize>, first: usize, n: usize) -> Range<usize> {
+    let within = |k: usize| k.clamp(first, first + n) - first;
+    within(run.start)..within(run.end)
 }
 
 /// `draws` if `noise` is not silent, else 0: a silent source draws and
@@ -1505,10 +1719,9 @@ mod tests {
                     for (k, (h, heading)) in headings.chain(sweep).enumerate() {
                         let row = fe.clean_row(h, 1.0);
                         let (full, full_seen, _) = counted(|on_sample| {
-                            let pickup = |_, j| row[j];
                             fe.measure_folded::<FOLD_TOGGLES>(
                                 &mut detector,
-                                pickup,
+                                &mut row.as_slice(),
                                 Stepping::default(),
                                 true,
                                 on_sample,
@@ -1559,6 +1772,28 @@ mod tests {
         fe.run(h_from_microtesla(15.0));
         let profile = session.profile().expect("recording");
         assert_eq!(profile.counter("afe.emf_evals"), Some(4096));
+    }
+
+    /// An unburst paper-design axis at 2 mV evaluates the clean EMF at
+    /// fewer than half of its 4096 table samples: inside the two windows
+    /// cut at half the release point, at the bisection probes that find
+    /// them, and for the rare draw below the floor outside them.
+    #[test]
+    fn noisy_axis_evaluates_under_half_the_row() {
+        let mut cfg = FrontEndConfig::paper_design();
+        cfg.pickup_noise_rms = 2e-3;
+        cfg.measure_periods = 8;
+        let fe = FrontEnd::new(cfg).expect("valid config");
+        let mut detector = PulsePositionDetector::new(fe.config().detector);
+        for (seed, ut) in [(1, -15.0), (2, -7.5), (3, 0.0), (4, 10.0), (5, 15.0)] {
+            let (_, _, evals) = counted_by("afe.emf_evals", |on_sample| {
+                fe.measure_into(h_from_microtesla(ut), seed, &mut detector, on_sample)
+            });
+            assert!(
+                evals > 0 && evals < 2048,
+                "{ut} µT: {evals} EMF evaluations"
+            );
+        }
     }
 
     /// The fold's contract: for every noise-free configuration, several
@@ -1630,10 +1865,9 @@ mod tests {
         let h = h_from_microtesla(15.0);
         let row = fe.clean_row(h, 1.0);
         let (scanned, seen, steps) = counted(|on_sample| {
-            let pickup = |_, j| row[j];
             fe.measure_folded::<1>(
                 &mut detector,
-                pickup,
+                &mut row.as_slice(),
                 Stepping::default(),
                 true,
                 on_sample,
@@ -2029,6 +2263,107 @@ mod tests {
                                 assert_eq!(got.duty.to_bits(), expected.duty.to_bits(), "{at}");
                                 assert_eq!(got, expected, "{at}");
                                 assert!(seen == expected_seen, "{at}: on_sample streams differ");
+                            }
+                        }
+                    }
+                });
+            }
+        });
+    }
+
+    /// The windowed noisy row's contract: zero outside the windows cut at
+    /// half the release point, the one outside floor and the EMF
+    /// evaluated when a draw falls below it change no bit. On the paper
+    /// detector, one without hysteresis and one with an offset, on the
+    /// paper, a hysteretic and a wide-loop core, at 2, 4 and 8 mV, unstruck,
+    /// with an open pickup and with a stuck comparator, over fields out
+    /// to ±1.2·H_peak, the measurement gives the `MeasureResult` and
+    /// `on_sample` stream of the eager per-sample loop, bit for bit. The
+    /// row is windowed on every unstruck configuration at 2 mV out to
+    /// ±0.4·H_peak, and falls back to the full row at 8 mV, where the
+    /// outside floor would evaluate too many draws.
+    #[test]
+    fn windowed_noisy_row_matches_the_eager_loop() {
+        use fluxcomp_faults::FixFaults;
+        let paper = FrontEndConfig::paper_design();
+        let with_detector = |detector| FrontEndConfig {
+            detector,
+            ..paper.clone()
+        };
+        let with_core = |h_c| FrontEndConfig {
+            sensor: FluxgateParams::adapted_hysteretic(h_c),
+            ..paper.clone()
+        };
+        let configs = [
+            ("paper", paper.clone()),
+            (
+                "no_hysteresis",
+                with_detector(DetectorConfig {
+                    hysteresis: Volt::ZERO,
+                    ..DetectorConfig::paper_design()
+                }),
+            ),
+            (
+                "offset",
+                with_detector(DetectorConfig {
+                    offset: Volt::new(3e-3),
+                    ..DetectorConfig::paper_design()
+                }),
+            ),
+            ("hysteretic", with_core(0.1)),
+            ("wide_loop", with_core(1.5)),
+        ];
+        let open = FixFaults {
+            pickup_gain: fluxcomp_faults::OPEN_PICKUP_GAIN,
+            injected: 1,
+            ..FixFaults::none()
+        };
+        let stuck = FixFaults {
+            stuck_output: Some(true),
+            injected: 1,
+            ..FixFaults::none()
+        };
+        let fields = [
+            -1.2, -1.0, -0.9, -0.4, -0.06, 0.0, 0.03, 0.25, 0.8, 0.97, 1.2,
+        ];
+        std::thread::scope(|s| {
+            for (name, base) in configs {
+                s.spawn(move || {
+                    for sigma in [2e-3, 4e-3, 8e-3] {
+                        let fe = FrontEnd::new(FrontEndConfig {
+                            pickup_noise_rms: sigma,
+                            ..base.clone()
+                        })
+                        .expect("valid config");
+                        let h_peak = fe.peak_excitation_field();
+                        let mut detector = PulsePositionDetector::new(fe.config().detector);
+                        for (case, faults) in [FixFaults::none(), open, stuck].iter().enumerate() {
+                            for (k, &field) in fields.iter().enumerate() {
+                                let seed = 100 * case as u64 + k as u64;
+                                let h = h_peak * field;
+                                let (expected, expected_seen) = eager_faulted(&fe, h, seed, faults);
+                                let (got, seen, evals) = counted_by("afe.emf_evals", |on_sample| {
+                                    fe.measure_into_faulted(
+                                        h,
+                                        seed,
+                                        &mut detector,
+                                        faults,
+                                        on_sample,
+                                    )
+                                });
+                                let at =
+                                    format!("{name} at {sigma} V, faults {case}, field {field}");
+                                assert_eq!(got.duty.to_bits(), expected.duty.to_bits(), "{at}");
+                                assert_eq!(got, expected, "{at}");
+                                assert!(seen == expected_seen, "{at}: on_sample streams differ");
+                                if case != 2 && sigma == 2e-3 && field.abs() <= 0.4 {
+                                    // An open pickup's windows are empty.
+                                    let most = if case == 0 { 2048 } else { 100 };
+                                    assert!(evals < most, "{at}: {evals} EMF evaluations");
+                                }
+                                if sigma == 8e-3 {
+                                    assert!(evals >= 4096, "{at}: windowed");
+                                }
                             }
                         }
                     }

@@ -133,6 +133,46 @@ pub struct FaultSpec {
     pub rate: f64,
 }
 
+impl FaultSpec {
+    /// Checks the values the text grammar refuses: a rate outside
+    /// `[0, 1]`, an H offset that is not finite, a window that does not
+    /// satisfy `0 <= from < until <= 1`, a burst RMS that is negative or
+    /// not finite. A spec built in code, through [`FaultPlan::with`],
+    /// may hold any of them; [`FaultPlan::compile`] never strikes with
+    /// such a spec.
+    pub fn check(&self) -> Result<(), FaultPlanError> {
+        if !(0.0..=1.0).contains(&self.rate) {
+            return Err(FaultPlanError::BadRate(self.rate.to_string()));
+        }
+        let bad = |fault, detail: &str| FaultPlanError::BadParams {
+            fault,
+            detail: detail.to_string(),
+        };
+        let window = |fault, from: f64, until: f64| {
+            if (0.0..=1.0).contains(&from) && (0.0..=1.0).contains(&until) && from < until {
+                Ok(())
+            } else {
+                Err(bad(
+                    fault,
+                    &format!("window must satisfy 0 <= from < until <= 1, got {from}..{until}"),
+                ))
+            }
+        };
+        match self.kind {
+            FaultKind::OpenPickup | FaultKind::StuckComparator { .. } => Ok(()),
+            FaultKind::HkDriftRamp { h_end } if !h_end.is_finite() => {
+                Err(bad("hk_ramp", "H offset must be finite"))
+            }
+            FaultKind::HkDriftRamp { .. } => Ok(()),
+            FaultKind::ExcitationDropout { from, until } => window("dropout", from, until),
+            FaultKind::NoiseBurst { rms, .. } if !(rms >= 0.0 && rms.is_finite()) => {
+                Err(bad("burst", "RMS must be finite and non-negative"))
+            }
+            FaultKind::NoiseBurst { from, until, .. } => window("burst", from, until),
+        }
+    }
+}
+
 /// A seeded set of [`FaultSpec`]s; the deterministic source of every
 /// injected fault in the stack.
 #[derive(Debug, Clone, PartialEq)]
@@ -183,6 +223,11 @@ impl FaultPlan {
         &self.specs
     }
 
+    /// The first spec's [`FaultSpec::check`] error, if any spec fails it.
+    pub fn check(&self) -> Result<(), FaultPlanError> {
+        self.specs.iter().try_for_each(FaultSpec::check)
+    }
+
     /// Compiles the plan into the concrete effects striking one axis of
     /// one fix.
     ///
@@ -190,7 +235,8 @@ impl FaultPlan {
     /// seed. The activation draw for spec `i` is
     /// `unit_f64(derive_seed(derive_seed(plan_seed, fix_seed), axis << 32 | i))`,
     /// so the result is a pure function of those four values — see the
-    /// crate-level determinism contract.
+    /// crate-level determinism contract. A spec that fails its
+    /// [`check`](FaultSpec::check) never strikes.
     #[must_use]
     pub fn compile(&self, axis_index: u32, fix_seed: u64) -> FixFaults {
         let mut out = FixFaults::none();
@@ -199,7 +245,7 @@ impl FaultPlan {
         }
         let stream = derive_seed(self.seed, fix_seed);
         for (i, spec) in self.specs.iter().enumerate() {
-            if !spec.axis.applies_to(axis_index) {
+            if !spec.axis.applies_to(axis_index) || spec.check().is_err() {
                 continue;
             }
             let draw = derive_seed(stream, (u64::from(axis_index) << 32) | i as u64);
@@ -396,9 +442,6 @@ fn parse_spec(entry: &str) -> Result<FaultSpec, FaultPlanError> {
         .trim()
         .parse()
         .map_err(|_| FaultPlanError::BadRate(rate_text.to_string()))?;
-    if !rate.is_finite() || !(0.0..=1.0).contains(&rate) {
-        return Err(FaultPlanError::BadRate(rate_text.to_string()));
-    }
     let (name_axis, params) = match head.split_once('=') {
         Some((na, p)) => (na.trim(), Some(p.trim())),
         None => (head.trim(), None),
@@ -412,8 +455,13 @@ fn parse_spec(entry: &str) -> Result<FaultSpec, FaultPlanError> {
         "both" => AxisSel::Both,
         other => return Err(FaultPlanError::BadAxis(other.to_string())),
     };
-    let kind = parse_kind(name.trim(), params)?;
-    Ok(FaultSpec { kind, axis, rate })
+    let spec = FaultSpec {
+        kind: parse_kind(name.trim(), params)?,
+        axis,
+        rate,
+    };
+    spec.check()?;
+    Ok(spec)
 }
 
 fn parse_kind(name: &str, params: Option<&str>) -> Result<FaultKind, FaultPlanError> {
@@ -439,9 +487,6 @@ fn parse_kind(name: &str, params: Option<&str>) -> Result<FaultKind, FaultPlanEr
             let h_end: f64 = text
                 .parse()
                 .map_err(|_| bad("hk_ramp", &format!("bad H offset {text:?}")))?;
-            if !h_end.is_finite() {
-                return Err(bad("hk_ramp", "H offset must be finite"));
-            }
             Ok(FaultKind::HkDriftRamp { h_end })
         }
         "dropout" => {
@@ -458,9 +503,6 @@ fn parse_kind(name: &str, params: Option<&str>) -> Result<FaultKind, FaultPlanEr
                 .trim()
                 .parse()
                 .map_err(|_| bad("burst", &format!("bad RMS {rms_text:?}")))?;
-            if !rms.is_finite() || rms < 0.0 {
-                return Err(bad("burst", "RMS must be finite and non-negative"));
-            }
             let (from, until) = parse_window("burst", window)?;
             Ok(FaultKind::NoiseBurst { rms, from, until })
         }
@@ -481,11 +523,6 @@ fn parse_window(fault: &'static str, text: &str) -> Result<(f64, f64), FaultPlan
         .trim()
         .parse()
         .map_err(|_| bad(format!("bad window end {b:?}")))?;
-    if !(0.0..=1.0).contains(&from) || !(0.0..=1.0).contains(&until) || from >= until {
-        return Err(bad(format!(
-            "window must satisfy 0 <= from < until <= 1, got {from}..{until}"
-        )));
-    }
     Ok((from, until))
 }
 
@@ -637,6 +674,50 @@ mod tests {
             FaultPlan::parse("burst@y=0.005:0.5"),
             Err(E::BadParams { fault: "burst", .. })
         ));
+    }
+
+    /// A spec built in code with a value the grammar refuses fails its
+    /// check with the error the parser gives, and never strikes.
+    #[test]
+    fn invalid_specs_fail_the_check_and_never_strike() {
+        let burst = |rms, from, until| FaultKind::NoiseBurst { rms, from, until };
+        let kinds = [
+            (burst(f64::NAN, 0.1, 0.9), "burst"),
+            (burst(-1e-3, 0.1, 0.9), "burst"),
+            (burst(f64::INFINITY, 0.1, 0.9), "burst"),
+            (burst(1e-3, 0.9, 0.1), "burst"),
+            (burst(1e-3, f64::NAN, 0.5), "burst"),
+            (FaultKind::HkDriftRamp { h_end: f64::NAN }, "hk_ramp"),
+            (
+                FaultKind::ExcitationDropout {
+                    from: -0.5,
+                    until: 0.5,
+                },
+                "dropout",
+            ),
+        ];
+        for (kind, fault) in kinds {
+            let spec = FaultSpec {
+                kind,
+                axis: AxisSel::Both,
+                rate: 1.0,
+            };
+            assert!(
+                matches!(spec.check(), Err(FaultPlanError::BadParams { fault: f, .. }) if f == fault),
+                "{kind:?}"
+            );
+            let plan = FaultPlan::new(5).with(open_y(0.0)).with(spec);
+            assert!(plan.check().is_err(), "{kind:?}");
+            for seed in 0..50 {
+                assert!(plan.compile(0, seed).is_none(), "{kind:?} struck");
+            }
+        }
+        for rate in [f64::NAN, -0.1, 1.5] {
+            let plan = FaultPlan::new(5).with(open_y(rate));
+            assert!(matches!(plan.check(), Err(FaultPlanError::BadRate(_))));
+            assert!((0..50).all(|seed| plan.compile(1, seed).is_none()));
+        }
+        assert_eq!(FaultPlan::new(5).with(open_y(1.0)).check(), Ok(()));
     }
 
     #[test]

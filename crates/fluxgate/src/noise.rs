@@ -18,9 +18,11 @@ use std::sync::OnceLock;
 /// within some bound can compare the drawn `u1` against
 /// [`floor_within`](Self::floor_within) and skip the `ln`, `sqrt` and
 /// `sin`/`cos` of the evaluation; the generator advances the same either
-/// way, so the stream of values is unchanged. A caller that needs more
-/// than a magnitude bound can take [`bracket`](Self::bracket), an
-/// interval sure to hold the value, from two table lookups.
+/// way, so the stream of values is unchanged.
+/// [`draw_below`](Self::draw_below) makes that compare for a block of
+/// draws in one loop. A caller that needs more than a magnitude bound can
+/// take [`bracket`](Self::bracket), an interval sure to hold the value,
+/// from two table lookups.
 ///
 /// # Example
 ///
@@ -83,10 +85,10 @@ struct Tables {
     /// `√(−2·ln e)` at each radius-bucket edge `e`, ascending in `e`, so
     /// descending in value; the last edge is 1, of radius 0.
     radius: [f64; RADIUS_BUCKETS + 1],
-    /// `[cos, sin]` of the exact angle `2π·b/ANGLE_BUCKETS` at each angle
-    /// bucket edge `b`, mirrored from one quarter wave so that the
-    /// quarter turns are exactly 0 and ±1.
-    angle: [[f64; 2]; ANGLE_BUCKETS + 1],
+    /// Per angle bucket, `[t_lo, t_hi]` for its cosine and its sine half:
+    /// the lesser and the greater of the factor at the bucket's two
+    /// [`angle_edges`], widened by the angle slack.
+    bounds: [[[f64; 2]; 2]; ANGLE_BUCKETS],
 }
 
 impl Tables {
@@ -96,10 +98,10 @@ impl Tables {
         TABLES.get_or_init(Self::build)
     }
 
-    /// Builds both tables from 64 logarithms and 257 sines, through
-    /// `ln(2^e·m) = e·ln 2 + ln m` and the quarter-wave symmetry. Each
-    /// entry is then a few ulps from a direct evaluation, which the
-    /// relative margin covers.
+    /// Builds the radius table from 64 logarithms, through
+    /// `ln(2^e·m) = e·ln 2 + ln m`, and the angle bounds from
+    /// [`angle_edges`]. Each radius entry is then a few ulps from a
+    /// direct evaluation, which the relative margin covers.
     fn build() -> Self {
         const PER_BINADE: usize = 1 << (52 - RADIUS_KEY_SHIFT);
         let mut ln_mantissa = [0.0; PER_BINADE];
@@ -112,26 +114,44 @@ impl Tables {
             let ln_edge = exponent * std::f64::consts::LN_2 + ln_mantissa[i % PER_BINADE];
             *r = (-2.0 * ln_edge).sqrt();
         }
-        const QUARTER: usize = ANGLE_BUCKETS / 4;
-        let mut wave = [0.0; QUARTER + 1];
-        for (k, s) in wave.iter_mut().enumerate() {
-            *s = (TAU * (k as f64 / ANGLE_BUCKETS as f64)).sin();
-        }
-        let sin_at = |b: usize| {
-            let k = b % QUARTER;
-            match b / QUARTER % 4 {
-                0 => wave[k],
-                1 => wave[QUARTER - k],
-                2 => -wave[k],
-                _ => -wave[QUARTER - k],
+        let angle = angle_edges();
+        let mut bounds = [[[0.0; 2]; 2]; ANGLE_BUCKETS];
+        for (b, halves) in bounds.iter_mut().enumerate() {
+            let [edge, next] = [angle[b], angle[b + 1]];
+            // Half `h` is `cos` or `sin`; the other function is its slope.
+            for (h, bound) in halves.iter_mut().enumerate() {
+                let slope = max(edge[1 - h].abs(), next[1 - h].abs());
+                let slack = ANGLE_SLACK * (slope + ANGLE_SLACK);
+                *bound = [min(edge[h], next[h]) - slack, max(edge[h], next[h]) + slack];
             }
-        };
-        let mut angle = [[0.0; 2]; ANGLE_BUCKETS + 1];
-        for (b, cos_sin) in angle.iter_mut().enumerate() {
-            *cos_sin = [sin_at(b + QUARTER), sin_at(b)];
         }
-        Self { radius, angle }
+        Self { radius, bounds }
     }
+}
+
+/// `[cos, sin]` of the exact angle `2π·b/ANGLE_BUCKETS` at each angle
+/// bucket edge `b`, from 257 sines mirrored from one quarter wave, so
+/// that the quarter turns are exactly 0 and ±1.
+fn angle_edges() -> [[f64; 2]; ANGLE_BUCKETS + 1] {
+    const QUARTER: usize = ANGLE_BUCKETS / 4;
+    let mut wave = [0.0; QUARTER + 1];
+    for (k, s) in wave.iter_mut().enumerate() {
+        *s = (TAU * (k as f64 / ANGLE_BUCKETS as f64)).sin();
+    }
+    let sin_at = |b: usize| {
+        let k = b % QUARTER;
+        match b / QUARTER % 4 {
+            0 => wave[k],
+            1 => wave[QUARTER - k],
+            2 => -wave[k],
+            _ => -wave[QUARTER - k],
+        }
+    };
+    let mut angle = [[0.0; 2]; ANGLE_BUCKETS + 1];
+    for (b, cos_sin) in angle.iter_mut().enumerate() {
+        *cos_sin = [sin_at(b + QUARTER), sin_at(b)];
+    }
+    angle
 }
 
 impl GaussianNoise {
@@ -188,16 +208,21 @@ impl GaussianNoise {
         if self.spare {
             self.spare = false;
         } else {
-            // Box-Muller: two uniforms → two independent standard normals.
-            self.pair = Pair {
-                u1: self.rng.gen_range(f64::MIN_POSITIVE..1.0),
-                u2: self.rng.gen_range(0.0..1.0),
-                r: None,
-                sin_bracket: None,
-            };
+            self.pair = self.next_pair();
             self.spare = true;
         }
         self.pair.u1
+    }
+
+    /// Box-Muller: two uniforms → two independent standard normals.
+    #[inline(always)]
+    fn next_pair(&mut self) -> Pair {
+        Pair {
+            u1: self.rng.gen_range(f64::MIN_POSITIVE..1.0),
+            u2: self.rng.gen_range(0.0..1.0),
+            r: None,
+            sin_bracket: None,
+        }
     }
 
     /// The value of the sample last drawn. Evaluating it or not leaves
@@ -213,6 +238,61 @@ impl GaussianNoise {
             r * theta.cos() * self.std_dev
         } else {
             r * theta.sin() * self.std_dev
+        }
+    }
+
+    /// Draws one sample per entry of `floors`, in stream order, and
+    /// passes `below(i, value)` the [`value`](Self::value) of each draw
+    /// `i` whose first uniform is below `floors[i]`.
+    ///
+    /// The same decisions, the same values bit for bit and the same end
+    /// state as a [`draw`](Self::draw) per floor, followed by `value`
+    /// where the draw is below its floor: a pending sine half is drawn
+    /// first, then whole pairs, each compared against both its floors in
+    /// one tight loop and evaluated only when one of them is above its
+    /// `u1`, then a last cosine half, which leaves its sine half pending
+    /// as `draw` does. A silent source evaluates every draw whose floor
+    /// is above 1.0 to zero.
+    #[inline]
+    pub fn draw_below(&mut self, floors: &[f64], mut below: impl FnMut(usize, f64)) {
+        let pending = if self.std_dev == 0.0 {
+            floors.len()
+        } else {
+            usize::from(self.spare).min(floors.len())
+        };
+        let (alone, rest) = floors.split_at(pending);
+        for (i, &floor) in alone.iter().enumerate() {
+            if self.draw() < floor {
+                below(i, self.value());
+            }
+        }
+        let mut pairs = rest.chunks_exact(2);
+        let mut last = None;
+        for (k, floor) in pairs.by_ref().enumerate() {
+            let pair = self.next_pair();
+            let (cos, sin) = (pair.u1 < floor[0], pair.u1 < floor[1]);
+            if cos | sin {
+                let i = pending + 2 * k;
+                self.pair = pair;
+                self.spare = true;
+                if cos {
+                    below(i, self.value());
+                }
+                self.spare = false;
+                if sin {
+                    below(i + 1, self.value());
+                }
+            }
+            last = Some(pair);
+        }
+        if let Some(pair) = last {
+            self.pair = pair;
+            self.spare = false;
+        }
+        if let [floor] = *pairs.remainder() {
+            if self.draw() < floor {
+                below(floors.len() - 1, self.value());
+            }
         }
     }
 
@@ -236,7 +316,7 @@ impl GaussianNoise {
     ///
     /// Both halves of a pair share their buckets, so the first bracket of
     /// a pair finds the second one's too, and keeps it. The tables are
-    /// built on the first call in the process, ~44 KB.
+    /// built on the first call in the process, ~60 KB.
     #[inline]
     pub fn bracket(&mut self) -> [f64; 2] {
         if self.std_dev == 0.0 {
@@ -256,6 +336,11 @@ impl GaussianNoise {
     }
 
     /// The brackets of the cosine and the sine half of the current pair.
+    ///
+    /// The radius bounds are not negative and `r_lo ≤ r_hi`, so a factor
+    /// bound below zero gives the least product with `r_hi` and one at or
+    /// above zero with `r_lo`, and the other way round for the greatest:
+    /// the product `min`/`max` of the two radius bounds, picked by sign.
     #[inline]
     fn pair_brackets(&self) -> [[f64; 2]; 2] {
         let Pair { u1, u2, .. } = self.pair;
@@ -266,21 +351,15 @@ impl GaussianNoise {
         }
         let tables = Tables::get();
         let (r_lo, r_hi) = (tables.radius[key + 1], tables.radius[key]);
-        let [edge, next] = [tables.angle[b], tables.angle[b + 1]];
-        // Half `h` is `cos` or `sin`; the other function is its slope.
-        let bracket = |h: usize| {
-            let slope = max(edge[1 - h].abs(), next[1 - h].abs());
-            let slack = ANGLE_SLACK * (slope + ANGLE_SLACK);
-            let t_lo = min(edge[h], next[h]) - slack;
-            let t_hi = max(edge[h], next[h]) + slack;
-            let lo = min(r_lo * t_lo, r_hi * t_lo);
-            let hi = max(r_lo * t_hi, r_hi * t_hi);
+        let bracket = |[t_lo, t_hi]: [f64; 2]| {
+            let lo = t_lo * if t_lo < 0.0 { r_hi } else { r_lo };
+            let hi = t_hi * if t_hi > 0.0 { r_hi } else { r_lo };
             [
                 (lo - lo.abs() * MARGIN) * self.std_dev,
                 (hi + hi.abs() * MARGIN) * self.std_dev,
             ]
         };
-        [bracket(0), bracket(1)]
+        tables.bounds[b].map(bracket)
     }
 
     /// The least `u1` at which a drawn sample is sure to lie within
@@ -524,6 +603,88 @@ mod tests {
             // Narrow enough to decide most steps: ~1 % of σ on average.
             let mean = width / 1e6;
             assert!(mean < 0.05, "σ {sigma}: mean width {mean}");
+        }
+    }
+
+    /// The per-bucket bounds give the bits of the edge products they
+    /// replace: the factor's edge values widened by the slack, times both
+    /// radius bounds, the least and the greatest product taken.
+    #[test]
+    fn bucket_bounds_match_the_edge_products() {
+        let angle = angle_edges();
+        let mut source = GaussianNoise::new(2e-3, 0xB0B5);
+        for index in 0..200_000 {
+            source.draw();
+            let Pair { u1, u2, .. } = source.pair;
+            let key = (u1.to_bits() >> RADIUS_KEY_SHIFT).wrapping_sub(RADIUS_KEY_BASE) as usize;
+            let b = (u2 * ANGLE_BUCKETS as f64) as usize;
+            let tables = Tables::get();
+            let (r_lo, r_hi) = (tables.radius[key + 1], tables.radius[key]);
+            let [edge, next] = [angle[b], angle[b + 1]];
+            let expected = [0, 1].map(|h| {
+                let slope = max(edge[1 - h].abs(), next[1 - h].abs());
+                let slack = ANGLE_SLACK * (slope + ANGLE_SLACK);
+                let t_lo = min(edge[h], next[h]) - slack;
+                let t_hi = max(edge[h], next[h]) + slack;
+                let lo = min(r_lo * t_lo, r_hi * t_lo);
+                let hi = max(r_lo * t_hi, r_hi * t_hi);
+                [
+                    ((lo - lo.abs() * MARGIN) * source.std_dev).to_bits(),
+                    ((hi + hi.abs() * MARGIN) * source.std_dev).to_bits(),
+                ]
+            });
+            let got = source.pair_brackets().map(|half| half.map(f64::to_bits));
+            assert_eq!(got, expected, "draw {index}: u1 {u1:e} u2 {u2:e}");
+        }
+    }
+
+    /// The block draw is the per-sample draw: for random floors, 0, 1 and
+    /// ∞ among them, over back-to-back blocks of odd and even lengths
+    /// (so that blocks start on a pending sine half, some of them after a
+    /// lone `draw`), on a silent source too, it passes the draws below
+    /// their floors with the values `draw` and `value` give, bit for bit,
+    /// and leaves the source where they leave it.
+    #[test]
+    fn block_draws_match_per_sample_draws() {
+        let mut rng = StdRng::seed_from_u64(0xB10C);
+        for (seed, sigma) in [0.0, 1e-9, 2e-3, 3.0].into_iter().enumerate() {
+            let mut block = GaussianNoise::new(sigma, seed as u64);
+            let mut single = block.clone();
+            let mut evaluated = 0;
+            for len in [0, 1, 2, 3, 4, 5, 7, 8, 31, 64, 0, 1, 4095, 4096, 1, 6] {
+                let floors: Vec<f64> = (0..len)
+                    .map(|_| match rng.gen_range(0..5) {
+                        0 => 0.0,
+                        1 => 1.0,
+                        2 => f64::INFINITY,
+                        _ => rng.gen_range(0.0..1.0),
+                    })
+                    .collect();
+                let mut got = Vec::new();
+                block.draw_below(&floors, |i, x| got.push((i, x.to_bits())));
+                let mut expected = Vec::new();
+                for (i, &floor) in floors.iter().enumerate() {
+                    if single.draw() < floor {
+                        expected.push((i, single.value().to_bits()));
+                    }
+                }
+                assert_eq!(got, expected, "σ {sigma}, block of {len}");
+                assert_eq!(block.spare, single.spare, "σ {sigma}, block of {len}");
+                let uniforms = |n: &GaussianNoise| [n.pair.u1.to_bits(), n.pair.u2.to_bits()];
+                assert_eq!(uniforms(&block), uniforms(&single), "σ {sigma}");
+                evaluated += got.len();
+                if len == 1 {
+                    assert_eq!(block.draw().to_bits(), single.draw().to_bits());
+                }
+            }
+            assert!(evaluated > 1_000, "σ {sigma}: only {evaluated} evaluated");
+            for _ in 0..5 {
+                assert_eq!(
+                    block.sample().to_bits(),
+                    single.sample().to_bits(),
+                    "σ {sigma}"
+                );
+            }
         }
     }
 

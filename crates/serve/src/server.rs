@@ -265,7 +265,17 @@ pub struct FixServer {
 impl FixServer {
     /// Binds, spawns the acceptor and the worker pool, and returns with
     /// the server accepting connections.
+    ///
+    /// # Errors
+    ///
+    /// [`io::ErrorKind::InvalidInput`] if a spec of `config.fault_plan`
+    /// fails its [`check`](fluxcomp_faults::FaultSpec::check), and the
+    /// error of a bind or a spawn that fails.
     pub fn start(design: CompassDesign, config: ServeConfig) -> io::Result<Self> {
+        if let Some(plan) = &config.fault_plan {
+            plan.check()
+                .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
+        }
         let listener = TcpListener::bind(&config.addr)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;

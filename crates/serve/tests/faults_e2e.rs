@@ -287,3 +287,44 @@ fn loadgen_retries_overloaded_responses_within_budget() {
     assert_eq!(report.lost, 0, "every send (retries included) is answered");
     assert_eq!(report.protocol_errors, 0);
 }
+
+/// A fault plan built in code with a spec the grammar refuses (a NaN or
+/// negative burst RMS, a rate above one) is refused with a typed error
+/// before the server binds, and the same plan measures without a panic
+/// in the library: such a spec never strikes, so the fix is the clean one.
+#[test]
+fn invalid_fault_plan_is_refused_by_the_server_and_never_strikes() {
+    let burst = |rms, rate| {
+        FaultPlan::new(0xBAD).with(FaultSpec {
+            kind: FaultKind::NoiseBurst {
+                rms,
+                from: 0.2,
+                until: 0.6,
+            },
+            axis: AxisSel::Both,
+            rate,
+        })
+    };
+    let mut config = CompassConfig::paper_design();
+    config.frontend.pickup_noise_rms = 2e-3;
+    let design = CompassDesign::new(config).unwrap();
+    let mut scratch = MeasureScratch::for_design(&design);
+    for plan in [burst(f64::NAN, 1.0), burst(-0.05, 1.0), burst(0.05, 1.5)] {
+        let err = FixServer::start(
+            design.clone(),
+            ServeConfig {
+                workers: 1,
+                fault_plan: Some(plan.clone()),
+                ..ServeConfig::default()
+            },
+        )
+        .expect_err("an invalid plan must be refused");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");
+        for seed in [1u64, 2] {
+            let input = FixInput::heading(Degrees::new(40.0), seed);
+            let faulted = design.measure(&input, Some(&plan), &mut scratch);
+            let clean = design.measure(&input, None, &mut scratch);
+            assert_eq!(format!("{faulted:?}"), format!("{clean:?}"), "seed {seed}");
+        }
+    }
+}
