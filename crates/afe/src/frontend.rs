@@ -460,9 +460,9 @@ where
     /// [`step_loud`](PulsePositionDetector::step_loud) if `LOUD`.
     #[inline(always)]
     fn samples<const LOUD: bool>(&mut self, js: Range<usize>) {
-        let values = self.values;
-        for (j, &v_pickup) in js.clone().zip(&values[js]) {
+        for j in js {
             let run_sample = self.first + j;
+            let v_pickup = self.values[j];
             let mut out = if LOUD {
                 self.detector.step_loud(v_pickup)
             } else {
