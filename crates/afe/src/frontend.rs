@@ -347,8 +347,7 @@ struct Stepping {
 /// and the level the period ends at, which the next period starts from.
 #[derive(Debug)]
 struct Toggles<const CAP: usize> {
-    at: [(usize, bool); CAP],
-    len: usize,
+    at: Vec<(usize, bool)>,
     level: bool,
 }
 
@@ -356,48 +355,62 @@ impl<const CAP: usize> Toggles<CAP> {
     /// No toggles yet, at the output level of a fresh detector.
     fn new(level: bool) -> Self {
         Self {
-            at: [(0, false); CAP],
-            len: 0,
+            at: Vec::with_capacity(CAP),
             level,
         }
     }
 
     /// Forgets the toggles, keeping the level.
     fn clear(&mut self) {
-        self.len = 0;
+        self.at.clear();
     }
 
-    /// Records a toggle; past `CAP` only the count grows, so `len` is
-    /// always the period's toggle count.
+    /// Records a toggle.
     #[inline(always)]
     fn push(&mut self, sample: usize, level: bool) {
-        if let Some(slot) = self.at.get_mut(self.len) {
-            *slot = (sample, level);
-        }
-        self.len += 1;
+        self.at.push((sample, level));
     }
 
+    /// Whether the period toggled more often than folding allows.
     fn overflowed(&self) -> bool {
-        self.len > CAP
+        self.at.len() > CAP
     }
 
     fn len(&self) -> usize {
-        self.len
+        self.at.len()
     }
 
-    /// Replays one period of `samples` outputs of a period that starts
-    /// at the level it ends at, passing each to `emit` in time order.
-    /// Only meaningful when the buffer has not overflowed.
-    fn replay(&self, samples: usize, mut emit: impl FnMut(bool)) {
-        let mut level = self.level;
+    /// Replays one period of `samples` outputs that starts at output
+    /// level `from_level` as runs of equal outputs, passing each run's
+    /// indices, offset by `offset`, and level to `emit` in time order.
+    fn replay(
+        &self,
+        from_level: bool,
+        offset: usize,
+        samples: usize,
+        mut emit: impl FnMut(Range<usize>, bool),
+    ) {
+        let mut level = from_level;
         let mut from = 0;
-        for &(at, next) in &self.at[..self.len] {
-            (from..at).for_each(|_| emit(level));
+        for &(at, next) in &self.at {
+            emit(offset + from..offset + at, level);
             level = next;
             from = at;
         }
-        (from..samples).for_each(|_| emit(level));
+        emit(offset + from..offset + samples, level);
     }
+}
+
+/// Where the kernel sends the detector output of the measurement
+/// samples: one call per run of equal outputs with the run's sample
+/// indices, in time order. The kernel takes it as a trait object, so it
+/// is compiled once, in this crate, whatever closure a caller passes to
+/// [`FrontEnd::measure_into`].
+type Runs<'a> = &'a mut dyn FnMut(Range<usize>, bool);
+
+/// The runs sink that passes every sample of each run to `on_sample`.
+fn each_sample(mut on_sample: impl FnMut(usize, bool)) -> impl FnMut(Range<usize>, bool) {
+    move |run, out| run.for_each(|index| on_sample(index, out))
 }
 
 /// Where the kernel takes each excitation period's stepping values
@@ -441,27 +454,26 @@ impl<F: FnMut(usize, &mut [Volt])> Periods for Filled<F> {
 
 /// What [`FrontEnd::scan_period`] threads through the samples of one
 /// period: where the period starts, the values its samples step with,
-/// the output level so far, and where each sample goes.
-struct Scan<'a, S, const CAP: usize> {
+/// the output level so far, and the tap that sees each sample.
+struct Scan<'a, T, const CAP: usize> {
     first: usize,
     values: &'a [Volt],
     stuck: Option<bool>,
     detector: &'a mut PulsePositionDetector,
     level: bool,
     toggles: &'a mut Toggles<CAP>,
-    sample: S,
+    tap: T,
 }
 
-impl<S, const CAP: usize> Scan<'_, S, CAP>
+impl<T, const CAP: usize> Scan<'_, T, CAP>
 where
-    S: FnMut(usize, usize, Volt, bool),
+    T: FnMut(usize, usize, Volt, bool),
 {
     /// Steps the period's samples `js`, with the detector's branch-free
     /// [`step_loud`](PulsePositionDetector::step_loud) if `LOUD`.
     #[inline(always)]
     fn samples<const LOUD: bool>(&mut self, js: Range<usize>) {
         for j in js {
-            let run_sample = self.first + j;
             let v_pickup = self.values[j];
             let mut out = if LOUD {
                 self.detector.step_loud(v_pickup)
@@ -475,7 +487,7 @@ where
                 self.toggles.push(j, out);
                 self.level = out;
             }
-            (self.sample)(run_sample, j, v_pickup, out);
+            (self.tap)(self.first + j, j, v_pickup, out);
         }
     }
 }
@@ -591,7 +603,7 @@ impl FrontEnd {
             &mut periods,
             Stepping::default(),
             false,
-            |_, out| detector_samples.push(out),
+            &mut |run, out| detector_samples.resize(detector_samples.len() + run.len(), out),
             tap,
         );
         FrontEndResult {
@@ -623,12 +635,16 @@ impl FrontEnd {
     /// configuration on entry, so a scratch detector can be reused
     /// across any number of measurements, even one built for another
     /// channel) and reports every measurement-window sample to
-    /// `on_sample(index, output)` as it happens.
+    /// `on_sample(index, output)`, one excitation period at a time.
     ///
     /// `on_sample` is how the digital side rides along without an
     /// intermediate buffer: the compass feeds each sample straight into
     /// the up/down counter via its precomputed clock schedule. Indices
-    /// run `0..measure_periods·samples_per_period` in time order.
+    /// run `0..measure_periods·samples_per_period` in time order. The
+    /// kernel hands each period's output over as runs of equal samples,
+    /// and only the loop that passes a run's samples to
+    /// `on_sample` is compiled for the caller's closure, so every caller
+    /// runs the one copy of the kernel this crate holds.
     ///
     /// A noise-free channel is **period-folded**: the drive is periodic
     /// and the sensor stateless, so once the detector's full state at a
@@ -665,7 +681,8 @@ impl FrontEnd {
     ) -> MeasureResult {
         let _run = fluxcomp_obs::span("afe.measure");
         let none = fluxcomp_faults::FixFaults::none();
-        self.measure_row(h_ext, noise_seed, detector, &none, true, on_sample)
+        let runs = &mut each_sample(on_sample);
+        self.measure_row(h_ext, noise_seed, detector, &none, true, runs)
     }
 
     /// The kernel run over the clean row of `h_ext` under `faults`,
@@ -682,7 +699,7 @@ impl FrontEnd {
         detector: &mut PulsePositionDetector,
         faults: &fluxcomp_faults::FixFaults,
         fold: bool,
-        on_sample: impl FnMut(usize, bool),
+        runs: Runs<'_>,
     ) -> MeasureResult {
         let cfg = &self.config;
         let stuck = faults.stuck_output;
@@ -696,7 +713,7 @@ impl FrontEnd {
                 &mut row.as_slice(),
                 Stepping { stuck, loud: 0..0 },
                 fold,
-                on_sample,
+                runs,
                 no_tap,
             );
         }
@@ -717,9 +734,8 @@ impl FrontEnd {
             emf_evals: 0,
         };
         let stepping = Stepping { stuck, loud: burst };
-        let result = self.measure_folded::<FOLD_TOGGLES>(
-            detector, &mut noisy, stepping, false, on_sample, no_tap,
-        );
+        let result = self
+            .measure_folded::<FOLD_TOGGLES>(detector, &mut noisy, stepping, false, runs, no_tap);
         let draws =
             drawn(&noisy.noise, self.run_samples()) + drawn(&noisy.stream, noisy.burst.len());
         count_noise(draws, noisy.noise_evals);
@@ -941,13 +957,14 @@ impl FrontEnd {
         })
     }
 
-    /// The one measurement kernel, with a toggle buffer of `CAP` entries
-    /// per period.
+    /// The one measurement kernel, folding once a period toggles no more
+    /// than `CAP` times.
     ///
     /// `periods` gives each period's stepping values (see [`Periods`]).
     /// `stepping` says how the detector is stepped (see [`Stepping`]).
     /// `fold` allows period folding and must only be set
-    /// when every period sees the same inputs. `tap(run_sample, j,
+    /// when every period sees the same inputs. `runs` receives the
+    /// measurement samples' output (see [`Runs`]). `tap(run_sample, j,
     /// pickup, output)` sees every stepped sample, settle periods
     /// included; a measurement that records nothing passes [`no_tap`].
     fn measure_folded<const CAP: usize>(
@@ -956,7 +973,7 @@ impl FrontEnd {
         periods: &mut impl Periods,
         stepping: Stepping,
         fold: bool,
-        mut on_sample: impl FnMut(usize, bool),
+        runs: Runs<'_>,
         mut tap: impl FnMut(usize, usize, Volt, bool),
     ) -> MeasureResult {
         let cfg = &self.config;
@@ -965,12 +982,12 @@ impl FrontEnd {
         let total_periods = cfg.settle_periods + cfg.measure_periods;
         let mut pulse_edges = 0u64;
         let mut high_samples = 0u64;
-        let mut index = 0usize;
-        let mut emit = |out: bool| {
-            high_samples += u64::from(out);
-            on_sample(index, out);
-            index += 1;
+        let mut emit = |run: Range<usize>, out: bool| {
+            high_samples += if out { run.len() as u64 } else { 0 };
+            runs(run, out);
         };
+        // The measurement index of the first sample of `period`.
+        let offset = |period: usize| (period - cfg.settle_periods) * n;
 
         // Scan period by period, keeping the detector state at the last
         // boundary and the toggles of the period just scanned.
@@ -978,17 +995,13 @@ impl FrontEnd {
         let mut boundary = detector.clone();
         let mut stepped = 0;
         while stepped < total_periods {
+            let from_level = toggles.level;
             toggles.clear();
             let first = stepped * n;
             let values = periods.period(first);
-            if stepped < cfg.settle_periods {
-                self.scan_period(first, values, &stepping, detector, &mut toggles, &mut tap);
-            } else {
-                let sample = |run_sample, j, v_pickup, out| {
-                    tap(run_sample, j, v_pickup, out);
-                    emit(out);
-                };
-                self.scan_period(first, values, &stepping, detector, &mut toggles, sample);
+            self.scan_period(first, values, &stepping, detector, &mut toggles, &mut tap);
+            if stepped >= cfg.settle_periods {
+                toggles.replay(from_level, offset(stepped), n, &mut emit);
             }
             pulse_edges += toggles.len() as u64;
             stepped += 1;
@@ -1003,11 +1016,11 @@ impl FrontEnd {
         for period in stepped..total_periods {
             pulse_edges += toggles.len() as u64;
             if period >= cfg.settle_periods {
-                toggles.replay(n, &mut emit);
+                toggles.replay(toggles.level, offset(period), n, &mut emit);
             }
         }
 
-        let measure_samples = index as u64;
+        let measure_samples = (cfg.measure_periods * n) as u64;
         let duty = high_samples as f64 / measure_samples as f64;
         let clipped = self.table.any_clips();
         fluxcomp_obs::counter_add("msim.analog_steps", (stepped * n) as u64);
@@ -1026,7 +1039,7 @@ impl FrontEnd {
 
     /// Steps the detector through the excitation period starting at run
     /// sample `first` with its stepping `values`, recording its toggles
-    /// and passing each sample to `sample(run_sample, j, pickup, output)`.
+    /// and passing each sample to `tap(run_sample, j, pickup, output)`.
     ///
     /// The samples before, inside and after the period's share of the
     /// loud run samples are three loops, so a quiet sample pays no test
@@ -1039,7 +1052,7 @@ impl FrontEnd {
         stepping: &Stepping,
         detector: &mut PulsePositionDetector,
         toggles: &mut Toggles<CAP>,
-        sample: impl FnMut(usize, usize, Volt, bool),
+        tap: impl FnMut(usize, usize, Volt, bool),
     ) {
         let n = values.len();
         let loud = within(&stepping.loud, first, n);
@@ -1050,7 +1063,7 @@ impl FrontEnd {
             detector,
             level: toggles.level,
             toggles,
-            sample,
+            tap,
         };
         scan.samples::<false>(0..loud.start);
         scan.samples::<true>(loud.clone());
@@ -1096,10 +1109,11 @@ impl FrontEnd {
             return self.measure_into(h_ext, noise_seed, detector, on_sample);
         }
         let _run = fluxcomp_obs::span("faults.measure");
+        let runs = &mut each_sample(on_sample);
         let result = if faults.dropout.is_none() && faults.hk_ramp == 0.0 {
-            self.measure_row(h_ext, noise_seed, detector, faults, false, on_sample)
+            self.measure_row(h_ext, noise_seed, detector, faults, false, runs)
         } else {
-            self.measure_drifting(h_ext, noise_seed, detector, faults, on_sample)
+            self.measure_drifting(h_ext, noise_seed, detector, faults, runs)
         };
         fluxcomp_obs::counter_add("faults.faulted_measures", 1);
         result
@@ -1113,7 +1127,7 @@ impl FrontEnd {
         noise_seed: u64,
         detector: &mut PulsePositionDetector,
         faults: &fluxcomp_faults::FixFaults,
-        on_sample: impl FnMut(usize, bool),
+        runs: Runs<'_>,
     ) -> MeasureResult {
         let mut noise = GaussianNoise::new(self.config.pickup_noise_rms, noise_seed);
         let total = self.run_samples();
@@ -1152,7 +1166,7 @@ impl FrontEnd {
                 loud: burst.clone(),
             },
             false,
-            on_sample,
+            runs,
             no_tap,
         );
         let draws = drawn(&noise, total) + drawn(&stream, burst.len());
@@ -1724,7 +1738,7 @@ mod tests {
                                 &mut row.as_slice(),
                                 Stepping::default(),
                                 true,
-                                on_sample,
+                                &mut each_sample(on_sample),
                                 no_tap,
                             )
                         });
@@ -1870,7 +1884,7 @@ mod tests {
                 &mut row.as_slice(),
                 Stepping::default(),
                 true,
-                on_sample,
+                &mut each_sample(on_sample),
                 no_tap,
             )
         });

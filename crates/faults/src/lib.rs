@@ -442,6 +442,11 @@ fn parse_spec(entry: &str) -> Result<FaultSpec, FaultPlanError> {
         .trim()
         .parse()
         .map_err(|_| FaultPlanError::BadRate(rate_text.to_string()))?;
+    // Checked here, before the rest of the entry, so the error quotes
+    // the rate as written and takes precedence over any other.
+    if !rate.is_finite() || !(0.0..=1.0).contains(&rate) {
+        return Err(FaultPlanError::BadRate(rate_text.to_string()));
+    }
     let (name_axis, params) = match head.split_once('=') {
         Some((na, p)) => (na.trim(), Some(p.trim())),
         None => (head.trim(), None),
@@ -659,6 +664,16 @@ mod tests {
             FaultPlan::parse("open_pickup@x"),
             Err(E::BadRate(_))
         ));
+        // The rate is quoted as written and reported before the axis
+        // and the params are read.
+        assert_eq!(
+            FaultPlan::parse("open_pickup@x:1.50"),
+            Err(E::BadRate("1.50".to_string()))
+        );
+        assert_eq!(
+            FaultPlan::parse("burst@z=-1,0.9..0.1:1e3"),
+            Err(E::BadRate("1e3".to_string()))
+        );
         assert!(matches!(
             FaultPlan::parse("stuck@x=sideways:0.5"),
             Err(E::BadParams { fault: "stuck", .. })
