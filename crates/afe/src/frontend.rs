@@ -342,88 +342,26 @@ struct Stepping {
     loud: Range<usize>,
 }
 
-/// The detector output of one excitation period: its toggles (the
-/// sample index within the period and the new level, in time order)
-/// and the level the period ends at, which the next period starts from.
-#[derive(Debug)]
-struct Toggles<const CAP: usize> {
-    at: Vec<(usize, bool)>,
-    level: bool,
-}
-
-impl<const CAP: usize> Toggles<CAP> {
-    /// No toggles yet, at the output level of a fresh detector.
-    fn new(level: bool) -> Self {
-        Self {
-            at: Vec::with_capacity(CAP),
-            level,
-        }
-    }
-
-    /// Forgets the toggles, keeping the level.
-    fn clear(&mut self) {
-        self.at.clear();
-    }
-
-    /// Records a toggle.
-    #[inline(always)]
-    fn push(&mut self, sample: usize, level: bool) {
-        self.at.push((sample, level));
-    }
-
-    /// Whether the period toggled more often than folding allows.
-    fn overflowed(&self) -> bool {
-        self.at.len() > CAP
-    }
-
-    fn len(&self) -> usize {
-        self.at.len()
-    }
-
-    /// Replays one period of `samples` outputs that starts at output
-    /// level `from_level` as runs of equal outputs, passing each run's
-    /// indices, offset by `offset`, and level to `emit` in time order.
-    fn replay(
-        &self,
-        from_level: bool,
-        offset: usize,
-        samples: usize,
-        mut emit: impl FnMut(Range<usize>, bool),
-    ) {
-        let mut level = from_level;
-        let mut from = 0;
-        for &(at, next) in &self.at {
-            emit(offset + from..offset + at, level);
-            level = next;
-            from = at;
-        }
-        emit(offset + from..offset + samples, level);
-    }
-}
-
 /// Where the kernel sends the detector output of the measurement
-/// samples: one call per run of equal outputs with the run's sample
-/// indices, in time order. The kernel takes it as a trait object, so it
-/// is compiled once, in this crate, whatever closure a caller passes to
+/// samples: one call per measurement period, in time order, with the
+/// measurement index of the period's first sample and every sample's
+/// output. The kernel takes it as a trait object, so it is compiled
+/// once, in this crate, whatever closure a caller passes to
 /// [`FrontEnd::measure_into`].
-type Runs<'a> = &'a mut dyn FnMut(Range<usize>, bool);
+type Outputs<'a> = &'a mut dyn FnMut(usize, &[bool]);
 
-/// The runs sink that passes every sample of each run to `on_sample`.
+/// The outputs sink that passes every sample of each period to
+/// `on_sample`.
 ///
 /// This loop is the one part of the kernel compiled once per caller
 /// crate, and on a noise-free channel it is the hot one: a sample's
-/// `on_sample` is a few instructions. Stepped one sample per iteration,
-/// its speed moved ~10 % with where the linker placed it, so two
-/// byte-identical copies in one binary could time that far apart. Eight
-/// samples per iteration keep that spread to a few percent.
-fn each_sample(mut on_sample: impl FnMut(usize, bool)) -> impl FnMut(Range<usize>, bool) {
-    move |run, out| {
-        let mut index = run.start;
-        while index + 8 <= run.end {
-            (index..index + 8).for_each(|index| on_sample(index, out));
-            index += 8;
+/// `on_sample` is a few instructions, so where the linker places the
+/// loop can move its speed by several percent.
+fn each_sample(mut on_sample: impl FnMut(usize, bool)) -> impl FnMut(usize, &[bool]) {
+    move |first, outputs| {
+        for (index, &out) in (first..).zip(outputs) {
+            on_sample(index, out);
         }
-        (index..run.end).for_each(|index| on_sample(index, out));
     }
 }
 
@@ -468,18 +406,20 @@ impl<F: FnMut(usize, &mut [Volt])> Periods for Filled<F> {
 
 /// What [`FrontEnd::scan_period`] threads through the samples of one
 /// period: where the period starts, the values its samples step with,
-/// the output level so far, and the tap that sees each sample.
-struct Scan<'a, T, const CAP: usize> {
+/// where their outputs go, the output level and toggles so far, and the
+/// tap that sees each sample.
+struct Scan<'a, T> {
     first: usize,
     values: &'a [Volt],
+    outputs: &'a mut [bool],
     stuck: Option<bool>,
     detector: &'a mut PulsePositionDetector,
     level: bool,
-    toggles: &'a mut Toggles<CAP>,
+    toggles: usize,
     tap: T,
 }
 
-impl<T, const CAP: usize> Scan<'_, T, CAP>
+impl<T> Scan<'_, T>
 where
     T: FnMut(usize, usize, Volt, bool),
 {
@@ -497,10 +437,9 @@ where
             if let Some(stuck) = self.stuck {
                 out = stuck;
             }
-            if out != self.level {
-                self.toggles.push(j, out);
-                self.level = out;
-            }
+            self.toggles += usize::from(out != self.level);
+            self.level = out;
+            self.outputs[j] = out;
             (self.tap)(self.first + j, j, v_pickup, out);
         }
     }
@@ -617,7 +556,7 @@ impl FrontEnd {
             &mut periods,
             Stepping::default(),
             false,
-            &mut |run, out| detector_samples.resize(detector_samples.len() + run.len(), out),
+            &mut |_, outputs| detector_samples.extend_from_slice(outputs),
             tap,
         );
         FrontEndResult {
@@ -695,8 +634,8 @@ impl FrontEnd {
     ) -> MeasureResult {
         let _run = fluxcomp_obs::span("afe.measure");
         let none = fluxcomp_faults::FixFaults::none();
-        let runs = &mut each_sample(on_sample);
-        self.measure_row(h_ext, noise_seed, detector, &none, true, runs)
+        let outputs = &mut each_sample(on_sample);
+        self.measure_row(h_ext, noise_seed, detector, &none, true, outputs)
     }
 
     /// The kernel run over the clean row of `h_ext` under `faults`,
@@ -713,7 +652,7 @@ impl FrontEnd {
         detector: &mut PulsePositionDetector,
         faults: &fluxcomp_faults::FixFaults,
         fold: bool,
-        runs: Runs<'_>,
+        outputs: Outputs<'_>,
     ) -> MeasureResult {
         let cfg = &self.config;
         let stuck = faults.stuck_output;
@@ -727,7 +666,7 @@ impl FrontEnd {
                 &mut row.as_slice(),
                 Stepping { stuck, loud: 0..0 },
                 fold,
-                runs,
+                outputs,
                 no_tap,
             );
         }
@@ -749,7 +688,7 @@ impl FrontEnd {
         };
         let stepping = Stepping { stuck, loud: burst };
         let result = self
-            .measure_folded::<FOLD_TOGGLES>(detector, &mut noisy, stepping, false, runs, no_tap);
+            .measure_folded::<FOLD_TOGGLES>(detector, &mut noisy, stepping, false, outputs, no_tap);
         let draws =
             drawn(&noisy.noise, self.run_samples()) + drawn(&noisy.stream, noisy.burst.len());
         count_noise(draws, noisy.noise_evals);
@@ -987,7 +926,7 @@ impl FrontEnd {
         periods: &mut impl Periods,
         stepping: Stepping,
         fold: bool,
-        runs: Runs<'_>,
+        outputs: Outputs<'_>,
         mut tap: impl FnMut(usize, usize, Volt, bool),
     ) -> MeasureResult {
         let cfg = &self.config;
@@ -996,42 +935,46 @@ impl FrontEnd {
         let total_periods = cfg.settle_periods + cfg.measure_periods;
         let mut pulse_edges = 0u64;
         let mut high_samples = 0u64;
-        let mut emit = |run: Range<usize>, out: bool| {
-            high_samples += if out { run.len() as u64 } else { 0 };
-            runs(run, out);
+        let mut emit = |period: usize, period_outputs: &[bool]| {
+            if period >= cfg.settle_periods {
+                high_samples += period_outputs.iter().filter(|&&out| out).count() as u64;
+                outputs((period - cfg.settle_periods) * n, period_outputs);
+            }
         };
-        // The measurement index of the first sample of `period`.
-        let offset = |period: usize| (period - cfg.settle_periods) * n;
 
         // Scan period by period, keeping the detector state at the last
-        // boundary and the toggles of the period just scanned.
-        let mut toggles = Toggles::<CAP>::new(detector.output());
+        // boundary and the outputs of the period just scanned.
+        let mut period_outputs = vec![false; n];
+        let mut level = detector.output();
+        let mut toggles = 0;
         let mut boundary = detector.clone();
         let mut stepped = 0;
         while stepped < total_periods {
-            let from_level = toggles.level;
-            toggles.clear();
             let first = stepped * n;
             let values = periods.period(first);
-            self.scan_period(first, values, &stepping, detector, &mut toggles, &mut tap);
-            if stepped >= cfg.settle_periods {
-                toggles.replay(from_level, offset(stepped), n, &mut emit);
-            }
-            pulse_edges += toggles.len() as u64;
+            (level, toggles) = self.scan_period(
+                first,
+                values,
+                &stepping,
+                detector,
+                level,
+                &mut period_outputs,
+                &mut tap,
+            );
+            emit(stepped, &period_outputs);
+            pulse_edges += toggles as u64;
             stepped += 1;
-            if fold && !toggles.overflowed() && *detector == boundary {
+            if fold && toggles <= CAP && *detector == boundary {
                 break;
             }
             boundary.clone_from(detector);
         }
 
         // Folded: every remaining period repeats the one just scanned,
-        // starting (and ending) at the level that period ended on.
+        // sample for sample.
         for period in stepped..total_periods {
-            pulse_edges += toggles.len() as u64;
-            if period >= cfg.settle_periods {
-                toggles.replay(toggles.level, offset(period), n, &mut emit);
-            }
+            pulse_edges += toggles as u64;
+            emit(period, &period_outputs);
         }
 
         let measure_samples = (cfg.measure_periods * n) as u64;
@@ -1052,37 +995,41 @@ impl FrontEnd {
     }
 
     /// Steps the detector through the excitation period starting at run
-    /// sample `first` with its stepping `values`, recording its toggles
-    /// and passing each sample to `tap(run_sample, j, pickup, output)`.
+    /// sample `first` with its stepping `values`, from output `level`,
+    /// writing each sample's output to `outputs` and passing each sample
+    /// to `tap(run_sample, j, pickup, output)`. Returns the output level
+    /// the period ends at and how often the output toggled.
     ///
     /// The samples before, inside and after the period's share of the
     /// loud run samples are three loops, so a quiet sample pays no test
     /// for which step to take.
-    #[inline(always)]
-    fn scan_period<const CAP: usize>(
+    #[allow(clippy::too_many_arguments)]
+    fn scan_period(
         &self,
         first: usize,
         values: &[Volt],
         stepping: &Stepping,
         detector: &mut PulsePositionDetector,
-        toggles: &mut Toggles<CAP>,
+        level: bool,
+        outputs: &mut [bool],
         tap: impl FnMut(usize, usize, Volt, bool),
-    ) {
+    ) -> (bool, usize) {
         let n = values.len();
         let loud = within(&stepping.loud, first, n);
         let mut scan = Scan {
             first,
             values,
+            outputs: &mut outputs[..n],
             stuck: stepping.stuck,
             detector,
-            level: toggles.level,
-            toggles,
+            level,
+            toggles: 0,
             tap,
         };
         scan.samples::<false>(0..loud.start);
         scan.samples::<true>(loud.clone());
         scan.samples::<false>(loud.end..n);
-        scan.toggles.level = scan.level;
+        (scan.level, scan.toggles)
     }
 
     /// [`measure_into`](Self::measure_into) under injected faults.
@@ -1123,11 +1070,11 @@ impl FrontEnd {
             return self.measure_into(h_ext, noise_seed, detector, on_sample);
         }
         let _run = fluxcomp_obs::span("faults.measure");
-        let runs = &mut each_sample(on_sample);
+        let outputs = &mut each_sample(on_sample);
         let result = if faults.dropout.is_none() && faults.hk_ramp == 0.0 {
-            self.measure_row(h_ext, noise_seed, detector, faults, false, runs)
+            self.measure_row(h_ext, noise_seed, detector, faults, false, outputs)
         } else {
-            self.measure_drifting(h_ext, noise_seed, detector, faults, runs)
+            self.measure_drifting(h_ext, noise_seed, detector, faults, outputs)
         };
         fluxcomp_obs::counter_add("faults.faulted_measures", 1);
         result
@@ -1141,7 +1088,7 @@ impl FrontEnd {
         noise_seed: u64,
         detector: &mut PulsePositionDetector,
         faults: &fluxcomp_faults::FixFaults,
-        runs: Runs<'_>,
+        outputs: Outputs<'_>,
     ) -> MeasureResult {
         let mut noise = GaussianNoise::new(self.config.pickup_noise_rms, noise_seed);
         let total = self.run_samples();
@@ -1180,7 +1127,7 @@ impl FrontEnd {
                 loud: burst.clone(),
             },
             false,
-            runs,
+            outputs,
             no_tap,
         );
         let draws = drawn(&noise, total) + drawn(&stream, burst.len());
@@ -1883,9 +1830,9 @@ mod tests {
 
     #[test]
     fn toggle_overflow_falls_back_to_the_scan() {
-        // The paper design toggles twice per period: a one-entry buffer
-        // overflows every period, so nothing folds — and the scan still
-        // matches the traced run.
+        // The paper design toggles twice per period: past a fold limit
+        // of one toggle every period overflows, so nothing folds — and
+        // the scan still matches the traced run.
         let mut cfg = FrontEndConfig::paper_design();
         cfg.measure_periods = 8;
         let fe = FrontEnd::new(cfg).expect("valid config");
