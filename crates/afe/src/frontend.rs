@@ -342,26 +342,68 @@ struct Stepping {
     loud: Range<usize>,
 }
 
+/// One measurement period's detector output: the level it starts at
+/// and the samples at which it toggles.
+struct PeriodOutput<'a> {
+    /// The measurement index of the period's first sample.
+    first: usize,
+    /// The output at the period's first sample, unless it toggles there.
+    level: bool,
+    /// The samples, counted from the period's first, at which the output
+    /// toggles, in time order.
+    toggles: &'a [usize],
+    /// The samples in the period.
+    samples: usize,
+}
+
+impl PeriodOutput<'_> {
+    /// Passes each run of equal outputs, as its samples counted from the
+    /// period's first and its output, to `run` in time order.
+    #[inline(always)]
+    fn runs(&self, mut run: impl FnMut(Range<usize>, bool)) {
+        let mut out = self.level;
+        let mut from = 0;
+        for &to in self.toggles {
+            run(from..to, out);
+            out = !out;
+            from = to;
+        }
+        run(from..self.samples, out);
+    }
+
+    /// How many of the period's samples output high.
+    fn high_samples(&self) -> u64 {
+        let mut high = 0;
+        self.runs(|run, out| high += if out { run.len() as u64 } else { 0 });
+        high
+    }
+}
+
 /// Where the kernel sends the detector output of the measurement
-/// samples: one call per measurement period, in time order, with the
-/// measurement index of the period's first sample and every sample's
-/// output. The kernel takes it as a trait object, so it is compiled
-/// once, in this crate, whatever closure a caller passes to
-/// [`FrontEnd::measure_into`].
-type Outputs<'a> = &'a mut dyn FnMut(usize, &[bool]);
+/// samples: one call per measurement period, in time order. The kernel
+/// takes it as a trait object, so it is compiled once, in this crate,
+/// whatever closure a caller passes to [`FrontEnd::measure_into`].
+type Outputs<'a> = &'a mut dyn FnMut(&PeriodOutput<'_>);
 
 /// The outputs sink that passes every sample of each period to
 /// `on_sample`.
 ///
 /// This loop is the one part of the kernel compiled once per caller
 /// crate, and on a noise-free channel it is the hot one: a sample's
-/// `on_sample` is a few instructions, so where the linker places the
-/// loop can move its speed by several percent.
-fn each_sample(mut on_sample: impl FnMut(usize, bool)) -> impl FnMut(usize, &[bool]) {
-    move |first, outputs| {
-        for (index, &out) in (first..).zip(outputs) {
-            on_sample(index, out);
-        }
+/// `on_sample` is a few instructions. Stepped one sample per iteration,
+/// its speed moved ~10 % with where the linker placed it, so two
+/// byte-identical copies in one binary could time that far apart. Eight
+/// samples per iteration keep that spread to a few percent.
+fn each_sample(mut on_sample: impl FnMut(usize, bool)) -> impl FnMut(&PeriodOutput<'_>) {
+    move |period| {
+        period.runs(|run, out| {
+            let (mut index, end) = (period.first + run.start, period.first + run.end);
+            while index + 8 <= end {
+                (index..index + 8).for_each(|index| on_sample(index, out));
+                index += 8;
+            }
+            (index..end).for_each(|index| on_sample(index, out));
+        });
     }
 }
 
@@ -406,16 +448,15 @@ impl<F: FnMut(usize, &mut [Volt])> Periods for Filled<F> {
 
 /// What [`FrontEnd::scan_period`] threads through the samples of one
 /// period: where the period starts, the values its samples step with,
-/// where their outputs go, the output level and toggles so far, and the
-/// tap that sees each sample.
+/// the output level so far and the samples it toggled at, and the tap
+/// that sees each sample.
 struct Scan<'a, T> {
     first: usize,
     values: &'a [Volt],
-    outputs: &'a mut [bool],
     stuck: Option<bool>,
     detector: &'a mut PulsePositionDetector,
     level: bool,
-    toggles: usize,
+    toggles: &'a mut Vec<usize>,
     tap: T,
 }
 
@@ -437,9 +478,10 @@ where
             if let Some(stuck) = self.stuck {
                 out = stuck;
             }
-            self.toggles += usize::from(out != self.level);
-            self.level = out;
-            self.outputs[j] = out;
+            if out != self.level {
+                self.toggles.push(j);
+                self.level = out;
+            }
             (self.tap)(self.first + j, j, v_pickup, out);
         }
     }
@@ -556,7 +598,7 @@ impl FrontEnd {
             &mut periods,
             Stepping::default(),
             false,
-            &mut |_, outputs| detector_samples.extend_from_slice(outputs),
+            &mut each_sample(|_, out| detector_samples.push(out)),
             tap,
         );
         FrontEndResult {
@@ -935,46 +977,53 @@ impl FrontEnd {
         let total_periods = cfg.settle_periods + cfg.measure_periods;
         let mut pulse_edges = 0u64;
         let mut high_samples = 0u64;
-        let mut emit = |period: usize, period_outputs: &[bool]| {
+        let mut emit = |period: usize, level: bool, toggles: &[usize]| {
             if period >= cfg.settle_periods {
-                high_samples += period_outputs.iter().filter(|&&out| out).count() as u64;
-                outputs((period - cfg.settle_periods) * n, period_outputs);
+                let output = PeriodOutput {
+                    first: (period - cfg.settle_periods) * n,
+                    level,
+                    toggles,
+                    samples: n,
+                };
+                high_samples += output.high_samples();
+                outputs(&output);
             }
         };
 
         // Scan period by period, keeping the detector state at the last
-        // boundary and the outputs of the period just scanned.
-        let mut period_outputs = vec![false; n];
+        // boundary and the toggles of the period just scanned.
+        let mut toggles = Vec::with_capacity(n);
         let mut level = detector.output();
-        let mut toggles = 0;
         let mut boundary = detector.clone();
         let mut stepped = 0;
         while stepped < total_periods {
             let first = stepped * n;
             let values = periods.period(first);
-            (level, toggles) = self.scan_period(
+            let from_level = level;
+            toggles.clear();
+            level = self.scan_period(
                 first,
                 values,
                 &stepping,
                 detector,
                 level,
-                &mut period_outputs,
+                &mut toggles,
                 &mut tap,
             );
-            emit(stepped, &period_outputs);
-            pulse_edges += toggles as u64;
+            emit(stepped, from_level, &toggles);
+            pulse_edges += toggles.len() as u64;
             stepped += 1;
-            if fold && toggles <= CAP && *detector == boundary {
+            if fold && toggles.len() <= CAP && *detector == boundary {
                 break;
             }
             boundary.clone_from(detector);
         }
 
         // Folded: every remaining period repeats the one just scanned,
-        // sample for sample.
+        // starting (and ending) at the level that period ended on.
         for period in stepped..total_periods {
-            pulse_edges += toggles as u64;
-            emit(period, &period_outputs);
+            pulse_edges += toggles.len() as u64;
+            emit(period, level, &toggles);
         }
 
         let measure_samples = (cfg.measure_periods * n) as u64;
@@ -996,9 +1045,9 @@ impl FrontEnd {
 
     /// Steps the detector through the excitation period starting at run
     /// sample `first` with its stepping `values`, from output `level`,
-    /// writing each sample's output to `outputs` and passing each sample
-    /// to `tap(run_sample, j, pickup, output)`. Returns the output level
-    /// the period ends at and how often the output toggled.
+    /// pushing the samples it toggles at to `toggles` and passing each
+    /// sample to `tap(run_sample, j, pickup, output)`. Returns the output
+    /// level the period ends at.
     ///
     /// The samples before, inside and after the period's share of the
     /// loud run samples are three loops, so a quiet sample pays no test
@@ -1011,25 +1060,24 @@ impl FrontEnd {
         stepping: &Stepping,
         detector: &mut PulsePositionDetector,
         level: bool,
-        outputs: &mut [bool],
+        toggles: &mut Vec<usize>,
         tap: impl FnMut(usize, usize, Volt, bool),
-    ) -> (bool, usize) {
+    ) -> bool {
         let n = values.len();
         let loud = within(&stepping.loud, first, n);
         let mut scan = Scan {
             first,
             values,
-            outputs: &mut outputs[..n],
             stuck: stepping.stuck,
             detector,
             level,
-            toggles: 0,
+            toggles,
             tap,
         };
         scan.samples::<false>(0..loud.start);
         scan.samples::<true>(loud.clone());
         scan.samples::<false>(loud.end..n);
-        (scan.level, scan.toggles)
+        scan.level
     }
 
     /// [`measure_into`](Self::measure_into) under injected faults.
