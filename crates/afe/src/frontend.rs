@@ -456,7 +456,10 @@ struct Scan<'a, T> {
     stuck: Option<bool>,
     detector: &'a mut PulsePositionDetector,
     level: bool,
-    toggles: &'a mut Vec<usize>,
+    /// The samples the period toggled at, in the first `toggled`
+    /// entries; one more entry than the period has samples.
+    toggles: &'a mut [usize],
+    toggled: usize,
     tap: T,
 }
 
@@ -478,10 +481,11 @@ where
             if let Some(stuck) = self.stuck {
                 out = stuck;
             }
-            if out != self.level {
-                self.toggles.push(j);
-                self.level = out;
-            }
+            // Written on every sample and kept only on a toggle: no
+            // branch on a noisy period's chatter.
+            self.toggles[self.toggled] = j;
+            self.toggled += usize::from(out != self.level);
+            self.level = out;
             (self.tap)(self.first + j, j, v_pickup, out);
         }
     }
@@ -992,7 +996,8 @@ impl FrontEnd {
 
         // Scan period by period, keeping the detector state at the last
         // boundary and the toggles of the period just scanned.
-        let mut toggles = Vec::with_capacity(n);
+        let mut toggle_buffer = vec![0; n + 1];
+        let mut toggles: &[usize] = &[];
         let mut level = detector.output();
         let mut boundary = detector.clone();
         let mut stepped = 0;
@@ -1000,17 +1005,18 @@ impl FrontEnd {
             let first = stepped * n;
             let values = periods.period(first);
             let from_level = level;
-            toggles.clear();
-            level = self.scan_period(
+            let toggled;
+            (level, toggled) = self.scan_period(
                 first,
                 values,
                 &stepping,
                 detector,
                 level,
-                &mut toggles,
+                &mut toggle_buffer,
                 &mut tap,
             );
-            emit(stepped, from_level, &toggles);
+            toggles = &toggle_buffer[..toggled];
+            emit(stepped, from_level, toggles);
             pulse_edges += toggles.len() as u64;
             stepped += 1;
             if fold && toggles.len() <= CAP && *detector == boundary {
@@ -1023,7 +1029,7 @@ impl FrontEnd {
         // starting (and ending) at the level that period ended on.
         for period in stepped..total_periods {
             pulse_edges += toggles.len() as u64;
-            emit(period, level, &toggles);
+            emit(period, level, toggles);
         }
 
         let measure_samples = (cfg.measure_periods * n) as u64;
@@ -1045,9 +1051,10 @@ impl FrontEnd {
 
     /// Steps the detector through the excitation period starting at run
     /// sample `first` with its stepping `values`, from output `level`,
-    /// pushing the samples it toggles at to `toggles` and passing each
-    /// sample to `tap(run_sample, j, pickup, output)`. Returns the output
-    /// level the period ends at.
+    /// writing the samples it toggles at to the front of `toggles` (one
+    /// entry more than the period has samples) and passing each sample
+    /// to `tap(run_sample, j, pickup, output)`. Returns the output level
+    /// the period ends at and how many times it toggled.
     ///
     /// The samples before, inside and after the period's share of the
     /// loud run samples are three loops, so a quiet sample pays no test
@@ -1060,9 +1067,9 @@ impl FrontEnd {
         stepping: &Stepping,
         detector: &mut PulsePositionDetector,
         level: bool,
-        toggles: &mut Vec<usize>,
+        toggles: &mut [usize],
         tap: impl FnMut(usize, usize, Volt, bool),
-    ) -> bool {
+    ) -> (bool, usize) {
         let n = values.len();
         let loud = within(&stepping.loud, first, n);
         let mut scan = Scan {
@@ -1071,13 +1078,14 @@ impl FrontEnd {
             stuck: stepping.stuck,
             detector,
             level,
-            toggles,
+            toggles: &mut toggles[..=n],
+            toggled: 0,
             tap,
         };
         scan.samples::<false>(0..loud.start);
         scan.samples::<true>(loud.clone());
         scan.samples::<false>(loud.end..n);
-        scan.level
+        (scan.level, scan.toggled)
     }
 
     /// [`measure_into`](Self::measure_into) under injected faults.
