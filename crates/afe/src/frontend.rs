@@ -342,51 +342,73 @@ struct Stepping {
     loud: Range<usize>,
 }
 
-/// One measurement period's detector output: the level it starts at
-/// and the samples at which it toggles.
-struct PeriodOutput<'a> {
-    /// The measurement index of the period's first sample.
-    first: usize,
-    /// The output at the period's first sample, unless it toggles there.
+/// The detector output of one excitation period: its toggles (the
+/// sample index within the period and the new level, in time order)
+/// and the level the period ends at, which the next period starts from.
+#[derive(Debug)]
+struct Toggles<const CAP: usize> {
+    at: Vec<(usize, bool)>,
     level: bool,
-    /// The samples, counted from the period's first, at which the output
-    /// toggles, in time order.
-    toggles: &'a [usize],
-    /// The samples in the period.
-    samples: usize,
 }
 
-impl PeriodOutput<'_> {
-    /// Passes each run of equal outputs, as its samples counted from the
-    /// period's first and its output, to `run` in time order.
-    #[inline(always)]
-    fn runs(&self, mut run: impl FnMut(Range<usize>, bool)) {
-        let mut out = self.level;
-        let mut from = 0;
-        for &to in self.toggles {
-            run(from..to, out);
-            out = !out;
-            from = to;
+impl<const CAP: usize> Toggles<CAP> {
+    /// No toggles yet, at the output level of a fresh detector.
+    fn new(level: bool) -> Self {
+        Self {
+            at: Vec::with_capacity(CAP),
+            level,
         }
-        run(from..self.samples, out);
     }
 
-    /// How many of the period's samples output high.
-    fn high_samples(&self) -> u64 {
-        let mut high = 0;
-        self.runs(|run, out| high += if out { run.len() as u64 } else { 0 });
-        high
+    /// Forgets the toggles, keeping the level.
+    fn clear(&mut self) {
+        self.at.clear();
+    }
+
+    /// Records a toggle.
+    #[inline(always)]
+    fn push(&mut self, sample: usize, level: bool) {
+        self.at.push((sample, level));
+    }
+
+    /// Whether the period toggled more often than folding allows.
+    fn overflowed(&self) -> bool {
+        self.at.len() > CAP
+    }
+
+    fn len(&self) -> usize {
+        self.at.len()
+    }
+
+    /// Replays one period of `samples` outputs that starts at output
+    /// level `from_level` as runs of equal outputs, passing each run's
+    /// indices, offset by `offset`, and level to `emit` in time order.
+    fn replay(
+        &self,
+        from_level: bool,
+        offset: usize,
+        samples: usize,
+        mut emit: impl FnMut(Range<usize>, bool),
+    ) {
+        let mut level = from_level;
+        let mut from = 0;
+        for &(at, next) in &self.at {
+            emit(offset + from..offset + at, level);
+            level = next;
+            from = at;
+        }
+        emit(offset + from..offset + samples, level);
     }
 }
 
 /// Where the kernel sends the detector output of the measurement
-/// samples: one call per measurement period, in time order. The kernel
-/// takes it as a trait object, so it is compiled once, in this crate,
-/// whatever closure a caller passes to [`FrontEnd::measure_into`].
-type Outputs<'a> = &'a mut dyn FnMut(&PeriodOutput<'_>);
+/// samples: one call per run of equal outputs with the run's sample
+/// indices, in time order. The kernel takes it as a trait object, so it
+/// is compiled once, in this crate, whatever closure a caller passes to
+/// [`FrontEnd::measure_into`].
+type Runs<'a> = &'a mut dyn FnMut(Range<usize>, bool);
 
-/// The outputs sink that passes every sample of each period to
-/// `on_sample`.
+/// The runs sink that passes every sample of each run to `on_sample`.
 ///
 /// This loop is the one part of the kernel compiled once per caller
 /// crate, and on a noise-free channel it is the hot one: a sample's
@@ -394,16 +416,14 @@ type Outputs<'a> = &'a mut dyn FnMut(&PeriodOutput<'_>);
 /// its speed moved ~10 % with where the linker placed it, so two
 /// byte-identical copies in one binary could time that far apart. Eight
 /// samples per iteration keep that spread to a few percent.
-fn each_sample(mut on_sample: impl FnMut(usize, bool)) -> impl FnMut(&PeriodOutput<'_>) {
-    move |period| {
-        period.runs(|run, out| {
-            let (mut index, end) = (period.first + run.start, period.first + run.end);
-            while index + 8 <= end {
-                (index..index + 8).for_each(|index| on_sample(index, out));
-                index += 8;
-            }
-            (index..end).for_each(|index| on_sample(index, out));
-        });
+fn each_sample(mut on_sample: impl FnMut(usize, bool)) -> impl FnMut(Range<usize>, bool) {
+    move |run, out| {
+        let mut index = run.start;
+        while index + 8 <= run.end {
+            (index..index + 8).for_each(|index| on_sample(index, out));
+            index += 8;
+        }
+        (index..run.end).for_each(|index| on_sample(index, out));
     }
 }
 
@@ -448,22 +468,18 @@ impl<F: FnMut(usize, &mut [Volt])> Periods for Filled<F> {
 
 /// What [`FrontEnd::scan_period`] threads through the samples of one
 /// period: where the period starts, the values its samples step with,
-/// the output level so far and the samples it toggled at, and the tap
-/// that sees each sample.
-struct Scan<'a, T> {
+/// the output level so far, and the tap that sees each sample.
+struct Scan<'a, T, const CAP: usize> {
     first: usize,
     values: &'a [Volt],
     stuck: Option<bool>,
     detector: &'a mut PulsePositionDetector,
     level: bool,
-    /// The samples the period toggled at, in the first `toggled`
-    /// entries; one more entry than the period has samples.
-    toggles: &'a mut [usize],
-    toggled: usize,
+    toggles: &'a mut Toggles<CAP>,
     tap: T,
 }
 
-impl<T> Scan<'_, T>
+impl<T, const CAP: usize> Scan<'_, T, CAP>
 where
     T: FnMut(usize, usize, Volt, bool),
 {
@@ -481,11 +497,10 @@ where
             if let Some(stuck) = self.stuck {
                 out = stuck;
             }
-            // Written on every sample and kept only on a toggle: no
-            // branch on a noisy period's chatter.
-            self.toggles[self.toggled] = j;
-            self.toggled += usize::from(out != self.level);
-            self.level = out;
+            if out != self.level {
+                self.toggles.push(j, out);
+                self.level = out;
+            }
             (self.tap)(self.first + j, j, v_pickup, out);
         }
     }
@@ -602,7 +617,7 @@ impl FrontEnd {
             &mut periods,
             Stepping::default(),
             false,
-            &mut each_sample(|_, out| detector_samples.push(out)),
+            &mut |run, out| detector_samples.resize(detector_samples.len() + run.len(), out),
             tap,
         );
         FrontEndResult {
@@ -680,8 +695,8 @@ impl FrontEnd {
     ) -> MeasureResult {
         let _run = fluxcomp_obs::span("afe.measure");
         let none = fluxcomp_faults::FixFaults::none();
-        let outputs = &mut each_sample(on_sample);
-        self.measure_row(h_ext, noise_seed, detector, &none, true, outputs)
+        let runs = &mut each_sample(on_sample);
+        self.measure_row(h_ext, noise_seed, detector, &none, true, runs)
     }
 
     /// The kernel run over the clean row of `h_ext` under `faults`,
@@ -698,7 +713,7 @@ impl FrontEnd {
         detector: &mut PulsePositionDetector,
         faults: &fluxcomp_faults::FixFaults,
         fold: bool,
-        outputs: Outputs<'_>,
+        runs: Runs<'_>,
     ) -> MeasureResult {
         let cfg = &self.config;
         let stuck = faults.stuck_output;
@@ -712,7 +727,7 @@ impl FrontEnd {
                 &mut row.as_slice(),
                 Stepping { stuck, loud: 0..0 },
                 fold,
-                outputs,
+                runs,
                 no_tap,
             );
         }
@@ -734,7 +749,7 @@ impl FrontEnd {
         };
         let stepping = Stepping { stuck, loud: burst };
         let result = self
-            .measure_folded::<FOLD_TOGGLES>(detector, &mut noisy, stepping, false, outputs, no_tap);
+            .measure_folded::<FOLD_TOGGLES>(detector, &mut noisy, stepping, false, runs, no_tap);
         let draws =
             drawn(&noisy.noise, self.run_samples()) + drawn(&noisy.stream, noisy.burst.len());
         count_noise(draws, noisy.noise_evals);
@@ -972,7 +987,7 @@ impl FrontEnd {
         periods: &mut impl Periods,
         stepping: Stepping,
         fold: bool,
-        outputs: Outputs<'_>,
+        runs: Runs<'_>,
         mut tap: impl FnMut(usize, usize, Volt, bool),
     ) -> MeasureResult {
         let cfg = &self.config;
@@ -981,45 +996,30 @@ impl FrontEnd {
         let total_periods = cfg.settle_periods + cfg.measure_periods;
         let mut pulse_edges = 0u64;
         let mut high_samples = 0u64;
-        let mut emit = |period: usize, level: bool, toggles: &[usize]| {
-            if period >= cfg.settle_periods {
-                let output = PeriodOutput {
-                    first: (period - cfg.settle_periods) * n,
-                    level,
-                    toggles,
-                    samples: n,
-                };
-                high_samples += output.high_samples();
-                outputs(&output);
-            }
+        let mut emit = |run: Range<usize>, out: bool| {
+            high_samples += if out { run.len() as u64 } else { 0 };
+            runs(run, out);
         };
+        // The measurement index of the first sample of `period`.
+        let offset = |period: usize| (period - cfg.settle_periods) * n;
 
         // Scan period by period, keeping the detector state at the last
         // boundary and the toggles of the period just scanned.
-        let mut toggle_buffer = vec![0; n + 1];
-        let mut toggles: &[usize] = &[];
-        let mut level = detector.output();
+        let mut toggles = Toggles::<CAP>::new(detector.output());
         let mut boundary = detector.clone();
         let mut stepped = 0;
         while stepped < total_periods {
+            let from_level = toggles.level;
+            toggles.clear();
             let first = stepped * n;
             let values = periods.period(first);
-            let from_level = level;
-            let toggled;
-            (level, toggled) = self.scan_period(
-                first,
-                values,
-                &stepping,
-                detector,
-                level,
-                &mut toggle_buffer,
-                &mut tap,
-            );
-            toggles = &toggle_buffer[..toggled];
-            emit(stepped, from_level, toggles);
+            self.scan_period(first, values, &stepping, detector, &mut toggles, &mut tap);
+            if stepped >= cfg.settle_periods {
+                toggles.replay(from_level, offset(stepped), n, &mut emit);
+            }
             pulse_edges += toggles.len() as u64;
             stepped += 1;
-            if fold && toggles.len() <= CAP && *detector == boundary {
+            if fold && !toggles.overflowed() && *detector == boundary {
                 break;
             }
             boundary.clone_from(detector);
@@ -1029,7 +1029,9 @@ impl FrontEnd {
         // starting (and ending) at the level that period ended on.
         for period in stepped..total_periods {
             pulse_edges += toggles.len() as u64;
-            emit(period, level, toggles);
+            if period >= cfg.settle_periods {
+                toggles.replay(toggles.level, offset(period), n, &mut emit);
+            }
         }
 
         let measure_samples = (cfg.measure_periods * n) as u64;
@@ -1050,26 +1052,22 @@ impl FrontEnd {
     }
 
     /// Steps the detector through the excitation period starting at run
-    /// sample `first` with its stepping `values`, from output `level`,
-    /// writing the samples it toggles at to the front of `toggles` (one
-    /// entry more than the period has samples) and passing each sample
-    /// to `tap(run_sample, j, pickup, output)`. Returns the output level
-    /// the period ends at and how many times it toggled.
+    /// sample `first` with its stepping `values`, recording its toggles
+    /// and passing each sample to `tap(run_sample, j, pickup, output)`.
     ///
     /// The samples before, inside and after the period's share of the
     /// loud run samples are three loops, so a quiet sample pays no test
     /// for which step to take.
-    #[allow(clippy::too_many_arguments)]
-    fn scan_period(
+    #[inline(always)]
+    fn scan_period<const CAP: usize>(
         &self,
         first: usize,
         values: &[Volt],
         stepping: &Stepping,
         detector: &mut PulsePositionDetector,
-        level: bool,
-        toggles: &mut [usize],
+        toggles: &mut Toggles<CAP>,
         tap: impl FnMut(usize, usize, Volt, bool),
-    ) -> (bool, usize) {
+    ) {
         let n = values.len();
         let loud = within(&stepping.loud, first, n);
         let mut scan = Scan {
@@ -1077,15 +1075,14 @@ impl FrontEnd {
             values,
             stuck: stepping.stuck,
             detector,
-            level,
-            toggles: &mut toggles[..=n],
-            toggled: 0,
+            level: toggles.level,
+            toggles,
             tap,
         };
         scan.samples::<false>(0..loud.start);
         scan.samples::<true>(loud.clone());
         scan.samples::<false>(loud.end..n);
-        (scan.level, scan.toggled)
+        scan.toggles.level = scan.level;
     }
 
     /// [`measure_into`](Self::measure_into) under injected faults.
@@ -1126,11 +1123,11 @@ impl FrontEnd {
             return self.measure_into(h_ext, noise_seed, detector, on_sample);
         }
         let _run = fluxcomp_obs::span("faults.measure");
-        let outputs = &mut each_sample(on_sample);
+        let runs = &mut each_sample(on_sample);
         let result = if faults.dropout.is_none() && faults.hk_ramp == 0.0 {
-            self.measure_row(h_ext, noise_seed, detector, faults, false, outputs)
+            self.measure_row(h_ext, noise_seed, detector, faults, false, runs)
         } else {
-            self.measure_drifting(h_ext, noise_seed, detector, faults, outputs)
+            self.measure_drifting(h_ext, noise_seed, detector, faults, runs)
         };
         fluxcomp_obs::counter_add("faults.faulted_measures", 1);
         result
@@ -1144,7 +1141,7 @@ impl FrontEnd {
         noise_seed: u64,
         detector: &mut PulsePositionDetector,
         faults: &fluxcomp_faults::FixFaults,
-        outputs: Outputs<'_>,
+        runs: Runs<'_>,
     ) -> MeasureResult {
         let mut noise = GaussianNoise::new(self.config.pickup_noise_rms, noise_seed);
         let total = self.run_samples();
@@ -1183,7 +1180,7 @@ impl FrontEnd {
                 loud: burst.clone(),
             },
             false,
-            outputs,
+            runs,
             no_tap,
         );
         let draws = drawn(&noise, total) + drawn(&stream, burst.len());
