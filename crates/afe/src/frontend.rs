@@ -2223,9 +2223,10 @@ mod tests {
     /// step change no bit. Over burst RMS from well under the hysteresis
     /// to far above the pulses, with and without nominal noise, on the
     /// paper detector, one without hysteresis and one with an offset, an
-    /// open pickup, a dropout and a drift ramp among them, several seeds
-    /// and fields, the faulted measurement gives the `MeasureResult` and
-    /// `on_sample` stream of the eager per-sample loop, bit for bit.
+    /// open pickup, a dropout, a drift ramp and a comparator stuck high
+    /// or low among them, several seeds and fields, the faulted
+    /// measurement gives the `MeasureResult` and `on_sample` stream of
+    /// the eager per-sample loop, bit for bit.
     #[test]
     fn burst_kernel_matches_the_eager_loop() {
         use fluxcomp_faults::{BurstFault, FixFaults};
@@ -2256,8 +2257,14 @@ mod tests {
                         let fe = FrontEnd::new(cfg).expect("valid config");
                         let mut detector = PulsePositionDetector::new(detector_config);
                         for (case, rms) in [5e-4, 5e-3, 5e-2, 0.5].into_iter().enumerate() {
-                            for (seed, ut) in [(11u64, -12.0), (12, 3.0), (13, 15.0), (14, 7.0)] {
+                            let cases = [(11u64, -12.0), (12, 3.0), (13, 15.0), (14, 7.0)];
+                            for (seed, ut) in cases.into_iter().chain([(15, -5.0), (16, 10.0)]) {
                                 let faults = FixFaults {
+                                    stuck_output: match seed {
+                                        15 => Some(true),
+                                        16 => Some(false),
+                                        _ => None,
+                                    },
                                     dropout: (seed == 13).then_some((0.5, 0.6)),
                                     hk_ramp: if seed == 14 { 8.0 } else { 0.0 },
                                     pickup_gain: if seed == 12 {
@@ -2272,7 +2279,6 @@ mod tests {
                                         seed: seed ^ 0xB0B5,
                                     }),
                                     injected: 1,
-                                    ..FixFaults::none()
                                 };
                                 let h = h_from_microtesla(ut);
                                 let (expected, expected_seen) =
