@@ -62,14 +62,14 @@ impl Comparator {
         self.state
     }
 
-    /// [`step`](Self::step) with bit operations in place of branches: the
-    /// same state, faster on input that crosses the trip points at random,
-    /// where the branches mispredict, and slower on quiet input, where
-    /// they never do.
+    /// The step whose compare bits are `verdict`, written with bit
+    /// operations in place of branches: `step_verdict(verdict(v))` leaves
+    /// the state that `step(v)` does. The output it leaves is a fixed
+    /// point of `verdict`, so a second step with the same bits changes
+    /// nothing.
     #[inline]
-    pub(crate) fn step_loud(&mut self, input: Volt) -> bool {
-        let verdict = self.verdict(input);
-        self.state = (verdict & ABOVE != 0) | (self.state & (verdict & BELOW == 0));
+    pub(crate) fn step_verdict(&mut self, verdict: u8) -> bool {
+        self.state = (verdict & BELOW == 0) & ((verdict & ABOVE != 0) | self.state);
         self.state
     }
 

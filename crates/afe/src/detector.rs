@@ -132,15 +132,21 @@ impl PulsePositionDetector {
         self.output
     }
 
-    /// [`step`](Self::step) with bit operations in place of branches, in
-    /// the comparators and in the latch: the same state and output, for
-    /// input such as a noise burst that crosses the trip points at
-    /// random. On quiet input the branches never mispredict and `step` is
-    /// the faster of the two.
+    /// The step whose comparator verdict bits are `verdicts` (see
+    /// [`verdicts`](Self::verdicts)), with bit operations in place of
+    /// branches, in the comparators and in the latch:
+    /// `step_verdict(verdicts(v))` leaves the state and output that
+    /// `step(v)` does.
+    ///
+    /// The state it leaves is a fixed point of `verdicts`: each
+    /// comparator's output is one its verdict keeps, and the `prev_*`
+    /// bits equal those outputs, so a second step with the same bits
+    /// neither sets nor clears the latch. The kernel steps the detector
+    /// only where a quiet sample's verdicts differ from the last ones.
     #[inline]
-    pub(crate) fn step_loud(&mut self, pickup: Volt) -> bool {
-        let pos = self.positive.step_loud(pickup);
-        let neg = self.negative.step_loud(-pickup);
+    pub(crate) fn step_verdict(&mut self, verdicts: u8) -> bool {
+        let pos = self.positive.step_verdict(verdicts & 0b11);
+        let neg = self.negative.step_verdict(verdicts >> 2);
         let set = self.prev_positive & !pos;
         let clear = self.prev_negative & !neg;
         self.output = (self.output | set) & !clear;
@@ -159,9 +165,11 @@ impl PulsePositionDetector {
     }
 
     /// Both comparators' verdict bits on `pickup`, the negative one's
-    /// shifted above the positive one's.
+    /// shifted above the positive one's: a code below 16 that fixes the
+    /// state a step to `pickup` leaves from any state. The kernel steps
+    /// on these codes, not on the pickup voltages.
     #[inline]
-    fn verdicts(&self, pickup: Volt) -> u8 {
+    pub(crate) fn verdicts(&self, pickup: Volt) -> u8 {
         self.positive.verdict(pickup) | self.negative.verdict(-pickup) << 2
     }
 }
@@ -241,11 +249,26 @@ mod tests {
         assert!(!any_high);
     }
 
-    /// The branch-free step leaves the state the branchy one does, on
-    /// random input around every trip point and on NaN, for designs with
-    /// and without hysteresis and offset.
+    /// The pickup voltages at which one of `config`'s comparators trips:
+    /// the release and set points of the positive comparator and their
+    /// mirror images for the negative one.
+    fn trip_points(config: &DetectorConfig) -> [f64; 4] {
+        let half = config.hysteresis.value() / 2.0;
+        let (threshold, offset) = (config.threshold.value(), config.offset.value());
+        [
+            threshold - half - offset,
+            threshold + half - offset,
+            offset - threshold + half,
+            offset - threshold - half,
+        ]
+    }
+
+    /// The step on a verdict code leaves the output and state the step on
+    /// the voltage does, bit for bit: on random input, on NaN and both
+    /// zeros, and on each trip point and its two neighbouring floats, for
+    /// designs with and without hysteresis and offset.
     #[test]
-    fn loud_step_matches_step() {
+    fn verdict_step_matches_step() {
         use rand::{rngs::StdRng, Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(0x10AD);
         let designs = [
@@ -260,21 +283,50 @@ mod tests {
             },
         ];
         for config in designs {
+            let mut special = vec![f64::NAN, 0.0, -0.0];
+            for trip in trip_points(&config) {
+                special.extend([trip.next_down(), trip, trip.next_up()]);
+            }
             let mut branchy = PulsePositionDetector::new(config);
-            let mut loud = branchy.clone();
+            let mut coded = branchy.clone();
             for index in 0..20_000 {
-                let v = if index % 997 == 0 {
-                    f64::NAN
+                let v = if index % 3 == 0 {
+                    special[rng.gen_range(0..special.len())]
                 } else {
                     rng.gen_range(-0.03..0.03)
                 };
                 let out = branchy.step(Volt::new(v));
-                assert_eq!(
-                    loud.step_loud(Volt::new(v)),
-                    out,
-                    "{config:?} sample {index}"
-                );
-                assert_eq!(loud, branchy, "{config:?} sample {index}");
+                let verdicts = coded.verdicts(Volt::new(v));
+                assert_eq!(coded.step_verdict(verdicts), out, "{config:?} at {v}");
+                assert_eq!(coded, branchy, "{config:?} at {v}");
+            }
+        }
+    }
+
+    /// Every state the detector can reach is left as it is by a second
+    /// step with the verdict code of the first, for all 16 codes.
+    #[test]
+    fn a_repeated_verdict_changes_nothing() {
+        let mut reached = vec![PulsePositionDetector::new(DetectorConfig::paper_design())];
+        let mut next = 0;
+        while next < reached.len() {
+            for code in 0..16 {
+                let mut stepped = reached[next].clone();
+                stepped.step_verdict(code);
+                if !reached.contains(&stepped) {
+                    reached.push(stepped);
+                }
+            }
+            next += 1;
+        }
+        assert_eq!(reached.len(), 8, "both comparator outputs × the latch");
+        for state in &reached {
+            for code in 0..16 {
+                let mut once = state.clone();
+                let out = once.step_verdict(code);
+                let mut twice = once.clone();
+                assert_eq!(twice.step_verdict(code), out, "{state:?}, code {code}");
+                assert_eq!(twice, once, "{state:?}, code {code}");
             }
         }
     }

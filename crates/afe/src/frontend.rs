@@ -19,36 +19,39 @@
 //!   through a per-sample tap, for the Fig. 3 / Fig. 4 reproductions and
 //!   the spectrum tests.
 //!
-//! The fast path computes only what can change an output bit. The
-//! drive repeats every period and the sensor is stateless, so it
-//! evaluates the clean pickup EMF once per table sample, as one row
-//! that serves every period. On a noise-free channel it stops stepping
-//! once the detector state repeats from one excitation period to the
-//! next and replays the repeating period instead, and it evaluates the
-//! row only inside each pulse's window: outside it the EMF is provably
-//! too small to move either comparator, so zero stands in for it (see
-//! `windows` for the proof). A noisy channel takes each excitation
-//! period in two phases. It first draws the period's noise, in stream
-//! order, into one reusable buffer of stepping values, evaluating the
-//! Gaussian value only when the draw could move a comparator across a
-//! trip point and leaving a value that steps the detector alike
-//! otherwise (see [`FrontEnd::measure_into`]); then it steps the
-//! detector through the buffer. Its row holds the EMF only inside
-//! windows cut at half the release point where one noise floor covers
-//! every sample outside them. Inside a noise burst's window it brackets
-//! both streams' values from table lookups and evaluates them only when
-//! the bracketed sum straddles a trip point, and it steps the detector
-//! there with its branch-free step. The same bits as the traced run,
-//! less work; this module's tests pin the two against each other.
+//! The fast path computes only what can change an output bit. A step
+//! of the detector depends on the pickup only through its comparators'
+//! verdicts on it, a four-bit code, so the kernel steps on one code per
+//! sample. A step leaves a state that more steps on the same code keep,
+//! so on quiet input it steps only where the code changes. The drive
+//! repeats every period and the sensor is stateless, so it evaluates
+//! the clean pickup EMF once per table sample, as one row that serves
+//! every period. On a noise-free channel it stops scanning once the
+//! detector state repeats from one excitation period to the next and
+//! replays the repeating period instead, and it evaluates the row only
+//! inside each pulse's window: outside it the EMF is provably too small
+//! to move either comparator, so zero stands in for it (see `windows`
+//! for the proof). A noisy channel takes each excitation period in two
+//! phases. It first draws the period's noise, in stream order, into one
+//! reusable buffer of verdicts that starts as a copy of the row's,
+//! evaluating the Gaussian value only when the draw could move a
+//! comparator across a trip point (see [`FrontEnd::measure_into`]);
+//! then it steps the detector through the buffer. Its row holds the EMF
+//! only inside windows cut at half the release point where one noise
+//! floor covers every sample outside them. Inside a noise burst's
+//! window it brackets both streams' values from table lookups and
+//! evaluates them only when the bracketed sum straddles a trip point,
+//! and it steps the detector there on every sample, without a branch.
+//! The same bits as the traced run, less work; this module's tests pin
+//! the two against each other.
 //!
 //! A function this module or the compass calls once per analogue
 //! sample from another crate is `#[inline]` (`CoreModel::mu_diff`,
 //! `UpDownCounter::clock_n`, `ClockSchedule::edges_at`): the workspace
 //! builds without LTO, and the benchmark is a workspace of its own, so
 //! no profile setting reaches across crates and the attribute is the
-//! only way the call can be inlined. [`PulsePositionDetector::step`]
-//! and the comparator step it makes are `#[inline]` as well, because
-//! the kernel runs measurably slower when either is left out of line.
+//! only way the call can be inlined. The detector's verdict step and
+//! the comparator steps it makes are `#[inline]` as well.
 //!
 //! The closed-form expectation, derived in the [`detector`](crate::detector)
 //! docs, is `duty = 1/2 − H_ext/(2·H_peak)`; the simulation reproduces it
@@ -336,11 +339,15 @@ struct Stepping {
     /// When set, overrides the detector output; the detector is still
     /// stepped.
     stuck: Option<bool>,
-    /// The run samples on which the detector takes its branch-free
-    /// [`step_loud`](PulsePositionDetector::step_loud): a noise burst
-    /// drives them across the trip points at random.
+    /// The run samples on which the detector is stepped on every sample,
+    /// without a branch: a noise burst changes their verdicts at random.
+    /// Elsewhere it is stepped only where the verdict changes.
     loud: Range<usize>,
 }
+
+/// A verdict no sample has, standing for the one before the first: the
+/// first sample of a measurement always steps the detector.
+const FRESH: u8 = u8::MAX;
 
 /// The detector output of one excitation period: its toggles (the
 /// sample index within the period and the new level, in time order)
@@ -427,81 +434,105 @@ fn each_sample(mut on_sample: impl FnMut(usize, bool)) -> impl FnMut(Range<usize
     }
 }
 
-/// Where the kernel takes each excitation period's stepping values
-/// from: the pickup EMF of every sample, noise included.
+/// Where the kernel takes each excitation period's detector verdicts
+/// from: the [`verdicts`](PulsePositionDetector::verdicts) of the pickup
+/// EMF of every sample, noise included.
 trait Periods {
-    /// The values the detector steps with through the period that starts
+    /// The verdicts the detector steps on through the period that starts
     /// at run sample `first`, one per table sample; `first` counts from
     /// the first settle sample.
-    fn period(&mut self, first: usize) -> &[Volt];
+    fn period(&mut self, first: usize) -> &[u8];
 }
 
-/// A noise-free row: every period steps through the same values.
-impl Periods for &[Volt] {
-    fn period(&mut self, _: usize) -> &[Volt] {
+/// A noise-free row's verdicts: every period steps on the same ones.
+impl Periods for &[u8] {
+    fn period(&mut self, _: usize) -> &[u8] {
         self
     }
 }
 
-/// One period's buffer, which `fill(first, buffer)` refills for each
-/// period in turn.
+/// One period's values, which `fill(first, values)` refills for each
+/// period in turn, and their verdicts.
 struct Filled<F> {
-    buffer: Vec<Volt>,
+    values: Vec<Volt>,
+    verdicts: Vec<u8>,
+    probe: PulsePositionDetector,
     fill: F,
 }
 
 impl<F: FnMut(usize, &mut [Volt])> Filled<F> {
-    fn new(samples: usize, fill: F) -> Self {
+    fn new(detector: DetectorConfig, samples: usize, fill: F) -> Self {
         Self {
-            buffer: vec![Volt::ZERO; samples],
+            values: vec![Volt::ZERO; samples],
+            verdicts: vec![0; samples],
+            probe: PulsePositionDetector::new(detector),
             fill,
         }
     }
 }
 
 impl<F: FnMut(usize, &mut [Volt])> Periods for Filled<F> {
-    fn period(&mut self, first: usize) -> &[Volt] {
-        (self.fill)(first, &mut self.buffer);
-        &self.buffer
+    fn period(&mut self, first: usize) -> &[u8] {
+        (self.fill)(first, &mut self.values);
+        for (verdict, &v) in self.verdicts.iter_mut().zip(&self.values) {
+            *verdict = self.probe.verdicts(v);
+        }
+        &self.verdicts
     }
 }
 
 /// What [`FrontEnd::scan_period`] threads through the samples of one
-/// period: where the period starts, the values its samples step with,
-/// the output level so far, and the tap that sees each sample.
-struct Scan<'a, T, const CAP: usize> {
-    first: usize,
-    values: &'a [Volt],
+/// period: their verdicts, the verdict the detector was last stepped
+/// on, the output level so far and the steps taken.
+struct Scan<'a, const CAP: usize> {
+    verdicts: &'a [u8],
     stuck: Option<bool>,
     detector: &'a mut PulsePositionDetector,
+    last: u8,
     level: bool,
     toggles: &'a mut Toggles<CAP>,
-    tap: T,
+    steps: u64,
 }
 
-impl<T, const CAP: usize> Scan<'_, T, CAP>
-where
-    T: FnMut(usize, usize, Volt, bool),
-{
-    /// Steps the period's samples `js`, with the detector's branch-free
-    /// [`step_loud`](PulsePositionDetector::step_loud) if `LOUD`.
+impl<const CAP: usize> Scan<'_, CAP> {
+    /// Steps the period's quiet samples `js` where the verdict differs
+    /// from the last one. A step leaves the detector in a fixed point of
+    /// its verdict, so the samples skipped would not change it.
     #[inline(always)]
-    fn samples<const LOUD: bool>(&mut self, js: Range<usize>) {
-        for j in js {
-            let v_pickup = self.values[j];
-            let mut out = if LOUD {
-                self.detector.step_loud(v_pickup)
-            } else {
-                self.detector.step(v_pickup)
-            };
-            if let Some(stuck) = self.stuck {
-                out = stuck;
+    fn quiet(&mut self, js: Range<usize>) {
+        let start = js.start;
+        for (i, &verdict) in self.verdicts[js].iter().enumerate() {
+            if verdict != self.last {
+                self.last = verdict;
+                self.steps += 1;
+                self.step(start + i, verdict);
             }
-            if out != self.level {
-                self.toggles.push(j, out);
-                self.level = out;
-            }
-            (self.tap)(self.first + j, j, v_pickup, out);
+        }
+    }
+
+    /// Steps every one of the period's loud samples `js`, without a
+    /// branch on the verdict.
+    #[inline(always)]
+    fn loud(&mut self, js: Range<usize>) {
+        let start = js.start;
+        self.steps += js.len() as u64;
+        for (i, &verdict) in self.verdicts[js].iter().enumerate() {
+            self.last = verdict;
+            self.step(start + i, verdict);
+        }
+    }
+
+    /// Steps the detector on sample `j`'s `verdict` and records a toggle
+    /// of its output, overridden if stuck.
+    #[inline(always)]
+    fn step(&mut self, j: usize, verdict: u8) {
+        let mut out = self.detector.step_verdict(verdict);
+        if let Some(stuck) = self.stuck {
+            out = stuck;
+        }
+        if out != self.level {
+            self.toggles.push(j, out);
+            self.level = out;
         }
     }
 }
@@ -564,8 +595,9 @@ impl FrontEnd {
     /// `h_ext` and returns the measured duty cycle plus all waveforms.
     ///
     /// This is the measurement kernel with folding off and every noise
-    /// draw evaluated; the waveforms are recorded through its per-sample
-    /// tap, settle periods included.
+    /// draw evaluated; the analogue waveforms are recorded as each period
+    /// is filled and the detector's from the kernel's tap, settle periods
+    /// included.
     ///
     /// Noise is seeded from the configured `noise_seed`; this call is a
     /// pure function of the configuration and `h_ext`, so repeated runs
@@ -587,6 +619,7 @@ impl FrontEnd {
         let period = 1.0 / cfg.excitation.frequency().value();
         let dt = period / cfg.samples_per_period as f64;
         let total_samples = self.run_samples();
+        let at = |run_sample: usize| SimTime::from_seconds(Seconds::new(run_sample as f64 * dt));
 
         let mut traces = TraceSet::new();
         let ch_i = traces.add_with_capacity("i_exc", total_samples);
@@ -594,32 +627,32 @@ impl FrontEnd {
         let ch_vp = traces.add_with_capacity("v_pickup", total_samples);
         let ch_d = traces.add_with_capacity("detector", total_samples);
         let table = self.table.samples();
-        let tap = |run_sample: usize, j: usize, v_pickup: Volt, out: bool| {
-            let sim_t = SimTime::from_seconds(Seconds::new(run_sample as f64 * dt));
-            let drive = &table[j];
-            let v_exc = self.sensor.excitation_voltage(drive.i, drive.di_dt, h_ext);
-            traces.record(ch_i, sim_t, drive.i.value());
-            traces.record(ch_ve, sim_t, v_exc.value());
-            traces.record(ch_vp, sim_t, v_pickup.value());
-            traces.record(ch_d, sim_t, if out { 1.0 } else { 0.0 });
-        };
-
-        let mut detector_samples = Vec::with_capacity(cfg.measure_periods * cfg.samples_per_period);
         let row = self.clean_row(h_ext, 1.0);
         let mut noise = GaussianNoise::new(cfg.pickup_noise_rms, noise_seed);
-        let mut periods = Filled::new(row.len(), |_, values: &mut [Volt]| {
-            for (value, &v) in values.iter_mut().zip(&row) {
+        let mut periods = Filled::new(cfg.detector, row.len(), |first, values: &mut [Volt]| {
+            for (j, (value, &v)) in values.iter_mut().zip(&row).enumerate() {
                 *value = v + Volt::new(noise.sample());
+                let sim_t = at(first + j);
+                let drive = &table[j];
+                let v_exc = self.sensor.excitation_voltage(drive.i, drive.di_dt, h_ext);
+                traces.record(ch_i, sim_t, drive.i.value());
+                traces.record(ch_ve, sim_t, v_exc.value());
+                traces.record(ch_vp, sim_t, value.value());
             }
         });
+        let mut outputs = Vec::with_capacity(total_samples);
         let result = self.measure_folded::<FOLD_TOGGLES>(
             &mut PulsePositionDetector::new(cfg.detector),
             &mut periods,
             Stepping::default(),
             false,
-            &mut |run, out| detector_samples.resize(detector_samples.len() + run.len(), out),
-            tap,
+            &mut |_, _| {},
+            |run: Range<usize>, out| outputs.resize(run.end, out),
         );
+        for (run_sample, &out) in outputs.iter().enumerate() {
+            traces.record(ch_d, at(run_sample), if out { 1.0 } else { 0.0 });
+        }
+        let detector_samples = outputs.split_off(cfg.settle_periods * cfg.samples_per_period);
         FrontEndResult {
             duty: result.duty,
             detector_samples,
@@ -668,24 +701,32 @@ impl FrontEnd {
     /// stepping the sensor and detector — same `on_sample` stream, same
     /// tallies, bit for bit. A noisy channel, a period with more than 16
     /// toggles, or a state that never repeats keeps the plain scan. The
-    /// noise-free row holds the clean EMF only inside the two pulse
-    /// windows and zero elsewhere, which steps the detector alike; the
-    /// `afe.emf_evals` counter reports the EMF evaluations made.
+    /// noise-free row's verdicts are those of the clean EMF inside the
+    /// two pulse windows and of zero elsewhere, which steps the detector
+    /// alike; the `afe.emf_evals` counter reports the EMF evaluations
+    /// made.
     ///
-    /// A noisy channel steps every sample, in two phases per period.
+    /// The kernel steps the detector on its comparators' verdicts, one
+    /// four-bit code per sample, and on quiet samples only where the code
+    /// changes: a step leaves a state that more steps on the same code
+    /// keep. `msim.analog_steps` counts the samples scanned and
+    /// `afe.detector_steps` the steps taken.
+    ///
+    /// A noisy channel scans every sample, in two phases per period.
     /// First it draws the period's noise in stream order into one
-    /// reusable buffer of stepping values, as the traced run draws it,
-    /// and evaluates only what can change a step: a draw whose first
-    /// uniform shows that the noise is smaller than the clean value's
-    /// distance to the nearest comparator trip point leaves the clean
-    /// value in the buffer; only the rest pay for `ln`, `sqrt` and
-    /// `sin`/`cos`. On the paper design at 2 mV that is about 4 % of the
-    /// samples (the `afe.noise_evals` and `afe.noise_draws` counters,
-    /// which count the draws and the full evaluations of every stream).
-    /// Where one noise floor covers every sample outside the pulse
-    /// windows cut at half the release point, the row holds the clean
-    /// EMF only inside them, and a draw below that floor evaluates its
-    /// EMF when it is drawn. Then the detector steps through the buffer.
+    /// reusable buffer of verdicts that starts as a copy of the row's,
+    /// as the traced run draws it, and evaluates only what can change a
+    /// step: a draw whose first uniform shows that the noise is smaller
+    /// than the clean value's distance to the nearest comparator trip
+    /// point leaves the row's verdict in the buffer; only the rest pay
+    /// for `ln`, `sqrt` and `sin`/`cos`. On the paper design at 2 mV that
+    /// is about 4 % of the samples (the `afe.noise_evals` and
+    /// `afe.noise_draws` counters, which count the draws and the full
+    /// evaluations of every stream). Where one noise floor covers every
+    /// sample outside the pulse windows cut at half the release point,
+    /// the row holds the clean EMF only inside them, and a draw below
+    /// that floor evaluates its EMF when it is drawn. Then the detector
+    /// steps through the buffer.
     pub fn measure_into(
         &self,
         h_ext: AmperePerMeter,
@@ -704,8 +745,8 @@ impl FrontEnd {
     ///
     /// The noise-free row is folded when `fold` allows it, and then, if
     /// nothing struck, evaluated only inside its pulse windows (see
-    /// [`windowed_row`](Self::windowed_row)). Otherwise each period's
-    /// stepping values are drawn first (see [`Noisy`]), then stepped.
+    /// [`windowed_verdicts`](Self::windowed_verdicts)). Otherwise each
+    /// period's verdicts are drawn first (see [`Noisy`]), then stepped.
     fn measure_row(
         &self,
         h_ext: AmperePerMeter,
@@ -718,13 +759,13 @@ impl FrontEnd {
         let cfg = &self.config;
         let stuck = faults.stuck_output;
         if cfg.pickup_noise_rms == 0.0 && faults.burst.is_none() {
-            let row = (fold && faults.is_none())
-                .then(|| self.windowed_row(h_ext))
+            let verdicts = (fold && faults.is_none())
+                .then(|| self.windowed_verdicts(h_ext))
                 .flatten()
-                .unwrap_or_else(|| self.clean_row(h_ext, faults.pickup_gain));
+                .unwrap_or_else(|| self.clean_verdicts(h_ext, faults.pickup_gain));
             return self.measure_folded::<FOLD_TOGGLES>(
                 detector,
-                &mut row.as_slice(),
+                &mut verdicts.as_slice(),
                 Stepping { stuck, loud: 0..0 },
                 fold,
                 runs,
@@ -743,7 +784,7 @@ impl FrontEnd {
             burst: burst.clone(),
             stream,
             probe: PulsePositionDetector::new(cfg.detector),
-            values: vec![Volt::ZERO; self.table.len()],
+            verdicts: vec![0; self.table.len()],
             noise_evals: 0,
             emf_evals: 0,
         };
@@ -780,9 +821,9 @@ impl FrontEnd {
     /// stateless, so this one row holds the clean EMF of every period.
     ///
     /// Built once per measurement and kept out of line, as is
-    /// [`windowed_row`](Self::windowed_row): left for the compiler to
-    /// inline into the kernel's caller, the two cost `sweep_clean` ~6 %
-    /// in paired runs.
+    /// [`windowed_verdicts`](Self::windowed_verdicts): left for the
+    /// compiler to inline into the kernel's caller, the two cost
+    /// `sweep_clean` ~6 % in paired runs.
     #[inline(never)]
     fn clean_row(&self, h_ext: AmperePerMeter, gain: f64) -> Vec<Volt> {
         let row: Vec<Volt> = (0..self.table.len())
@@ -790,6 +831,13 @@ impl FrontEnd {
             .collect();
         fluxcomp_obs::counter_add("afe.emf_evals", row.len() as u64);
         row
+    }
+
+    /// The verdicts of the clean row of `h_ext` scaled by `gain`.
+    fn clean_verdicts(&self, h_ext: AmperePerMeter, gain: f64) -> Vec<u8> {
+        let probe = PulsePositionDetector::new(self.config.detector);
+        let row = self.clean_row(h_ext, gain);
+        row.iter().map(|&v| probe.verdicts(v)).collect()
     }
 
     /// The noise-free pickup EMF of excitation-table sample `j` in
@@ -805,31 +853,32 @@ impl FrontEnd {
         }
     }
 
-    /// The clean row of `h_ext` with the EMF evaluated only inside the
-    /// two pulse [`windows`](Self::windows) cut at the release point and
-    /// [`Volt::ZERO`] elsewhere, or `None` where windows do not apply;
-    /// the detector steps through it exactly as through
-    /// [`clean_row`](Self::clean_row).
+    /// The verdicts of the clean row of `h_ext` with the EMF evaluated
+    /// only inside the two pulse [`windows`](Self::windows) cut at the
+    /// release point and [`Volt::ZERO`]'s elsewhere, or `None` where
+    /// windows do not apply; they equal
+    /// [`clean_verdicts`](Self::clean_verdicts).
     ///
-    /// Why a sample outside the windows may step with zero: its float
-    /// EMF is below the release point less 1e-9 in magnitude, and
+    /// Why a sample outside the windows may take zero's verdicts: its
+    /// float EMF is below the release point less 1e-9 in magnitude, and
     /// [`Windowing::new`] checked that every value that close to zero
     /// steps both comparators as zero does.
     #[inline(never)]
-    fn windowed_row(&self, h_ext: AmperePerMeter) -> Option<Vec<Volt>> {
+    fn windowed_verdicts(&self, h_ext: AmperePerMeter) -> Option<Vec<u8>> {
         let release = self.windowing.as_ref()?.release;
+        let probe = PulsePositionDetector::new(self.config.detector);
         let mut evals = 0;
         let windows = self.windows(h_ext, 1.0, release, &mut evals);
-        let row = windows.map(|windows| {
-            let mut row = vec![Volt::ZERO; self.table.len()];
+        let verdicts = windows.map(|windows| {
+            let mut verdicts = vec![probe.verdicts(Volt::ZERO); self.table.len()];
             for j in windows.into_iter().flatten() {
-                row[j] = self.clean_emf(h_ext, j, 1.0);
+                verdicts[j] = probe.verdicts(self.clean_emf(h_ext, j, 1.0));
                 evals += 1;
             }
-            row
+            verdicts
         });
         fluxcomp_obs::counter_add("afe.emf_evals", evals);
-        row
+        verdicts
     }
 
     /// The two pulse windows of the clean row of `h_ext` scaled by `gain`
@@ -858,9 +907,9 @@ impl FrontEnd {
     /// sample itself. A half whose peak has no quiet sample on one side
     /// (a field near ±H_peak) gives `None`.
     ///
-    /// Two rows rest on this. [`windowed_row`](Self::windowed_row) cuts
-    /// at the release point, where zero steps the detector as the EMF
-    /// does. [`noisy_row`](Self::noisy_row) cuts at half of it, and one
+    /// Two rows rest on this. [`windowed_verdicts`](Self::windowed_verdicts)
+    /// cuts at the release point, where zero steps the detector as the
+    /// EMF does. [`noisy_row`](Self::noisy_row) cuts at half of it, and one
     /// noise floor covers every sample outside, with the bound
     /// `b = (band − level)·(1 − 1e-9)` of [`Windowing::outside`]. Where
     /// the full row steps with `v` or with the traced run's `v + x`, the
@@ -918,7 +967,8 @@ impl FrontEnd {
     }
 
     /// The clean row of `h_ext` scaled by `gain` that a noisy measurement
-    /// draws its noise against, with each sample's noise floor.
+    /// draws its noise against, with each sample's noise floor and
+    /// verdicts.
     ///
     /// Where `may_window` (no burst, whose brackets need every sample's
     /// EMF) and one floor, that of [`Windowing::outside`], covers every
@@ -953,34 +1003,33 @@ impl FrontEnd {
                 floors[j] = floor(row[j]);
                 evals += 1;
             }
-            Some(NoisyRow {
-                row,
-                floors,
-                windows: Some(windows),
-            })
+            Some((row, floors, Some(windows)))
         });
         fluxcomp_obs::counter_add("afe.emf_evals", evals);
-        windowed.unwrap_or_else(|| {
+        let (row, floors, windows) = windowed.unwrap_or_else(|| {
             let row = self.clean_row(h_ext, gain);
             let floors = row.iter().map(|&v| floor(v)).collect();
-            NoisyRow {
-                row,
-                floors,
-                windows: None,
-            }
-        })
+            (row, floors, None)
+        });
+        NoisyRow {
+            verdicts: row.iter().map(|&v| detector.verdicts(v)).collect(),
+            row,
+            floors,
+            windows,
+        }
     }
 
     /// The one measurement kernel, folding once a period toggles no more
     /// than `CAP` times.
     ///
-    /// `periods` gives each period's stepping values (see [`Periods`]).
+    /// `periods` gives each period's verdicts (see [`Periods`]).
     /// `stepping` says how the detector is stepped (see [`Stepping`]).
     /// `fold` allows period folding and must only be set
     /// when every period sees the same inputs. `runs` receives the
-    /// measurement samples' output (see [`Runs`]). `tap(run_sample, j,
-    /// pickup, output)` sees every stepped sample, settle periods
-    /// included; a measurement that records nothing passes [`no_tap`].
+    /// measurement samples' output (see [`Runs`]). `tap` receives the
+    /// output of every scanned period, settle periods included, as
+    /// `runs` does but with run-sample indices; a measurement that
+    /// records nothing passes [`no_tap`].
     fn measure_folded<const CAP: usize>(
         &self,
         detector: &mut PulsePositionDetector,
@@ -988,7 +1037,7 @@ impl FrontEnd {
         stepping: Stepping,
         fold: bool,
         runs: Runs<'_>,
-        mut tap: impl FnMut(usize, usize, Volt, bool),
+        mut tap: impl FnMut(Range<usize>, bool),
     ) -> MeasureResult {
         let cfg = &self.config;
         *detector = PulsePositionDetector::new(cfg.detector);
@@ -1007,13 +1056,23 @@ impl FrontEnd {
         // boundary and the toggles of the period just scanned.
         let mut toggles = Toggles::<CAP>::new(detector.output());
         let mut boundary = detector.clone();
+        let mut last = FRESH;
+        let mut detector_steps = 0;
         let mut stepped = 0;
         while stepped < total_periods {
             let from_level = toggles.level;
             toggles.clear();
             let first = stepped * n;
-            let values = periods.period(first);
-            self.scan_period(first, values, &stepping, detector, &mut toggles, &mut tap);
+            let verdicts = periods.period(first);
+            detector_steps += Self::scan_period(
+                first,
+                verdicts,
+                &stepping,
+                detector,
+                &mut last,
+                &mut toggles,
+            );
+            toggles.replay(from_level, first, n, &mut tap);
             if stepped >= cfg.settle_periods {
                 toggles.replay(from_level, offset(stepped), n, &mut emit);
             }
@@ -1038,6 +1097,7 @@ impl FrontEnd {
         let duty = high_samples as f64 / measure_samples as f64;
         let clipped = self.table.any_clips();
         fluxcomp_obs::counter_add("msim.analog_steps", (stepped * n) as u64);
+        fluxcomp_obs::counter_add("afe.detector_steps", detector_steps);
         fluxcomp_obs::counter_add("afe.measures", 1);
         fluxcomp_obs::counter_add("afe.pulse_edges", pulse_edges);
         fluxcomp_obs::counter_add("afe.clipped_runs", u64::from(clipped));
@@ -1052,37 +1112,38 @@ impl FrontEnd {
     }
 
     /// Steps the detector through the excitation period starting at run
-    /// sample `first` with its stepping `values`, recording its toggles
-    /// and passing each sample to `tap(run_sample, j, pickup, output)`.
+    /// sample `first` on its `verdicts`, from the verdict it was `last`
+    /// stepped on, and records its toggles; returns the steps taken.
     ///
     /// The samples before, inside and after the period's share of the
     /// loud run samples are three loops, so a quiet sample pays no test
-    /// for which step to take.
+    /// for which loop it is in.
     #[inline(always)]
     fn scan_period<const CAP: usize>(
-        &self,
         first: usize,
-        values: &[Volt],
+        verdicts: &[u8],
         stepping: &Stepping,
         detector: &mut PulsePositionDetector,
+        last: &mut u8,
         toggles: &mut Toggles<CAP>,
-        tap: impl FnMut(usize, usize, Volt, bool),
-    ) {
-        let n = values.len();
+    ) -> u64 {
+        let n = verdicts.len();
         let loud = within(&stepping.loud, first, n);
         let mut scan = Scan {
-            first,
-            values,
+            verdicts,
             stuck: stepping.stuck,
             detector,
+            last: *last,
             level: toggles.level,
             toggles,
-            tap,
+            steps: 0,
         };
-        scan.samples::<false>(0..loud.start);
-        scan.samples::<true>(loud.clone());
-        scan.samples::<false>(loud.end..n);
+        scan.quiet(0..loud.start);
+        scan.loud(loud.clone());
+        scan.quiet(loud.end..n);
         scan.toggles.level = scan.level;
+        *last = scan.last;
+        scan.steps
     }
 
     /// [`measure_into`](Self::measure_into) under injected faults.
@@ -1151,27 +1212,31 @@ impl FrontEnd {
             .map_or(0..0, |(from, until)| window(total, from, until));
         let (burst, mut stream) = self.burst(faults);
         let table = self.table.samples();
-        let mut periods = Filled::new(table.len(), |first, values: &mut [Volt]| {
-            for (j, value) in values.iter_mut().enumerate() {
-                let run_sample = first + j;
-                let (h_drive, dh_dt) = if dropout.contains(&run_sample) {
-                    (AmperePerMeter::ZERO, 0.0)
-                } else {
-                    (table[j].h_drive, table[j].dh_dt)
-                };
-                let frac = run_sample as f64 * inv_total;
-                let h = h_drive + h_ext + AmperePerMeter::new(faults.hk_ramp * frac);
-                let mut v_pickup = self.sensor.pickup_emf(h, dh_dt);
-                if faults.pickup_gain != 1.0 {
-                    v_pickup = Volt::new(v_pickup.value() * faults.pickup_gain);
+        let mut periods = Filled::new(
+            self.config.detector,
+            table.len(),
+            |first, values: &mut [Volt]| {
+                for (j, value) in values.iter_mut().enumerate() {
+                    let run_sample = first + j;
+                    let (h_drive, dh_dt) = if dropout.contains(&run_sample) {
+                        (AmperePerMeter::ZERO, 0.0)
+                    } else {
+                        (table[j].h_drive, table[j].dh_dt)
+                    };
+                    let frac = run_sample as f64 * inv_total;
+                    let h = h_drive + h_ext + AmperePerMeter::new(faults.hk_ramp * frac);
+                    let mut v_pickup = self.sensor.pickup_emf(h, dh_dt);
+                    if faults.pickup_gain != 1.0 {
+                        v_pickup = Volt::new(v_pickup.value() * faults.pickup_gain);
+                    }
+                    v_pickup += Volt::new(noise.sample());
+                    if burst.contains(&run_sample) {
+                        v_pickup += Volt::new(stream.sample());
+                    }
+                    *value = v_pickup;
                 }
-                v_pickup += Volt::new(noise.sample());
-                if burst.contains(&run_sample) {
-                    v_pickup += Volt::new(stream.sample());
-                }
-                *value = v_pickup;
-            }
-        });
+            },
+        );
         let result = self.measure_folded::<FOLD_TOGGLES>(
             detector,
             &mut periods,
@@ -1191,7 +1256,7 @@ impl FrontEnd {
 }
 
 /// The tap of a measurement that records no sample.
-fn no_tap(_: usize, _: usize, _: Volt, _: bool) {}
+fn no_tap(_: Range<usize>, _: bool) {}
 
 /// The clean row a noisy measurement draws its noise against (see
 /// [`FrontEnd::noisy_row`]).
@@ -1204,6 +1269,9 @@ struct NoisyRow {
     /// The windows outside which the row holds zero for the EMF, if it
     /// is windowed.
     windows: Option<[Range<usize>; 2]>,
+    /// The [`verdicts`](PulsePositionDetector::verdicts) of each row
+    /// value: a sample's verdicts where its draw is not evaluated.
+    verdicts: Vec<u8>,
 }
 
 impl NoisyRow {
@@ -1216,22 +1284,24 @@ impl NoisyRow {
     }
 }
 
-/// A noisy measurement's stepping values, drawn one excitation period at
-/// a time into one reusable buffer before the detector steps through
-/// them. The nominal stream is drawn in stream order, as the traced run
-/// draws it, but only what can change a step is evaluated:
+/// A noisy measurement's verdicts, drawn one excitation period at a
+/// time into one reusable buffer before the detector steps through
+/// them. The buffer starts as a copy of the row's verdicts. The nominal
+/// stream is drawn in stream order, as the traced run draws it, but
+/// only what can change a step is evaluated:
 ///
 /// * outside the burst window, one [`GaussianNoise::draw_below`] per run
 ///   of samples compares each draw against its sample's floor and
-///   evaluates only the draws below it; the others leave the row value,
-///   which steps the detector as the noisy one would (see [`skip_bound`],
-///   and [`FrontEnd::windows`] for a windowed row's zeros);
+///   evaluates only the draws below it, overwriting their verdicts; the
+///   others leave the row value's, which are the noisy value's (see
+///   [`skip_bound`], and [`FrontEnd::windows`] for a windowed row's
+///   zeros);
 /// * inside it, each sample draws both streams and brackets them
 ///   ([`GaussianNoise::bracket`]). Float addition is monotone in each
 ///   argument, so the sum `(v + x₁) + x₂` lies between `(v + lo₁) + lo₂`
-///   and `(v + hi₁) + hi₂`; if the detector steps those two alike, it
-///   steps every value between them alike, and the lower one stands in
-///   for the sum. Otherwise both values are evaluated.
+///   and `(v + hi₁) + hi₂`; if those two get the same verdicts, so does
+///   every value between them, the sum included. Otherwise both values
+///   are evaluated and the sum's verdicts taken.
 struct Noisy<'a> {
     front_end: &'a FrontEnd,
     h_ext: AmperePerMeter,
@@ -1243,8 +1313,8 @@ struct Noisy<'a> {
     /// The burst's stream; silent without a burst.
     stream: GaussianNoise,
     probe: PulsePositionDetector,
-    /// One period's stepping values.
-    values: Vec<Volt>,
+    /// One period's verdicts.
+    verdicts: Vec<u8>,
     /// Draws of either stream evaluated in full.
     noise_evals: u64,
     /// EMFs evaluated for draws below the floor outside a windowed row.
@@ -1253,7 +1323,8 @@ struct Noisy<'a> {
 
 impl Noisy<'_> {
     /// Draws the nominal noise of the period's samples `js`, none of them
-    /// in the burst window, into the values, which hold their row values.
+    /// in the burst window, into the verdicts, which hold their row
+    /// values' verdicts.
     fn draw_quiet(&mut self, js: Range<usize>) {
         let Self {
             front_end,
@@ -1261,7 +1332,8 @@ impl Noisy<'_> {
             gain,
             row,
             noise,
-            values,
+            probe,
+            verdicts,
             noise_evals,
             emf_evals,
             ..
@@ -1274,17 +1346,17 @@ impl Noisy<'_> {
             } else {
                 row.row[j]
             };
-            values[j] = v + Volt::new(x);
+            verdicts[j] = probe.verdicts(v + Volt::new(x));
             *noise_evals += 1;
         });
     }
 }
 
 impl Periods for Noisy<'_> {
-    fn period(&mut self, first: usize) -> &[Volt] {
-        let n = self.values.len();
+    fn period(&mut self, first: usize) -> &[u8] {
+        let n = self.verdicts.len();
         let loud = within(&self.burst, first, n);
-        self.values.copy_from_slice(&self.row.row);
+        self.verdicts.copy_from_slice(&self.row.verdicts);
         self.draw_quiet(0..loud.start);
         for j in loud.clone() {
             let v = self.row.row[j];
@@ -1294,15 +1366,17 @@ impl Periods for Noisy<'_> {
             let [lo_2, hi_2] = self.stream.bracket();
             let lo = (v + Volt::new(lo_1)) + Volt::new(lo_2);
             let hi = (v + Volt::new(hi_1)) + Volt::new(hi_2);
-            self.values[j] = if self.probe.steps_alike(lo, hi) {
-                lo
+            let verdicts = self.probe.verdicts(lo);
+            self.verdicts[j] = if verdicts == self.probe.verdicts(hi) {
+                verdicts
             } else {
                 self.noise_evals += drawn(&self.noise, 1) + drawn(&self.stream, 1);
-                (v + Volt::new(self.noise.value())) + Volt::new(self.stream.value())
+                let sum = (v + Volt::new(self.noise.value())) + Volt::new(self.stream.value());
+                self.probe.verdicts(sum)
             };
         }
         self.draw_quiet(loud.end..n);
-        &self.values
+        &self.verdicts
     }
 }
 
@@ -1745,11 +1819,11 @@ mod tests {
                     let sweep = (-120..=120).map(|k| (h_peak * (f64::from(k) / 100.0), false));
                     let mut fell_back = 0;
                     for (k, (h, heading)) in headings.chain(sweep).enumerate() {
-                        let row = fe.clean_row(h, 1.0);
+                        let verdicts = fe.clean_verdicts(h, 1.0);
                         let (full, full_seen, _) = counted(|on_sample| {
                             fe.measure_folded::<FOLD_TOGGLES>(
                                 &mut detector,
-                                &mut row.as_slice(),
+                                &mut verdicts.as_slice(),
                                 Stepping::default(),
                                 true,
                                 &mut each_sample(on_sample),
@@ -1881,6 +1955,54 @@ mod tests {
         }
     }
 
+    /// The detector steps of one `measure_into` of `fe` at `ut` µT and
+    /// the samples it scanned.
+    fn steps_and_samples(fe: &FrontEnd, ut: f64, seed: u64) -> (u64, u64) {
+        let mut detector = PulsePositionDetector::new(fe.config().detector);
+        let session = fluxcomp_obs::init_scoped_for_test();
+        fe.measure_into(h_from_microtesla(ut), seed, &mut detector, |_, _| {});
+        let profile = session.profile().expect("recording");
+        let count = |name| profile.counter(name).unwrap_or(0);
+        (count("afe.detector_steps"), count("msim.analog_steps"))
+    }
+
+    /// A folded paper-design axis steps the detector at under 1 % of the
+    /// samples it scans: only where a verdict changes, a few times per
+    /// pulse.
+    #[test]
+    fn folded_clean_axis_steps_under_a_hundredth_of_its_samples() {
+        let mut cfg = FrontEndConfig::paper_design();
+        cfg.measure_periods = 8;
+        let fe = FrontEnd::new(cfg).expect("valid config");
+        for ut in [-15.0, 0.0, 7.5, 15.0] {
+            let (steps, samples) = steps_and_samples(&fe, ut, 1);
+            assert_eq!(samples, 2 * 4096, "{ut} µT: folded");
+            assert!(
+                steps > 0 && steps * 100 < samples,
+                "{ut} µT: {steps} steps over {samples} samples"
+            );
+        }
+    }
+
+    /// An unstruck paper-design axis at 2 mV steps the detector at under
+    /// a tenth of the samples it scans: the noise changes a verdict only
+    /// next to a trip point.
+    #[test]
+    fn noisy_axis_steps_under_a_tenth_of_its_samples() {
+        let mut cfg = FrontEndConfig::paper_design();
+        cfg.pickup_noise_rms = 2e-3;
+        cfg.measure_periods = 8;
+        let fe = FrontEnd::new(cfg).expect("valid config");
+        for (seed, ut) in [(1, -15.0), (2, 0.0), (3, 7.5), (4, 15.0)] {
+            let (steps, samples) = steps_and_samples(&fe, ut, seed);
+            assert_eq!(samples, 9 * 4096, "{ut} µT: every period scanned");
+            assert!(
+                steps > 0 && steps * 10 < samples,
+                "{ut} µT: {steps} steps over {samples} samples"
+            );
+        }
+    }
+
     #[test]
     fn toggle_overflow_falls_back_to_the_scan() {
         // The paper design toggles twice per period: past a fold limit
@@ -1891,11 +2013,11 @@ mod tests {
         let fe = FrontEnd::new(cfg).expect("valid config");
         let mut detector = PulsePositionDetector::new(fe.config().detector);
         let h = h_from_microtesla(15.0);
-        let row = fe.clean_row(h, 1.0);
+        let verdicts = fe.clean_verdicts(h, 1.0);
         let (scanned, seen, steps) = counted(|on_sample| {
             fe.measure_folded::<1>(
                 &mut detector,
-                &mut row.as_slice(),
+                &mut verdicts.as_slice(),
                 Stepping::default(),
                 true,
                 &mut each_sample(on_sample),
