@@ -16,8 +16,8 @@
 //! * [`FrontEnd::run`] — the **traced run**: the same kernel with
 //!   folding off and every noise draw evaluated, which additionally
 //!   records the full `i_exc`/`v_exc`/`v_pickup`/`detector` waveform set
-//!   through a per-sample tap, for the Fig. 3 / Fig. 4 reproductions and
-//!   the spectrum tests.
+//!   as it fills each period and through the kernel's tap, for the
+//!   Fig. 3 / Fig. 4 reproductions and the spectrum tests.
 //!
 //! The fast path computes only what can change an output bit. A step
 //! of the detector depends on the pickup only through its comparators'
